@@ -17,7 +17,7 @@ from .inference import QuerySpec, SampleReport, rejection_query, run_samples
 from .rewrite import (OptimizeOutcome, RewriteRule, SolveResult, constant_fold,
                       match, optimize_query, optimize_query_detail,
                       rule_from_form, solve_condition, substitute)
-from .rng import derive_rng, make_rng
+from .rng import derive_rng
 from .sampler import SampleBudget, instantiate_expression, sample_concept
 from .session import Session, TopResult
 from .sexpr import (Boolean, Integer, Location, Real, SExpr, SList, Symbol,
@@ -36,7 +36,7 @@ __all__ = [
     "StoreSnapshot", "Symbol", "Text", "TopResult", "ZeroProbabilityError",
     "build_session", "constant_fold", "derive_rng", "evaluate",
     "format_value", "histogram", "instantiate_expression", "main",
-    "make_rng", "match", "optimize_query", "optimize_query_detail", "parse",
+    "match", "optimize_query", "optimize_query_detail", "parse",
     "parse_one", "prelude_path", "print_expr", "rejection_query",
     "rule_from_form", "rules_path", "run_samples", "sample_concept",
     "solve_condition", "standard_env", "substitute", "tokenize",

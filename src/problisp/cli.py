@@ -306,13 +306,12 @@ def _meta_command(line, session, config, out):
         if opt is not None and opt.fired:
             out.write("rewrite: " + " -> ".join(print_expr(c) for c in opt.chain) + "\n")
     elif cmd == ":concepts":
-        store = session.store
-        names = store.concept_names()
+        snapshot = session.store.snapshot()
+        names = snapshot.concept_names()
         if not names:
             out.write("no concepts declared\n")
         for name in names:
-            cid = store.lookup(name)
-            rows = store.instances_of(cid)
+            rows = snapshot.instances(snapshot.concept(name))
             out.write(f"{name} ({len(rows)} links)\n")
             for link, weight in rows:
                 src = (link.source.name if hasattr(link.source, "index")

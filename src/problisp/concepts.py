@@ -76,7 +76,7 @@ class ConceptStore:
         if isinstance(weight, bool) or not isinstance(weight, (int, float)) or weight <= 0:
             raise ConceptError(f"is-a weight must be a positive number, got {weight!r}", loc)
         for link in self._by_target[target]:
-            if self._sources_equal(link.source, source):
+            if link.source == source:
                 raise ConceptError(
                     f"duplicate is-a link {_describe_source(source)} -> {target.name}", loc)
         if isinstance(source, ConceptId):
@@ -94,12 +94,6 @@ class ConceptStore:
         self._by_target[target].append(link)
         return link.link_id
 
-    @staticmethod
-    def _sources_equal(a, b):
-        if isinstance(a, ConceptId) or isinstance(b, ConceptId):
-            return a == b
-        return a == b  # structural SExpr equality
-
     def _reaches(self, start, goal):
         seen = set()
         stack = [start]
@@ -115,7 +109,7 @@ class ConceptStore:
 
     def find_link(self, source, target):
         for link in self._by_target.get(target, ()):
-            if self._sources_equal(link.source, source):
+            if link.source == source:
                 return link
         return None
 
@@ -149,18 +143,6 @@ class ConceptStore:
         return list(self._contexts)
 
     # -- reads -------------------------------------------------------------
-
-    def instances_of(self, concept, context=None, loc=None):
-        """All links targeting `concept` with context-resolved weights,
-        in insertion order."""
-        if concept not in self._by_target:
-            raise ConceptError(f"unknown concept '{getattr(concept, 'name', concept)}'", loc)
-        name = self._active if context is None else context
-        if name not in self._contexts:
-            raise ConceptError(f"unknown context '{name}'", loc)
-        overlay = self._contexts[name]
-        return [(link, overlay.get(link.link_id, link.weight))
-                for link in self._by_target[concept]]
 
     def snapshot(self, context=None):
         name = self._active if context is None else context

@@ -14,7 +14,7 @@ parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .concepts import ConceptId
 from .errors import ConceptError, EvalError
@@ -23,8 +23,6 @@ from .sexpr import Integer, Real, SList, Symbol
 from .values import NIL, Closure, Env, Pair, Primitive, format_value, is_number, values_equal
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 6
-DEFAULT_MAX_DEPTH = 64
-DEFAULT_MAX_NODES = 10 ** 4
 
 KNOWLEDGE_FORMS = frozenset(
     ["concept", "is-a", "equivalence", "implication", "define-context", "set-context"])
@@ -36,7 +34,18 @@ _MISSING = object()
 
 @dataclass
 class EvalContext:
-    """Everything an evaluation needs besides the environment."""
+    """Everything an evaluation needs besides the environment.
+
+    A session builds one context per top-level form; `rules`, `rewrite`,
+    `max_attempts` and `global_env` stay fixed for the session, `session` is
+    set only there, and `snapshot` is refreshed after each knowledge form.
+    A query copies that context with `session` cleared and sets `rng` for
+    each sample; `run_samples` reuses its one copy across all samples of the
+    query, so nothing may keep a context beyond the sample that used it.
+    A concept instantiation copies the context again, setting `budget` and
+    `sample_depth` for its own recursion along with `snapshot`, `global_env`
+    and the `rng` it draws from.
+    """
 
     rng: object | None = None
     snapshot: object | None = None
@@ -47,8 +56,6 @@ class EvalContext:
     global_env: Env | None = None
     budget: object | None = None       # in-flight concept sampling budget
     sample_depth: int = 0
-    max_depth: int = DEFAULT_MAX_DEPTH
-    max_nodes: int = DEFAULT_MAX_NODES
 
 
 def evaluate(expr, env, ctx):
@@ -59,29 +66,31 @@ def evaluate(expr, env, ctx):
         raise EvalError("recursion depth exceeded") from None
 
 
+def _lookup(env, name):
+    """Value bound to `name` in the innermost frame that has it, else _MISSING."""
+    while env is not None:
+        v = env.frame.get(name, _MISSING)
+        if v is not _MISSING:
+            return v
+        env = env.parent
+    return _MISSING
+
+
 def _concept_lookup(ctx, name):
-    if ctx.snapshot is not None:
-        return ctx.snapshot.concept(name)
-    if ctx.session is not None:
-        return ctx.session.store.lookup(name)
-    return None
+    return ctx.snapshot.concept(name) if ctx.snapshot is not None else None
 
 
 def _eval(expr, env, ctx):
     while True:
         t = expr.__class__
         if t is Symbol:
-            name = expr.name
-            e = env
-            while e is not None:
-                v = e.frame.get(name, _MISSING)
-                if v is not _MISSING:
-                    return v
-                e = e.parent
-            cid = _concept_lookup(ctx, name)
+            v = _lookup(env, expr.name)
+            if v is not _MISSING:
+                return v
+            cid = _concept_lookup(ctx, expr.name)
             if cid is not None:
                 return cid
-            raise EvalError(f"unbound symbol '{name}'", expr.loc)
+            raise EvalError(f"unbound symbol '{expr.name}'", expr.loc)
         if t is not SList:
             return expr.value
         items = expr.items
@@ -187,13 +196,7 @@ def _eval_sample(expr, env, ctx):
         raise EvalError("sample expects one argument", expr.loc)
     target = expr.items[1]
     if target.__class__ is Symbol:
-        e = env
-        value = _MISSING
-        while e is not None:
-            value = e.frame.get(target.name, _MISSING)
-            if value is not _MISSING:
-                break
-            e = e.parent
+        value = _lookup(env, target.name)
         if value is _MISSING:
             value = _concept_lookup(ctx, target.name)
             if value is None:
@@ -202,16 +205,11 @@ def _eval_sample(expr, env, ctx):
         value = _eval(target, env, ctx)
     if not isinstance(value, ConceptId):
         raise ConceptError(f"sample expects a concept, got {format_value(value)}", expr.loc)
-    snapshot = ctx.snapshot
-    if snapshot is None:
-        if ctx.session is None:
-            raise EvalError("no concept store available in this context", expr.loc)
-        snapshot = ctx.session.store.snapshot()
-    budget = ctx.budget
-    if budget is None:
-        budget = SampleBudget(ctx.max_depth, ctx.max_nodes)
+    if ctx.snapshot is None:
+        raise EvalError("no concept store available in this context", expr.loc)
+    budget = ctx.budget if ctx.budget is not None else SampleBudget()
     base_env = ctx.global_env if ctx.global_env is not None else env
-    return sample_concept(snapshot, value, ctx.rng, budget,
+    return sample_concept(ctx.snapshot, value, ctx.rng, budget,
                           env=base_env, ctx=ctx, depth=ctx.sample_depth)
 
 
@@ -222,9 +220,8 @@ def _eval_rejection(expr, env, ctx):
     if ctx.rewrite and ctx.rules:
         from .rewrite import optimize_query
 
-        spec = optimize_query(spec, ctx.rules, ctx.snapshot)
-    return rejection_query(spec, env, ctx.rng, ctx.max_attempts,
-                           ctx=replace(ctx, session=None))
+        spec = optimize_query(spec, ctx.rules)
+    return rejection_query(spec, env, ctx.rng, ctx.max_attempts, ctx=ctx)
 
 
 def _symbol_arg(items, i, form, loc):
@@ -301,23 +298,31 @@ def _resolve_isa_source(node, store, env):
         if cid is not None:
             return cid
     for name in sorted(free_symbols(node)):
-        if store.lookup(name) is None and not (env is not None and env.has(name)):
+        if store.lookup(name) is None and (env is None or _lookup(env, name) is _MISSING):
             raise ConceptError(f"unknown name '{name}' in is-a source", node.loc)
     return node
 
 
-def free_symbols(expr, bound=frozenset()):
+def free_symbols(expr):
     """Free symbol names of an expression, honoring quote and the binders."""
-    out = set()
-    _free(expr, bound, out)
+    return {sym.name for _, sym in free_symbol_paths(expr)}
+
+
+def free_symbol_paths(expr):
+    """(path, Symbol) for each free symbol occurrence, left to right; a path
+    indexes SList items from the root.  Quote shields its argument; lambda and
+    let bind their names in the body only (let binding values stay outside
+    the scope); define's value is scanned, its name is not."""
+    out = []
+    _scope_walk(expr, frozenset(), (), out)
     return out
 
 
-def _free(expr, bound, out):
+def _scope_walk(expr, bound, path, out):
     t = expr.__class__
     if t is Symbol:
         if expr.name not in bound:
-            out.add(expr.name)
+            out.append((path, expr))
         return
     if t is not SList or not expr.items:
         return
@@ -329,29 +334,29 @@ def _free(expr, bound, out):
             return
         if op == "lambda" and len(items) >= 3 and items[1].__class__ is SList:
             inner = bound | {p.name for p in items[1].items if p.__class__ is Symbol}
-            for b in items[2:]:
-                _free(b, inner, out)
+            for i in range(2, len(items)):
+                _scope_walk(items[i], inner, path + (i,), out)
             return
         if op == "let" and len(items) >= 3 and items[1].__class__ is SList:
             names = set()
-            for pair in items[1].items:
+            for j, pair in enumerate(items[1].items):
                 if pair.__class__ is SList and len(pair.items) == 2:
                     if pair.items[0].__class__ is Symbol:
                         names.add(pair.items[0].name)
-                    _free(pair.items[1], bound, out)
+                    _scope_walk(pair.items[1], bound, path + (1, j, 1), out)
             inner = bound | names
-            for b in items[2:]:
-                _free(b, inner, out)
+            for i in range(2, len(items)):
+                _scope_walk(items[i], inner, path + (i,), out)
             return
         if op == "define" and len(items) == 3 and items[1].__class__ is Symbol:
-            _free(items[2], bound, out)
+            _scope_walk(items[2], bound, path + (2,), out)
             return
         if op in SPECIAL_FORMS:
-            for a in items[1:]:
-                _free(a, bound, out)
+            for i in range(1, len(items)):
+                _scope_walk(items[i], bound, path + (i,), out)
             return
-    for a in items:
-        _free(a, bound, out)
+    for i, item in enumerate(items):
+        _scope_walk(item, bound, path + (i,), out)
 
 
 # -- primitives -------------------------------------------------------------

@@ -51,7 +51,7 @@ class SampleReport:
     wall_time: float
 
 
-def _attempt_loop(spec, base_env, rng, max_attempts, ctx):
+def _attempt_loop(spec, base_env, max_attempts, ctx):
     for attempt in range(1, max_attempts + 1):
         env = Env(base_env)
         try:
@@ -71,15 +71,20 @@ def _attempt_loop(spec, base_env, rng, max_attempts, ctx):
         f"no accepted sample after {max_attempts} attempts", max_attempts)
 
 
+def _query_context(ctx, base_env, rng=None):
+    """A copy of `ctx` (or a fresh context) drawing from `rng`, with no
+    session: knowledge forms are not allowed inside a query."""
+    if ctx is None:
+        return EvalContext(rng=rng, global_env=base_env)
+    return replace(ctx, rng=rng, session=None)
+
+
 def rejection_query(spec, base_env, rng, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=None):
     """Sample once from the conditioned distribution, or raise ExhaustionError."""
     if max_attempts < 1:
         raise EvalError("max-attempts must be at least 1")
-    if ctx is None:
-        ctx = EvalContext(rng=rng, global_env=base_env)
-    else:
-        ctx = replace(ctx, rng=rng, session=None)
-    value, _ = _attempt_loop(spec, base_env, rng, max_attempts, ctx)
+    value, _ = _attempt_loop(spec, base_env, max_attempts,
+                             _query_context(ctx, base_env, rng))
     return value
 
 
@@ -91,14 +96,11 @@ def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=
     start = time.perf_counter()
     values = []
     attempts_total = 0
+    ctx = _query_context(ctx, base_env)
     for i in range(n):
-        rng = derive_rng(*path, i)
-        if ctx is None:
-            inner = EvalContext(rng=rng, global_env=base_env)
-        else:
-            inner = replace(ctx, rng=rng, session=None)
+        ctx.rng = derive_rng(*path, i)
         try:
-            value, attempts = _attempt_loop(spec, base_env, rng, max_attempts, inner)
+            value, attempts = _attempt_loop(spec, base_env, max_attempts, ctx)
         except ExhaustionError as err:
             wall = time.perf_counter() - start
             made = attempts_total + err.attempts

@@ -382,7 +382,7 @@ def _in_support(value_node, n):
     return False, value_node
 
 
-def optimize_query_detail(spec, rules, store=None, step_limit=DEFAULT_STEP_LIMIT):
+def optimize_query_detail(spec, rules, step_limit=DEFAULT_STEP_LIMIT):
     """Try to replace a stochastic prior with the point mass forced by the
     condition.  Fires only on exactly-checkable finite supports; a solved
     value provably outside the support raises ZeroProbabilityError."""
@@ -417,6 +417,6 @@ def optimize_query_detail(spec, rules, store=None, step_limit=DEFAULT_STEP_LIMIT
     return OptimizeOutcome(spec, False)
 
 
-def optimize_query(spec, rules, store=None, step_limit=DEFAULT_STEP_LIMIT):
+def optimize_query(spec, rules, step_limit=DEFAULT_STEP_LIMIT):
     """QuerySpec -> QuerySpec; see optimize_query_detail for the report."""
-    return optimize_query_detail(spec, rules, store, step_limit).spec
+    return optimize_query_detail(spec, rules, step_limit).spec

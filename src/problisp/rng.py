@@ -19,11 +19,6 @@ def _entropy(parts):
     return tuple(int(p) & _MASK64 for p in parts)
 
 
-def make_rng(seed):
-    """Top-of-session generator for a 64-bit seed."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy([seed]))))
-
-
 def derive_rng(*path):
     """Independent generator for an integer path such as (seed, query, index)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(path))))

@@ -19,10 +19,12 @@ from dataclasses import replace
 
 from .concepts import ConceptId
 from .errors import BudgetError, ConceptError, EvalError
-from .evaluator import (DEFAULT_MAX_DEPTH, DEFAULT_MAX_NODES, SPECIAL_FORMS,
-                        EvalContext, evaluate)
+from .evaluator import EvalContext, evaluate, free_symbol_paths
 from .sexpr import SList, Symbol
 from .values import Env
+
+DEFAULT_MAX_DEPTH = 64
+DEFAULT_MAX_NODES = 10 ** 4
 
 
 class SampleBudget:
@@ -84,7 +86,10 @@ def instantiate_expression(snapshot, expr, env, rng, budget=None, *, ctx=None, d
 
         env = standard_env()
     occurrences = []
-    _occurrences(expr, snapshot, frozenset(), (), occurrences)
+    for path, sym in free_symbol_paths(expr):
+        cid = snapshot.concept(sym.name)
+        if cid is not None:
+            occurrences.append((path, cid))
     frame = {}
     mapping = {}
     if occurrences:
@@ -92,32 +97,18 @@ def instantiate_expression(snapshot, expr, env, rng, budget=None, *, ctx=None, d
             order = [0]
         else:
             order = [int(k) for k in rng.permutation(len(occurrences))]
-        drawn = {}
         for k in order:
-            path = occurrences[k]
-            cid = snapshot.concept(_node_at(expr, path).name)
-            drawn[path] = sample_concept(snapshot, cid, rng, budget, env=env,
-                                         ctx=ctx, depth=depth + 1)
-        for i, path in enumerate(occurrences):
-            name = f"concept value {i}"  # space keeps it unwritable in source
+            path, cid = occurrences[k]
+            name = f"concept value {k}"  # space keeps it unwritable in source
             mapping[path] = Symbol(name)
-            frame[name] = drawn[path]
+            frame[name] = sample_concept(snapshot, cid, rng, budget, env=env,
+                                         ctx=ctx, depth=depth + 1)
     body = _replace_paths(expr, mapping, ())
     eval_env = Env(env, frame) if frame else env
-    if ctx is not None:
-        inner = replace(ctx, session=None, snapshot=snapshot, budget=budget,
-                        sample_depth=depth + 1, global_env=env)
-    else:
-        inner = EvalContext(rng=rng, snapshot=snapshot, budget=budget,
-                            sample_depth=depth + 1, global_env=env)
+    inner = replace(ctx if ctx is not None else EvalContext(), rng=rng, session=None,
+                    snapshot=snapshot, budget=budget, sample_depth=depth + 1,
+                    global_env=env)
     return evaluate(body, eval_env, inner)
-
-
-def _node_at(expr, path):
-    node = expr
-    for i in path:
-        node = node.items[i]
-    return node
 
 
 def _replace_paths(expr, mapping, path):
@@ -128,45 +119,3 @@ def _replace_paths(expr, mapping, path):
                            for i, c in enumerate(expr.items)), expr.loc)
     return expr
 
-
-def _occurrences(expr, snapshot, bound, path, out):
-    """Paths of symbols naming declared concepts, honoring quote and binders."""
-    t = expr.__class__
-    if t is Symbol:
-        if expr.name not in bound and snapshot.concept(expr.name) is not None:
-            out.append(path)
-        return
-    if t is not SList or not expr.items:
-        return
-    items = expr.items
-    head = items[0]
-    if head.__class__ is Symbol:
-        op = head.name
-        if op == "quote":
-            return
-        if op == "lambda" and len(items) >= 3 and items[1].__class__ is SList:
-            inner = bound | {p.name for p in items[1].items if p.__class__ is Symbol}
-            for i in range(2, len(items)):
-                _occurrences(items[i], snapshot, inner, path + (i,), out)
-            return
-        if op == "let" and len(items) >= 3 and items[1].__class__ is SList:
-            names = set()
-            for j, pair in enumerate(items[1].items):
-                if pair.__class__ is SList and len(pair.items) == 2:
-                    if pair.items[0].__class__ is Symbol:
-                        names.add(pair.items[0].name)
-                    _occurrences(pair.items[1], snapshot, bound,
-                                 path + (1, j, 1), out)
-            inner = bound | names
-            for i in range(2, len(items)):
-                _occurrences(items[i], snapshot, inner, path + (i,), out)
-            return
-        if op == "define" and len(items) == 3 and items[1].__class__ is Symbol:
-            _occurrences(items[2], snapshot, bound, path + (2,), out)
-            return
-        if op in SPECIAL_FORMS:
-            for i in range(1, len(items)):
-                _occurrences(items[i], snapshot, bound, path + (i,), out)
-            return
-    for i, item in enumerate(items):
-        _occurrences(item, snapshot, bound, path + (i,), out)

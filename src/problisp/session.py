@@ -82,7 +82,7 @@ class Session:
         if self.rewrite and self.rules:
             from .rewrite import optimize_query_detail
 
-            outcome = optimize_query_detail(spec, tuple(self.rules), self.store)
+            outcome = optimize_query_detail(spec, tuple(self.rules))
             spec = outcome.spec
         ordinal = self._query_ordinal
         self._query_ordinal += 1

@@ -63,22 +63,6 @@ class Env:
             raise EvalError(f"'{name}' is already defined in this scope", loc)
         self.frame[name] = value
 
-    def lookup(self, name):
-        env = self
-        while env is not None:
-            if name in env.frame:
-                return env.frame[name]
-            env = env.parent
-        raise KeyError(name)
-
-    def has(self, name):
-        env = self
-        while env is not None:
-            if name in env.frame:
-                return True
-            env = env.parent
-        return False
-
 
 def is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)

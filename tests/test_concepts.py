@@ -6,7 +6,7 @@ from problisp import ConceptError, ConceptStore, parse_one
 def test_declare_and_instances_empty():
     store = ConceptStore()
     number = store.declare_concept("number")
-    assert store.instances_of(number) == []
+    assert store.snapshot().instances(number) == ()
     assert store.lookup("number") is number
 
 
@@ -26,7 +26,7 @@ def test_prelude_concepts_resolvable(prelude_session):
 def test_prelude_number_links_in_insertion_order(prelude_session):
     store = prelude_session.store
     number = store.lookup("number")
-    rows = store.instances_of(number)
+    rows = store.snapshot().instances(number)
     assert [(link.source.name, w) for link, w in rows] == \
         [("real-number", 1.0), ("integer", 1.0)]
 
@@ -36,7 +36,7 @@ def test_add_isa_expression_and_weights():
     real = store.declare_concept("real-number")
     link = store.add_isa(parse_one("pi"), real)
     assert isinstance(link, int)
-    rows = store.instances_of(real)
+    rows = store.snapshot().instances(real)
     assert rows[0][1] == 1.0
     with pytest.raises(ConceptError, match="positive"):
         store.add_isa(parse_one("(normal 0 1)"), real, weight=0)
@@ -50,7 +50,7 @@ def test_recursive_expression_link_accepted():
     seq = store.declare_concept("sequence")
     store.add_isa(parse_one("null"), seq)
     store.add_isa(parse_one("(cons number sequence)"), seq)
-    assert len(store.instances_of(seq)) == 2
+    assert len(store.snapshot().instances(seq)) == 2
 
 
 def test_concept_cycle_rejected():
@@ -72,7 +72,7 @@ def test_unknown_target():
     with pytest.raises(ConceptError, match="unknown concept"):
         store.add_isa(parse_one("1"), other)
     with pytest.raises(ConceptError, match="unknown concept"):
-        store.instances_of(other)
+        store.snapshot().instances(other)
 
 
 def test_unknown_name_in_isa_source(session):
@@ -101,14 +101,14 @@ def test_context_overlays():
     store.define_context("inty", {l2: 3.0})
     store.define_context("realy", {l1: 5.0, l2: 0.5})
 
-    assert [w for _, w in store.instances_of(number)] == [1.0, 1.0]
-    assert [w for _, w in store.instances_of(number, context="inty")] == [1.0, 3.0]
-    assert [w for _, w in store.instances_of(number, context="realy")] == [5.0, 0.5]
+    assert [w for _, w in store.snapshot().instances(number)] == [1.0, 1.0]
+    assert [w for _, w in store.snapshot("inty").instances(number)] == [1.0, 3.0]
+    assert [w for _, w in store.snapshot("realy").instances(number)] == [5.0, 0.5]
 
     store.set_context("inty")
-    assert [w for _, w in store.instances_of(number)] == [1.0, 3.0]
+    assert [w for _, w in store.snapshot().instances(number)] == [1.0, 3.0]
     store.set_context("default")
-    assert [w for _, w in store.instances_of(number)] == [1.0, 1.0]
+    assert [w for _, w in store.snapshot().instances(number)] == [1.0, 1.0]
 
 
 def test_context_errors():
@@ -135,7 +135,7 @@ def test_language_level_contexts(session):
     """)
     store = session.store
     number = store.lookup("number")
-    assert [w for _, w in store.instances_of(number, context="heavy")] == [3.0]
+    assert [w for _, w in store.snapshot("heavy").instances(number)] == [3.0]
     session.run_text("(set-context heavy)")
     assert store.active_context == "heavy"
     with pytest.raises(ConceptError, match="no is-a link"):
@@ -152,7 +152,7 @@ def test_snapshot_is_immutable_under_mutation():
     store.declare_concept("later")
     assert len(snap.instances(number)) == 1
     assert snap.concept("later") is None
-    assert len(store.instances_of(number)) == 2
+    assert len(store.snapshot().instances(number)) == 2
 
 
 def test_adding_links_never_changes_existing_effective_weights():
@@ -163,9 +163,9 @@ def test_adding_links_never_changes_existing_effective_weights():
     store.define_context("ctx", {l1: 2.0})
     store.add_isa(parse_one("pi"), number)
     # the original link's weight is untouched in every context
-    assert store.instances_of(number, context="default")[0][1] == 1.0
-    assert store.instances_of(number, context="ctx")[0][1] == 2.0
-    assert store.instances_of(number, context="ctx")[1][1] == 1.0
+    assert store.snapshot("default").instances(number)[0][1] == 1.0
+    assert store.snapshot("ctx").instances(number)[0][1] == 2.0
+    assert store.snapshot("ctx").instances(number)[1][1] == 1.0
 
 
 def test_knowledge_forms_require_session_toplevel(session):

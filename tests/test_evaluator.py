@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from problisp import (NIL, EvalContext, EvalError, Pair, derive_rng, evaluate,
-                      make_rng, parse, parse_one, standard_env)
+                      parse, parse_one, standard_env)
 from problisp.rng import normal, random_integer
 from problisp.sexpr import Symbol
 
@@ -131,7 +131,7 @@ def test_tail_calls_do_not_grow_the_stack():
 
 
 def test_random_integer_bounds():
-    rng = make_rng(0)
+    rng = derive_rng(0)
     assert random_integer(1, rng) == 0
     with pytest.raises(EvalError):
         random_integer(0, rng)
@@ -145,7 +145,7 @@ def test_random_integer_bounds():
 def test_random_integer_uniformity():
     # binomial oracle: each outcome frequency within 4 sd of 0.1
     n = 100_000
-    rng = make_rng(20240817)
+    rng = derive_rng(20240817)
     counts = np.zeros(10, dtype=int)
     for _ in range(n):
         counts[random_integer(10, rng)] += 1
@@ -155,7 +155,7 @@ def test_random_integer_uniformity():
 
 
 def test_normal_moments():
-    rng = make_rng(7)
+    rng = derive_rng(7)
     assert normal(0, 0, rng) == 0.0
     assert ev("(normal 5 0)") == 5.0
     with pytest.raises(EvalError):

@@ -133,6 +133,13 @@ def test_quote_and_binders_shield_concept_symbols(prelude_session):
     v = instantiate_expression(snap, parse_one("((lambda (number) number) 5)"),
                                env, derive_rng(0))
     assert v == 5
+    v = instantiate_expression(snap, parse_one("(let ((number 5)) number)"),
+                               env, derive_rng(0))
+    assert v == 5
+    # a let binding's value sits outside the let's scope, so it is a draw
+    v = instantiate_expression(snap, parse_one("(let ((x number)) x)"),
+                               prelude_session.env, derive_rng(0))
+    assert isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def test_sample_form_and_define_prior(prelude_session):
