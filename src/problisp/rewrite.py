@@ -2,12 +2,15 @@
 
 Rules are directed (implication) or bidirectional (equivalence) pattern ->
 template pairs whose variables are $-prefixed symbols.  Solving a condition
-for a target variable applies rules at the root and at every subexpression
-in leftmost-outermost order, keeping only rewrites that strictly reduce the
-target's depth or make the non-target side of an equation ground, constant
-folding after every application.  Equivalences are tried right-to-left only
+for a target variable starts from the constant-folded condition, with the
+sides of `=` swapped when the target is only on the right.  It then applies
+rules at the root and at every subexpression in leftmost-outermost order,
+keeping only rewrites that strictly reduce the depth of the target's
+shallowest occurrence, constant folding after every application.  That
+depth bounds the number of steps.  Equivalences are tried right-to-left only
 when no left-to-right application made progress in the current step.
 Solving is best effort: on failure the original condition is returned.
+Constant folding uses the evaluator's primitives, so it agrees with them.
 
 Everything here is a pure function over immutable inputs.
 """
@@ -16,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RuleError, ZeroProbabilityError
+from .errors import EvalError, RuleError, ZeroProbabilityError
+from .evaluator import _PRIMITIVES
 from .sexpr import Boolean, Integer, Real, SExpr, SList, Symbol, Text, print_expr
-
-DEFAULT_STEP_LIMIT = 100
 
 _LITERALS = (Integer, Real, Boolean, Text)
 _RANDOM_HEADS = frozenset(["random-integer", "normal", "flip", "sample", "rejection-query"])
@@ -81,48 +83,6 @@ def _collect_vars(expr, out):
 # -- constant folding ----------------------------------------------------------
 
 
-def _lit_equal(a, b):
-    an, bn = isinstance(a, (int, float)), isinstance(b, (int, float))
-    ab, bb = isinstance(a, bool), isinstance(b, bool)
-    if ab or bb:
-        return ab and bb and a == b
-    if an and bn:
-        return a == b
-    if isinstance(a, str) and isinstance(b, str):
-        return a == b
-    return False
-
-
-def _fold_apply(op, args):
-    if op == "=":
-        return all(_lit_equal(args[i], args[i + 1]) for i in range(len(args) - 1))
-    for a in args:
-        if isinstance(a, bool) or not isinstance(a, (int, float)):
-            raise TypeError(op)
-    if op == "+":
-        total = 0
-        for a in args:
-            total += a
-        return total
-    if op == "-":
-        if len(args) == 1:
-            return -args[0]
-        total = args[0]
-        for a in args[1:]:
-            total -= a
-        return total
-    if op == "*":
-        total = 1
-        for a in args:
-            total *= a
-        return total
-    if op == "<":
-        return all(args[i] < args[i + 1] for i in range(len(args) - 1))
-    if op == ">":
-        return all(args[i] > args[i + 1] for i in range(len(args) - 1))
-    raise TypeError(op)
-
-
 _FOLDABLE = frozenset(["+", "-", "*", "=", "<", ">"])
 
 
@@ -135,8 +95,9 @@ def _literal_node(value):
 
 
 def constant_fold(expr):
-    """Bottom-up evaluation of ground arithmetic/comparison subexpressions;
-    ill-typed ground subexpressions are left unfolded.  Never errors."""
+    """Bottom-up evaluation of ground arithmetic/comparison subexpressions with
+    the evaluator's own primitives; ill-typed ground subexpressions are left
+    unfolded."""
     if expr.__class__ is not SList or not expr.items:
         return expr
     items = tuple(constant_fold(item) for item in expr.items)
@@ -145,8 +106,8 @@ def constant_fold(expr):
     if (head.__class__ is Symbol and head.name in _FOLDABLE and len(items) >= 3
             and all(a.__class__ in _LITERALS for a in items[1:])):
         try:
-            value = _fold_apply(head.name, [a.value for a in items[1:]])
-        except TypeError:
+            value = _PRIMITIVES[head.name]([a.value for a in items[1:]], None, expr.loc)
+        except EvalError:
             return folded
         return _literal_node(value)
     return folded
@@ -249,20 +210,6 @@ def _eq_sides(expr):
     return None
 
 
-def _nontarget_ground(expr, name):
-    """True/False when expr is (= A B) with the target on exactly one side;
-    None when the shape does not apply."""
-    sides = _eq_sides(expr)
-    if sides is None:
-        return None
-    a, b = sides
-    in_a, in_b = _contains_var(a, name), _contains_var(b, name)
-    if in_a == in_b:
-        return None
-    other = b if in_a else a
-    return other.__class__ in _LITERALS
-
-
 def _as_solved(expr, name):
     """Normalized (= target literal) if expr already has that shape."""
     sides = _eq_sides(expr)
@@ -276,19 +223,22 @@ def _as_solved(expr, name):
     return None
 
 
-def _is_progress(new, name, base_depth, base_ground):
-    nd = _var_depth(new, name)
-    if nd is None:
-        return False
-    if base_depth is not None and nd < base_depth:
-        return True
-    ground = _nontarget_ground(new, name)
-    return bool(ground) and not bool(base_ground)
+def _start_state(condition, name):
+    """The condition constant-folded, with the sides of `=` swapped when the
+    target occurs only on the right."""
+    state = constant_fold(condition)
+    sides = _eq_sides(state)
+    if (sides is not None and not _contains_var(sides[0], name)
+            and _contains_var(sides[1], name)):
+        state = SList((state.items[0], sides[1], sides[0]), state.loc)
+    return state
 
 
 def _find_step(state, name, rules):
+    """The first rewrite, leftmost-outermost and in rule order, that strictly
+    lowers the target's depth; equivalences right-to-left only after every
+    left-to-right application failed.  Returns (applied, folded) or None."""
     base_depth = _var_depth(state, name)
-    base_ground = _nontarget_ground(state, name)
     positions = list(_positions(state))
     for direction in ("lr", "rl"):
         for path in positions:
@@ -305,20 +255,22 @@ def _find_step(state, name, rules):
                     continue
                 applied = _replace_at(state, path, substitute(tmpl, bindings))
                 folded = constant_fold(applied)
-                if _is_progress(folded, name, base_depth, base_ground):
+                depth = _var_depth(folded, name)
+                if depth is not None and depth < base_depth:
                     return applied, folded
     return None
 
 
-def solve_condition(condition, target, rules, step_limit=DEFAULT_STEP_LIMIT):
+def solve_condition(condition, target, rules):
     """Try to rewrite `condition` into `(= target ground)`.  Best effort:
-    returns the original condition (solved=False) when it cannot."""
+    returns the original condition (solved=False) when it cannot.  Every step
+    lowers the target's depth, so the loop ends after at most that many."""
     name = target.name if isinstance(target, Symbol) else target
-    trace = [condition]
     if not _contains_var(condition, name):
-        return SolveResult(condition, False, tuple(trace))
-    state = condition
-    for _ in range(step_limit):
+        return SolveResult(condition, False, (condition,))
+    state = _start_state(condition, name)
+    trace = [condition] if state == condition else [condition, state]
+    while True:
         solved = _as_solved(state, name)
         if solved is not None:
             if solved != trace[-1]:
@@ -332,7 +284,6 @@ def solve_condition(condition, target, rules, step_limit=DEFAULT_STEP_LIMIT):
         if folded != applied:
             trace.append(folded)
         state = folded
-    return SolveResult(condition, False, tuple(trace))
 
 
 # -- query optimization ------------------------------------------------------------
@@ -382,7 +333,7 @@ def _in_support(value_node, n):
     return False, value_node
 
 
-def optimize_query_detail(spec, rules, step_limit=DEFAULT_STEP_LIMIT):
+def optimize_query_detail(spec, rules):
     """Try to replace a stochastic prior with the point mass forced by the
     condition.  Fires only on exactly-checkable finite supports; a solved
     value provably outside the support raises ZeroProbabilityError."""
@@ -395,9 +346,7 @@ def optimize_query_detail(spec, rules, step_limit=DEFAULT_STEP_LIMIT):
         prior = d.items[2]
         if not _is_stochastic(prior):
             continue
-        if not _contains_var(spec.condition, var):
-            continue
-        result = solve_condition(spec.condition, var, rules, step_limit)
+        result = solve_condition(spec.condition, var, rules)
         if not result.solved:
             continue
         constant = result.condition.items[2]
@@ -417,6 +366,6 @@ def optimize_query_detail(spec, rules, step_limit=DEFAULT_STEP_LIMIT):
     return OptimizeOutcome(spec, False)
 
 
-def optimize_query(spec, rules, step_limit=DEFAULT_STEP_LIMIT):
+def optimize_query(spec, rules):
     """QuerySpec -> QuerySpec; see optimize_query_detail for the report."""
-    return optimize_query_detail(spec, rules, step_limit).spec
+    return optimize_query_detail(spec, rules).spec

@@ -59,7 +59,7 @@ def _choose(rows, rng):
     return rows[-1][0]
 
 
-def sample_concept(snapshot, concept, rng, budget=None, *, env=None, ctx=None, depth=0):
+def sample_concept(snapshot, concept, rng, budget=None, *, env, ctx=None, depth=0):
     """Draw one instance of `concept` from its weighted is-a links."""
     if budget is None:
         budget = SampleBudget()
@@ -78,13 +78,9 @@ def sample_concept(snapshot, concept, rng, budget=None, *, env=None, ctx=None, d
 
 def instantiate_expression(snapshot, expr, env, rng, budget=None, *, ctx=None, depth=0):
     """Replace each concept symbol in `expr` by an independent draw, then
-    evaluate the result against the session globals."""
+    evaluate the result against `env`, the session globals."""
     if budget is None:
         budget = SampleBudget()
-    if env is None:
-        from .evaluator import standard_env
-
-        env = standard_env()
     occurrences = []
     for path, sym in free_symbol_paths(expr):
         cid = snapshot.concept(sym.name)

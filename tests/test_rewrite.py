@@ -1,12 +1,15 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from problisp import (EvalContext, QuerySpec, RuleError, Session,
                       ZeroProbabilityError, constant_fold, evaluate, match,
                       optimize_query, optimize_query_detail, parse_one,
-                      print_expr, rule_from_form, rules_path, solve_condition,
-                      standard_env, substitute)
+                      print_expr, rewrite, rule_from_form, rules_path,
+                      solve_condition, standard_env, substitute)
 from problisp.sexpr import Boolean, Integer, Real, SList, Symbol
 
 from _lang import satisfaction_set
@@ -190,6 +193,22 @@ def chain(result):
     return [print_expr(c) for c in result.trace]
 
 
+def _solve_counting(cond, target, rules=RULES):
+    """solve_condition, plus the number of rule applications it kept."""
+    steps = []
+    find_step = rewrite._find_step
+
+    def counting(*args):
+        step = find_step(*args)
+        if step is not None:
+            steps.append(step)
+        return step
+
+    with mock.patch.object(rewrite, "_find_step", counting):
+        result = solve_condition(cond, target, rules)
+    return result, len(steps)
+
+
 def test_solve_paper_chain():
     result = solve_condition(parse_one("(= (+ x 5) 10)"), "x", RULES)
     assert result.solved
@@ -219,6 +238,9 @@ def test_solve_subtraction_shapes():
     for src, expected in [
         ("(= (- x 4) 6)", "(= x 10)"),
         ("(= (- 9 x) 2)", "(= x 7)"),
+        ("(= 8 (+ 3 x))", "(= x 5)"),        # target only on the right
+        ("(= x (* 2 5))", "(= x 10)"),       # ground side folds to a literal
+        ("(= (* 2 4) (+ 3 x))", "(= x 5)"),  # both at once
     ]:
         result = solve_condition(parse_one(src), "x", RULES)
         assert result.solved, src
@@ -228,13 +250,19 @@ def test_solve_subtraction_shapes():
 
 
 def test_solve_uses_right_to_left_when_needed():
-    # the operator sits on the ground side; only a reversed equivalence helps
+    # the target starts on the ground side; the start state swaps the sides
     cond = parse_one("(= (- 10 2) (+ x 3))")
     result = solve_condition(cond, "x", RULES)
     assert result.solved
     assert print_expr(result.condition) == "(= x 5)"
     assert satisfaction_set(cond, {"x": 10}) == \
         satisfaction_set(result.condition, {"x": 10})
+    # with only the reversed add rule, just its right-to-left use helps
+    reversed_add = rule_from_form(
+        parse_one("(equivalence (= $A (- $C $B)) (= (+ $A $B) $C))"))
+    result = solve_condition(parse_one("(= (+ x 3) 8)"), "x", (reversed_add,))
+    assert result.solved
+    assert chain(result) == ["(= (+ x 3) 8)", "(= x (- 8 3))", "(= x 5)"]
 
 
 def test_solve_failure_returns_original():
@@ -249,10 +277,81 @@ def test_solve_failure_returns_original():
     assert result.condition == cond
 
 
-def test_solve_respects_step_limit():
-    cond = parse_one("(= (+ (+ (+ x 1) 2) 3) 10)")
-    assert solve_condition(cond, "x", RULES, step_limit=1).solved is False
-    assert solve_condition(cond, "x", RULES, step_limit=10).solved is True
+def test_solve_steps_bounded_by_target_depth():
+    # every kept rewrite lowers the target's depth by at least one
+    result, steps = _solve_counting(parse_one("(= (+ (+ (+ x 1) 2) 3) 10)"), "x")
+    assert result.solved and steps == 3
+    assert print_expr(result.condition) == "(= x 4)"
+    # no ground side: one step reaches depth 1, and nothing lowers it further
+    result = solve_condition(parse_one("(= (+ x y) 7)"), "x", RULES)
+    assert not result.solved
+    assert chain(result) == ["(= (+ x y) 7)", "(= x (- 7 y))"]
+
+
+_INTS = st.integers(-6, 6).map(Integer)
+_REALS = st.floats(-6, 6).map(lambda v: Real(round(v, 1)))
+
+
+def _op(op, a, b):
+    return SList((Symbol(op), a, b))
+
+
+def _tree(leaves):
+    return st.recursive(
+        leaves, lambda sub: st.builds(_op, st.sampled_from("+-*"), sub, sub),
+        max_leaves=4)
+
+
+def _spine(steps):
+    expr = Symbol("x")
+    for op, other, x_left in steps:
+        expr = _op(op, expr, other) if x_left else _op(op, other, expr)
+    return expr
+
+
+def _conditions(literals):
+    """(= A B) over + - *, x, y and `literals`.  Mostly one x under a spine of
+    operators, on either side; otherwise x anywhere, possibly on both sides."""
+    y = st.just(Symbol("y"))
+    rare_y = st.builds(lambda lit, use_y: Symbol("y") if use_y else lit,
+                       literals, st.sampled_from([False] * 5 + [True]))
+    other = _tree(rare_y)
+    spine = st.lists(st.tuples(st.sampled_from("+-*"), other, st.booleans()),
+                     max_size=4).map(_spine)
+    one_x = st.builds(lambda t, o, x_left: _op("=", t, o) if x_left else _op("=", o, t),
+                      spine, other, st.booleans())
+    anywhere = _tree(st.one_of(literals, st.just(Symbol("x")), y))
+    return st.one_of(one_x, one_x, one_x, st.builds(_op, st.just("="), anywhere, anywhere))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_conditions(st.one_of(_INTS, _REALS)))
+def test_solve_ends_within_target_depth_steps(cond):
+    depth = rewrite._var_depth(cond, "x")
+    assume(depth is not None)
+    _, steps = _solve_counting(cond, "x")
+    assert steps <= depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(_conditions(_INTS))
+def test_solve_sound_on_integer_conditions(cond):
+    """Solving and zero-probability claims agree with brute force.  Integer
+    literals only: with Real literals float rounding can still make the
+    optimizer claim a false zero probability (ROADMAP item 1, open)."""
+    assume(rewrite._var_depth(cond, "x") is not None)
+    supports = {"x": 5, "y": 5}
+    expected = satisfaction_set(cond, supports)
+    result = solve_condition(cond, "x", RULES)
+    if result.solved:
+        assert satisfaction_set(result.condition, supports) == expected
+    spec = QuerySpec((parse_one("(define x (random-integer 5))"),
+                      parse_one("(define y (random-integer 5))")),
+                     Symbol("x"), cond)
+    try:
+        optimize_query(spec, RULES)
+    except ZeroProbabilityError:
+        assert expected == frozenset()
 
 
 def test_solve_missing_target_is_failure():

@@ -79,10 +79,11 @@ def test_multinomial_weight_frequencies():
     snap = s.store.snapshot()
     pick = s.store.lookup("pick")
     rng = derive_rng(77)
+    env = standard_env()
     n = 30_000
     counts = {10: 0, 20: 0, 30: 0}
     for _ in range(n):
-        counts[sample_concept(snap, pick, rng)] += 1
+        counts[sample_concept(snap, pick, rng, env=env)] += 1
     for value, w in ((10, 1), (20, 2), (30, 3)):
         p = w / 6
         sd = math.sqrt(p * (1 - p) / n)
@@ -102,7 +103,8 @@ def test_weight_scale_invariance_exact():
         snap = s.store.snapshot()
         pick = s.store.lookup("pick")
         rng = derive_rng(9)
-        draws[tag] = [sample_concept(snap, pick, rng) for _ in range(2_000)]
+        env = standard_env()
+        draws[tag] = [sample_concept(snap, pick, rng, env=env) for _ in range(2_000)]
     assert draws["w1"] == draws["w2"]
 
 
@@ -217,5 +219,6 @@ def test_sampling_reads_the_active_context():
     snap = s.store.snapshot()
     pick = s.store.lookup("pick")
     rng = derive_rng(5)
-    draws = [sample_concept(snap, pick, rng) for _ in range(300)]
+    env = standard_env()
+    draws = [sample_concept(snap, pick, rng, env=env) for _ in range(300)]
     assert draws.count(1) >= 299
