@@ -5,7 +5,11 @@ randomness each time), checks the condition, and returns the query value of
 the first accepted attempt; the returned value is distributed as the prior
 conditioned on the condition.  Batch runs give every sample index its own
 deterministic rng stream derived from (seed, index), so parallel and serial
-execution produce identical multisets of samples.
+execution produce identical multisets of samples.  Index 0 builds its
+generator with `derive_rng`; the PCG64 states of the later indices come from
+`stream_states`, one pass per block of up to 1024 indices, and are set on
+that same generator in turn.  Each index draws exactly the bytes a fresh
+`derive_rng(seed..., index)` generator would.
 """
 
 from __future__ import annotations
@@ -15,9 +19,12 @@ from dataclasses import dataclass, replace
 
 from .errors import EvalError, ExhaustionError, ProblispError
 from .evaluator import DEFAULT_MAX_ATTEMPTS, EvalContext, evaluate
-from .rng import derive_rng
+from .rng import derive_rng, stream_states
 from .sexpr import SExpr, SList, Symbol
 from .values import Env
+
+# sample indices per `stream_states` call: bounds the states held at once
+_STATE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,18 @@ def rejection_query(spec, base_env, rng, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=
     return value
 
 
+def _streams(path, n):
+    """The generators `derive_rng(*path, i)` for i in range(n), as one
+    generator set to each index's state in turn."""
+    rng = derive_rng(*path, 0)
+    yield rng
+    bit_generator = rng.bit_generator
+    for start in range(1, n, _STATE_BLOCK):
+        for state in stream_states(path, start, min(n, start + _STATE_BLOCK)):
+            bit_generator.state = state
+            yield rng
+
+
 def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=None):
     """Draw n accepted samples, one independent rng stream per sample index."""
     if n < 1:
@@ -97,8 +116,8 @@ def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=
     values = []
     attempts_total = 0
     ctx = _query_context(ctx, base_env)
-    for i in range(n):
-        ctx.rng = derive_rng(*path, i)
+    for i, rng in enumerate(_streams(path, n)):
+        ctx.rng = rng
         try:
             value, attempts = _attempt_loop(spec, base_env, max_attempts, ctx)
         except ExhaustionError as err:

@@ -103,7 +103,7 @@ def constant_fold(expr):
     items = tuple(constant_fold(item) for item in expr.items)
     head = items[0]
     folded = SList(items, expr.loc)
-    if (head.__class__ is Symbol and head.name in _FOLDABLE and len(items) >= 3
+    if (head.__class__ is Symbol and head.name in _FOLDABLE and len(items) >= 2
             and all(a.__class__ in _LITERALS for a in items[1:])):
         try:
             value = _PRIMITIVES[head.name]([a.value for a in items[1:]], None, expr.loc)

@@ -4,9 +4,18 @@ The bit generator is numpy's PCG64.  Independent streams are derived from an
 integer path (seed, index, ...) fed to SeedSequence as entropy, so the same
 (seed, sample-index) pair always yields the same stream regardless of how
 many other streams were created, and parallel and serial sampling agree.
+
+`stream_states` computes the PCG64 states of many such paths, differing only
+in their last integer, in one pass: it re-implements numpy's SeedSequence
+hash and PCG64 seeding with every path in its own 64-bit lane of one Python
+int.  Setting those states on one reused generator draws exactly the bytes
+that `derive_rng` would, at a fraction of the cost of building a generator.
 """
 
 from __future__ import annotations
+
+import functools
+import struct
 
 import numpy as np
 
@@ -22,6 +31,108 @@ def _entropy(parts):
 def derive_rng(*path):
     """Independent generator for an integer path such as (seed, query, index)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(path))))
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 seeding
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_NEG_R = 0xCA01F9DD, (1 << 32) - 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def stream_states(prefix, start, stop):
+    """`derive_rng(*prefix, i).bit_generator.state` for i in range(start, stop),
+    computed for all the indices in one pass."""
+    head = []   # SeedSequence's uint32 entropy words of the masked prefix
+    for part in _entropy(prefix):
+        head.append(part & _MASK32)
+        if part >> 32:
+            head.append(part >> 32)
+    states = []
+    while start < stop:
+        # a run of indices whose masked values all have 1 (or all 2) words
+        low = start & _MASK64
+        width = 1 if low >> 32 == 0 else 2
+        end = min(stop, start + (1 << 32 * width) - low)
+        states += _lane_states(head, range(low, low + end - start), width)
+        start = end
+    return states
+
+
+def _hash_consts(h, mult, count):
+    """SeedSequence's first `count` hash constants as (xor, mult) pairs:
+    each hash XORs in one constant and multiplies by the next."""
+    out = [h]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return tuple(zip(out, out[1:]))
+
+
+_GENERATE = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+@functools.cache
+def _mixing(extra):
+    """The pool fill's hash constants, and (src, dst, xor, mult) for each
+    later mixing step, when `extra` entropy words do not fit in the pool:
+    every pool word into every other, then each extra word into each."""
+    steps = [(src, dst) for src in range(_POOL_SIZE)
+             for dst in range(_POOL_SIZE) if src != dst]
+    steps += [(_POOL_SIZE + k, dst) for k in range(extra) for dst in range(_POOL_SIZE)]
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE + len(steps))
+    return consts[:_POOL_SIZE], tuple(
+        (src, dst, xor, mult) for (src, dst), (xor, mult) in zip(steps, consts[_POOL_SIZE:]))
+
+
+def _lane_states(head, indices, width):
+    """PCG64 states of the entropy words `head` followed by each index's
+    `width` words.  Lane k of every packed int holds a uint32 of index k in
+    its low 32 bits; masking after each multiply and shift keeps carries in
+    their lane."""
+    n = len(indices)
+    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")
+    m32 = _MASK32 * ones
+    packed = int.from_bytes(struct.pack(f"<{n}Q", *indices), "little")
+    entropy = [w * ones for w in head]
+    entropy += [packed] if width == 1 else [packed & m32, packed >> 32 & m32]
+    fill, steps = _mixing(max(0, len(entropy) - _POOL_SIZE))
+
+    # hashmix(v) is v ^= xor; v *= mult; v ^= v >> 16, all mod 2**32.  The
+    # pool is followed by the entropy words that did not fit in it.
+    pool = entropy + [0] * (_POOL_SIZE - len(entropy))
+    for i, (xor, mult) in enumerate(fill):
+        v = (pool[i] ^ xor * ones) * mult & m32
+        pool[i] = (v ^ v >> _XSHIFT) & m32
+    for src, dst, xor, mult in steps:
+        # mix(dst, hashmix(src)): L*dst - R*h = L*dst + (2**32 - R)*h mod
+        # 2**32, and (L*dst mod 2**32) + (2**32 - R)*h < 2**64 stays in its lane
+        h = (pool[src] ^ xor * ones) * mult & m32
+        h = (h ^ h >> _XSHIFT) & m32
+        r = ((pool[dst] * _MIX_MULT_L & m32) + h * _MIX_NEG_R) & m32
+        pool[dst] = (r ^ r >> _XSHIFT) & m32
+    # generate_state(4, np.uint64): eight hashmixed uint32 words, paired
+    # little-endian
+    words = []
+    for i, (xor, mult) in enumerate(_GENERATE):
+        v = (pool[i % _POOL_SIZE] ^ xor * ones) * mult & m32
+        words.append((v ^ v >> _XSHIFT) & m32)
+    fmt = f"<{n}Q"
+    seed_hi, seed_lo, seq_hi, seq_lo = [
+        struct.unpack(fmt, (words[j] | words[j + 1] << 32).to_bytes(8 * n, "little"))
+        for j in (0, 2, 4, 6)]
+
+    # PCG64 seeding: from state 0, one LCG step, add the seed, one more step
+    states = []
+    for a, b, c, d in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def randint_below(rng, n):

@@ -61,14 +61,23 @@ def test_mean_attempts_is_geometric():
 
 
 def test_stream_independence_and_reordering():
-    spec = _spec("(rejection-query (define x (random-integer 1000)) x #t)")
+    # index i of a batch draws from derive_rng(*seed, i), whatever else ran:
+    # integer seeds and tuple seeds as sessions pass them, batches of 1, 2,
+    # 10 and more than one block of precomputed states, and a query that
+    # draws normal and flip and rejects attempts
     env = standard_env()
-    batch = run_samples(spec, 10, env, seed=5).samples
-    # each index reproduces its value no matter which other indices ran
-    for i in (0, 3, 7, 9):
-        ctx = EvalContext(rng=derive_rng(5, i), global_env=env)
-        alone = rejection_query(spec, env, derive_rng(5, i), ctx=ctx)
-        assert alone == batch[i]
+    for src in ("(rejection-query (define x (random-integer 1000)) x #t)",
+                "(rejection-query (define x (normal 0 1)) (define b (flip 0.3))"
+                " (if b x (- x)) (if b #t (> x 0.5)))"):
+        spec = _spec(src)
+        for seed, n in ((5, 10), ((7000, 3), 10), (5, 1), ((7000, 3), 1), ((7000, 3), 2),
+                        (9, 1030)):
+            path = seed if isinstance(seed, tuple) else (seed,)
+            batch = run_samples(spec, n, env, seed=seed).samples
+            for i in reversed(range(n)):
+                ctx = EvalContext(rng=derive_rng(*path, i), global_env=env)
+                alone = rejection_query(spec, env, derive_rng(*path, i), ctx=ctx)
+                assert alone == batch[i], (src, seed, n, i)
 
 
 def test_exhaustion_reports_attempts_and_partial():

@@ -12,7 +12,7 @@ from problisp import (EvalContext, QuerySpec, RuleError, Session,
                       solve_condition, standard_env, substitute)
 from problisp.sexpr import Boolean, Integer, Real, SList, Symbol
 
-from _lang import satisfaction_set
+from _lang import eval_condition, satisfaction_set
 
 
 def _default_rules():
@@ -118,6 +118,13 @@ def test_fold_nested_and_comparisons():
     assert print_expr(constant_fold(parse_one("(+ (* 2 3) (- 8 2))"))) == "12"
     assert print_expr(constant_fold(parse_one("(< 1 2)"))) == "#t"
     assert print_expr(constant_fold(parse_one("(f (+ 1 2))"))) == "(f 3)"
+
+
+def test_fold_unary_minus():
+    assert print_expr(constant_fold(parse_one("(- 3)"))) == "-3"
+    assert print_expr(constant_fold(parse_one("(+ x (- 3))"))) == "(+ x -3)"
+    e = parse_one("(= 5)")  # the evaluator's `=` needs two arguments
+    assert constant_fold(e) == e
 
 
 def test_fold_illtyped_ground_left_unfolded():
@@ -247,6 +254,21 @@ def test_solve_subtraction_shapes():
         assert print_expr(result.condition) == expected
         assert satisfaction_set(src, {"x": 12}) == \
             satisfaction_set(result.condition, {"x": 12})
+
+
+def test_solve_through_unary_minus():
+    # a folded unary minus no longer blocks solving
+    for src, expected, root in [
+        ("(= (+ x (- 3)) 2)", "(= x 5)", 5),
+        ("(= x (- 5))", "(= x -5)", -5),
+    ]:
+        result = solve_condition(parse_one(src), "x", RULES)
+        assert result.solved, src
+        assert print_expr(result.condition) == expected
+        assert satisfaction_set(src, {"x": 12}) == \
+            satisfaction_set(result.condition, {"x": 12})
+        for cond in (parse_one(src), result.condition):
+            assert eval_condition(cond, {"x": root}) is True
 
 
 def test_solve_uses_right_to_left_when_needed():
