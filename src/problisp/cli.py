@@ -30,14 +30,18 @@ class SessionConfig:
     samples: int = 1
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     rewrite: bool = True
-    preludes: list = field(default_factory=list)
-    rules: list = field(default_factory=list)
+    # [("prelude" | "rules", path)] in flag order
+    load_order: list = field(default_factory=list)
+    rules: list = field(default_factory=list)       # rule files loaded, set by main
     context: str | None = None
     output: str = "plain"
     stats: bool = False
     repl: bool = False
     files: list = field(default_factory=list)
-    load_order: list | None = None  # [(kind, path)] in flag order; None = preludes then rules
+
+    @property
+    def preludes(self):
+        return [path for kind, path in self.load_order if kind == "prelude"]
 
 
 def prelude_path():
@@ -65,9 +69,6 @@ class _OrderedLoad(argparse.Action):
     """Record --prelude/--rules occurrences in one list, preserving flag order."""
 
     def __call__(self, parser, namespace, value, option_string=None):
-        getattr(namespace, self.dest).append(value)
-        if not hasattr(namespace, "load_order"):
-            namespace.load_order = []
         namespace.load_order.append((self.dest, value))
 
 
@@ -84,9 +85,10 @@ def _build_parser():
                    help="rejection attempts per sample (default 10^6)")
     p.add_argument("--no-rewrite", action="store_true",
                    help="disable condition propagation / query rewriting")
-    p.add_argument("--prelude", action=_OrderedLoad, default=[], metavar="PATH",
+    p.set_defaults(load_order=[])
+    p.add_argument("--prelude", action=_OrderedLoad, metavar="PATH",
                    help="knowledge file to load first ('std' = shipped prelude); repeatable")
-    p.add_argument("--rules", action=_OrderedLoad, default=[], metavar="PATH",
+    p.add_argument("--rules", action=_OrderedLoad, metavar="PATH",
                    help="rewrite-rule file ('std' = shipped rules); repeatable. "
                         "Default: shipped rules when rewriting is enabled")
     p.add_argument("--context", default=None, metavar="NAME",
@@ -108,10 +110,9 @@ def _parse_config(argv):
         raise SystemExit(3)
     config = SessionConfig(
         seed=ns.seed, samples=ns.samples, max_attempts=ns.max_attempts,
-        rewrite=not ns.no_rewrite, preludes=ns.prelude, rules=ns.rules,
+        rewrite=not ns.no_rewrite, load_order=ns.load_order,
         context=ns.context, output=ns.output, stats=ns.stats, repl=ns.repl,
         files=ns.files)
-    config.load_order = getattr(ns, "load_order", [])
     return config
 
 
@@ -120,12 +121,8 @@ def build_session(config):
     activated; the shipped rules load by default when rewriting is on."""
     session = Session(seed=config.seed, samples=config.samples,
                       max_attempts=config.max_attempts, rewrite=config.rewrite)
-    order = config.load_order
-    if order is None:
-        order = ([("prelude", p) for p in config.preludes]
-                 + [("rules", p) for p in config.rules])
     rule_files = []
-    for kind, path in order:
+    for kind, path in config.load_order:
         resolved = _resolve(path, prelude_path if kind == "prelude" else rules_path)
         if kind == "rules":
             rule_files.append(resolved)

@@ -157,14 +157,16 @@ class ConceptStore:
 
 
 class StoreSnapshot:
-    """Immutable view of a store under one context; safe to share."""
+    """Immutable view of a store under one context; safe to share.
+    `templates` caches the sampler's compiled expression templates."""
 
-    __slots__ = ("_concepts", "_instances", "context")
+    __slots__ = ("_concepts", "_instances", "context", "templates")
 
     def __init__(self, concepts, instances, context):
         self._concepts = concepts
         self._instances = instances
         self.context = context
+        self.templates = {}
 
     def concept(self, name):
         return self._concepts.get(name)

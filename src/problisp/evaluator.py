@@ -6,6 +6,26 @@ define-context, set-context).  Applications evaluate the operator first and
 then the operands left to right; that order is observable through random
 number consumption and is part of the contract.
 
+Compile once, run many.  A form is compiled in one pass into code, a Python
+function `(env, ctx) -> value`; queries and concept templates then run that
+code on every attempt or instantiation, and a closure holds the code of its
+lambda's body.  Special forms and their shapes are decided when compiling.
+A malformed form compiles to code that raises its error, so errors still
+happen when the form is evaluated, with the same message and location:
+`(if #t 1 (if))` is 1.
+
+A symbol is replaced by its value when compiling only if the code is
+compiled for a root (global) environment that binds it, no enclosing lambda
+or let binds it, and no define in the compiled forms defines it (a define may
+target a frame between the use and the root, even after the use).  This is
+sound because a root binding never changes: `Env.define` refuses to rebind.
+Every other symbol is looked up when it runs, and so is every symbol of code
+compiled for a frame below the root, since later forms may extend the frames
+between.  Known global primitives are called directly, and `+ - * = < >` on
+two numbers skip the argument list.  A closure call in tail position returns
+a tail call for the caller's loop, so tail recursion runs in constant Python
+stack.
+
 A single Env/rng pair must not be shared across concurrent evaluations;
 distinct evaluations with distinct Env and rng instances are safe to run in
 parallel.
@@ -14,12 +34,13 @@ parallel.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .concepts import ConceptId
 from .errors import ConceptError, EvalError
 from .rng import flip, normal, random_integer
-from .sexpr import Integer, Real, SList, Symbol
+from .sexpr import Integer, Real, SExpr, SList, Symbol
 from .values import NIL, Closure, Env, Pair, Primitive, format_value, is_number, values_equal
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 6
@@ -42,9 +63,14 @@ class EvalContext:
     A query copies that context with `session` cleared and sets `rng` for
     each sample; `run_samples` reuses its one copy across all samples of the
     query, so nothing may keep a context beyond the sample that used it.
-    A concept instantiation copies the context again, setting `budget` and
-    `sample_depth` for its own recursion along with `snapshot`, `global_env`
-    and the `rng` it draws from.
+    A concept instantiation sets `budget` and `sample_depth` for its own
+    recursion, along with `snapshot`, `global_env`, the `rng` it draws from
+    and no `session`, on the context it is given, and puts the old values
+    back when it returns.
+
+    The context is read when code runs, never when it is compiled: compiled
+    code depends only on the forms and on the root frame it was compiled
+    for, so one compiled query or template serves every context.
     """
 
     rng: object | None = None
@@ -59,9 +85,26 @@ class EvalContext:
 
 
 def evaluate(expr, env, ctx):
-    """Evaluate one expression, reporting recursion blowups as language errors."""
+    """Run `expr` in `env`: an SExpr is compiled first, code from
+    `compile_forms` runs as it is.  Recursion blowups are language errors."""
+    if isinstance(expr, SExpr):
+        expr, = compile_forms((expr,), env)
     try:
-        return _eval(expr, env, ctx)
+        return expr(env, ctx)
+    except RecursionError:
+        raise EvalError("recursion depth exceeded") from None
+
+
+def compile_forms(forms, env, slot=None):
+    """Compile `forms` together, for running in order in `env` or in a fresh
+    child frame of it, into one code object each.  They are compiled as one
+    unit: a define in any of them keeps that name from being bound when
+    compiling in all of them.  `slot(symbol)` is called for each free symbol
+    occurrence, left to right; where it returns a name, that occurrence reads
+    the variable of that name instead."""
+    try:
+        compiler = _Compiler(forms, env, slot)
+        return [compiler.expr(form, (i,)) for i, form in enumerate(forms)]
     except RecursionError:
         raise EvalError("recursion depth exceeded") from None
 
@@ -80,68 +123,317 @@ def _concept_lookup(ctx, name):
     return ctx.snapshot.concept(name) if ctx.snapshot is not None else None
 
 
-def _eval(expr, env, ctx):
-    while True:
+# -- running compiled code ----------------------------------------------------
+
+
+class _TailCall:
+    """A closure call left for the caller's loop to run (tail position)."""
+
+    __slots__ = ("fn", "args", "loc")
+
+    def __init__(self, fn, args, loc):
+        self.fn = fn
+        self.args = args
+        self.loc = loc
+
+
+def _constant(value):
+    return lambda env, ctx: value
+
+
+def _fail(message, loc):
+    def run(env, ctx):
+        raise EvalError(message, loc)
+    return run
+
+
+def _sequence(codes):
+    """Code running `codes` in order, returning the last one's value."""
+    if len(codes) == 1:
+        return codes[0]
+    *init, last = codes
+
+    def run(env, ctx):
+        for c in init:
+            c(env, ctx)
+        return last(env, ctx)
+    return run
+
+
+# -- compiling ------------------------------------------------------------------
+
+_NUMERIC = frozenset([int, float])   # exact classes; bool takes the primitive
+
+# two-argument arithmetic on numbers, exactly as the primitives fold it
+_BINARY = {
+    "+": lambda a, b: 0 + a + b,
+    "-": operator.sub,
+    "*": lambda a, b: 1 * a * b,
+    "=": operator.eq,
+    "<": operator.lt,
+    ">": operator.gt,
+}
+
+
+class _Compiler:
+    """Compiles the forms of one unit; see the module docstring for what is
+    decided here and what is left to run time.  A node's path is the index
+    of its form followed by the SList indices leading to it."""
+
+    def __init__(self, forms, env, slot=None):
+        self.root = env if env is not None and env.parent is None else None
+        self.defined = set()
+        self.free = {}   # path of a free symbol -> None, or the slot name read there
+        for i, form in enumerate(forms):
+            for path, sym in free_symbol_paths(form, self.defined):
+                self.free[(i, *path)] = slot(sym) if slot is not None else None
+
+    def expr(self, expr, path, tail=False):
+        """Code for `expr` at `path`.  The dispatch is inline, so that a level
+        of nesting costs two Python frames to compile."""
         t = expr.__class__
         if t is Symbol:
-            v = _lookup(env, expr.name)
-            if v is not _MISSING:
-                return v
-            cid = _concept_lookup(ctx, expr.name)
-            if cid is not None:
-                return cid
-            raise EvalError(f"unbound symbol '{expr.name}'", expr.loc)
+            return self.symbol(expr, path)
         if t is not SList:
-            return expr.value
+            return _constant(expr.value)
         items = expr.items
         if not items:
-            raise EvalError("cannot evaluate an empty form", expr.loc)
+            return _fail("cannot evaluate an empty form", expr.loc)
         head = items[0]
-        if head.__class__ is Symbol and head.name in SPECIAL_FORMS:
-            op = head.name
-            if op == "if":
-                if len(items) != 4:
-                    raise EvalError("if expects (if test then else)", expr.loc)
-                test = _eval(items[1], env, ctx)
-                if test.__class__ is not bool:
-                    raise EvalError("if test must be a boolean", items[1].loc)
-                expr = items[2] if test else items[3]
-                continue
-            if op == "define":
-                if len(items) != 3 or items[1].__class__ is not Symbol:
-                    raise EvalError("define expects (define name expr)", expr.loc)
-                value = _eval(items[2], env, ctx)
-                env.define(items[1].name, value, items[1].loc)
-                return None
-            if op == "quote":
-                if len(items) != 2:
-                    raise EvalError("quote expects one argument", expr.loc)
-                return _quote(items[1])
-            if op == "lambda":
-                return _make_closure(expr, env)
-            if op == "let":
-                env, expr = _enter_let(expr, env, ctx)
-                continue
-            if op == "sample":
-                return _eval_sample(expr, env, ctx)
-            if op == "rejection-query":
-                return _eval_rejection(expr, env, ctx)
-            return _eval_knowledge(op, expr, env, ctx)
-        fn = _eval(head, env, ctx)
-        args = [_eval(a, env, ctx) for a in items[1:]]
-        c = fn.__class__
-        if c is Primitive:
-            return fn.fn(args, ctx, expr.loc)
-        if c is Closure:
-            if len(args) != len(fn.params):
-                raise EvalError(
-                    f"closure expects {len(fn.params)} arguments, got {len(args)}", expr.loc)
-            env = Env(fn.env, dict(zip(fn.params, args)))
-            for b in fn.body[:-1]:
-                _eval(b, env, ctx)
-            expr = fn.body[-1]
-            continue
-        raise EvalError(f"not a function: {format_value(fn)}", expr.loc)
+        if head.__class__ is not Symbol or head.name not in SPECIAL_FORMS:
+            return self.application(expr, path, tail)
+        op = head.name
+        if op == "if":
+            return self.if_form(expr, path, tail)
+        if op == "define":
+            return self.define(expr, path)
+        if op == "quote":
+            if len(items) != 2:
+                return _fail("quote expects one argument", expr.loc)
+            return _constant(_quote(items[1]))
+        if op == "lambda":
+            return self.lambda_form(expr, path)
+        if op == "let":
+            return self.let(expr, path, tail)
+        if op == "sample":
+            return self.sample(expr, path)
+        if op == "rejection-query":
+            return self.rejection(expr, path)
+        return lambda env, ctx: _eval_knowledge(op, expr, env, ctx)
+
+    def body(self, items, start, path, tail):
+        last = len(items) - 1
+        codes = []
+        for i in range(start, last + 1):
+            codes.append(self.expr(items[i], path + (i,), tail and i == last))
+        return _sequence(codes)
+
+    def resolve(self, sym, path):
+        """(name, value) for the symbol `sym` at `path`: the name to look up
+        (a slot's, or its own) and the value it is bound to when compiling,
+        or _MISSING when it must be looked up when it runs."""
+        free = self.free.get(path, _MISSING)
+        if free.__class__ is str:
+            return free, _MISSING
+        if free is None and self.root is not None and sym.name not in self.defined:
+            return sym.name, self.root.frame.get(sym.name, _MISSING)
+        return sym.name, _MISSING
+
+    def symbol(self, sym, path, message="unbound symbol '{}'", error=EvalError):
+        name, value = self.resolve(sym, path)
+        if value is not _MISSING:
+            return _constant(value)
+        loc = sym.loc
+
+        def run(env, ctx):
+            v = _lookup(env, name)
+            if v is not _MISSING:
+                return v
+            cid = _concept_lookup(ctx, name)
+            if cid is not None:
+                return cid
+            raise error(message.format(name), loc)
+        return run
+
+    def if_form(self, expr, path, tail):
+        items = expr.items
+        if len(items) != 4:
+            return _fail("if expects (if test then else)", expr.loc)
+        test = self.expr(items[1], path + (1,))
+        then = self.expr(items[2], path + (2,), tail)
+        other = self.expr(items[3], path + (3,), tail)
+        loc = items[1].loc
+
+        def run(env, ctx):
+            t = test(env, ctx)
+            if t is True:
+                return then(env, ctx)
+            if t is False:
+                return other(env, ctx)
+            raise EvalError("if test must be a boolean", loc)
+        return run
+
+    def define(self, expr, path):
+        items = expr.items
+        if len(items) != 3 or items[1].__class__ is not Symbol:
+            return _fail("define expects (define name expr)", expr.loc)
+        value = self.expr(items[2], path + (2,))
+        name, loc = items[1].name, items[1].loc
+
+        def run(env, ctx):
+            env.define(name, value(env, ctx), loc)
+        return run
+
+    def lambda_form(self, expr, path):
+        items = expr.items
+        if len(items) < 3 or items[1].__class__ is not SList:
+            return _fail("lambda expects (lambda (params...) body...)", expr.loc)
+        params = []
+        for p in items[1].items:
+            if p.__class__ is not Symbol:
+                return _fail("lambda parameters must be symbols", expr.loc)
+            params.append(p.name)
+        if len(set(params)) != len(params):
+            return _fail("duplicate lambda parameter", expr.loc)
+        params = tuple(params)
+        body = self.body(items, 2, path, True)
+        return lambda env, ctx: Closure(params, body, env)
+
+    def let(self, expr, path, tail):
+        items = expr.items
+        if len(items) < 3 or items[1].__class__ is not SList:
+            return _fail("let expects (let ((name expr)...) body...)", expr.loc)
+        names, values, error = [], [], None
+        for j, binding in enumerate(items[1].items):
+            if (binding.__class__ is not SList or len(binding.items) != 2
+                    or binding.items[0].__class__ is not Symbol):
+                error = "malformed let binding"
+                break
+            name = binding.items[0].name
+            if name in names:
+                error = f"duplicate let binding '{name}'"
+                break
+            names.append(name)
+            values.append(self.expr(binding.items[1], path + (1, j, 1)))
+        if error is not None:
+            # the bindings before the bad one run first, draws and errors included
+            return _sequence(values + [_fail(error, expr.loc)])
+        body = self.body(items, 2, path, tail)
+        bindings = tuple(zip(names, values))
+
+        def run(env, ctx):
+            frame = {}
+            for name, value in bindings:
+                frame[name] = value(env, ctx)
+            return body(Env(env, frame), ctx)
+        return run
+
+    def sample(self, expr, path):
+        items = expr.items
+        if len(items) != 2:
+            return _fail("sample expects one argument", expr.loc)
+        target = items[1]
+        if target.__class__ is Symbol:
+            find = self.symbol(target, path + (1,), "unknown concept '{}'", ConceptError)
+        else:
+            find = self.expr(target, path + (1,))
+        loc = expr.loc
+
+        def run(env, ctx):
+            value = find(env, ctx)
+            if not isinstance(value, ConceptId):
+                raise ConceptError(
+                    f"sample expects a concept, got {format_value(value)}", loc)
+            if ctx.snapshot is None:
+                raise EvalError("no concept store available in this context", loc)
+            budget = ctx.budget if ctx.budget is not None else _sampler.SampleBudget()
+            base_env = ctx.global_env if ctx.global_env is not None else env
+            return _sampler.sample_concept(ctx.snapshot, value, ctx.rng, budget,
+                                           env=base_env, ctx=ctx, depth=ctx.sample_depth)
+        return run
+
+    def rejection(self, expr, path):
+        # the query compiles its own forms when it runs, so slot occurrences
+        # inside it become symbols naming their slots
+        n = len(path)
+        slots = {p[n:]: name for p, name in self.free.items()
+                 if name.__class__ is str and p[:n] == path}
+        try:
+            spec = _inference.QuerySpec.from_form(_rename(expr, slots) if slots else expr)
+        except EvalError as err:
+            return _fail(err.message, err.loc)
+
+        def run(env, ctx):
+            query = spec
+            if ctx.rewrite and ctx.rules:
+                query = _rewrite.optimize_query(spec, ctx.rules)
+            return _inference.rejection_query(query, env, ctx.rng, ctx.max_attempts,
+                                              ctx=ctx)
+        return run
+
+    def application(self, expr, path, tail):
+        items = expr.items
+        loc = expr.loc
+        codes = []
+        for i in range(1, len(items)):
+            codes.append(self.expr(items[i], path + (i,)))
+        head = items[0]
+        fn = self.resolve(head, path + (0,))[1] if head.__class__ is Symbol else _MISSING
+        if fn.__class__ is Primitive and _PRIMITIVES.get(fn.name) is fn.fn:
+            return _primitive_call(fn, codes, loc)
+        op_code = self.expr(head, path + (0,))
+
+        def run(env, ctx):
+            fn = op_code(env, ctx)
+            args = [c(env, ctx) for c in codes]
+            call_loc = loc
+            while True:   # runs the tail calls that closure bodies return
+                c = fn.__class__
+                if c is Primitive:
+                    return fn.fn(args, ctx, call_loc)
+                if c is not Closure:
+                    raise EvalError(f"not a function: {format_value(fn)}", call_loc)
+                if tail:
+                    return _TailCall(fn, args, call_loc)
+                params = fn.params
+                if len(args) != len(params):
+                    raise EvalError(f"closure expects {len(params)} arguments, "
+                                    f"got {len(args)}", call_loc)
+                result = fn.body(Env(fn.env, dict(zip(params, args))), ctx)
+                if result.__class__ is not _TailCall:
+                    return result
+                fn, args, call_loc = result.fn, result.args, result.loc
+        return run
+
+
+def _primitive_call(prim, codes, loc):
+    """Code calling a standard primitive known when compiling."""
+    fn = prim.fn
+    if len(codes) == 1:
+        a, = codes
+        return lambda env, ctx: fn([a(env, ctx)], ctx, loc)
+    binary = _BINARY.get(prim.name) if len(codes) == 2 else None
+    if binary is None:
+        return lambda env, ctx: fn([c(env, ctx) for c in codes], ctx, loc)
+    a, b = codes
+
+    def run(env, ctx):
+        x = a(env, ctx)
+        y = b(env, ctx)
+        if x.__class__ in _NUMERIC and y.__class__ in _NUMERIC:
+            return binary(x, y)
+        return fn([x, y], ctx, loc)
+    return run
+
+
+def _rename(expr, names, path=()):
+    """`expr` with the symbol at each path of `names` renamed to its name there."""
+    if path in names:
+        return Symbol(names[path], expr.loc)
+    if expr.__class__ is SList:
+        return SList(tuple(_rename(item, names, path + (i,))
+                           for i, item in enumerate(expr.items)), expr.loc)
+    return expr
 
 
 def _quote(expr):
@@ -154,74 +446,6 @@ def _quote(expr):
             out = Pair(_quote(item), out)
         return out
     return expr.value
-
-
-def _make_closure(expr, env):
-    items = expr.items
-    if len(items) < 3 or items[1].__class__ is not SList:
-        raise EvalError("lambda expects (lambda (params...) body...)", expr.loc)
-    params = []
-    for p in items[1].items:
-        if p.__class__ is not Symbol:
-            raise EvalError("lambda parameters must be symbols", expr.loc)
-        params.append(p.name)
-    if len(set(params)) != len(params):
-        raise EvalError("duplicate lambda parameter", expr.loc)
-    return Closure(tuple(params), tuple(items[2:]), env)
-
-
-def _enter_let(expr, env, ctx):
-    items = expr.items
-    if len(items) < 3 or items[1].__class__ is not SList:
-        raise EvalError("let expects (let ((name expr)...) body...)", expr.loc)
-    frame = {}
-    for binding in items[1].items:
-        if (binding.__class__ is not SList or len(binding.items) != 2
-                or binding.items[0].__class__ is not Symbol):
-            raise EvalError("malformed let binding", expr.loc)
-        name = binding.items[0].name
-        if name in frame:
-            raise EvalError(f"duplicate let binding '{name}'", expr.loc)
-        frame[name] = _eval(binding.items[1], env, ctx)
-    inner = Env(env, frame)
-    for b in items[2:-1]:
-        _eval(b, inner, ctx)
-    return inner, items[-1]
-
-
-def _eval_sample(expr, env, ctx):
-    from .sampler import SampleBudget, sample_concept
-
-    if len(expr.items) != 2:
-        raise EvalError("sample expects one argument", expr.loc)
-    target = expr.items[1]
-    if target.__class__ is Symbol:
-        value = _lookup(env, target.name)
-        if value is _MISSING:
-            value = _concept_lookup(ctx, target.name)
-            if value is None:
-                raise ConceptError(f"unknown concept '{target.name}'", target.loc)
-    else:
-        value = _eval(target, env, ctx)
-    if not isinstance(value, ConceptId):
-        raise ConceptError(f"sample expects a concept, got {format_value(value)}", expr.loc)
-    if ctx.snapshot is None:
-        raise EvalError("no concept store available in this context", expr.loc)
-    budget = ctx.budget if ctx.budget is not None else SampleBudget()
-    base_env = ctx.global_env if ctx.global_env is not None else env
-    return sample_concept(ctx.snapshot, value, ctx.rng, budget,
-                          env=base_env, ctx=ctx, depth=ctx.sample_depth)
-
-
-def _eval_rejection(expr, env, ctx):
-    from .inference import QuerySpec, rejection_query
-
-    spec = QuerySpec.from_form(expr)
-    if ctx.rewrite and ctx.rules:
-        from .rewrite import optimize_query
-
-        spec = optimize_query(spec, ctx.rules)
-    return rejection_query(spec, env, ctx.rng, ctx.max_attempts, ctx=ctx)
 
 
 def _symbol_arg(items, i, form, loc):
@@ -257,9 +481,7 @@ def _eval_knowledge(op, expr, env, ctx):
         source = _resolve_isa_source(items[1], store, env)
         store.add_isa(source, cid, weight, loc=expr.loc)
     elif op in ("equivalence", "implication"):
-        from .rewrite import rule_from_form
-
-        rule = rule_from_form(expr, default_name=f"rule-{len(sess.rules) + 1}")
+        rule = _rewrite.rule_from_form(expr, default_name=f"rule-{len(sess.rules) + 1}")
         sess.rules.append(rule)
     elif op == "define-context":
         if len(items) < 3:
@@ -308,17 +530,18 @@ def free_symbols(expr):
     return {sym.name for _, sym in free_symbol_paths(expr)}
 
 
-def free_symbol_paths(expr):
+def free_symbol_paths(expr, defined=None):
     """(path, Symbol) for each free symbol occurrence, left to right; a path
     indexes SList items from the root.  Quote shields its argument; lambda and
     let bind their names in the body only (let binding values stay outside
-    the scope); define's value is scanned, its name is not."""
+    the scope); define's value is scanned, its name is not, but when
+    `defined` is a set the name of every well-formed define is added to it."""
     out = []
-    _scope_walk(expr, frozenset(), (), out)
+    _scope_walk(expr, frozenset(), (), out, defined)
     return out
 
 
-def _scope_walk(expr, bound, path, out):
+def _scope_walk(expr, bound, path, out, defined):
     t = expr.__class__
     if t is Symbol:
         if expr.name not in bound:
@@ -335,7 +558,7 @@ def _scope_walk(expr, bound, path, out):
         if op == "lambda" and len(items) >= 3 and items[1].__class__ is SList:
             inner = bound | {p.name for p in items[1].items if p.__class__ is Symbol}
             for i in range(2, len(items)):
-                _scope_walk(items[i], inner, path + (i,), out)
+                _scope_walk(items[i], inner, path + (i,), out, defined)
             return
         if op == "let" and len(items) >= 3 and items[1].__class__ is SList:
             names = set()
@@ -343,20 +566,22 @@ def _scope_walk(expr, bound, path, out):
                 if pair.__class__ is SList and len(pair.items) == 2:
                     if pair.items[0].__class__ is Symbol:
                         names.add(pair.items[0].name)
-                    _scope_walk(pair.items[1], bound, path + (1, j, 1), out)
+                    _scope_walk(pair.items[1], bound, path + (1, j, 1), out, defined)
             inner = bound | names
             for i in range(2, len(items)):
-                _scope_walk(items[i], inner, path + (i,), out)
+                _scope_walk(items[i], inner, path + (i,), out, defined)
             return
         if op == "define" and len(items) == 3 and items[1].__class__ is Symbol:
-            _scope_walk(items[2], bound, path + (2,), out)
+            if defined is not None:
+                defined.add(items[1].name)
+            _scope_walk(items[2], bound, path + (2,), out, defined)
             return
         if op in SPECIAL_FORMS:
             for i in range(1, len(items)):
-                _scope_walk(items[i], bound, path + (i,), out)
+                _scope_walk(items[i], bound, path + (i,), out, defined)
             return
     for i, item in enumerate(items):
-        _scope_walk(item, bound, path + (i,), out)
+        _scope_walk(item, bound, path + (i,), out, defined)
 
 
 # -- primitives -------------------------------------------------------------
@@ -492,3 +717,9 @@ def standard_env():
     env.frame["pi"] = math.pi
     env.frame["null"] = NIL
     return env
+
+
+# imported last: each of these modules imports names from this one
+from . import inference as _inference  # noqa: E402
+from . import rewrite as _rewrite  # noqa: E402
+from . import sampler as _sampler  # noqa: E402

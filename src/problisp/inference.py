@@ -3,12 +3,14 @@
 A query re-evaluates its definitions from scratch on every attempt (fresh
 randomness each time), checks the condition, and returns the query value of
 the first accepted attempt; the returned value is distributed as the prior
-conditioned on the condition.  Batch runs give every sample index its own
-deterministic rng stream derived from (seed, index), so parallel and serial
-execution produce identical multisets of samples.  Index 0 builds its
-generator with `derive_rng`; the PCG64 states of the later indices come from
-`stream_states`, one pass per block of up to 1024 indices, and are set on
-that same generator in turn.  Each index draws exactly the bytes a fresh
+conditioned on the condition.  The definitions, condition and query are
+compiled once per query, and every attempt runs the compiled code in a fresh
+frame.  Batch runs give every sample index its own deterministic rng stream
+derived from (seed, index), so parallel and serial execution produce
+identical multisets of samples.  The PCG64 states of all the indices come
+from `stream_states`, one pass per block of up to 1024 indices, and are set
+in turn on one generator: the caller's (a session owns one) or else one made
+with `derive_rng`.  Each index draws exactly the bytes a fresh
 `derive_rng(seed..., index)` generator would.
 """
 
@@ -18,7 +20,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .errors import EvalError, ExhaustionError, ProblispError
-from .evaluator import DEFAULT_MAX_ATTEMPTS, EvalContext, evaluate
+from .evaluator import DEFAULT_MAX_ATTEMPTS, EvalContext, _sequence, compile_forms, evaluate
 from .rng import derive_rng, stream_states
 from .sexpr import SExpr, SList, Symbol
 from .values import Env
@@ -58,13 +60,21 @@ class SampleReport:
     wall_time: float
 
 
-def _attempt_loop(spec, base_env, max_attempts, ctx):
+def _compile(spec, base_env):
+    """Code for one attempt (the definitions, then the condition's value) and
+    code for the query value, compiled once to run in a child frame of
+    `base_env`."""
+    *attempt, query = compile_forms(
+        (*spec.definitions, spec.condition, spec.query), base_env)
+    return _sequence(attempt), query
+
+
+def _attempt_loop(spec, code, base_env, max_attempts, ctx):
+    attempt_code, query_code = code
     for attempt in range(1, max_attempts + 1):
         env = Env(base_env)
         try:
-            for d in spec.definitions:
-                evaluate(d, env, ctx)
-            cond = evaluate(spec.condition, env, ctx)
+            cond = evaluate(attempt_code, env, ctx)
         except ProblispError as err:
             err.message = f"{err.message} (attempt {attempt})"
             err.args = (err.message,)
@@ -73,7 +83,7 @@ def _attempt_loop(spec, base_env, max_attempts, ctx):
             raise EvalError("query condition must evaluate to a boolean "
                             f"(attempt {attempt})", spec.condition.loc)
         if cond:
-            return evaluate(spec.query, env, ctx), attempt
+            return evaluate(query_code, env, ctx), attempt
     raise ExhaustionError(
         f"no accepted sample after {max_attempts} attempts", max_attempts)
 
@@ -90,36 +100,39 @@ def rejection_query(spec, base_env, rng, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=
     """Sample once from the conditioned distribution, or raise ExhaustionError."""
     if max_attempts < 1:
         raise EvalError("max-attempts must be at least 1")
-    value, _ = _attempt_loop(spec, base_env, max_attempts,
+    value, _ = _attempt_loop(spec, _compile(spec, base_env), base_env, max_attempts,
                              _query_context(ctx, base_env, rng))
     return value
 
 
-def _streams(path, n):
-    """The generators `derive_rng(*path, i)` for i in range(n), as one
-    generator set to each index's state in turn."""
-    rng = derive_rng(*path, 0)
-    yield rng
+def _streams(path, n, rng):
+    """`rng` set in turn to the state of `derive_rng(*path, i)` for each i in
+    range(n)."""
     bit_generator = rng.bit_generator
-    for start in range(1, n, _STATE_BLOCK):
+    for start in range(0, n, _STATE_BLOCK):
         for state in stream_states(path, start, min(n, start + _STATE_BLOCK)):
             bit_generator.state = state
             yield rng
 
 
-def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=None):
-    """Draw n accepted samples, one independent rng stream per sample index."""
+def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=None,
+                rng=None):
+    """Draw n accepted samples, one independent rng stream per sample index.
+    The streams are set on `rng`, whose own state is overwritten; without
+    one, a generator is made for the purpose."""
     if n < 1:
         raise EvalError("sample count must be at least 1")
     path = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     start = time.perf_counter()
     values = []
     attempts_total = 0
+    code = _compile(spec, base_env)
     ctx = _query_context(ctx, base_env)
-    for i, rng in enumerate(_streams(path, n)):
-        ctx.rng = rng
+    streams = _streams(path, n, rng if rng is not None else derive_rng(*path))
+    for i, stream in enumerate(streams):
+        ctx.rng = stream
         try:
-            value, attempts = _attempt_loop(spec, base_env, max_attempts, ctx)
+            value, attempts = _attempt_loop(spec, code, base_env, max_attempts, ctx)
         except ExhaustionError as err:
             wall = time.perf_counter() - start
             made = attempts_total + err.attempts

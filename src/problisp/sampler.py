@@ -15,12 +15,9 @@ bias the declared distribution.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .concepts import ConceptId
 from .errors import BudgetError, ConceptError, EvalError
-from .evaluator import EvalContext, evaluate, free_symbol_paths
-from .sexpr import SList, Symbol
+from .evaluator import EvalContext, compile_forms, evaluate
 from .values import Env
 
 DEFAULT_MAX_DEPTH = 64
@@ -78,40 +75,54 @@ def sample_concept(snapshot, concept, rng, budget=None, *, env, ctx=None, depth=
 
 def instantiate_expression(snapshot, expr, env, rng, budget=None, *, ctx=None, depth=0):
     """Replace each concept symbol in `expr` by an independent draw, then
-    evaluate the result against `env`, the session globals."""
+    evaluate the result against `env`, the session globals.  The template is
+    compiled on its first use with `snapshot` and `env`; each concept
+    occurrence reads its draw from a frame made for the instantiation."""
     if budget is None:
         budget = SampleBudget()
-    occurrences = []
-    for path, sym in free_symbol_paths(expr):
-        cid = snapshot.concept(sym.name)
-        if cid is not None:
-            occurrences.append((path, cid))
-    frame = {}
-    mapping = {}
-    if occurrences:
-        if len(occurrences) == 1:
+    code, concepts = _compiled_template(snapshot, expr, env)
+    eval_env = env
+    if concepts:
+        if len(concepts) == 1:
             order = [0]
         else:
-            order = [int(k) for k in rng.permutation(len(occurrences))]
+            order = [int(k) for k in rng.permutation(len(concepts))]
+        frame = {}
         for k in order:
-            path, cid = occurrences[k]
-            name = f"concept value {k}"  # space keeps it unwritable in source
-            mapping[path] = Symbol(name)
-            frame[name] = sample_concept(snapshot, cid, rng, budget, env=env,
-                                         ctx=ctx, depth=depth + 1)
-    body = _replace_paths(expr, mapping, ())
-    eval_env = Env(env, frame) if frame else env
-    inner = replace(ctx if ctx is not None else EvalContext(), rng=rng, session=None,
-                    snapshot=snapshot, budget=budget, sample_depth=depth + 1,
-                    global_env=env)
-    return evaluate(body, eval_env, inner)
+            name, cid = concepts[k]
+            frame[name] = sample_concept(snapshot, cid, rng, budget, env=env, ctx=ctx,
+                                         depth=depth + 1)
+        eval_env = Env(env, frame)
+    if ctx is None:
+        ctx = EvalContext()
+    saved = ctx.rng, ctx.snapshot, ctx.session, ctx.budget, ctx.sample_depth, ctx.global_env
+    ctx.rng, ctx.snapshot, ctx.session = rng, snapshot, None
+    ctx.budget, ctx.sample_depth, ctx.global_env = budget, depth + 1, env
+    try:
+        return evaluate(code, eval_env, ctx)
+    finally:
+        (ctx.rng, ctx.snapshot, ctx.session,
+         ctx.budget, ctx.sample_depth, ctx.global_env) = saved
 
 
-def _replace_paths(expr, mapping, path):
-    if path in mapping:
-        return mapping[path]
-    if expr.__class__ is SList and expr.items and mapping:
-        return SList(tuple(_replace_paths(c, mapping, path + (i,))
-                           for i, c in enumerate(expr.items)), expr.loc)
-    return expr
+def _compiled_template(snapshot, expr, env):
+    """(code, concepts) for `expr`, cached on `snapshot`.  `concepts` holds
+    a (variable name, ConceptId) pair for each free symbol of `expr` that
+    names a concept, left to right; in `code` that symbol reads the variable."""
+    entry = snapshot.templates.get(id(expr))
+    if entry is None or entry[0] is not expr or entry[1] is not env:
+        concepts = []
 
+        def slot(sym):
+            cid = snapshot.concept(sym.name)
+            if cid is None:
+                return None
+            # the space keeps the name unwritable in source
+            name = f"concept value {len(concepts)}"
+            concepts.append((name, cid))
+            return name
+
+        code, = compile_forms((expr,), env, slot)
+        # the entry holds `expr`, so its id is not reused while cached
+        entry = snapshot.templates[id(expr)] = (expr, env, code, tuple(concepts))
+    return entry[2], entry[3]

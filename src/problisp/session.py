@@ -1,9 +1,10 @@
 """A session ties together environment, concept store, rules and seeding.
 
 Top-level rejection-query forms run through the batch sampler (one rng
-stream per sample index, derived from (seed, query-ordinal, index)); all
-other top-level forms consume the session's own stream.  Resetting the seed
-restores both, so identical inputs replay identically.
+stream per sample index, derived from (seed, query-ordinal, index), each set
+in turn on one generator the session makes once); all other top-level forms
+consume the session's own stream.  Resetting the seed restores both, so
+identical inputs replay identically.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ from .rng import derive_rng
 from .sexpr import SList, Symbol, parse
 
 # deep enough for any plausible prelude recursion, shallow enough that
-# Python's recursion check fires before the C stack runs out
-_RECURSION_LIMIT = 10_000
+# Python's recursion check fires before the C stack runs out.  Compiled code
+# takes up to three Python frames per nested non-tail call (the code waiting
+# for the value, the call, and an `if` in the callee's body), so this allows
+# about 5,000 nested calls.
+_RECURSION_LIMIT = 15_000
 
 
 @dataclass
@@ -55,6 +59,8 @@ class Session:
         self.max_attempts = max_attempts
         self.rewrite = rewrite
         self.last_query = None
+        # the query streams' states are set on it; its own seed is never used
+        self._query_rng = derive_rng(0)
         self.reset_seed(seed)
 
     def reset_seed(self, seed):
@@ -88,7 +94,7 @@ class Session:
         self._query_ordinal += 1
         report = run_samples(spec, self.samples, self.env,
                              (self.seed, 1 + ordinal), self.max_attempts,
-                             ctx=self._ctx())
+                             ctx=self._ctx(), rng=self._query_rng)
         result = TopResult("query", form=form, report=report,
                            optimize=outcome, ordinal=ordinal)
         self.last_query = result

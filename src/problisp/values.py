@@ -35,8 +35,11 @@ class Pair:
 
 @dataclass(eq=False)
 class Closure:
+    """A lambda's value: its parameter names, its body compiled once with
+    the form that contains the lambda, and the environment it captured."""
+
     params: tuple
-    body: tuple
+    body: object   # compiled code (env, ctx) -> value, or a tail call
     env: "Env"
 
 

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from problisp import (NIL, EvalContext, EvalError, Pair, derive_rng, evaluate,
-                      parse, parse_one, standard_env)
+from problisp import (NIL, Env, EvalContext, EvalError, Pair, derive_rng, evaluate,
+                      format_value, parse, parse_one, standard_env)
 from problisp.rng import normal, random_integer
-from problisp.sexpr import Symbol
+from problisp.sexpr import Boolean, Integer, Real, SList, Symbol
 
 from _lang import ev
 
@@ -211,3 +213,168 @@ def test_operator_evaluated_before_operands():
 def test_no_rng_context_errors_on_random_primitive():
     with pytest.raises(EvalError, match="no random source"):
         evaluate(parse_one("(flip 0.5)"), standard_env(), EvalContext())
+
+
+# -- compiled scoping: binding globals when compiling must not change results --
+
+
+def test_query_that_redefines_plus():
+    # the query frame's (define + -) shadows the global in the condition too
+    from problisp import Session
+
+    s = Session(seed=3, samples=20, rewrite=False)
+    result, = s.run_text("""
+        (rejection-query (define + -) (define x (random-integer 10))
+                         (+ x 2) (= (+ x 5) 1))""")
+    assert set(result.report.samples) == {4}
+    assert ev("(rejection-query (define + *) (define x (random-integer 5)) "
+              "(+ x 3) (= (+ x 1) 4))") == 12
+    assert ev("(+ 1 1)") == 2
+
+
+def test_parameter_named_like_a_primitive():
+    assert ev("((lambda (+) (+ 2 3)) -)") == -1
+    assert ev("(define f (lambda (= a) (= a 3))) (f (lambda (n m) (* n m)) 5)") == 15
+
+
+def test_let_shadows_a_primitive():
+    assert ev("(let ((+ -)) (+ 10 3))") == 7
+    assert ev("(let ((* +) (x 2)) (let ((y (* x 3))) (* y 1)))") == 6
+
+
+def test_define_after_use_in_a_lambda_body():
+    src = """
+    (define weird (lambda (a) (define r (+ a 1)) (define + -) (+ r 100)))
+    (list (weird 1) (+ 1 1))
+    """
+    assert ev(src) == Pair(-98, Pair(2, NIL))
+
+
+def test_lambda_calls_a_global_defined_later():
+    src = """
+    (define h (lambda (n) (+ n (later n))))
+    (define later (lambda (n) (* n 10)))
+    (h 2)
+    """
+    assert ev(src) == 22
+    with pytest.raises(EvalError, match="unbound symbol 'later'"):
+        ev("(define h (lambda (n) (later n))) (h 2)")
+
+
+def test_closure_made_in_one_form_called_in_another():
+    env = standard_env()
+    ev("(define mk (lambda (k) (lambda (a) (+ a k))))", env=env)
+    ev("(define inc (mk 1))", env=env)
+    assert ev("(inc 41)", env=env) == 42
+    # in a frame below the root, a later define is seen by an earlier closure
+    inner = Env(env)
+    ev("(define g (lambda (a) (+ a 1)))", env=inner)
+    ev("(define + -)", env=inner)
+    assert ev("(g 5)", env=inner) == 4
+
+
+@pytest.mark.parametrize("form, message", [
+    ("(if)", "if expects"),
+    ("(let (x) x)", "malformed let binding"),
+    ("(let ((a 1) (a 2)) a)", "duplicate let binding 'a'"),
+    ("(let x 1)", "let expects"),
+    ("(lambda (1) 2)", "lambda parameters must be symbols"),
+    ("(lambda (a a) a)", "duplicate lambda parameter"),
+    ("(define 5 1)", "define expects"),
+    ("(quote)", "quote expects one argument"),
+    ("()", "cannot evaluate an empty form"),
+])
+def test_malformed_forms_fail_only_when_evaluated(form, message):
+    assert ev(f"(if #t 1 {form})") == 1
+    assert ev(f"(if #f {form} 2)") == 2
+    assert ev(f"(define f (lambda (b) (if b 3 {form}))) (f #t)") == 3
+    with pytest.raises(EvalError, match=message) as exc:
+        ev(f"(if #f 1\n  {form})")
+    assert exc.value.loc.line == 2
+
+
+def test_let_bindings_before_a_malformed_one_still_run():
+    # the first binding's error comes first, as the walker reported it
+    with pytest.raises(EvalError, match="unbound symbol 'nope'"):
+        ev("(let ((a nope) (b 1 2)) a)")
+
+
+# -- arithmetic against Python's own left fold ---------------------------------
+
+_ARITH_ARG = st.one_of(
+    st.integers(-50, 50),
+    st.integers(10 ** 18, 10 ** 30),
+    st.sampled_from([0.0, -0.0, 0.5, -2.5, 1e20]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.just(True),
+)
+
+
+def _node(v):
+    if v is True:
+        return Boolean(True)
+    return Real(v) if isinstance(v, float) else Integer(v)
+
+
+def _fold(op, args):
+    """What `op` gives on `args`, folded the way the primitives fold, or the
+    EvalError message it raises."""
+    if op in "=<>" and len(args) < 2:
+        return f"{op} expects at least two arguments"
+    if op == "=":
+        def same(a, b):
+            if (a is True) != (b is True):
+                return False
+            return a == b
+        return all(same(a, b) for a, b in zip(args, args[1:]))
+    bad = next((a for a in args if a is True), None)
+    if bad is not None:
+        return f"{op} expects numbers, got #t"
+    if op == "+":
+        total = 0
+        for a in args:
+            total += a
+        return total
+    if op == "*":
+        total = 1
+        for a in args:
+            total *= a
+        return total
+    if op == "-":
+        if len(args) == 1:
+            return -args[0]
+        total = args[0]
+        for a in args[1:]:
+            total -= a
+        return total
+    compare = (lambda a, b: a < b) if op == "<" else (lambda a, b: a > b)
+    return all(compare(a, b) for a, b in zip(args, args[1:]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["+", "-", "*", "=", "<", ">"]),
+       st.lists(_ARITH_ARG, min_size=1, max_size=3))
+@example("+", [-0.0, -0.0])
+@example("*", [-0.0, 5])
+@example("-", [True, 1])
+@example("<", [1, True])
+@example("=", [1, True])
+@example("=", [True, True])
+@example(">", [10 ** 30, 1e20])
+def test_arithmetic_matches_python_fold(op, args):
+    expected = _fold(op, args)
+    nodes = tuple(_node(a) for a in args)
+    # a known global operator (compiled fast paths) and an operator reached
+    # through a variable (the primitive itself) must agree with the fold
+    forms = [SList((Symbol(op),) + nodes),
+             SList((SList((Symbol("lambda"), SList((Symbol("f"),)),
+                           SList((Symbol("f"),) + nodes))), Symbol(op)))]
+    for form in forms:
+        env = standard_env()
+        if isinstance(expected, str):
+            with pytest.raises(EvalError) as exc:
+                evaluate(form, env, EvalContext())
+            assert exc.value.message == expected
+        else:
+            value = evaluate(form, env, EvalContext())
+            assert format_value(value) == format_value(expected)

@@ -64,8 +64,10 @@ def test_stream_independence_and_reordering():
     # index i of a batch draws from derive_rng(*seed, i), whatever else ran:
     # integer seeds and tuple seeds as sessions pass them, batches of 1, 2,
     # 10 and more than one block of precomputed states, and a query that
-    # draws normal and flip and rejects attempts
+    # draws normal and flip and rejects attempts; a generator passed in, as a
+    # session passes its one generator to every query, changes nothing
     env = standard_env()
+    shared = derive_rng(123)
     for src in ("(rejection-query (define x (random-integer 1000)) x #t)",
                 "(rejection-query (define x (normal 0 1)) (define b (flip 0.3))"
                 " (if b x (- x)) (if b #t (> x 0.5)))"):
@@ -74,6 +76,8 @@ def test_stream_independence_and_reordering():
                         (9, 1030)):
             path = seed if isinstance(seed, tuple) else (seed,)
             batch = run_samples(spec, n, env, seed=seed).samples
+            shared.random()
+            assert run_samples(spec, n, env, seed=seed, rng=shared).samples == batch
             for i in reversed(range(n)):
                 ctx = EvalContext(rng=derive_rng(*path, i), global_env=env)
                 alone = rejection_query(spec, env, derive_rng(*path, i), ctx=ctx)

@@ -222,3 +222,41 @@ def test_sampling_reads_the_active_context():
     env = standard_env()
     draws = [sample_concept(snap, pick, rng, env=env) for _ in range(300)]
     assert draws.count(1) >= 299
+
+
+def test_templates_compile_once_per_snapshot(prelude_session, monkeypatch):
+    # every compile walks its template once with the scope walker; a second
+    # draw from the same snapshot must reuse the compiled template
+    import problisp.evaluator as evaluator
+
+    walked = []
+    walk = evaluator.free_symbol_paths
+
+    def counting(expr, defined=None):
+        walked.append(expr)
+        return walk(expr, defined)
+
+    monkeypatch.setattr(evaluator, "free_symbol_paths", counting)
+    store = prelude_session.store
+    snap = store.snapshot()
+    rng = derive_rng(77)
+    for _ in range(200):
+        sample_concept(snap, store.lookup("integer"), rng, env=prelude_session.env)
+    assert len(walked) == 1
+    for _ in range(200):
+        sample_concept(snap, store.lookup("sequence"), rng, env=prelude_session.env)
+        sample_concept(snap, store.lookup("number"), rng, env=prelude_session.env)
+    # integer, (normal 0 1), pi, null, (cons number sequence): each once
+    assert len(walked) == 5
+    assert len({id(expr) for expr in walked}) == 5
+
+
+def test_concept_symbols_in_a_template_query_are_draws():
+    # a query inside a template compiles its forms when it runs; its concept
+    # occurrences must still read the instantiation's draws
+    s = _store_session("""
+        (concept coin) (is-a #t coin) (is-a #f coin 3)
+        (concept pair) (is-a (rejection-query (list coin coin) #t) pair)""")
+    for _ in range(20):
+        v = s.eval_form(parse_one("(sample pair)")).value
+        assert v.head in (True, False) and v.tail.head in (True, False)
