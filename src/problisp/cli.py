@@ -23,6 +23,14 @@ from .sexpr import parse, print_expr
 from .session import Session
 from .values import format_value, is_number
 
+# deep enough for any plausible prelude recursion, shallow enough that
+# Python's recursion check fires before the C stack runs out.  Compiled code
+# takes up to three Python frames per nested non-tail call (the code waiting
+# for the value, the call, and an `if` in the callee's body), so this allows
+# about 5,000 nested calls.  `main` raises the process's limit to it; the
+# library leaves the limit alone.
+RECURSION_LIMIT = 15_000
+
 
 @dataclass
 class SessionConfig:
@@ -387,6 +395,8 @@ def repl(session, config, stdin=None, out=None):
 
 def main(argv=None):
     config = _parse_config(argv if argv is not None else sys.argv[1:])
+    if sys.getrecursionlimit() < RECURSION_LIMIT:
+        sys.setrecursionlimit(RECURSION_LIMIT)
     try:
         session, rule_files = build_session(config)
         config.rules = rule_files

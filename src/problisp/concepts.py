@@ -1,7 +1,10 @@
 """Concept graph: named concepts, weighted is-a links, context overlays.
 
 Mutation is single-writer and session-level; sampling reads an immutable
-snapshot, so any number of concurrent samplers can share one snapshot.
+snapshot, so any number of concurrent samplers can share one snapshot.  The
+store hands out the same snapshot of its active context until the next
+change to its concepts, links or contexts, so the templates compiled for
+that snapshot serve every form in between.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ class ConceptStore:
         self._contexts = {"default": {}}  # name -> {link_id: weight}
         self._active = "default"
         self._next_link = 0
+        self._snapshot = None         # of the active context, until a change
 
     # -- concepts ----------------------------------------------------------
 
@@ -49,6 +53,7 @@ class ConceptStore:
         if name in self._concepts:
             raise ConceptError(f"concept '{name}' is already declared", loc)
         cid = ConceptId(name, len(self._concepts))
+        self._snapshot = None
         self._concepts[name] = cid
         self._by_target[cid] = []
         return cid
@@ -90,6 +95,7 @@ class ConceptStore:
         elif not isinstance(source, SExpr):
             raise ConceptError(f"is-a source must be an expression or concept, got {source!r}", loc)
         link = IsALink(self._next_link, source, target, float(weight))
+        self._snapshot = None
         self._next_link += 1
         self._by_target[target].append(link)
         return link.link_id
@@ -128,11 +134,13 @@ class ConceptStore:
                 raise ConceptError(
                     f"context weight must be a positive number, got {weight!r}", loc)
             table[link_id] = float(weight)
+        self._snapshot = None
         self._contexts[name] = table
 
     def set_context(self, name, loc=None):
         if name not in self._contexts:
             raise ConceptError(f"unknown context '{name}'", loc)
+        self._snapshot = None
         self._active = name
 
     @property
@@ -145,7 +153,11 @@ class ConceptStore:
     # -- reads -------------------------------------------------------------
 
     def snapshot(self, context=None):
+        """The store under `context`, or under the active context; the active
+        context's snapshot is built once per change to the store."""
         name = self._active if context is None else context
+        if name == self._active and self._snapshot is not None:
+            return self._snapshot
         if name not in self._contexts:
             raise ConceptError(f"unknown context '{name}'")
         overlay = self._contexts[name]
@@ -153,7 +165,10 @@ class ConceptStore:
             cid: tuple((link, overlay.get(link.link_id, link.weight)) for link in links)
             for cid, links in self._by_target.items()
         }
-        return StoreSnapshot(dict(self._concepts), instances, name)
+        snap = StoreSnapshot(dict(self._concepts), instances, name)
+        if name == self._active:
+            self._snapshot = snap
+        return snap
 
 
 class StoreSnapshot:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .concepts import ConceptId
 from .errors import ConceptError, EvalError
-from .rng import flip, normal, random_integer
+from .rng import as_draws, flip, normal, random_integer
 from .sexpr import Integer, Real, SExpr, SList, Symbol
 from .values import NIL, Closure, Env, Pair, Primitive, format_value, is_number, values_equal
 
@@ -57,23 +57,29 @@ _MISSING = object()
 class EvalContext:
     """Everything an evaluation needs besides the environment.
 
+    `rng` is the draw object (`rng.Draws`) that makes every random choice:
+    the primitives and the concept sampler call it and nothing else.  A
+    numpy Generator given here is wrapped in one, and a context made with
+    no random source gets `rng.NO_SOURCE`, whose draws are errors.
+
     A session builds one context per top-level form; `rules`, `rewrite`,
     `max_attempts` and `global_env` stay fixed for the session, `session` is
     set only there, and `snapshot` is refreshed after each knowledge form.
-    A query copies that context with `session` cleared and sets `rng` for
-    each sample; `run_samples` reuses its one copy across all samples of the
-    query, so nothing may keep a context beyond the sample that used it.
-    A concept instantiation sets `budget` and `sample_depth` for its own
-    recursion, along with `snapshot`, `global_env`, the `rng` it draws from
-    and no `session`, on the context it is given, and puts the old values
-    back when it returns.
+    A query copies that context with `session` cleared and its own draw
+    object; `run_samples` reuses its one copy and one draw object across all
+    samples of the query, setting each sample's stream on the generator
+    underneath, so nothing may keep a context beyond the sample that used
+    it.  A concept instantiation sets `budget` and `sample_depth` for its
+    own recursion, along with `snapshot`, `global_env`, the `rng` it draws
+    from and no `session`, on the context it is given, and puts the old
+    values back when it returns.
 
     The context is read when code runs, never when it is compiled: compiled
     code depends only on the forms and on the root frame it was compiled
     for, so one compiled query or template serves every context.
     """
 
-    rng: object | None = None
+    rng: object = None
     snapshot: object | None = None
     session: object | None = None      # set only for top-level session forms
     rules: tuple = ()
@@ -82,6 +88,9 @@ class EvalContext:
     global_env: Env | None = None
     budget: object | None = None       # in-flight concept sampling budget
     sample_depth: int = 0
+
+    def __post_init__(self):
+        self.rng = as_draws(self.rng)
 
 
 def evaluate(expr, env, ctx):
@@ -514,20 +523,19 @@ def _eval_knowledge(op, expr, env, ctx):
 
 def _resolve_isa_source(node, store, env):
     """A bare symbol naming a declared concept denotes that concept; anything
-    else is an expression template whose free names must be resolvable."""
+    else is an expression template whose free names must be resolvable.  A
+    name the template defines itself, such as a query's definition, is
+    resolved when the template runs."""
     if node.__class__ is Symbol:
         cid = store.lookup(node.name)
         if cid is not None:
             return cid
-    for name in sorted(free_symbols(node)):
+    defined = set()
+    free = {sym.name for _, sym in free_symbol_paths(node, defined)}
+    for name in sorted(free - defined):
         if store.lookup(name) is None and (env is None or _lookup(env, name) is _MISSING):
             raise ConceptError(f"unknown name '{name}' in is-a source", node.loc)
     return node
-
-
-def free_symbols(expr):
-    """Free symbol names of an expression, honoring quote and the binders."""
-    return {sym.name for _, sym in free_symbol_paths(expr)}
 
 
 def free_symbol_paths(expr, defined=None):

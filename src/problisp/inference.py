@@ -9,9 +9,9 @@ frame.  Batch runs give every sample index its own deterministic rng stream
 derived from (seed, index), so parallel and serial execution produce
 identical multisets of samples.  The PCG64 states of all the indices come
 from `stream_states`, one pass per block of up to 1024 indices, and are set
-in turn on one generator: the caller's (a session owns one) or else one made
-with `derive_rng`.  Each index draws exactly the bytes a fresh
-`derive_rng(seed..., index)` generator would.
+in turn on the generator of one draw object: the caller's (a session owns
+one) or else one made with `derive_rng`.  Each index draws exactly the
+bytes a fresh `derive_rng(seed..., index)` generator would.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _attempt_loop(spec, code, base_env, max_attempts, ctx):
         f"no accepted sample after {max_attempts} attempts", max_attempts)
 
 
-def _query_context(ctx, base_env, rng=None):
+def _query_context(ctx, base_env, rng):
     """A copy of `ctx` (or a fresh context) drawing from `rng`, with no
     session: knowledge forms are not allowed inside a query."""
     if ctx is None:
@@ -105,21 +105,22 @@ def rejection_query(spec, base_env, rng, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=
     return value
 
 
-def _streams(path, n, rng):
-    """`rng` set in turn to the state of `derive_rng(*path, i)` for each i in
-    range(n)."""
-    bit_generator = rng.bit_generator
+def _streams(path, n, generator):
+    """Each i in range(n), after setting `generator` to the state of
+    `derive_rng(*path, i)`."""
+    bit_generator = generator.bit_generator
     for start in range(0, n, _STATE_BLOCK):
-        for state in stream_states(path, start, min(n, start + _STATE_BLOCK)):
+        for i, state in enumerate(stream_states(path, start, min(n, start + _STATE_BLOCK)),
+                                  start):
             bit_generator.state = state
-            yield rng
+            yield i
 
 
 def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=None,
                 rng=None):
     """Draw n accepted samples, one independent rng stream per sample index.
-    The streams are set on `rng`, whose own state is overwritten; without
-    one, a generator is made for the purpose."""
+    The streams are set on `rng`, a numpy Generator or a `Draws`, whose own
+    state is overwritten; without one, a generator is made for the purpose."""
     if n < 1:
         raise EvalError("sample count must be at least 1")
     path = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
@@ -127,10 +128,8 @@ def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=
     values = []
     attempts_total = 0
     code = _compile(spec, base_env)
-    ctx = _query_context(ctx, base_env)
-    streams = _streams(path, n, rng if rng is not None else derive_rng(*path))
-    for i, stream in enumerate(streams):
-        ctx.rng = stream
+    ctx = _query_context(ctx, base_env, rng if rng is not None else derive_rng(*path))
+    for i in _streams(path, n, ctx.rng.generator):
         try:
             value, attempts = _attempt_loop(spec, code, base_env, max_attempts, ctx)
         except ExhaustionError as err:

@@ -1,4 +1,4 @@
-"""Deterministic random streams and the stochastic primitives.
+"""Deterministic random streams, the draw object and the stochastic primitives.
 
 The bit generator is numpy's PCG64.  Independent streams are derived from an
 integer path (seed, index, ...) fed to SeedSequence as entropy, so the same
@@ -10,6 +10,15 @@ in their last integer, in one pass: it re-implements numpy's SeedSequence
 hash and PCG64 seeding with every path in its own 64-bit lane of one Python
 int.  Setting those states on one reused generator draws exactly the bytes
 that `derive_rng` would, at a fraction of the cost of building a generator.
+
+`Draws` is the one draw object an evaluation makes its random choices
+through: `integer`, `flip` and `normal` for the primitives, `choose` and
+`order` for the concept sampler.  It wraps one numpy Generator and gives
+numpy's values and bytes, drawing integers below 2**32 and uniform floats
+from the bit generator's C functions without numpy's per-call overhead.
+`NO_SOURCE` stands in for it in a context with no random source.  The
+primitives `random_integer`, `flip` and `normal` check their arguments and
+then draw from the draw object they are given.
 """
 
 from __future__ import annotations
@@ -135,8 +144,14 @@ def _lane_states(head, indices, width):
     return states
 
 
+_WORD32 = 1 << 32
+_NO_SOURCE_TEXT = "no random source available in this context"
+_NO_SAMPLING_SOURCE_TEXT = "no random source available for sampling"
+
+
 def randint_below(rng, n):
-    """Uniform integer in [0, n) for arbitrary-precision n."""
+    """Uniform integer in [0, n) from the numpy Generator `rng`, for
+    arbitrary-precision n."""
     if n <= (1 << 63) - 1:
         return int(rng.integers(0, n))
     k = n.bit_length()
@@ -150,19 +165,120 @@ def randint_below(rng, n):
             return r
 
 
+class Draws:
+    """Every random choice of an evaluation, drawn from one numpy Generator.
+
+    Each method returns what its numpy call returns and consumes the same
+    bits, so a program draws the same bytes through either:
+    `integer(n)` is `Generator.integers(0, n)`, `flip(p)` is
+    `Generator.random() < p`, `choose(weights)` scales one
+    `Generator.random()` by the total weight, `order(k)` is
+    `Generator.permutation(k)` and `normal(mean, sd)` is
+    `Generator.normal(mean, sd)`.  `integer` below 2**32 and the uniform
+    draws call the bit generator's C functions `next_uint32` and
+    `next_double` directly, skipping numpy's per-call overhead; `integer`
+    runs Lemire's nearly divisionless method on 32-bit words, as numpy
+    does.  numpy keeps the unused half of a 64-bit word for the next
+    `next_uint32` in the bit generator's own state, so these calls and
+    numpy's share it, and setting `bit_generator.state` resets it.  `loc`
+    is where a missing random source is reported (see `NO_SOURCE`).
+    """
+
+    __slots__ = ("generator", "_uint32", "_double", "_state")
+
+    def __init__(self, generator):
+        # holding the generator keeps the state address valid; setting
+        # `bit_generator.state` writes in place and keeps it too
+        self.generator = generator
+        c = generator.bit_generator.ctypes
+        self._uint32, self._double, self._state = c.next_uint32, c.next_double, c.state
+
+    def integer(self, n, loc=None):
+        """Uniform integer in [0, n), for n >= 1."""
+        if n > _WORD32:
+            return randint_below(self.generator, n)
+        if n == 1:
+            return 0    # numpy draws nothing for a one-value range
+        # numpy's buffered_bounded_lemire_uint32 with rng_excl = n
+        m = self._uint32(self._state) * n
+        if m & _MASK32 < n:
+            threshold = (_WORD32 - n) % n
+            while m & _MASK32 < threshold:
+                m = self._uint32(self._state) * n
+        return m >> 32
+
+    def flip(self, p, loc=None):
+        """True with probability p."""
+        return self._double(self._state) < p
+
+    def choose(self, weights):
+        """Index i with probability weights[i] / sum(weights)."""
+        total = 0.0
+        for w in weights:
+            total += w
+        u = self._double(self._state) * total
+        acc = 0.0
+        for i, w in enumerate(weights):
+            acc += w
+            if u < acc:
+                return i
+        return len(weights) - 1
+
+    def order(self, k):
+        """A uniformly random permutation of range(k), as a list."""
+        return self.generator.permutation(k).tolist()
+
+    def normal(self, mean, sd, loc=None):
+        """Gaussian draw with the given mean and standard deviation."""
+        return float(self.generator.normal(mean, sd))
+
+
+class _NoSource:
+    """The draws of a context with no random source: every draw is an error."""
+
+    __slots__ = ()
+
+    def integer(self, n, loc=None):
+        raise EvalError(_NO_SOURCE_TEXT, loc)
+
+    def flip(self, p, loc=None):
+        raise EvalError(_NO_SOURCE_TEXT, loc)
+
+    def normal(self, mean, sd, loc=None):
+        raise EvalError(_NO_SOURCE_TEXT, loc)
+
+    def choose(self, weights):
+        raise EvalError(_NO_SAMPLING_SOURCE_TEXT)
+
+    def order(self, k):
+        raise EvalError(_NO_SAMPLING_SOURCE_TEXT)
+
+
+NO_SOURCE = _NoSource()
+
+
+def as_draws(source):
+    """The draw object for `source`: a numpy Generator is wrapped in a new
+    `Draws`, None gives `NO_SOURCE`, and anything else is a draw object
+    already.  Wrap a generator once and pass the result on: each `Draws`
+    binds the generator's C functions anew."""
+    if isinstance(source, np.random.Generator):
+        return Draws(source)
+    return NO_SOURCE if source is None else source
+
+
 def random_integer(n, rng, loc=None):
-    """Uniform draw from {0, ..., n-1}."""
+    """Uniform draw from {0, ..., n-1}, from the draw object `rng`."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise EvalError("random-integer expects an integer", loc)
     if n <= 0:
         raise EvalError(f"random-integer expects a positive bound, got {n}", loc)
-    if rng is None:
-        raise EvalError("no random source available in this context", loc)
-    return randint_below(rng, n)
+    return rng.integer(n, loc)
 
 
 def normal(mean, stdev, rng, loc=None):
-    """Gaussian draw; a zero stdev returns the mean exactly."""
+    """Gaussian draw from the draw object `rng`; a zero stdev returns the
+    mean exactly."""
     for v in (mean, stdev):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise EvalError("normal expects numeric mean and stdev", loc)
@@ -170,17 +286,13 @@ def normal(mean, stdev, rng, loc=None):
         raise EvalError(f"normal expects a nonnegative stdev, got {stdev}", loc)
     if stdev == 0:
         return float(mean)
-    if rng is None:
-        raise EvalError("no random source available in this context", loc)
-    return float(rng.normal(mean, stdev))
+    return rng.normal(mean, stdev, loc)
 
 
 def flip(p, rng, loc=None):
-    """True with probability p."""
+    """True with probability p, from the draw object `rng`."""
     if isinstance(p, bool) or not isinstance(p, (int, float)):
         raise EvalError("flip expects a numeric probability", loc)
     if not 0 <= p <= 1:
         raise EvalError(f"flip expects a probability in [0, 1], got {p}", loc)
-    if rng is None:
-        raise EvalError("no random source available in this context", loc)
-    return bool(rng.random() < p)
+    return rng.flip(p, loc)

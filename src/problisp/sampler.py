@@ -6,7 +6,10 @@ instantiates an expression source.  Every concept symbol inside a template
 is replaced by an independent recursive draw; when a template mentions
 several concepts, the order in which they are instantiated is itself chosen
 uniformly at random (the draws are independent, so the order is invisible in
-distribution but fixed for rng-trace reproducibility).
+distribution but fixed for rng-trace reproducibility).  Both choices, the
+link and the order, are made by the draw object (`rng.Draws`) that the
+template's own primitives draw from; a numpy Generator passed to
+`sample_concept` or `instantiate_expression` is wrapped in one on entry.
 
 Budgets guard the recursion: exceeding the depth or node cap aborts the
 sample with an error rather than silently truncating, since truncation would
@@ -16,8 +19,9 @@ bias the declared distribution.
 from __future__ import annotations
 
 from .concepts import ConceptId
-from .errors import BudgetError, ConceptError, EvalError
+from .errors import BudgetError, ConceptError
 from .evaluator import EvalContext, compile_forms, evaluate
+from .rng import as_draws
 from .values import Env
 
 DEFAULT_MAX_DEPTH = 64
@@ -41,23 +45,9 @@ class SampleBudget:
                 f"{self.nodes_expanded}/{self.max_nodes})")
 
 
-def _choose(rows, rng):
-    if rng is None:
-        raise EvalError("no random source available for sampling")
-    total = 0.0
-    for _, w in rows:
-        total += w
-    u = rng.random() * total
-    acc = 0.0
-    for link, w in rows:
-        acc += w
-        if u < acc:
-            return link
-    return rows[-1][0]
-
-
 def sample_concept(snapshot, concept, rng, budget=None, *, env, ctx=None, depth=0):
     """Draw one instance of `concept` from its weighted is-a links."""
+    rng = as_draws(rng)
     if budget is None:
         budget = SampleBudget()
     budget.charge(depth)
@@ -65,7 +55,7 @@ def sample_concept(snapshot, concept, rng, budget=None, *, env, ctx=None, depth=
     if not rows:
         raise ConceptError(f"no generative model for concept '{concept.name}'")
     # single-link concepts are deterministic pass-throughs: no choice draw
-    link = rows[0][0] if len(rows) == 1 else _choose(rows, rng)
+    link = rows[0 if len(rows) == 1 else rng.choose([w for _, w in rows])][0]
     source = link.source
     if isinstance(source, ConceptId):
         return sample_concept(snapshot, source, rng, budget, env=env, ctx=ctx,
@@ -78,15 +68,13 @@ def instantiate_expression(snapshot, expr, env, rng, budget=None, *, ctx=None, d
     evaluate the result against `env`, the session globals.  The template is
     compiled on its first use with `snapshot` and `env`; each concept
     occurrence reads its draw from a frame made for the instantiation."""
+    rng = as_draws(rng)
     if budget is None:
         budget = SampleBudget()
     code, concepts = _compiled_template(snapshot, expr, env)
     eval_env = env
     if concepts:
-        if len(concepts) == 1:
-            order = [0]
-        else:
-            order = [int(k) for k in rng.permutation(len(concepts))]
+        order = [0] if len(concepts) == 1 else rng.order(len(concepts))
         frame = {}
         for k in order:
             name, cid = concepts[k]

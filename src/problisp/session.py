@@ -2,14 +2,13 @@
 
 Top-level rejection-query forms run through the batch sampler (one rng
 stream per sample index, derived from (seed, query-ordinal, index), each set
-in turn on one generator the session makes once); all other top-level forms
-consume the session's own stream.  Resetting the seed restores both, so
-identical inputs replay identically.
+in turn on the generator of one draw object the session makes once); all
+other top-level forms consume the session's own stream.  Resetting the seed
+restores both, so identical inputs replay identically.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,15 +17,8 @@ from .errors import EvalError, ProblispError
 from .evaluator import (DEFAULT_MAX_ATTEMPTS, EvalContext, evaluate,
                         standard_env)
 from .inference import QuerySpec, run_samples
-from .rng import derive_rng
+from .rng import Draws, derive_rng
 from .sexpr import SList, Symbol, parse
-
-# deep enough for any plausible prelude recursion, shallow enough that
-# Python's recursion check fires before the C stack runs out.  Compiled code
-# takes up to three Python frames per nested non-tail call (the code waiting
-# for the value, the call, and an `if` in the callee's body), so this allows
-# about 5,000 nested calls.
-_RECURSION_LIMIT = 15_000
 
 
 @dataclass
@@ -50,8 +42,6 @@ def _is_query_form(form):
 class Session:
     def __init__(self, seed=0, samples=1, max_attempts=DEFAULT_MAX_ATTEMPTS,
                  rewrite=True):
-        if sys.getrecursionlimit() < _RECURSION_LIMIT:
-            sys.setrecursionlimit(_RECURSION_LIMIT)
         self.env = standard_env()
         self.store = ConceptStore()
         self.rules = []
@@ -60,12 +50,12 @@ class Session:
         self.rewrite = rewrite
         self.last_query = None
         # the query streams' states are set on it; its own seed is never used
-        self._query_rng = derive_rng(0)
+        self._query_rng = Draws(derive_rng(0))
         self.reset_seed(seed)
 
     def reset_seed(self, seed):
         self.seed = int(seed)
-        self.rng = derive_rng(self.seed, 0)
+        self.rng = Draws(derive_rng(self.seed, 0))
         self._query_ordinal = 0
 
     def _ctx(self):

@@ -173,3 +173,39 @@ def test_knowledge_forms_require_session_toplevel(session):
 
     with pytest.raises(EvalError, match="top level"):
         session.run_text("(rejection-query (concept inner) 1 #t)")
+
+
+def test_snapshot_is_reused_until_the_store_changes():
+    store = ConceptStore()
+    number = store.declare_concept("number")
+    snaps = [store.snapshot()]
+    assert store.snapshot() is snaps[0]
+    assert store.snapshot("default") is snaps[0]
+
+    def changed():
+        snap = store.snapshot()
+        assert snap is not snaps[-1]
+        assert store.snapshot() is snap
+        snaps.append(snap)
+
+    link = store.add_isa(parse_one("pi"), number)
+    changed()
+    store.declare_concept("integer")
+    changed()
+    store.define_context("heavy", {link: 2.0})
+    changed()
+    store.set_context("heavy")
+    changed()
+    assert [w for _, w in snaps[-1].instances(number)] == [2.0]
+    assert store.snapshot("default") is not snaps[-1]
+
+
+def test_isa_source_may_define_its_own_names(session):
+    session.run_text("""
+        (concept coin) (is-a #t coin) (is-a #f coin)
+        (concept thing) (is-a (rejection-query (define c coin) c #t) thing)""")
+    values = {r.value for r in session.run_text("(sample thing) " * 20)}
+    assert values == {True, False}
+    # a name defined nowhere is still refused
+    with pytest.raises(ConceptError, match="unknown name 'nope' in is-a source"):
+        session.run_text("(is-a (rejection-query (define c coin) nope #t) thing)")

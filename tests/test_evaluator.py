@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from problisp import (NIL, Env, EvalContext, EvalError, Pair, derive_rng, evaluate,
                       format_value, parse, parse_one, standard_env)
-from problisp.rng import normal, random_integer
+from problisp.rng import Draws, normal, random_integer
 from problisp.sexpr import Boolean, Integer, Real, SList, Symbol
 
 from _lang import ev
@@ -114,14 +114,35 @@ def test_error_reports_location():
 
 
 def test_deep_recursion_is_reported_not_fatal():
-    # non-tail recursion grows the Python stack; the overflow must surface
-    # as a language error, not a crash
-    src = "(define grow (lambda (n) (+ 1 (grow n)))) (grow 0)"
-    import problisp.session  # session bumps the recursion limit
+    # non-tail recursion grows the Python stack; at the recursion limit the
+    # CLI runs under, the overflow must surface as a language error, not a
+    # crash of the C stack
+    import sys
 
-    problisp.session.Session(seed=0)
-    with pytest.raises(EvalError, match="recursion depth exceeded"):
-        ev(src)
+    from problisp.cli import RECURSION_LIMIT
+
+    src = "(define grow (lambda (n) (+ 1 (grow n)))) (grow 0)"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(RECURSION_LIMIT)
+    try:
+        with pytest.raises(EvalError, match="recursion depth exceeded"):
+            ev(src)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_library_leaves_the_recursion_limit_alone():
+    import sys
+
+    from problisp import Session
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        Session(seed=0).run_text("(define f (lambda (n) (if (= n 0) 0 (f (- n 1))))) (f 10)")
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_tail_calls_do_not_grow_the_stack():
@@ -133,7 +154,7 @@ def test_tail_calls_do_not_grow_the_stack():
 
 
 def test_random_integer_bounds():
-    rng = derive_rng(0)
+    rng = Draws(derive_rng(0))
     assert random_integer(1, rng) == 0
     with pytest.raises(EvalError):
         random_integer(0, rng)
@@ -147,7 +168,7 @@ def test_random_integer_bounds():
 def test_random_integer_uniformity():
     # binomial oracle: each outcome frequency within 4 sd of 0.1
     n = 100_000
-    rng = derive_rng(20240817)
+    rng = Draws(derive_rng(20240817))
     counts = np.zeros(10, dtype=int)
     for _ in range(n):
         counts[random_integer(10, rng)] += 1
@@ -157,7 +178,7 @@ def test_random_integer_uniformity():
 
 
 def test_normal_moments():
-    rng = derive_rng(7)
+    rng = Draws(derive_rng(7))
     assert normal(0, 0, rng) == 0.0
     assert ev("(normal 5 0)") == 5.0
     with pytest.raises(EvalError):
@@ -180,7 +201,7 @@ def test_purity_of_nonrandom_programs():
 
 def test_left_to_right_evaluation_order():
     # the program's two draws must replay the rng's own draw order
-    rng = derive_rng(55)
+    rng = Draws(derive_rng(55))
     first = random_integer(1000, rng)
     second = random_integer(1000, rng)
     env = standard_env()
@@ -196,7 +217,7 @@ def test_operator_evaluated_before_operands():
     ((pick-op) (pick 10))
     """
     # operator expression ran first: it consumes the first draw
-    rng = derive_rng(3)
+    rng = Draws(derive_rng(3))
     op_draw = random_integer(2, rng)
     arg_draw = random_integer(10, rng)
     env = standard_env()

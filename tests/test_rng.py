@@ -1,14 +1,16 @@
-"""`stream_states` against numpy's own SeedSequence and PCG64.
+"""`stream_states` and `Draws` against numpy's own calls.
 
-The states are a re-implementation of numpy's seeding, so these tests are
-what ties them to the installed numpy: a numpy release that changed its
-seeding would fail here, not silently change the streams of queries.
+The states are a re-implementation of numpy's seeding, and the draw object's
+integer and uniform draws re-implement numpy's, so these tests are what ties
+them to the installed numpy: a numpy release that changed its seeding or its
+draws would fail here, not silently change the streams of queries.
 """
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from problisp.rng import derive_rng, stream_states
+from problisp.rng import Draws, derive_rng, stream_states
 
 # path integers: 0, negatives, one- and two-word values, and values of 2**64
 # and up, which derive_rng masks to 64 bits
@@ -50,3 +52,85 @@ def test_reused_generator_draws_like_fresh_ones(prefix, start, count):
         assert _draws(rng) == _draws(derive_rng(*prefix, i)), i
         # the buffered half must not leak into the next index's stream
         assert rng.bit_generator.state["has_uint32"] == 1
+
+
+# `integer` bounds: no bits (1), Lemire on 32-bit words (up to 2**32), numpy's
+# 64-bit integers (up to 2**63 - 1), and the masked word loop above that
+_BOUNDS = (1, 2, 3, 10, 1_000_003, (1 << 31) + 5, (1 << 32) - 1, 1 << 32, (1 << 32) + 1,
+           (1 << 63) - 1, 1 << 63, (1 << 64) + 1)
+_PROBABILITIES = st.one_of(st.sampled_from([0, 1, 0.5]), st.floats(0, 1))
+_OPS = st.one_of(
+    st.tuples(st.just("integer"), st.sampled_from(_BOUNDS)),
+    st.tuples(st.just("flip"), _PROBABILITIES),
+    st.tuples(st.just("choose"), st.lists(st.floats(0.001, 1000), min_size=1, max_size=5)),
+    st.tuples(st.just("order"), st.integers(0, 9)),
+    st.tuples(st.just("normal"), st.floats(-100, 100), st.floats(0.001, 100)),
+)
+
+
+def _draw(draws, op):
+    name, *args = op
+    return getattr(draws, name)(*args)
+
+
+def _numpy_draw(rng, op):
+    """What numpy's calls on the Generator `rng` give for `op`."""
+    name, *args = op
+    if name == "integer":
+        n, = args
+        if n <= (1 << 63) - 1:
+            return int(rng.integers(0, n))
+        # whole 64-bit words, masked to n's bit length, until one is below n
+        k = n.bit_length()
+        while True:
+            r = 0
+            for w in range((k + 63) // 64):
+                r |= int(rng.integers(0, 1 << 64, dtype=np.uint64)) << (64 * w)
+            r &= (1 << k) - 1
+            if r < n:
+                return r
+    if name == "flip":
+        return bool(rng.random() < args[0])
+    if name == "choose":
+        weights, = args
+        total = 0.0
+        for w in weights:
+            total += w
+        u = rng.random() * total
+        acc = 0.0
+        for i, w in enumerate(weights):
+            acc += w
+            if u < acc:
+                return i
+        return len(weights) - 1
+    if name == "order":
+        return [int(v) for v in rng.permutation(args[0])]
+    return float(rng.normal(*args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, (1 << 64) - 1), st.lists(_OPS, max_size=30))
+@example(5, [("integer", n) for n in _BOUNDS] + [("integer", 10)])
+@example(9, [("integer", 1), ("integer", 10), ("integer", 1), ("integer", 10)])
+@example(3, [("integer", 10), ("flip", 0.5), ("integer", 10), ("normal", 0.0, 1.0),
+             ("integer", 10), ("order", 5), ("integer", 10), ("choose", [1.0, 2.0])])
+def test_draws_equal_numpy_calls(seed, ops):
+    draws, twin = Draws(derive_rng(seed)), derive_rng(seed)
+    for op in ops:
+        assert _draw(draws, op) == _numpy_draw(twin, op), op
+        # the same bits consumed, the pending half-word included
+        assert draws.generator.bit_generator.state == twin.bit_generator.state, op
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PREFIXES, _STARTS, st.integers(1, 4), st.lists(_OPS, min_size=1, max_size=8))
+def test_draws_follow_a_state_change_with_a_half_word_pending(prefix, start, count, ops):
+    draws = Draws(derive_rng(7))
+    bit_generator = draws.generator.bit_generator
+    for i, state in enumerate(stream_states(prefix, start, start + count), start):
+        while not bit_generator.state["has_uint32"]:
+            draws.integer(10)
+        bit_generator.state = state
+        twin = derive_rng(*prefix, i)
+        for op in ops:
+            assert _draw(draws, op) == _numpy_draw(twin, op), (i, op)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from problisp import (NIL, BudgetError, ConceptError, Pair, SampleBudget,
+from problisp import (NIL, BudgetError, ConceptError, EvalError, Pair, SampleBudget,
                       Session, derive_rng, instantiate_expression,
                       parse_one, sample_concept, standard_env)
 
@@ -260,3 +260,41 @@ def test_concept_symbols_in_a_template_query_are_draws():
     for _ in range(20):
         v = s.eval_form(parse_one("(sample pair)")).value
         assert v.head in (True, False) and v.tail.head in (True, False)
+
+
+def test_templates_compile_once_across_forms(prelude_session, monkeypatch):
+    # the store hands out one snapshot until it changes, so a template
+    # compiled for one (sample ...) form serves the later ones too
+    import problisp.evaluator as evaluator
+
+    store = prelude_session.store
+    integer_template, = [link.source for link, _ in
+                         store.snapshot().instances(store.lookup("integer"))]
+    walked = []
+    walk = evaluator.free_symbol_paths
+
+    def counting(expr, defined=None):
+        walked.append(expr)
+        return walk(expr, defined)
+
+    monkeypatch.setattr(evaluator, "free_symbol_paths", counting)
+    results = prelude_session.run_text("(sample integer) " * 20)
+    assert all(isinstance(r.value, int) for r in results)
+    assert [e for e in walked if e is integer_template] == [integer_template]
+
+
+def test_a_link_added_between_samples_is_seen():
+    s = _store_session("(concept pick) (is-a 1 pick)")
+    first, _, *later = s.run_text("(sample pick) (is-a 2 pick 1000000) "
+                                  + "(sample pick) " * 20)
+    assert first.value == 1
+    assert 2 in {r.value for r in later}
+
+
+def test_sampling_with_no_random_source_is_an_error():
+    s = _store_session("(concept pick) (is-a 1 pick) (is-a 2 pick)")
+    snap = s.store.snapshot()
+    with pytest.raises(EvalError, match="no random source available for sampling"):
+        sample_concept(snap, s.store.lookup("pick"), None, env=s.env)
+    with pytest.raises(EvalError, match="no random source available for sampling"):
+        instantiate_expression(snap, parse_one("(list pick pick)"), s.env, None)
