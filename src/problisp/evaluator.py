@@ -67,12 +67,12 @@ class EvalContext:
     set only there, and `snapshot` is refreshed after each knowledge form.
     A query copies that context with `session` cleared and its own draw
     object; `run_samples` reuses its one copy and one draw object across all
-    samples of the query, setting each sample's stream on the generator
-    underneath, so nothing may keep a context beyond the sample that used
-    it.  A concept instantiation sets `budget` and `sample_depth` for its
-    own recursion, along with `snapshot`, `global_env`, the `rng` it draws
-    from and no `session`, on the context it is given, and puts the old
-    values back when it returns.
+    samples of the query, giving each sample's stream to the draw object,
+    so nothing may keep a context beyond the sample that used it.  A
+    concept instantiation sets `budget` and `sample_depth` for its own
+    recursion, along with `snapshot`, `global_env`, the `rng` it draws from
+    and no `session`, on the context it is given, and puts the old values
+    back when it returns.
 
     The context is read when code runs, never when it is compiled: compiled
     code depends only on the forms and on the root frame it was compiled
@@ -408,7 +408,12 @@ class _Compiler:
                 if len(args) != len(params):
                     raise EvalError(f"closure expects {len(params)} arguments, "
                                     f"got {len(args)}", call_loc)
-                result = fn.body(Env(fn.env, dict(zip(params, args))), ctx)
+                try:
+                    result = fn.body(Env(fn.env, dict(zip(params, args))), ctx)
+                except RecursionError:
+                    # the nested call that ran out of Python stack; raising
+                    # may itself run out, and then a caller reports it
+                    raise EvalError("recursion depth exceeded", call_loc) from None
                 if result.__class__ is not _TailCall:
                     return result
                 fn, args, call_loc = result.fn, result.args, result.loc

@@ -7,11 +7,14 @@ conditioned on the condition.  The definitions, condition and query are
 compiled once per query, and every attempt runs the compiled code in a fresh
 frame.  Batch runs give every sample index its own deterministic rng stream
 derived from (seed, index), so parallel and serial execution produce
-identical multisets of samples.  The PCG64 states of all the indices come
-from `stream_states`, one pass per block of up to 1024 indices, and are set
-in turn on the generator of one draw object: the caller's (a session owns
-one) or else one made with `derive_rng`.  Each index draws exactly the
-bytes a fresh `derive_rng(seed..., index)` generator would.
+identical multisets of samples.  All samples draw through one draw object:
+the caller's (a session owns one) or else one made with `derive_rng`.  Each
+sample's index is given to it (`Draws.pend`), and it sets the index's PCG64
+state on its generator at the sample's first draw.  The states come from
+`stream_states`, one pass per block of up to 1024 indices, computed when a
+sample of the block first draws; a sample that draws nothing derives no
+stream.  Each index draws exactly the bytes a fresh
+`derive_rng(seed..., index)` generator would.
 """
 
 from __future__ import annotations
@@ -105,22 +108,27 @@ def rejection_query(spec, base_env, rng, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=
     return value
 
 
-def _streams(path, n, generator):
-    """Each i in range(n), after setting `generator` to the state of
-    `derive_rng(*path, i)`."""
-    bit_generator = generator.bit_generator
-    for start in range(0, n, _STATE_BLOCK):
-        for i, state in enumerate(stream_states(path, start, min(n, start + _STATE_BLOCK)),
-                                  start):
-            bit_generator.state = state
-            yield i
+def _stream_states(path, n):
+    """`states(i)`: the state of `derive_rng(*path, i)` for i in range(n),
+    computed with the rest of its block when one of the block is first
+    asked for."""
+    block = [None, ()]   # start index, states
+
+    def states(i):
+        start = i - i % _STATE_BLOCK
+        if block[0] != start:
+            block[:] = start, stream_states(path, start, min(n, start + _STATE_BLOCK))
+        return block[1][i - start]
+    return states
 
 
 def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=None,
                 rng=None):
     """Draw n accepted samples, one independent rng stream per sample index.
     The streams are set on `rng`, a numpy Generator or a `Draws`, whose own
-    state is overwritten; without one, a generator is made for the purpose."""
+    state is overwritten; without one, a generator is made for the purpose.
+    Each sample's stream is installed at its first draw, and no stream is
+    left pending on return."""
     if n < 1:
         raise EvalError("sample count must be at least 1")
     path = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
@@ -129,17 +137,23 @@ def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=
     attempts_total = 0
     code = _compile(spec, base_env)
     ctx = _query_context(ctx, base_env, rng if rng is not None else derive_rng(*path))
-    for i in _streams(path, n, ctx.rng.generator):
-        try:
-            value, attempts = _attempt_loop(spec, code, base_env, max_attempts, ctx)
-        except ExhaustionError as err:
-            wall = time.perf_counter() - start
-            made = attempts_total + err.attempts
-            partial = SampleReport(tuple(values), made,
-                                   len(values) / made if made else 0.0, wall)
-            raise ExhaustionError(f"sample {i}: {err.message}", err.attempts,
-                                  partial) from None
-        values.append(value)
-        attempts_total += attempts
+    draws = ctx.rng
+    states = _stream_states(path, n)
+    try:
+        for i in range(n):
+            draws.pend(states, i)
+            try:
+                value, attempts = _attempt_loop(spec, code, base_env, max_attempts, ctx)
+            except ExhaustionError as err:
+                wall = time.perf_counter() - start
+                made = attempts_total + err.attempts
+                partial = SampleReport(tuple(values), made,
+                                       len(values) / made if made else 0.0, wall)
+                raise ExhaustionError(f"sample {i}: {err.message}", err.attempts,
+                                      partial) from None
+            values.append(value)
+            attempts_total += attempts
+    finally:
+        draws.settle()
     wall = time.perf_counter() - start
     return SampleReport(tuple(values), attempts_total, n / attempts_total, wall)

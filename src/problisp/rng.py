@@ -19,6 +19,11 @@ from the bit generator's C functions without numpy's per-call overhead.
 `NO_SOURCE` stands in for it in a context with no random source.  The
 primitives `random_integer`, `flip` and `normal` check their arguments and
 then draw from the draw object they are given.
+
+A batch of samples gives each sample's index to the draw object, which sets
+that index's stream state on the generator at the sample's first draw: a
+sample that draws nothing, such as every sample of a query whose only prior
+the optimizer pinned, derives no stream.
 """
 
 from __future__ import annotations
@@ -182,21 +187,71 @@ class Draws:
     `next_uint32` in the bit generator's own state, so these calls and
     numpy's share it, and setting `bit_generator.state` resets it.  `loc`
     is where a missing random source is reported (see `NO_SOURCE`).
+
+    `pend` leaves a sample's stream pending: its state is set on the
+    generator just before the sample's first draw, by whichever method makes
+    it, so a sample that draws nothing costs no stream state at all.  While
+    a stream is pending, `_uint32` and `_double` point at installing
+    trampolines that put the C functions back, so the fast paths check
+    nothing per draw.  The samples of one query run the same code up to
+    their first draw, so once one of them has drawn, all of them do: from
+    then on until `settle`, `pend` sets each state at once.  `settle` ends
+    the query and drops a pending stream.  Nothing else sets the
+    generator's state.
     """
 
-    __slots__ = ("generator", "_uint32", "_double", "_state")
+    __slots__ = ("generator", "_uint32", "_double", "_state", "_next_uint32",
+                 "_next_double", "_pending", "_drawn")
 
     def __init__(self, generator):
         # holding the generator keeps the state address valid; setting
         # `bit_generator.state` writes in place and keeps it too
         self.generator = generator
         c = generator.bit_generator.ctypes
-        self._uint32, self._double, self._state = c.next_uint32, c.next_double, c.state
+        self._next_uint32, self._next_double, self._state = \
+            c.next_uint32, c.next_double, c.state
+        self.settle()
+
+    def pend(self, states, i):
+        """Draw next from the stream whose bit generator state is
+        `states(i)`: set on the generator at the next draw, or at once if a
+        stream pended since the last `settle` has been drawn from."""
+        if self._drawn:
+            self.generator.bit_generator.state = states(i)
+        else:
+            self._pending = states, i
+            self._uint32, self._double = self._install_uint32, self._install_double
+
+    def settle(self):
+        """Drop any pending stream and draw on from the generator's state."""
+        self._pending = None
+        self._drawn = False
+        self._uint32, self._double = self._next_uint32, self._next_double
+
+    def _install(self):
+        states, i = self._pending
+        self.generator.bit_generator.state = states(i)
+        self.settle()
+        self._drawn = True
+
+    def _install_uint32(self, state):
+        self._install()
+        return self._next_uint32(state)
+
+    def _install_double(self, state):
+        self._install()
+        return self._next_double(state)
+
+    def _numpy(self):
+        """The generator, with any pending stream installed."""
+        if self._pending is not None:
+            self._install()
+        return self.generator
 
     def integer(self, n, loc=None):
         """Uniform integer in [0, n), for n >= 1."""
         if n > _WORD32:
-            return randint_below(self.generator, n)
+            return randint_below(self._numpy(), n)
         if n == 1:
             return 0    # numpy draws nothing for a one-value range
         # numpy's buffered_bounded_lemire_uint32 with rng_excl = n
@@ -226,11 +281,11 @@ class Draws:
 
     def order(self, k):
         """A uniformly random permutation of range(k), as a list."""
-        return self.generator.permutation(k).tolist()
+        return self._numpy().permutation(k).tolist()
 
     def normal(self, mean, sd, loc=None):
         """Gaussian draw with the given mean and standard deviation."""
-        return float(self.generator.normal(mean, sd))
+        return float(self._numpy().normal(mean, sd))
 
 
 class _NoSource:

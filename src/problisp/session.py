@@ -1,9 +1,10 @@
 """A session ties together environment, concept store, rules and seeding.
 
 Top-level rejection-query forms run through the batch sampler (one rng
-stream per sample index, derived from (seed, query-ordinal, index), each set
-in turn on the generator of one draw object the session makes once); all
-other top-level forms consume the session's own stream.  Resetting the seed
+stream per sample index, derived from (seed, query-ordinal, index) and set
+on the generator of one draw object the session makes once, at the sample's
+first draw, so a sample that draws nothing derives no stream); all other
+top-level forms consume the session's own stream.  Resetting the seed
 restores both, so identical inputs replay identically.
 """
 

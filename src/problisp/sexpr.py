@@ -193,6 +193,12 @@ _ATOM_NODES = {
 }
 
 
+# the deepest list nesting the reader accepts.  The reader, the compiler, the
+# scope walker and `print_expr` recurse over the tree, and at this depth they
+# all fit in Python's default recursion limit of 1000; the prelude nests 6.
+MAX_NESTING = 100
+
+
 def parse(text):
     """Parse source text into a list of expression trees."""
     tokens = tokenize(text)
@@ -212,9 +218,11 @@ def parse_one(text):
     return forms[0]
 
 
-def _read(tokens, pos):
+def _read(tokens, pos, depth=1):
     tok = tokens[pos]
     if tok.kind == "(":
+        if depth > MAX_NESTING:
+            raise ParseError(f"lists nested deeper than {MAX_NESTING} levels", tok.loc)
         items = []
         pos += 1
         while True:
@@ -223,7 +231,7 @@ def _read(tokens, pos):
                                  incomplete=True)
             if tokens[pos].kind == ")":
                 return SList(tuple(items), tok.loc), pos + 1
-            expr, pos = _read(tokens, pos)
+            expr, pos = _read(tokens, pos, depth + 1)
             items.append(expr)
     if tok.kind == ")":
         raise ParseError("unmatched ')'", tok.loc)

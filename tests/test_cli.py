@@ -3,6 +3,7 @@ import json
 import pytest
 
 from problisp import Pair, histogram
+from problisp.sexpr import MAX_NESTING
 
 from conftest import PROGRAMS, run_cli
 
@@ -76,6 +77,25 @@ def test_eval_error_exit_1(tmp_path):
     r = run_cli(p)
     assert r.returncode == 1
     assert "unbound symbol" in r.stderr
+
+
+def test_recursion_overflow_exit_1_with_location(tmp_path):
+    p = tmp_path / "deep.lisp"
+    p.write_text("(define f (lambda (n) (if (= n 0) 0 (+ 1 (f (- n 1))))))\n(f 100000)\n")
+    r = run_cli(p)
+    assert r.returncode == 1
+    assert r.stderr == f"problisp: {p}: line 1, column 42: recursion depth exceeded\n"
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 16_000])
+def test_nesting_past_the_limit_exit_1_with_location(tmp_path, depth):
+    p = tmp_path / "nested.lisp"
+    p.write_text("(+ 1 " * depth + "1" + ")" * depth + "\n")
+    r = run_cli(p)
+    assert r.returncode == 1
+    column = 1 + 5 * MAX_NESTING
+    assert r.stderr == (f"problisp: {p}: line 1, column {column}: "
+                        f"lists nested deeper than {MAX_NESTING} levels\n")
 
 
 def test_zero_probability_exit_2(tmp_path):

@@ -131,6 +131,23 @@ def test_deep_recursion_is_reported_not_fatal():
         sys.setrecursionlimit(limit)
 
 
+def test_recursion_overflow_reports_the_call():
+    # the error names the nested closure call that ran out of stack
+    import sys
+
+    from problisp.cli import RECURSION_LIMIT
+
+    src = "(define f (lambda (n) (if (= n 0) 0 (+ 1 (f (- n 1))))))\n(f 100000)"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(RECURSION_LIMIT)
+    try:
+        with pytest.raises(EvalError, match="recursion depth exceeded") as exc:
+            ev(src)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (exc.value.loc.line, exc.value.loc.column) == (1, 42)
+
+
 def test_library_leaves_the_recursion_limit_alone():
     import sys
 

@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from problisp import (EvalContext, EvalError, ExhaustionError, QuerySpec,
                       derive_rng, parse_one, rejection_query, run_samples,
                       standard_env)
+from problisp.rng import Draws
 
 from _lang import satisfaction_set
 
@@ -150,3 +153,94 @@ def test_conditional_distribution_matches_enumeration(src, supports, query_var):
         p = mass / total
         sd = math.sqrt(p * (1 - p) / n)
         assert abs(counts[value] / n - p) < 4 * sd
+
+
+# A sample's stream is installed at its first draw.  Each query of
+# `_FIRST_DRAWS` has a draw-free prefix and then draws first through one
+# `Draws` path: `integer` below and above 2**32, `flip`, `choose` (a two-link
+# concept), `order` (a two-concept template) and `normal`.  The queries of
+# `_DRAW_FREE` draw nothing at all: `(random-integer 1)` takes no bits.
+_KNOWLEDGE = ("(concept coin) (is-a 0 coin) (is-a 1 coin)"
+              " (concept pair) (is-a (list coin coin) pair)")
+_FIRST_DRAWS = ("(random-integer 10)", "(random-integer (* 4294967296 3))", "(flip 0.3)",
+                "(sample coin)", "(sample pair)", "(normal 0 1)")
+_DRAW_FREE = ("5", "(random-integer 1)")
+_STREAM_BLOCK = 1024   # indices per `stream_states` call
+
+
+def _lazy_query(first, prefix):
+    defs = " ".join(f"(define a{k} (+ {k} 1))" for k in range(prefix))
+    return _spec(f"(rejection-query {defs} (define x {first}) (list x {prefix}) #t)")
+
+
+@pytest.fixture(scope="module")
+def knowledge():
+    from problisp import Session
+
+    s = Session(seed=0)
+    s.run_text(_KNOWLEDGE)
+    return s.env, EvalContext(snapshot=s.store.snapshot(), global_env=s.env)
+
+
+def _count_stream_states(monkeypatch):
+    from problisp import inference
+
+    calls = []
+    real = inference.stream_states
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(inference, "stream_states", counted)
+    return calls
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_FIRST_DRAWS + _DRAW_FREE), st.integers(0, 2),
+       st.sampled_from((1, 2, 1030)), st.lists(st.integers(0, 1 << 40), min_size=1,
+                                              max_size=3).map(tuple))
+def test_lazy_streams_draw_like_fresh_generators(knowledge, first, prefix, n, seed):
+    env, ctx = knowledge
+    spec = _lazy_query(first, prefix)
+    batch = run_samples(spec, n, env, seed=seed, ctx=ctx).samples
+    # a reused draw object whose own state is not a sample stream's
+    assert run_samples(spec, n, env, seed=seed, ctx=ctx,
+                       rng=Draws(derive_rng(1))).samples == batch
+    for i in range(n) if n < 1030 else (0, 1, 1023, 1024, 1029):
+        assert rejection_query(spec, env, derive_rng(*seed, i), ctx=ctx) == batch[i]
+
+
+@pytest.mark.parametrize("first", _FIRST_DRAWS + _DRAW_FREE)
+def test_streams_derived_only_for_samples_that_draw(knowledge, monkeypatch, first):
+    env, ctx = knowledge
+    calls = _count_stream_states(monkeypatch)
+    spec = _lazy_query(first, 1)
+    for n in (1, 1030, 2049):
+        calls.clear()
+        run_samples(spec, n, env, seed=(3, n), ctx=ctx)
+        assert len(calls) == (0 if first in _DRAW_FREE else -(-n // _STREAM_BLOCK))
+
+
+def test_no_stream_pending_after_return_or_exhaustion(monkeypatch):
+    # after run_samples the draw object draws on from its generator's state,
+    # whether the last sample drew nothing or the batch ran out of attempts
+    env = standard_env()
+    calls = _count_stream_states(monkeypatch)
+    draws, twin = Draws(derive_rng(99)), derive_rng(99)
+    run_samples(_spec("(rejection-query (define x 5) x #t)"), 3, env, seed=4, rng=draws)
+    assert calls == []
+    assert [draws.integer(1000) for _ in range(5)] == \
+        [int(twin.integers(0, 1000)) for _ in range(5)]
+
+    spec = _spec("(rejection-query (define x (random-integer 10)) x (< x 8))")
+    with pytest.raises(ExhaustionError) as exc:
+        run_samples(spec, 50, env, seed=6, max_attempts=1, rng=draws)
+    assert 0 < len(exc.value.partial.samples) < 50
+    twin.bit_generator.state = draws.generator.bit_generator.state
+    assert draws.flip(0.5) == (twin.random() < 0.5)
+    # the next query starts lazy again: a draw-free one derives no stream
+    calls.clear()
+    run_samples(_spec("(rejection-query (define x 5) x #t)"), 2000, env, seed=4, rng=draws)
+    assert calls == []
+    assert draws.normal(0, 1) == float(twin.normal(0, 1))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from problisp import LexError, ParseError, parse, parse_one, print_expr, tokenize
-from problisp.sexpr import Boolean, Integer, Real, SList, Symbol, Text, slist
+from problisp.sexpr import MAX_NESTING, Boolean, Integer, Real, SList, Symbol, Text, slist
 
 
 def test_tokenize_simple():
@@ -86,6 +86,51 @@ def test_unbalanced_parens():
     assert "line 1, column 1" in str(exc.value)
     with pytest.raises(ParseError) as exc:
         parse("(foo))")
+    assert not exc.value.incomplete
+
+
+def _nested(depth, inner="1"):
+    """`(+ 1 (+ 1 ... inner))`, `depth` lists deep."""
+    return "(+ 1 " * depth + inner + ")" * depth
+
+
+def test_nesting_at_the_limit_runs_at_the_default_recursion_limit():
+    # parse, evaluate, print and rewrite a program nested exactly
+    # MAX_NESTING deep within Python's default recursion limit
+    import sys
+
+    from problisp import Session, rules_path
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        form, = parse(_nested(MAX_NESTING))
+        assert print_expr(form) == _nested(MAX_NESTING)
+        session = Session(seed=0)
+        assert session.eval_form(form).value == 1 + MAX_NESTING
+        # the query and `=` are two lists, the sum makes up the rest; the
+        # session runs `optimize_query_detail` on the query's condition
+        deep_sum = "(+ 0 " * (MAX_NESTING - 2) + "9" + ")" * (MAX_NESTING - 2)
+        query, = parse("(rejection-query (define x (random-integer 10)) x "
+                       f"(= (+ x 5) {deep_sum}))")
+        session.load_file(rules_path())
+        result = session.eval_form(query)
+        assert result.optimize.fired
+        assert print_expr(result.optimize.spec.definitions[0]) == "(define x 4)"
+        assert result.report.samples == (4,)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_nesting_past_the_limit_is_a_located_parse_error():
+    for depth in (MAX_NESTING + 1, 16_000):
+        with pytest.raises(ParseError) as exc:
+            parse("\n " + _nested(depth))
+        assert not exc.value.incomplete
+        assert (exc.value.loc.line, exc.value.loc.column) == (2, 2 + 5 * MAX_NESTING)
+    # an unclosed program that deep is refused too, not read as incomplete
+    with pytest.raises(ParseError) as exc:
+        parse("(+ 1 " * 16_000)
     assert not exc.value.incomplete
 
 
