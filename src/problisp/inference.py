@@ -19,6 +19,7 @@ stream.  Each index draws exactly the bytes a fresh
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, replace
 
@@ -112,23 +113,19 @@ def _stream_states(path, n):
     """`states(i)`: the state of `derive_rng(*path, i)` for i in range(n),
     computed with the rest of its block when one of the block is first
     asked for."""
-    block = [None, ()]   # start index, states
-
-    def states(i):
-        start = i - i % _STATE_BLOCK
-        if block[0] != start:
-            block[:] = start, stream_states(path, start, min(n, start + _STATE_BLOCK))
-        return block[1][i - start]
-    return states
+    block = functools.lru_cache(1)(lambda start: stream_states(path, start,
+                                                               min(n, start + _STATE_BLOCK)))
+    return lambda i: block(i - i % _STATE_BLOCK)[i % _STATE_BLOCK]
 
 
 def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=None,
                 rng=None):
     """Draw n accepted samples, one independent rng stream per sample index.
     The streams are set on `rng`, a numpy Generator or a `Draws`, whose own
-    state is overwritten; without one, a generator is made for the purpose.
-    Each sample's stream is installed at its first draw, and no stream is
-    left pending on return."""
+    state is overwritten when a sample draws and left as it was when none
+    does; without one, a generator is made for the purpose.  Each sample's
+    stream is installed at its first draw, and no stream is left pending on
+    return."""
     if n < 1:
         raise EvalError("sample count must be at least 1")
     path = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)

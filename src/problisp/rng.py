@@ -193,15 +193,12 @@ class Draws:
     it, so a sample that draws nothing costs no stream state at all.  While
     a stream is pending, `_uint32` and `_double` point at installing
     trampolines that put the C functions back, so the fast paths check
-    nothing per draw.  The samples of one query run the same code up to
-    their first draw, so once one of them has drawn, all of them do: from
-    then on until `settle`, `pend` sets each state at once.  `settle` ends
-    the query and drops a pending stream.  Nothing else sets the
-    generator's state.
+    nothing per draw.  `settle` drops a pending stream.  Nothing else sets
+    the generator's state.
     """
 
     __slots__ = ("generator", "_uint32", "_double", "_state", "_next_uint32",
-                 "_next_double", "_pending", "_drawn")
+                 "_next_double", "_pending")
 
     def __init__(self, generator):
         # holding the generator keeps the state address valid; setting
@@ -214,25 +211,19 @@ class Draws:
 
     def pend(self, states, i):
         """Draw next from the stream whose bit generator state is
-        `states(i)`: set on the generator at the next draw, or at once if a
-        stream pended since the last `settle` has been drawn from."""
-        if self._drawn:
-            self.generator.bit_generator.state = states(i)
-        else:
-            self._pending = states, i
-            self._uint32, self._double = self._install_uint32, self._install_double
+        `block()[k]`, set on the generator at the next draw."""
+        self._pending = states, i
+        self._uint32, self._double = self._install_uint32, self._install_double
 
     def settle(self):
         """Drop any pending stream and draw on from the generator's state."""
         self._pending = None
-        self._drawn = False
         self._uint32, self._double = self._next_uint32, self._next_double
 
     def _install(self):
         states, i = self._pending
         self.generator.bit_generator.state = states(i)
         self.settle()
-        self._drawn = True
 
     def _install_uint32(self, state):
         self._install()

@@ -239,7 +239,7 @@ def test_no_stream_pending_after_return_or_exhaustion(monkeypatch):
     assert 0 < len(exc.value.partial.samples) < 50
     twin.bit_generator.state = draws.generator.bit_generator.state
     assert draws.flip(0.5) == (twin.random() < 0.5)
-    # the next query starts lazy again: a draw-free one derives no stream
+    # a later draw-free query derives no stream
     calls.clear()
     run_samples(_spec("(rejection-query (define x 5) x #t)"), 2000, env, seed=4, rng=draws)
     assert calls == []

@@ -94,30 +94,70 @@ def _nested(depth, inner="1"):
     return "(+ 1 " * depth + inner + ")" * depth
 
 
-def test_nesting_at_the_limit_runs_at_the_default_recursion_limit():
-    # parse, evaluate, print and rewrite a program nested exactly
-    # MAX_NESTING deep within Python's default recursion limit
+def _depth(expr):
+    """How many lists deep `expr` nests."""
+    if expr.__class__ is not SList:
+        return 0
+    return 1 + max(map(_depth, expr.items), default=0)
+
+
+def _nested_lambdas(depth):
+    levels = (depth - 1) // 2   # two lists per level, then a deepest body
+    body = "(+ x (+ 1 0))" if depth % 2 == 0 else "(+ x 1)"
+    return "((lambda (x) " * levels + body + ") (+ x 1))" * levels, str(levels + 1)
+
+
+def _quoted(depth):
+    data = "(1 " * (depth - 2) + "(1)" + ")" * (depth - 2)
+    return f"(quote {data})", data
+
+
+# programs exactly `depth` lists deep, each with its printed value when x is 0
+_SHAPES = {
+    "call": lambda depth: (_nested(depth), str(depth + 1)),
+    "let": lambda depth: ("(let ((x (+ x 1))) " * (depth - 3) + "x" + ")" * (depth - 3),
+                          str(depth - 3)),
+    "lambda": _nested_lambdas,
+    "if": lambda depth: ("(if (= x 0) " * (depth - 1) + "1" + " 0)" * (depth - 1), "1"),
+    "quote": _quoted,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_nesting_at_the_limit_runs_at_the_default_recursion_limit(shape):
+    # parse, print, evaluate (as a form and as a query's value) and rewrite
+    # (as a query's condition) programs nested exactly MAX_NESTING deep
+    # within Python's default recursion limit
     import sys
 
-    from problisp import Session, rules_path
+    from problisp import QuerySpec, Session, optimize_query_detail, rules_path
+    from problisp.values import format_value
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        form, = parse(_nested(MAX_NESTING))
-        assert print_expr(form) == _nested(MAX_NESTING)
+        text, value = _SHAPES[shape](MAX_NESTING)
+        form, = parse(text)
+        assert _depth(form) == MAX_NESTING
+        assert print_expr(form) == text
         session = Session(seed=0)
-        assert session.eval_form(form).value == 1 + MAX_NESTING
-        # the query and `=` are two lists, the sum makes up the rest; the
-        # session runs `optimize_query_detail` on the query's condition
-        deep_sum = "(+ 0 " * (MAX_NESTING - 2) + "9" + ")" * (MAX_NESTING - 2)
-        query, = parse("(rejection-query (define x (random-integer 10)) x "
-                       f"(= (+ x 5) {deep_sum}))")
+        session.run_text("(define x 0)")
+        assert format_value(session.eval_form(form).value) == value
+        # the query list holds the query value one level down
+        text, value = _SHAPES[shape](MAX_NESTING - 1)
+        query, = parse(f"(rejection-query (define y (random-integer 3)) {text} #t)")
+        assert _depth(query) == MAX_NESTING
+        assert [format_value(v) for v in session.eval_form(query).report.samples] == [value]
+        # the query and `=` are two lists, the condition's right side the rest
         session.load_file(rules_path())
-        result = session.eval_form(query)
-        assert result.optimize.fired
-        assert print_expr(result.optimize.spec.definitions[0]) == "(define x 4)"
-        assert result.report.samples == (4,)
+        text, value = _SHAPES[shape](MAX_NESTING - 2)
+        query, = parse(f"(rejection-query (define x (random-integer 1000)) x (= x {text}))")
+        assert _depth(query) == MAX_NESTING
+        outcome = optimize_query_detail(QuerySpec.from_form(query), tuple(session.rules))
+        if shape == "call":
+            assert outcome.fired
+            assert print_expr(outcome.spec.definitions[0]) == f"(define x {value})"
+            assert session.eval_form(query).report.samples == (int(value),)
     finally:
         sys.setrecursionlimit(limit)
 
