@@ -211,7 +211,7 @@ class Draws:
 
     def pend(self, states, i):
         """Draw next from the stream whose bit generator state is
-        `block()[k]`, set on the generator at the next draw."""
+        `states(i)`, set on the generator at the next draw."""
         self._pending = states, i
         self._uint32, self._double = self._install_uint32, self._install_double
 

@@ -4,28 +4,54 @@ The surface syntax is a small Scheme subset: parenthesised lists, symbols,
 integer and real literals, ``#t``/``#f`` booleans, double-quoted strings,
 and ``;`` comments running to end of line.  Pattern variables such as ``$A``
 are ordinary symbols to the reader.  Every node carries an optional source
-location that never participates in equality, hashing or printing.
+location that never participates in equality, hashing or printing.  Nodes,
+tokens and locations are immutable by convention but not frozen dataclasses,
+which cost two to three times as much to build (see `SExpr`).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from math import isinf
+from operator import attrgetter
 
 from .errors import LexError, ParseError
 
 
-@dataclass(frozen=True, slots=True)
-class Location:
-    line: int
-    column: int
+class _Record:
+    """`==` (same class only), hash and repr as a frozen dataclass over `_fields`."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self._key(self), self._key(other)
+        return a is b or a == b  # as a tuple compares its items
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({shown})"
+
+
+class Location(_Record):
+    __slots__ = _fields = ("line", "column")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, line, column):
+        self.line, self.column = line, column
 
     def __str__(self):
         return f"line {self.line}, column {self.column}"
 
 
-class SExpr:
-    """Base class for expression nodes; instances are immutable."""
+class SExpr(_Record):
+    """Base class for expression nodes; immutable by convention.  Not a frozen
+    dataclass, whose `__init__` sets each field through `object.__setattr__`:
+    the reader builds one node per token and the solver one per rewrite."""
 
     __slots__ = ()
 
@@ -33,43 +59,50 @@ class SExpr:
         return print_expr(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Symbol(SExpr):
-    name: str
-    loc: Location | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "loc")
+    _fields = ("name",)
+    _key = attrgetter(*_fields)
+
+    def __init__(self, name, loc=None):
+        self.name, self.loc = name, loc
 
     def is_pattern_var(self):
         return self.name.startswith("$")
 
 
-@dataclass(frozen=True, slots=True)
-class Integer(SExpr):
-    value: int
-    loc: Location | None = field(default=None, compare=False, repr=False)
+class _Literal(SExpr):
+    __slots__ = ("value", "loc")
+    _fields = ("value",)
+    _key = attrgetter(*_fields)
+
+    def __init__(self, value, loc=None):
+        self.value, self.loc = value, loc
 
 
-@dataclass(frozen=True, slots=True)
-class Real(SExpr):
-    value: float
-    loc: Location | None = field(default=None, compare=False, repr=False)
+class Integer(_Literal):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Boolean(SExpr):
-    value: bool
-    loc: Location | None = field(default=None, compare=False, repr=False)
+class Real(_Literal):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Text(SExpr):
-    value: str
-    loc: Location | None = field(default=None, compare=False, repr=False)
+class Boolean(_Literal):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+class Text(_Literal):
+    __slots__ = ()
+
+
 class SList(SExpr):
-    items: tuple
-    loc: Location | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("items", "loc")
+    _fields = ("items",)
+    _key = attrgetter(*_fields)
+
+    def __init__(self, items, loc=None):
+        self.items, self.loc = items, loc
 
     def __len__(self):
         return len(self.items)
@@ -85,12 +118,16 @@ def slist(*items, loc=None):
     return SList(tuple(items), loc)
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # "(" | ")" | "symbol" | "integer" | "real" | "boolean" | "string"
-    text: str
-    value: object
-    loc: Location
+class Token(_Record):
+    # kind: "(" | ")" | "symbol" | "integer" | "real" | "boolean" | "string"
+    __slots__ = _fields = ("kind", "text", "value", "loc")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, kind, text, value, loc):
+        self.kind = kind
+        self.text = text
+        self.value = value
+        self.loc = loc
 
 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
@@ -102,16 +139,19 @@ _DELIMS = frozenset(' \t\r\n()";')
 
 
 def _classify(text, loc):
-    if _INT_RE.match(text):
-        return Token("integer", text, int(text), loc)
-    if _REAL_RE.match(text):
-        return Token("real", text, float(text), loc)
-    if text == "#t":
-        return Token("boolean", text, True, loc)
-    if text == "#f":
-        return Token("boolean", text, False, loc)
-    if text.startswith("#"):
-        raise LexError(f"unknown literal '{text}'", loc)
+    if text[0] in "+-.0123456789#":  # any other first character makes a symbol
+        if _INT_RE.match(text):
+            return Token("integer", text, int(text), loc)
+        if _REAL_RE.match(text):
+            if isinf(value := float(text)):
+                raise LexError("real literal out of range", loc)
+            return Token("real", text, value, loc)
+        if text == "#t":
+            return Token("boolean", text, True, loc)
+        if text == "#f":
+            return Token("boolean", text, False, loc)
+        if text.startswith("#"):
+            raise LexError(f"unknown literal '{text}'", loc)
     return Token("symbol", text, text, loc)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import string
 
 import pytest
@@ -5,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from problisp import LexError, ParseError, parse, parse_one, print_expr, tokenize
-from problisp.sexpr import MAX_NESTING, Boolean, Integer, Real, SList, Symbol, Text, slist
+from problisp.sexpr import (MAX_NESTING, Boolean, Integer, Location, Real, SList, Symbol,
+                            Text, Token, slist)
+
+from conftest import REPO
 
 
 def test_tokenize_simple():
@@ -191,6 +195,74 @@ def test_locations_do_not_affect_equality_or_printing():
     assert hash(a.items[0]) == hash(b.items[0])
 
 
+def test_node_equality_ignores_loc_and_needs_the_same_class():
+    here, there = Location(1, 1), Location(7, 3)
+    for node, twin in [(Symbol("x", here), Symbol("x", there)),
+                       (Integer(1, here), Integer(1)),
+                       (Real(2.5, here), Real(2.5, there)),
+                       (Boolean(True, here), Boolean(True, there)),
+                       (Text("s", here), Text("s")),
+                       (slist(Symbol("f"), Integer(1), loc=here), SList((Symbol("f"), Integer(1))))]:
+        assert node == twin and not node != twin
+        assert hash(node) == hash(twin)
+    # equal values under different classes stay unequal
+    assert Integer(1) != Real(1.0) and Integer(1) != Boolean(True)
+    assert Real(1.0) != Boolean(True) and Integer(0) != Boolean(False)
+    assert Symbol("a") != Text("a") and SList(()) != Symbol("()")
+    assert Symbol("x") != Symbol("y") and SList((Integer(1),)) != SList((Integer(2),))
+    assert Location(1, 2) == Location(1, 2) and Location(1, 2) != Location(2, 1)
+    assert Location(1, 2) != (1, 2) and Symbol("x") != "x"
+
+
+def test_node_fields_compare_and_hash_as_a_tuple_does():
+    # the frozen dataclasses compared `(field,)` tuples, which try `is` first
+    nan = float("nan")
+    assert Real(nan) == Real(nan)
+    assert Real(nan) != Real(float("nan"))
+    assert hash(Symbol("x")) == hash(("x",))
+    assert hash(SList((Integer(1),))) == hash(((Integer(1),),))
+    assert hash(Location(3, 4)) == hash((3, 4))
+    token = tokenize("x")[0]
+    assert token == Token("symbol", "x", "x", Location(1, 1))
+    assert hash(token) == hash(("symbol", "x", "x", Location(1, 1)))
+    assert token != tokenize(" x")[0]   # a token's location takes part in equality
+
+
+def test_equal_nodes_are_interchangeable_dict_and_set_keys():
+    a, b = parse("(f x 1 2.0 #t \"s\") (f x 1 2.0 #t \"s\")")
+    assert a is not b and {a: "a"}[b] == "a"
+    assert len({a, b, *a.items, *b.items}) == 7
+    assert {Integer(1), Real(1.0), Boolean(True)} == {Boolean(True), Real(1.0), Integer(1)}
+    assert len({Integer(1), Real(1.0), Boolean(True)}) == 3
+
+
+def test_node_repr_and_location_text():
+    assert repr(Symbol("x", Location(1, 2))) == "Symbol(name='x')"
+    assert repr(parse_one("(f 1 2.5 #f \"a\")")) == (
+        "SList(items=(Symbol(name='f'), Integer(value=1), Real(value=2.5), "
+        "Boolean(value=False), Text(value='a')))")
+    assert repr(Location(3, 14)) == "Location(line=3, column=14)"
+    assert str(Location(3, 14)) == "line 3, column 14"
+    assert repr(tokenize("5")[0]) == (
+        "Token(kind='integer', text='5', value=5, loc=Location(line=1, column=1))")
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "+1.5e309", "9" * 400 + ".0"],
+                         ids=["1e400", "-1e400", "+1.5e309", "400 nines"])
+def test_real_literal_out_of_range_is_a_located_lex_error(literal):
+    with pytest.raises(LexError) as exc:
+        parse(f"(define x\n  {literal})")
+    assert "real literal out of range" in str(exc.value)
+    assert (exc.value.loc.line, exc.value.loc.column) == (2, 3)
+
+
+def test_real_literal_underflow_reads_as_zero():
+    assert parse_one("1e-400") == Real(0.0)
+    assert parse_one("-1e-400") == Real(-0.0)
+    assert print_expr(parse_one("1e308")) == "1e+308"
+    assert parse_one(print_expr(parse_one("1e308"))) == Real(1e308)
+
+
 _symbols = st.one_of(
     st.sampled_from(["+", "-", "*", "=", "<", ">", "x", "pi", "null?",
                      "foo-bar", "$A", "$rest!"]),
@@ -216,3 +288,33 @@ _exprs = st.recursive(
 @given(_exprs)
 def test_roundtrip_parse_print(expr):
     assert parse_one(print_expr(expr)) == expr
+
+
+# sha256 of (class, value, line, column) for every node `parse` gives on the
+# shipped sources, recorded with the frozen-dataclass reader before the nodes
+# became plain slotted classes.  It must not change when only the reader's
+# internals change.
+READER_PIN_FILES = ["programs/arith_query.lisp", "programs/knowledge_sampling.lisp",
+                    "programs/two_queries.lisp", "src/problisp/data/prelude.lisp",
+                    "src/problisp/data/rules.lisp"]
+READER_PIN = (222, "da0c5e0071b05583ceb14cbe92a253f64fa2857607bd271e594eb4da48bbc288")
+
+
+def _node_rows(node, rows):
+    value = node.name if type(node) is Symbol else getattr(node, "value", None)
+    rows.append(repr((type(node).__name__, value, node.loc.line, node.loc.column)))
+    if type(node) is SList:
+        for item in node.items:
+            _node_rows(item, rows)
+
+
+def test_reader_output_on_shipped_sources_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for name in READER_PIN_FILES:
+        rows = []
+        for form in parse((REPO / name).read_text()):
+            _node_rows(form, rows)
+        count += len(rows)
+        digest.update(("\n".join([name] + rows) + "\n").encode())
+    assert (count, digest.hexdigest()) == READER_PIN
