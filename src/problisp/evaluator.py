@@ -21,10 +21,19 @@ target a frame between the use and the root, even after the use).  This is
 sound because a root binding never changes: `Env.define` refuses to rebind.
 Every other symbol is looked up when it runs, and so is every symbol of code
 compiled for a frame below the root, since later forms may extend the frames
-between.  Known global primitives are called directly, and `+ - * = < >` on
-two numbers skip the argument list.  A closure call in tail position returns
-a tail call for the caller's loop, so tail recursion runs in constant Python
-stack.
+between.  A closure call in tail position returns a tail call for the
+caller's loop, so tail recursion runs in constant Python stack.
+
+Hot call shapes are specialized, each to exactly the values, draws, errors
+and locations of the generic path it skips.  A symbol read probes its own
+frame before `_lookup` walks the parents, which is the order `_lookup`
+takes.  A closure call with one argument skips the comprehension, and a
+one-parameter closure's frame is the dict `zip` would build.  A known
+global primitive is called directly; a one-argument `flip` or
+`random-integer` calls the checking draw its primitive would call, with the
+same random source and location.  `+ - * = < >` on two numbers apply the
+primitive's own two-argument fold, with a numeric literal operand held in
+the code; any other operand, or an overflow, goes to the primitive.
 
 A single Env/rng pair must not be shared across concurrent evaluations;
 distinct evaluations with distinct Env and rng instances are safe to run in
@@ -172,6 +181,7 @@ def _sequence(codes):
 # -- compiling ------------------------------------------------------------------
 
 _NUMERIC = frozenset([int, float])   # exact classes; bool takes the primitive
+_NUMBER_NODES = frozenset([Integer, Real])   # literals whose values are in _NUMERIC
 
 # two-argument arithmetic on numbers, exactly as the primitives fold it
 _BINARY = {
@@ -255,13 +265,14 @@ class _Compiler:
         loc = sym.loc
 
         def run(env, ctx):
-            v = _lookup(env, name)
-            if v is not _MISSING:
-                return v
-            cid = _concept_lookup(ctx, name)
-            if cid is not None:
-                return cid
-            raise error(message.format(name), loc)
+            v = env.frame.get(name, _MISSING)
+            if v is _MISSING:
+                v = _lookup(env.parent, name)
+                if v is _MISSING:
+                    v = _concept_lookup(ctx, name)
+                    if v is None:
+                        raise error(message.format(name), loc)
+            return v
         return run
 
     def if_form(self, expr, path, tail):
@@ -389,12 +400,13 @@ class _Compiler:
         head = items[0]
         fn = self.resolve(head, path + (0,))[1] if head.__class__ is Symbol else _MISSING
         if fn.__class__ is Primitive and _PRIMITIVES.get(fn.name) is fn.fn:
-            return _primitive_call(fn, codes, loc)
+            return _primitive_call(fn, codes, items[1:], loc)
         op_code = self.expr(head, path + (0,))
+        single = codes[0] if len(codes) == 1 else None
 
         def run(env, ctx):
             fn = op_code(env, ctx)
-            args = [c(env, ctx) for c in codes]
+            args = [single(env, ctx)] if single is not None else [c(env, ctx) for c in codes]
             call_loc = loc
             while True:   # runs the tail calls that closure bodies return
                 c = fn.__class__
@@ -408,8 +420,9 @@ class _Compiler:
                 if len(args) != len(params):
                     raise EvalError(f"closure expects {len(params)} arguments, "
                                     f"got {len(args)}", call_loc)
+                frame = {params[0]: args[0]} if len(params) == 1 else dict(zip(params, args))
                 try:
-                    result = fn.body(Env(fn.env, dict(zip(params, args))), ctx)
+                    result = fn.body(Env(fn.env, frame), ctx)
                 except RecursionError:
                     # the nested call that ran out of Python stack; raising
                     # may itself run out, and then a caller reports it
@@ -420,23 +433,53 @@ class _Compiler:
         return run
 
 
-def _primitive_call(prim, codes, loc):
-    """Code calling a standard primitive known when compiling."""
+def _primitive_call(prim, codes, nodes, loc):
+    """Code calling a standard primitive known when compiling, on the
+    argument codes `codes` compiled from the nodes `nodes`."""
     fn = prim.fn
     if len(codes) == 1:
         a, = codes
+        if prim.name == "flip" or prim.name == "random-integer":
+            # the primitive's own checking draw, read from the module globals
+            # as the primitive reads it
+            draw = flip if prim.name == "flip" else random_integer
+            return lambda env, ctx: draw(a(env, ctx), ctx.rng, loc)
         return lambda env, ctx: fn([a(env, ctx)], ctx, loc)
     binary = _BINARY.get(prim.name) if len(codes) == 2 else None
     if binary is None:
         return lambda env, ctx: fn([c(env, ctx) for c in codes], ctx, loc)
     a, b = codes
-
-    def run(env, ctx):
-        x = a(env, ctx)
-        y = b(env, ctx)
-        if x.__class__ in _NUMERIC and y.__class__ in _NUMERIC:
-            return binary(x, y)
-        return fn([x, y], ctx, loc)
+    # what the fast path does not take, an overflow included, goes to the
+    # primitive, which checks it and reports the error
+    lit_a, lit_b = (n.value if n.__class__ in _NUMBER_NODES else _MISSING for n in nodes)
+    if lit_b is not _MISSING:
+        def run(env, ctx):
+            x = a(env, ctx)
+            if x.__class__ in _NUMERIC:
+                try:
+                    return binary(x, lit_b)
+                except OverflowError:
+                    pass
+            return fn([x, lit_b], ctx, loc)
+    elif lit_a is not _MISSING:
+        def run(env, ctx):
+            y = b(env, ctx)
+            if y.__class__ in _NUMERIC:
+                try:
+                    return binary(lit_a, y)
+                except OverflowError:
+                    pass
+            return fn([lit_a, y], ctx, loc)
+    else:
+        def run(env, ctx):
+            x = a(env, ctx)
+            y = b(env, ctx)
+            if x.__class__ in _NUMERIC and y.__class__ in _NUMERIC:
+                try:
+                    return binary(x, y)
+                except OverflowError:
+                    pass
+            return fn([x, y], ctx, loc)
     return run
 
 
@@ -606,12 +649,20 @@ def _need_numbers(args, name, loc):
             raise EvalError(f"{name} expects numbers, got {format_value(a)}", loc)
 
 
+def _accumulate(total, args, step, name, loc):
+    """`total` stepped through `args` from the left; a number too large for
+    a float is a language error."""
+    try:
+        for a in args:
+            total = step(total, a)
+    except OverflowError:
+        raise EvalError(f"arithmetic overflow in {name}", loc) from None
+    return total
+
+
 def _prim_add(args, ctx, loc):
     _need_numbers(args, "+", loc)
-    total = 0
-    for a in args:
-        total += a
-    return total
+    return _accumulate(0, args, operator.add, "+", loc)
 
 
 def _prim_sub(args, ctx, loc):
@@ -620,18 +671,12 @@ def _prim_sub(args, ctx, loc):
     _need_numbers(args, "-", loc)
     if len(args) == 1:
         return -args[0]
-    total = args[0]
-    for a in args[1:]:
-        total -= a
-    return total
+    return _accumulate(args[0], args[1:], operator.sub, "-", loc)
 
 
 def _prim_mul(args, ctx, loc):
     _need_numbers(args, "*", loc)
-    total = 1
-    for a in args:
-        total *= a
-    return total
+    return _accumulate(1, args, operator.mul, "*", loc)
 
 
 def _prim_eq(args, ctx, loc):

@@ -78,11 +78,13 @@ def _attempt_loop(spec, code, base_env, max_attempts, ctx):
     for attempt in range(1, max_attempts + 1):
         env = Env(base_env)
         try:
-            cond = evaluate(attempt_code, env, ctx)
+            cond = attempt_code(env, ctx)
         except ProblispError as err:
             err.message = f"{err.message} (attempt {attempt})"
             err.args = (err.message,)
             raise
+        except RecursionError:
+            raise EvalError(f"recursion depth exceeded (attempt {attempt})") from None
         if cond.__class__ is not bool:
             raise EvalError("query condition must evaluate to a boolean "
                             f"(attempt {attempt})", spec.condition.loc)

@@ -87,6 +87,24 @@ def test_recursion_overflow_exit_1_with_location(tmp_path):
     assert r.stderr == f"problisp: {p}: line 1, column 42: recursion depth exceeded\n"
 
 
+@pytest.mark.parametrize("program, error", [
+    ("(+ {big} 1.5)\n", "line 1, column 1: arithmetic overflow in +"),
+    ("(define x 2.5)\n(list (* {big} x))\n", "line 2, column 7: arithmetic overflow in *"),
+    ("(- 1 0.5 {big})\n", "line 1, column 1: arithmetic overflow in -"),
+    # with rewriting on, constant folding leaves the overflowing sum unfolded
+    ("(rejection-query (define x (random-integer 10)) x\n  (= (+ x (+ {big} 1.5)) 5))\n",
+     "line 2, column 11: arithmetic overflow in + (attempt 1)"),
+])
+@pytest.mark.parametrize("flags", [(), ("--no-rewrite",)])
+def test_arithmetic_overflow_exit_1_with_location(tmp_path, program, error, flags):
+    p = tmp_path / "overflow.lisp"
+    p.write_text(program.format(big=10 ** 400))
+    r = run_cli(p, *flags)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == f"problisp: {p}: {error}\n"
+
+
 @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 16_000])
 def test_nesting_past_the_limit_exit_1_with_location(tmp_path, depth):
     p = tmp_path / "nested.lisp"

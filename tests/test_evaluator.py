@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from problisp import (NIL, Env, EvalContext, EvalError, Pair, derive_rng, evaluate,
-                      format_value, parse, parse_one, standard_env)
+from problisp import (NIL, Env, EvalContext, EvalError, Pair, ProblispError, derive_rng,
+                      evaluate, format_value, parse, parse_one, standard_env)
 from problisp.rng import Draws, normal, random_integer
 from problisp.sexpr import Boolean, Integer, Real, SList, Symbol
 
@@ -416,3 +416,181 @@ def test_arithmetic_matches_python_fold(op, args):
         else:
             value = evaluate(form, env, EvalContext())
             assert format_value(value) == format_value(expected)
+
+
+# -- specialized call shapes against the generic path they skip ----------------
+#
+# A known global operator with a literal operand, a known one-argument draw and
+# a one-argument closure call each compile to a specialized shape; reaching the
+# same primitive through a variable, or the same closure through one more
+# parameter, takes the generic path.  Both must give the same value, draw the
+# same numbers and raise the same error at the same place.
+
+
+def _outcome(src, seed=5, rng=True):
+    """The last form's value as text, or the error's message and location,
+    and the next draw of the context's random stream."""
+    env = standard_env()
+    ctx = EvalContext(rng=derive_rng(seed) if rng else None, global_env=env)
+    try:
+        result = None
+        for form in parse(src):
+            result = evaluate(form, env, ctx)
+        outcome = format_value(result)
+    except ProblispError as err:
+        outcome = (err.message, err.loc.line, err.loc.column)
+    return outcome, (ctx.rng.integer(1 << 30) if rng else None)
+
+
+def _literal_text(v):
+    if v is True:
+        return "#t"
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+_LITERAL = st.one_of(
+    st.integers(-50, 50),
+    st.sampled_from([10 ** 30, -(10 ** 30), 10 ** 400, -(10 ** 400)]),
+    st.sampled_from([0.0, -0.0, 0.5, -2.5, 1e20, 1e308]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.just(True),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["+", "-", "*", "=", "<", ">"]), _LITERAL, _LITERAL, st.booleans())
+@example("+", -0.0, -0.0, True)
+@example("-", 10 ** 400, 1.5, True)
+@example("*", 0.5, 10 ** 400, False)
+@example("<", True, 1, False)
+@example("=", 1, True, True)
+def test_literal_operand_matches_the_primitive(op, lit, other, lit_first):
+    lit, other = _literal_text(lit), _literal_text(other)
+    args = f"{lit} v" if lit_first else f"v {lit}"
+    # literal operands, then two literals, against the primitive in a variable
+    assert (_outcome(f"(let ((v {other}))\n({op} {args}))")
+            == _outcome(f"(let ((f {op}) (v {other}))\n(f {args}))"))
+    assert (_outcome(f"(let ((v 0))\n({op} {lit} {other}))")
+            == _outcome(f"(let ((f {op}) (v 0))\n(f {lit} {other}))"))
+
+
+# each error is reported at the call that `at` starts
+@pytest.mark.parametrize("program, message, at", [
+    ("(+ {big} 1.5)", "arithmetic overflow in +", "(+"),
+    ("(list (- 0.5 {big}))", "arithmetic overflow in -", "(-"),
+    ("(let ((v 0.5)) (* v {big}))", "arithmetic overflow in *", "(*"),
+    ("(let ((v -{big})) (+ 1.5 v))", "arithmetic overflow in +", "(+"),
+    ("(let ((v {big}) (w 2.5)) (- v w))", "arithmetic overflow in -", "(-"),
+    ("(+ 1 {big} 1.5)", "arithmetic overflow in +", "(+"),
+    ("((lambda (f) (f {big} 1.5)) *)", "arithmetic overflow in *", "(f 1"),
+])
+def test_arithmetic_overflow_is_a_located_error(program, message, at):
+    program = program.format(big=10 ** 400)
+    with pytest.raises(EvalError) as exc:
+        ev(program)
+    assert exc.value.message == message
+    assert (exc.value.loc.line, exc.value.loc.column) == (1, program.index(at) + 1)
+
+
+@pytest.mark.parametrize("one, two", [
+    # a recursive draw loop, one parameter against two
+    ("(define g (lambda (p) (if (flip p) 0 (+ 1 (g p)))))\n(g 0.3)",
+     "(define g (lambda (p q) (if (flip p) 0 (+ 1 (g p q)))))\n(g 0.3 0)"),
+    # the same loop with the recursive call in tail position
+    ("(define h (lambda (n) (if (flip 0.4) n (h (+ n 1)))))\n(h 0)",
+     "(define h (lambda (n q) (if (flip 0.4) n (h (+ n 1) q))))\n(h 0 0)"),
+    # the argument draws after the operator and before the body
+    ("((lambda (x) (list x (random-integer 5))) (random-integer 9))",
+     "((lambda (x y) (list x (random-integer 5))) (random-integer 9) 0)"),
+    # a one-argument call of a primitive reached through a variable
+    ("(define g first)\n(g (list (flip 0.5) 2))",
+     "(define g (lambda (a b) (first a)))\n(g (list (flip 0.5) 2) 0)"),
+])
+def test_one_argument_closure_calls_match_two_argument_ones(one, two):
+    for seed in range(8):
+        assert _outcome(one, seed) == _outcome(two, seed)
+
+
+@pytest.mark.parametrize("program, message, at", [
+    ("((lambda (a) a))", "closure expects 1 arguments, got 0", "(("),
+    ("((lambda (a) a) 1 2)", "closure expects 1 arguments, got 2", "(("),
+    ("(list ((lambda (a b) a) 1))", "closure expects 2 arguments, got 1", "(("),
+    # tail calls: the caller's loop reports the call it was handed
+    ("(define k (lambda (n) ((lambda (a b) a) n))) (k 1)",
+     "closure expects 2 arguments, got 1", "(("),
+    ("(define k (lambda (n) (if #t (k) n))) (k 1)", "closure expects 1 arguments, got 0",
+     "(k)"),
+    ("(list (5 (flip 0.5)))", "not a function: 5", "(5"),
+])
+def test_closure_call_errors_keep_message_and_location(program, message, at):
+    outcome, _ = _outcome(program)
+    assert outcome == (message, 1, program.index(at) + 1)
+
+
+@pytest.mark.parametrize("name, arg", [
+    ("flip", "0.3"), ("flip", "1"), ("flip", "0"), ("flip", "0.5"),
+    ("random-integer", "7"), ("random-integer", "1"), ("random-integer", "10000000000"),
+    # errors: a bad probability or bound, checked before anything is drawn
+    ("flip", "2"), ("flip", "-0.5"), ("flip", "#t"), ("flip", "(quote p)"),
+    ("random-integer", "0"), ("random-integer", "-3"), ("random-integer", "2.5"),
+    ("random-integer", "#t"),
+])
+def test_known_draws_match_the_primitive_in_a_variable(name, arg):
+    def program(op):
+        return f"(define g {name})\n(list ({op} {arg}) ({op} {arg}) ({op} {arg}))"
+    for seed in range(4):
+        assert _outcome(program(name), seed) == _outcome(program("g"), seed)
+    # without a random source both report it at the call
+    assert (_outcome(program(name), rng=False) == _outcome(program("g"), rng=False))
+
+
+def test_known_draws_replay_the_draw_objects_stream():
+    rng = Draws(derive_rng(77))
+    expected = [rng.flip(0.25), rng.integer(6), rng.flip(0.9), rng.integer(1 << 40)]
+    assert ev("(list (flip 0.25) (random-integer 6) (flip 0.9) "
+              "(random-integer 1099511627776))", seed=77) == \
+        Pair(expected[0], Pair(expected[1], Pair(expected[2], Pair(expected[3], NIL))))
+
+
+def test_symbol_reads_see_the_innermost_binding():
+    assert ev("(define x 1) (let ((x 2)) (let ((y 3)) (+ x y)))") == 5
+    assert ev("(define x 1) (let ((x 2)) x) x") == 1
+    assert ev("(define x 1) ((lambda (x) (let ((z x)) x)) 7)") == 7
+    # a lambda reads its parameter from its own frame, a global through it
+    assert ev("(define k 10) (define f (lambda (a) (+ a k))) (f 1)") == 11
+    # a define after the use, in a frame between the use and the root
+    assert ev("(define f (lambda (a) (define g (lambda () (list a b))) (define b 2) (g)))"
+              " (f 1)") == Pair(1, Pair(2, NIL))
+    assert ev("(define f (lambda () (list c))) (define c 9) (f)") == Pair(9, NIL)
+
+
+@pytest.mark.parametrize("program, message, at", [
+    ("(let ((a 1)) (list a nope))", "unbound symbol 'nope'", "nope"),
+    ("(define f (lambda () (define r q) (define q 1) r)) (f)", "unbound symbol 'q'", "q)"),
+    ("(let ((a 1)) (sample a))", "sample expects a concept, got 1", "(sample"),
+])
+def test_symbol_read_errors_keep_message_and_location(program, message, at):
+    outcome, _ = _outcome(program)
+    assert outcome == (message, 1, program.index(at) + 1)
+
+
+def test_symbol_reads_fall_back_to_concepts():
+    from problisp import ConceptError, Session
+
+    s = Session(seed=2)
+    s.run_text("(concept animal) (is-a 4 animal)")
+    assert s.run_text("(let ((a 1)) (list a (sample animal)))")[0].value == Pair(1, Pair(4, NIL))
+    with pytest.raises(ConceptError, match="unknown concept 'plant'") as exc:
+        s.run_text("(let ((a 1))\n  (sample plant))")
+    assert (exc.value.loc.line, exc.value.loc.column) == (2, 11)
+
+
+def test_deepest_non_tail_recursion_at_the_cli_limit(tmp_path):
+    # the specialized shapes add no Python frame per nested call: at the
+    # CLI's recursion limit a non-tail recursion 4996 calls deep still runs
+    from conftest import run_cli
+
+    p = tmp_path / "deep.lisp"
+    p.write_text("(define d (lambda (n) (if (= n 0) 0 (+ 1 (d (- n 1))))))\n(d 4996)\n")
+    r = run_cli(p)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "4996\n", "")

@@ -108,6 +108,28 @@ def test_eval_error_carries_attempt_number():
         rejection_query(spec, standard_env(), derive_rng(0))
 
 
+def test_stack_overflow_in_an_attempt_carries_attempt_number():
+    # an attempt's code runs without `evaluate` around it; the attempt loop
+    # itself turns a Python stack overflow into the language error
+    from problisp.inference import _attempt_loop
+
+    calls = []
+
+    def attempt(env, ctx):
+        calls.append(env)
+        if len(calls) == 3:
+            raise RecursionError("maximum recursion depth exceeded")
+        return False
+
+    env = standard_env()
+    with pytest.raises(EvalError) as exc:
+        _attempt_loop(_spec(PAPER_QUERY), (attempt, attempt), env, 10,
+                      EvalContext(global_env=env))
+    assert exc.value.message == "recursion depth exceeded (attempt 3)"
+    assert exc.value.args == (exc.value.message,) and exc.value.loc is None
+    assert exc.value.__suppress_context__
+
+
 def test_definitions_resampled_each_attempt():
     # if definitions were cached the condition could never become true
     spec = _spec("""

@@ -134,6 +134,16 @@ def test_fold_illtyped_ground_left_unfolded():
     assert constant_fold(e) == e
 
 
+def test_fold_leaves_an_overflowing_subexpression_unfolded():
+    big = 10 ** 400
+    for text in (f"(+ {big} 1.5)", f"(- 0.5 {big})", f"(* 1.5 {big} 2)"):
+        e = parse_one(text)
+        assert constant_fold(e) == e
+    # the rest of the condition still folds around it
+    e = parse_one(f"(= (+ x (+ {big} 1.5)) (- 10 5))")
+    assert print_expr(constant_fold(e)) == f"(= (+ x (+ {big} 1.5)) 5)"
+
+
 def test_fold_matches_evaluator_on_random_ground_trees():
     rnd = random.Random(7)
     env = standard_env()
