@@ -40,7 +40,7 @@ class SessionConfig:
     rewrite: bool = True
     # [("prelude" | "rules", path)] in flag order
     load_order: list = field(default_factory=list)
-    rules: list = field(default_factory=list)       # rule files loaded, set by main
+    rules: list = field(default_factory=list)       # rule files loaded, as given, set by main
     context: str | None = None
     output: str = "plain"
     stats: bool = False
@@ -126,18 +126,19 @@ def _parse_config(argv):
 
 def build_session(config):
     """Session with preludes and rule files loaded in flag order, context
-    activated; the shipped rules load by default when rewriting is on."""
+    activated; the shipped rules load by default when rewriting is on.  The
+    rule files are returned as given, `std` for the shipped rules, so that
+    the records echo the same bytes in every checkout."""
     session = Session(seed=config.seed, samples=config.samples,
                       max_attempts=config.max_attempts, rewrite=config.rewrite)
     rule_files = []
     for kind, path in config.load_order:
-        resolved = _resolve(path, prelude_path if kind == "prelude" else rules_path)
         if kind == "rules":
-            rule_files.append(resolved)
-        session.load_file(resolved)
+            rule_files.append(path)
+        session.load_file(_resolve(path, prelude_path if kind == "prelude" else rules_path))
     if not rule_files and config.rewrite:
-        rule_files.append(rules_path())
-        session.load_file(rule_files[0])
+        rule_files.append("std")
+        session.load_file(rules_path())
     if config.context is not None:
         session.store.set_context(config.context)
     return session, rule_files
@@ -212,8 +213,16 @@ def _config_echo(config, path, rule_files):
     }
 
 
-def _record(out, obj):
-    out.write(json.dumps(obj, sort_keys=True) + "\n")
+# `json.dumps(..., sort_keys=True)` of the sample and value records, written
+# from a template: the C string encoder is the one json.dumps itself calls
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _sample_records(out, result):
+    query = result.ordinal
+    out.write("".join(f'{{"index": {i}, "query": {query}, "type": "sample", '
+                      f'"value": {_encode(format_value(v))}}}\n'
+                      for i, v in enumerate(result.report.samples)))
 
 
 def _print_query_plain(result, config, out):
@@ -252,22 +261,20 @@ def run_file(path, session, config, out=None):
             result = session.eval_form(form)
             if result.kind == "query":
                 if config.output == "records":
-                    for i, v in enumerate(result.report.samples):
-                        _record(out, {"type": "sample", "query": result.ordinal,
-                                      "index": i, "value": format_value(v)})
+                    _sample_records(out, result)
                 else:
                     _print_query_plain(result, config, out)
                 summaries.append(_query_summary(result, config))
             elif result.kind == "value":
                 if config.output == "records":
-                    _record(out, {"type": "value", "form": idx,
-                                  "value": format_value(result.value)})
+                    out.write(f'{{"form": {idx}, "type": "value", '
+                              f'"value": {_encode(format_value(result.value))}}}\n')
                 else:
                     out.write(format_value(result.value) + "\n")
         if config.output == "records":
-            _record(out, {"type": "summary",
-                          "config": _config_echo(config, path, config.rules),
-                          "queries": summaries})
+            out.write(json.dumps({"type": "summary",
+                                  "config": _config_echo(config, path, config.rules),
+                                  "queries": summaries}, sort_keys=True) + "\n")
     except (ExhaustionError, ZeroProbabilityError, BudgetError) as err:
         if err.filename is None:
             err.filename = str(path)

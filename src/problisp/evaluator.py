@@ -18,7 +18,7 @@ A symbol is replaced by its value when compiling only if the code is
 compiled for a root (global) environment that binds it, no enclosing lambda
 or let binds it, and no define in the compiled forms defines it (a define may
 target a frame between the use and the root, even after the use).  This is
-sound because a root binding never changes: `Env.define` refuses to rebind.
+sound because a root binding never changes: `define` refuses to rebind.
 Every other symbol is looked up when it runs, and so is every symbol of code
 compiled for a frame below the root, since later forms may extend the frames
 between.  A closure call in tail position returns a tail call for the
@@ -26,14 +26,16 @@ caller's loop, so tail recursion runs in constant Python stack.
 
 Hot call shapes are specialized, each to exactly the values, draws, errors
 and locations of the generic path it skips.  A symbol read probes its own
-frame before `_lookup` walks the parents, which is the order `_lookup`
-takes.  A closure call with one argument skips the comprehension, and a
-one-parameter closure's frame is the dict `zip` would build.  A known
-global primitive is called directly; a one-argument `flip` or
-`random-integer` calls the checking draw its primitive would call, with the
-same random source and location.  `+ - * = < >` on two numbers apply the
-primitive's own two-argument fold, with a numeric literal operand held in
-the code; any other operand, or an overflow, goes to the primitive.
+frame before `_lookup` walks the parents, the order `_lookup` takes; a
+closure call's operator (then in the parent frame too) and single argument,
+`flip`'s argument and the operands of two-argument `+ - * = < >` make that
+probe inline and run the read on a miss.  A one-parameter closure's frame
+is the dict `zip` would build.  A known global primitive is called directly:
+`random-integer` of a positive integer literal and `flip` of a real in
+[0, 1] draw at once, any other argument goes through the checking draw.
+`+ - * = < >` on two numbers apply the primitive's own two-argument fold,
+with a numeric literal operand held in the code; any other operand, or an
+overflow, goes to the primitive.  `define` checks and writes its frame.
 
 A single Env/rng pair must not be shared across concurrent evaluations;
 distinct evaluations with distinct Env and rng instances are safe to run in
@@ -184,10 +186,11 @@ _NUMERIC = frozenset([int, float])   # exact classes; bool takes the primitive
 _NUMBER_NODES = frozenset([Integer, Real])   # literals whose values are in _NUMERIC
 
 # two-argument arithmetic on numbers, exactly as the primitives fold it
+# (`1 * a` is `a` for every int and float, `0 + a` is not for -0.0)
 _BINARY = {
     "+": lambda a, b: 0 + a + b,
     "-": operator.sub,
-    "*": lambda a, b: 1 * a * b,
+    "*": operator.mul,
     "=": operator.eq,
     "<": operator.lt,
     ">": operator.gt,
@@ -258,6 +261,15 @@ class _Compiler:
             return sym.name, self.root.frame.get(sym.name, _MISSING)
         return sym.name, _MISSING
 
+    def local(self, node, path):
+        """The variable a symbol read `node` at `path` looks up when it runs,
+        or None (which no frame holds) for any other node."""
+        if node.__class__ is Symbol:
+            name, value = self.resolve(node, path)
+            if value is _MISSING:
+                return name
+        return None
+
     def symbol(self, sym, path, message="unbound symbol '{}'", error=EvalError):
         name, value = self.resolve(sym, path)
         if value is not _MISSING:
@@ -301,7 +313,10 @@ class _Compiler:
         name, loc = items[1].name, items[1].loc
 
         def run(env, ctx):
-            env.define(name, value(env, ctx), loc)
+            v = value(env, ctx)
+            if name in env.frame:
+                raise EvalError(f"'{name}' is already defined in this scope", loc)
+            env.frame[name] = v
         return run
 
     def lambda_form(self, expr, path):
@@ -400,13 +415,25 @@ class _Compiler:
         head = items[0]
         fn = self.resolve(head, path + (0,))[1] if head.__class__ is Symbol else _MISSING
         if fn.__class__ is Primitive and _PRIMITIVES.get(fn.name) is fn.fn:
-            return _primitive_call(fn, codes, items[1:], loc)
+            return self.primitive_call(fn, codes, items, path, loc)
         op_code = self.expr(head, path + (0,))
+        op_name = self.local(head, path + (0,))
         single = codes[0] if len(codes) == 1 else None
+        arg = self.local(items[1], path + (1,)) if single is not None else None
 
         def run(env, ctx):
-            fn = op_code(env, ctx)
-            args = [single(env, ctx)] if single is not None else [c(env, ctx) for c in codes]
+            # on a miss the operand's own code looks again, from the start
+            fn = env.frame.get(op_name, _MISSING)
+            if fn is _MISSING:
+                if env.parent is not None:
+                    fn = env.parent.frame.get(op_name, _MISSING)
+                if fn is _MISSING:
+                    fn = op_code(env, ctx)
+            if single is None:
+                args = [c(env, ctx) for c in codes]
+            else:
+                x = env.frame.get(arg, _MISSING)
+                args = [x if x is not _MISSING else single(env, ctx)]
             call_loc = loc
             while True:   # runs the tail calls that closure bodies return
                 c = fn.__class__
@@ -432,55 +459,85 @@ class _Compiler:
                 fn, args, call_loc = result.fn, result.args, result.loc
         return run
 
+    def primitive_call(self, prim, codes, items, path, loc):
+        """Code calling a standard primitive known when compiling, on the
+        argument codes `codes` compiled from `items[1:]`."""
+        fn = prim.fn
+        if len(codes) == 1:
+            a, = codes
+            node = items[1]
+            if prim.name == "random-integer":
+                if node.__class__ is Integer and node.value > 0:
+                    n = node.value
+                    return lambda env, ctx: ctx.rng.integer(n, loc)
+                return lambda env, ctx: random_integer(a(env, ctx), ctx.rng, loc)
+            if prim.name == "flip":
+                if node.__class__ is Real and 0 <= node.value <= 1:
+                    p = node.value
+                    return lambda env, ctx: ctx.rng.flip(p, loc)
+                name = self.local(node, path + (1,))
 
-def _primitive_call(prim, codes, nodes, loc):
-    """Code calling a standard primitive known when compiling, on the
-    argument codes `codes` compiled from the nodes `nodes`."""
-    fn = prim.fn
-    if len(codes) == 1:
-        a, = codes
-        if prim.name == "flip" or prim.name == "random-integer":
-            # the primitive's own checking draw, read from the module globals
-            # as the primitive reads it
-            draw = flip if prim.name == "flip" else random_integer
-            return lambda env, ctx: draw(a(env, ctx), ctx.rng, loc)
-        return lambda env, ctx: fn([a(env, ctx)], ctx, loc)
-    binary = _BINARY.get(prim.name) if len(codes) == 2 else None
-    if binary is None:
-        return lambda env, ctx: fn([c(env, ctx) for c in codes], ctx, loc)
-    a, b = codes
-    # what the fast path does not take, an overflow included, goes to the
-    # primitive, which checks it and reports the error
-    lit_a, lit_b = (n.value if n.__class__ in _NUMBER_NODES else _MISSING for n in nodes)
-    if lit_b is not _MISSING:
-        def run(env, ctx):
-            x = a(env, ctx)
-            if x.__class__ in _NUMERIC:
-                try:
-                    return binary(x, lit_b)
-                except OverflowError:
-                    pass
-            return fn([x, lit_b], ctx, loc)
-    elif lit_a is not _MISSING:
-        def run(env, ctx):
-            y = b(env, ctx)
-            if y.__class__ in _NUMERIC:
-                try:
-                    return binary(lit_a, y)
-                except OverflowError:
-                    pass
-            return fn([lit_a, y], ctx, loc)
-    else:
-        def run(env, ctx):
-            x = a(env, ctx)
-            y = b(env, ctx)
-            if x.__class__ in _NUMERIC and y.__class__ in _NUMERIC:
-                try:
-                    return binary(x, y)
-                except OverflowError:
-                    pass
-            return fn([x, y], ctx, loc)
-    return run
+                def run(env, ctx):
+                    p = env.frame.get(name, _MISSING)
+                    if p is _MISSING:
+                        p = a(env, ctx)
+                    if p.__class__ is float and 0.0 <= p <= 1.0:
+                        return ctx.rng.flip(p, loc)
+                    return flip(p, ctx.rng, loc)   # checks and reports the rest
+                return run
+            return lambda env, ctx: fn([a(env, ctx)], ctx, loc)
+        binary = _BINARY.get(prim.name) if len(codes) == 2 else None
+        if binary is None:
+            return lambda env, ctx: fn([c(env, ctx) for c in codes], ctx, loc)
+        a, b = codes
+        # what the fast path does not take, an overflow included, goes to the
+        # primitive, which checks it and reports the error
+        lit_a, lit_b = (n.value if n.__class__ in _NUMBER_NODES else _MISSING
+                        for n in items[1:])
+        if prim.name == "+" and (lit_a is not _MISSING or lit_b is not _MISSING):
+            # 0 + x + c is x + (0 + c) for every int and float x and c: adding 0
+            # changes only -0.0, and only a sum of two -0.0 tells -0.0 from 0.0
+            binary = operator.add
+            lit_a, lit_b = (v if v is _MISSING else 0 + v for v in (lit_a, lit_b))
+        name_a = self.local(items[1], path + (1,)) if lit_a is _MISSING else None
+        name_b = self.local(items[2], path + (2,)) if lit_b is _MISSING else None
+        if lit_b is not _MISSING:
+            def run(env, ctx):
+                x = env.frame.get(name_a, _MISSING)
+                if x is _MISSING:
+                    x = a(env, ctx)
+                if x.__class__ in _NUMERIC:
+                    try:
+                        return binary(x, lit_b)
+                    except OverflowError:
+                        pass
+                return fn([x, lit_b], ctx, loc)
+        elif lit_a is not _MISSING:
+            def run(env, ctx):
+                y = env.frame.get(name_b, _MISSING)
+                if y is _MISSING:
+                    y = b(env, ctx)
+                if y.__class__ in _NUMERIC:
+                    try:
+                        return binary(lit_a, y)
+                    except OverflowError:
+                        pass
+                return fn([lit_a, y], ctx, loc)
+        else:
+            def run(env, ctx):
+                x = env.frame.get(name_a, _MISSING)
+                if x is _MISSING:
+                    x = a(env, ctx)
+                y = env.frame.get(name_b, _MISSING)
+                if y is _MISSING:
+                    y = b(env, ctx)
+                if x.__class__ in _NUMERIC and y.__class__ in _NUMERIC:
+                    try:
+                        return binary(x, y)
+                    except OverflowError:
+                        pass
+                return fn([x, y], ctx, loc)
+        return run
 
 
 def _rename(expr, names, path=()):

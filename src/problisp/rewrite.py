@@ -17,6 +17,7 @@ Everything here is a pure function over immutable inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import EvalError, RuleError, ZeroProbabilityError
@@ -96,7 +97,8 @@ def _literal_node(value):
 
 def constant_fold(expr):
     """Bottom-up evaluation of ground arithmetic/comparison subexpressions with
-    the evaluator's own primitives; ill-typed ground subexpressions are left
+    the evaluator's own primitives; ill-typed ground subexpressions, and those
+    whose value is a non-finite real, which no literal can write, are left
     unfolded."""
     if expr.__class__ is not SList or not expr.items:
         return expr
@@ -108,6 +110,8 @@ def constant_fold(expr):
         try:
             value = _PRIMITIVES[head.name]([a.value for a in items[1:]], None, expr.loc)
         except EvalError:
+            return folded
+        if value.__class__ is float and not math.isfinite(value):
             return folded
         return _literal_node(value)
     return folded

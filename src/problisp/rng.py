@@ -324,14 +324,18 @@ def random_integer(n, rng, loc=None):
 
 def normal(mean, stdev, rng, loc=None):
     """Gaussian draw from the draw object `rng`; a zero stdev returns the
-    mean exactly."""
+    mean exactly.  An integer too large for a real is a language error."""
     for v in (mean, stdev):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise EvalError("normal expects numeric mean and stdev", loc)
     if stdev < 0:
         raise EvalError(f"normal expects a nonnegative stdev, got {stdev}", loc)
+    try:
+        mean, stdev = float(mean), float(stdev)   # as numpy takes them
+    except OverflowError:
+        raise EvalError("arithmetic overflow in normal", loc) from None
     if stdev == 0:
-        return float(mean)
+        return mean
     return rng.normal(mean, stdev, loc)
 
 

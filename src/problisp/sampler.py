@@ -19,8 +19,8 @@ bias the declared distribution.
 from __future__ import annotations
 
 from .concepts import ConceptId
-from .errors import BudgetError, ConceptError
-from .evaluator import EvalContext, compile_forms, evaluate
+from .errors import BudgetError, ConceptError, EvalError
+from .evaluator import EvalContext, compile_forms
 from .rng import as_draws
 from .values import Env
 
@@ -60,7 +60,7 @@ def sample_concept(snapshot, concept, rng, budget=None, *, env, ctx=None, depth=
     if isinstance(source, ConceptId):
         return sample_concept(snapshot, source, rng, budget, env=env, ctx=ctx,
                               depth=depth + 1)
-    return instantiate_expression(snapshot, source, env, rng, budget, ctx=ctx, depth=depth)
+    return _instantiate(snapshot, source, env, rng, budget, ctx, depth)
 
 
 def instantiate_expression(snapshot, expr, env, rng, budget=None, *, ctx=None, depth=0):
@@ -68,9 +68,11 @@ def instantiate_expression(snapshot, expr, env, rng, budget=None, *, ctx=None, d
     evaluate the result against `env`, the session globals.  The template is
     compiled on its first use with `snapshot` and `env`; each concept
     occurrence reads its draw from a frame made for the instantiation."""
-    rng = as_draws(rng)
-    if budget is None:
-        budget = SampleBudget()
+    return _instantiate(snapshot, expr, env, as_draws(rng),
+                        budget if budget is not None else SampleBudget(), ctx, depth)
+
+
+def _instantiate(snapshot, expr, env, rng, budget, ctx, depth):
     code, concepts = _compiled_template(snapshot, expr, env)
     eval_env = env
     if concepts:
@@ -87,7 +89,9 @@ def instantiate_expression(snapshot, expr, env, rng, budget=None, *, ctx=None, d
     ctx.rng, ctx.snapshot, ctx.session = rng, snapshot, None
     ctx.budget, ctx.sample_depth, ctx.global_env = budget, depth + 1, env
     try:
-        return evaluate(code, eval_env, ctx)
+        return code(eval_env, ctx)
+    except RecursionError:
+        raise EvalError("recursion depth exceeded") from None
     finally:
         (ctx.rng, ctx.snapshot, ctx.session,
          ctx.budget, ctx.sample_depth, ctx.global_env) = saved

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .concepts import ConceptId
-from .errors import EvalError
 from .sexpr import Symbol, escape_text
 
 
@@ -60,11 +59,6 @@ class Env:
     def __init__(self, parent=None, frame=None):
         self.frame = frame if frame is not None else {}
         self.parent = parent
-
-    def define(self, name, value, loc=None):
-        if name in self.frame:
-            raise EvalError(f"'{name}' is already defined in this scope", loc)
-        self.frame[name] = value
 
 
 def is_number(v):

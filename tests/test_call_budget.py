@@ -18,10 +18,11 @@ from problisp import Session, prelude_path
 
 PACKAGE = os.path.dirname(problisp.__file__) + os.sep
 
-# counted at the change that specialized the call shapes, on Python 3.11;
-# its parent made 8550 and 8056 calls
-CONCEPT_BUDGET = 6343
-BLIND_BUDGET = 5822
+# counted on Python 3.11 at the change that reads local operands, literal
+# draw bounds and definitions inline; its parent made 6343 and 5822 calls,
+# and the change before that, which specialized the call shapes, 8550 and 8056
+CONCEPT_BUDGET = 3766
+BLIND_BUDGET = 3638
 
 
 def _calls(session, text):

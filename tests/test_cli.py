@@ -105,6 +105,49 @@ def test_arithmetic_overflow_exit_1_with_location(tmp_path, program, error, flag
     assert r.stderr == f"problisp: {p}: {error}\n"
 
 
+@pytest.mark.parametrize("program, column", [
+    ("(normal {big} 1)\n", 1),
+    ("(normal {big} 0)\n", 1),
+    ("(list\n  (normal 0 {big}))\n", 3),
+])
+def test_normal_overflow_exit_1_with_location(tmp_path, program, column):
+    p = tmp_path / "normal.lisp"
+    p.write_text(program.format(big=10 ** 400))
+    r = run_cli(p)
+    line = program.count("\n")
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == f"problisp: {p}: line {line}, column {column}: arithmetic overflow in normal\n"
+
+
+def test_records_echo_rules_as_given(paper_program, tmp_path):
+    rules = tmp_path / "rules.lisp"
+    rules.write_text("(equivalence (= $A $B) (= $B $A))\n")
+
+    def echoed(*flags):
+        r = run_cli(paper_program, "--seed", 1, "--output", "records", *flags)
+        assert r.returncode == 0, r.stderr
+        return json.loads(r.stdout.splitlines()[-1])["config"]["rules"]
+
+    assert echoed() == ["std"]
+    assert echoed("--rules", "std", "--rules", rules) == ["std", str(rules)]
+    assert echoed("--no-rewrite") == []
+
+
+def test_records_are_the_bytes_json_dumps_writes(tmp_path):
+    p = tmp_path / "values.lisp"
+    p.write_text('(quote "h\u00e9llo \\"q\\" \\\\ \u2603 \U0001d11e")\n'
+                 '(list 1 -2.5 #t (quote sym) "tab\tend")\n'
+                 '(rejection-query (define x (random-integer 4)) '
+                 '(list x "\u00e9" (quote (a "b"))) (< x 2))\n', encoding="utf-8")
+    r = run_cli(p, "--samples", 5, "--seed", 3, "--output", "records")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert [json.loads(line)["type"] for line in lines] == ["value"] * 2 + ["sample"] * 5 \
+        + ["summary"]
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
 @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 16_000])
 def test_nesting_past_the_limit_exit_1_with_location(tmp_path, depth):
     p = tmp_path / "nested.lisp"

@@ -536,8 +536,10 @@ def test_closure_call_errors_keep_message_and_location(program, message, at):
     ("random-integer", "#t"),
 ])
 def test_known_draws_match_the_primitive_in_a_variable(name, arg):
+    # `g` is bound by a let, so that it is not known when compiling and the
+    # call goes through the primitive
     def program(op):
-        return f"(define g {name})\n(list ({op} {arg}) ({op} {arg}) ({op} {arg}))"
+        return f"(let ((g {name}))\n(list ({op} {arg}) ({op} {arg}) ({op} {arg})))"
     for seed in range(4):
         assert _outcome(program(name), seed) == _outcome(program("g"), seed)
     # without a random source both report it at the call
@@ -594,3 +596,90 @@ def test_deepest_non_tail_recursion_at_the_cli_limit(tmp_path):
     p.write_text("(define d (lambda (n) (if (= n 0) 0 (+ 1 (d (- n 1))))))\n(d 4996)\n")
     r = run_cli(p)
     assert (r.returncode, r.stdout, r.stderr) == (0, "4996\n", "")
+
+
+# -- operands read inline: a symbol operand of a closure call, a one-argument
+# `flip` or two-argument arithmetic is probed for in its own frame (and a
+# call's operator in the parent frame) before the full lookup runs
+
+
+@pytest.mark.parametrize("program, value", [
+    # a let or lambda name shadowing a primitive or a global
+    ("(let ((flip (lambda (p) p))) (flip 0.25))", "0.25"),
+    ("((lambda (random-integer) (random-integer 3)) -)", "-3"),
+    ("(define g 5) ((lambda (g) (+ g 1)) 2)", "3"),
+    ("(define g 5) (let ((g 7)) (list (< g 6) (- 10 g)))", "(#f 3)"),
+    ("(define f (lambda (x) x)) (let ((f (lambda (x) (* x 2)))) (f 4))", "8"),
+    # a define after its use inside a lambda body: before the define runs,
+    # the use reads the global
+    ("(define y 10) ((lambda () (define z (+ y 1)) (define y 2) (list z (+ y 1))))",
+     "(11 3)"),
+    ("((lambda () (define g (lambda () (* y 3))) (define y 2) (g)))", "6"),
+    # an operator found in the parent frame, further out, or as a global
+    # defined after the caller
+    ("(let ((f (lambda (x) (* x 2)))) ((lambda (y) (f y)) 4))", "8"),
+    ("(let ((f (lambda (x) (* x 2)))) (let ((a 1)) ((lambda (y) (f y)) a)))", "2"),
+    ("(define h (lambda (n) (later n))) (define later (lambda (n) (- n))) (h 2)", "-2"),
+    # flip of 0 and 1 through a local still draws
+    ("(let ((p 0)) (flip p))", "#f"),
+    ("(let ((p 1)) (flip p))", "#t"),
+    ("(let ((p 1.0)) (flip p))", "#t"),
+])
+def test_inline_operand_reads_give_the_lookup_value(program, value):
+    assert _outcome(program)[0] == value
+
+
+@pytest.mark.parametrize("program, message, at", [
+    ("(let ((p #t)) (flip p))", "flip expects a numeric probability", "(flip"),
+    ("(let ((p (list 0.5))) (flip p))", "flip expects a numeric probability", "(flip"),
+    ("(let ((p 1.5)) (flip p))", "flip expects a probability in [0, 1], got 1.5", "(flip"),
+    ("(list (flip 1.5))", "flip expects a probability in [0, 1], got 1.5", "(flip"),
+    ("(list (flip -0.5))", "flip expects a probability in [0, 1], got -0.5", "(flip"),
+    ("(let ((p (- (* 1e300 1e300) (* 1e300 1e300)))) (flip p))",
+     "flip expects a probability in [0, 1], got nan", "(flip"),
+    ("(random-integer 0)", "random-integer expects a positive bound, got 0", "(random"),
+    ("(random-integer -3)", "random-integer expects a positive bound, got -3", "(random"),
+    # a duplicate define, in a lambda body and in the global frame
+    ("((lambda () (define a 1) (define a (flip 0.5)) a))",
+     "'a' is already defined in this scope", "a (flip"),
+    ("(define a 1) (define a 2)", "'a' is already defined in this scope", "a 2"),
+    # the value runs before the name is checked
+    ("(define a 1) (define a nope)", "unbound symbol 'nope'", "nope"),
+    # a miss in every frame is the read's own error
+    ("((lambda (x) (nope x)) 1)", "unbound symbol 'nope'", "nope"),
+    ("((lambda (x) (+ x nope)) 1)", "unbound symbol 'nope'", "nope"),
+    ("((lambda (x) (flip nope)) 1)", "unbound symbol 'nope'", "nope"),
+    ("((lambda (x) (x nope)) 1)", "unbound symbol 'nope'", "nope"),
+])
+def test_inline_operand_errors_keep_message_and_location(program, message, at):
+    assert _outcome(program)[0] == (message, 1, program.index(at) + 1)
+
+
+@pytest.mark.parametrize("arg", ["0", "1", "0.0", "0.3", "1.0"])
+def test_flip_through_a_local_draws_as_with_a_literal(arg):
+    for seed in range(4):
+        assert _outcome(f"(let ((p {arg})) (list (flip p) (flip p)))", seed) == \
+            _outcome(f"(list (flip {arg}) (flip {arg}))", seed)
+    # without a random source the draw reports it at the call
+    program = f"(let ((p {arg})) (list (flip p)))"
+    assert _outcome(program, rng=False) == \
+        (("no random source available in this context", 1, program.index("(flip") + 1), None)
+
+
+def test_operator_found_through_the_concept_store():
+    from problisp import Session
+
+    s = Session(seed=2)
+    s.run_text("(concept animal) (is-a 4 animal)")
+    program = "((lambda (x)\n  (animal x)) 1)"
+    with pytest.raises(EvalError, match="not a function: #<concept animal>") as exc:
+        s.run_text(program)
+    assert (exc.value.loc.line, exc.value.loc.column) == (2, 3)
+
+
+def test_duplicate_define_in_a_query_names_the_attempt():
+    from problisp import Session
+
+    s = Session(seed=2, rewrite=False)
+    with pytest.raises(EvalError, match=r"'x' is already defined in this scope \(attempt 1\)"):
+        s.run_text("(rejection-query (define x 1) (define x 2) x #t)")

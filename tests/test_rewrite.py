@@ -157,13 +157,33 @@ def test_fold_matches_evaluator_on_random_ground_trees():
         assert type(folded.value) is type(value)
 
 
-def _ground_tree(rnd, depth):
+def test_fold_leaves_a_non_finite_value_unfolded():
+    for text in ("(* 1e300 1e300)", "(- -1e300 1e308 1e308)", "(* 1e300 1e300 0)"):
+        e = parse_one(text)
+        assert constant_fold(e) == e
+    e = parse_one("(= (+ x (* 1e300 1e300)) (- 10 5))")
+    assert print_expr(constant_fold(e)) == "(= (+ x (* 1e+300 1e+300)) 5)"
+
+
+def test_folded_trees_print_and_read_back():
+    # the printer's round trip holds for folded trees: every folded literal
+    # is one the reader can read, even where the arithmetic overflows a real
+    rnd = random.Random(11)
+    for _ in range(400):
+        expr = SList((Symbol("="), Symbol("x"), _ground_tree(rnd, depth=3, big=True)))
+        folded = constant_fold(expr)
+        assert parse_one(print_expr(folded)) == folded
+
+
+def _ground_tree(rnd, depth, big=False):
+    if big and rnd.random() < 0.3:
+        return Real(rnd.choice([1e300, -1e300, 3.5e299, 1e-300]))
     if depth == 0 or rnd.random() < 0.35:
         if rnd.random() < 0.8:
             return Integer(rnd.randint(-9, 9))
         return Real(round(rnd.uniform(-4, 4), 2))
     op = rnd.choice(["+", "-", "*"])
-    args = [_ground_tree(rnd, depth - 1) for _ in range(rnd.randint(2, 3))]
+    args = [_ground_tree(rnd, depth - 1, big) for _ in range(rnd.randint(2, 3))]
     return SList(tuple([Symbol(op)] + args))
 
 
