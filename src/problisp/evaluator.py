@@ -29,8 +29,9 @@ and locations of the generic path it skips.  A symbol read probes its own
 frame before `_lookup` walks the parents, the order `_lookup` takes; a
 closure call's operator (then in the parent frame too) and single argument,
 `flip`'s argument and the operands of two-argument `+ - * = < >` make that
-probe inline and run the read on a miss.  A one-parameter closure's frame
-is the dict `zip` would build.  A known global primitive is called directly:
+probe inline and run the read on a miss; an operator bound when compiling
+is held in the call's code.  A one-parameter closure's frame is the dict
+`zip` would build.  A known global primitive is called directly:
 `random-integer` of a positive integer literal and `flip` of a real in
 [0, 1] draw at once, any other argument goes through the checking draw.
 `+ - * = < >` on two numbers apply the primitive's own two-argument fold,
@@ -70,8 +71,9 @@ class EvalContext:
 
     `rng` is the draw object (`rng.Draws`) that makes every random choice:
     the primitives and the concept sampler call it and nothing else.  A
-    numpy Generator given here is wrapped in one, and a context made with
-    no random source gets `rng.NO_SOURCE`, whose draws are errors.
+    numpy Generator given here is adopted by one, whose draws advance it,
+    and a context made with no random source gets `rng.NO_SOURCE`, whose
+    draws are errors.
 
     A session builds one context per top-level form; `rules`, `rewrite`,
     `max_attempts` and `global_env` stay fixed for the session, `session` is
@@ -413,19 +415,20 @@ class _Compiler:
         for i in range(1, len(items)):
             codes.append(self.expr(items[i], path + (i,)))
         head = items[0]
-        fn = self.resolve(head, path + (0,))[1] if head.__class__ is Symbol else _MISSING
-        if fn.__class__ is Primitive and _PRIMITIVES.get(fn.name) is fn.fn:
-            return self.primitive_call(fn, codes, items, path, loc)
-        op_code = self.expr(head, path + (0,))
+        # the operator's value when it is bound when compiling
+        known = self.resolve(head, path + (0,))[1] if head.__class__ is Symbol else _MISSING
+        if known.__class__ is Primitive and _PRIMITIVES.get(known.name) is known.fn:
+            return self.primitive_call(known, codes, items, path, loc)
+        op_code = self.expr(head, path + (0,)) if known is _MISSING else None
         op_name = self.local(head, path + (0,))
         single = codes[0] if len(codes) == 1 else None
         arg = self.local(items[1], path + (1,)) if single is not None else None
 
         def run(env, ctx):
-            # on a miss the operand's own code looks again, from the start
-            fn = env.frame.get(op_name, _MISSING)
-            if fn is _MISSING:
-                if env.parent is not None:
+            fn = known
+            if fn is _MISSING:   # on a miss the operand's own code looks again
+                fn = env.frame.get(op_name, _MISSING)
+                if fn is _MISSING and env.parent is not None:
                     fn = env.parent.frame.get(op_name, _MISSING)
                 if fn is _MISSING:
                     fn = op_code(env, ctx)

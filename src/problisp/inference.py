@@ -8,9 +8,9 @@ compiled once per query, and every attempt runs the compiled code in a fresh
 frame.  Batch runs give every sample index its own deterministic rng stream
 derived from (seed, index), so parallel and serial execution produce
 identical multisets of samples.  All samples draw through one draw object:
-the caller's (a session owns one) or else one made with `derive_rng`.  Each
-sample's index is given to it (`Draws.pend`), and it sets the index's PCG64
-state on its generator at the sample's first draw.  The states come from
+the caller's (a session owns one) or else a `Draws` on the batch's own path.
+Each sample's index is given to it (`Draws.pend`), and it sets the index's
+PCG64 state at the sample's first draw.  The states come from
 `stream_states`, one pass per block of up to 1024 indices, computed when a
 sample of the block first draws; a sample that draws nothing derives no
 stream.  Each index draws exactly the bytes a fresh
@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 
 from .errors import EvalError, ExhaustionError, ProblispError
 from .evaluator import DEFAULT_MAX_ATTEMPTS, EvalContext, _sequence, compile_forms, evaluate
-from .rng import derive_rng, stream_states
+# derive_rng is not used here; perfbench/test_perfbench.py reads it as inference.derive_rng
+from .rng import Draws, derive_rng, stream_states  # noqa: F401
 from .sexpr import SExpr, SList, Symbol
 from .values import Env
 
@@ -112,7 +113,7 @@ def rejection_query(spec, base_env, rng, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=
 
 
 def _stream_states(path, n):
-    """`states(i)`: the state of `derive_rng(*path, i)` for i in range(n),
+    """`states(i)`: the (state, inc) of `derive_rng(*path, i)` for i in range(n),
     computed with the rest of its block when one of the block is first
     asked for."""
     block = functools.lru_cache(1)(lambda start: stream_states(path, start,
@@ -125,7 +126,7 @@ def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=
     """Draw n accepted samples, one independent rng stream per sample index.
     The streams are set on `rng`, a numpy Generator or a `Draws`, whose own
     state is overwritten when a sample draws and left as it was when none
-    does; without one, a generator is made for the purpose.  Each sample's
+    does; without one, they are set on a `Draws(*path)`.  Each sample's
     stream is installed at its first draw, and no stream is left pending on
     return."""
     if n < 1:
@@ -135,7 +136,7 @@ def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=
     values = []
     attempts_total = 0
     code = _compile(spec, base_env)
-    ctx = _query_context(ctx, base_env, rng if rng is not None else derive_rng(*path))
+    ctx = _query_context(ctx, base_env, rng if rng is not None else Draws(*path))
     draws = ctx.rng
     states = _stream_states(path, n)
     try:

@@ -1,37 +1,21 @@
 """Deterministic random streams, the draw object and the stochastic primitives.
 
-The bit generator is numpy's PCG64.  Independent streams are derived from an
-integer path (seed, index, ...) fed to SeedSequence as entropy, so the same
-(seed, sample-index) pair always yields the same stream regardless of how
-many other streams were created, and parallel and serial sampling agree.
-
-`stream_states` computes the PCG64 states of many such paths, differing only
-in their last integer, in one pass: it re-implements numpy's SeedSequence
-hash and PCG64 seeding with every path in its own 64-bit lane of one Python
-int.  Setting those states on one reused generator draws exactly the bytes
-that `derive_rng` would, at a fraction of the cost of building a generator.
-
-`Draws` is the one draw object an evaluation makes its random choices
-through: `integer`, `flip` and `normal` for the primitives, `choose` and
-`order` for the concept sampler.  It wraps one numpy Generator and gives
-numpy's values and bytes, drawing integers below 2**32 and uniform floats
-from the bit generator's C functions without numpy's per-call overhead.
-`NO_SOURCE` stands in for it in a context with no random source.  The
-primitives `random_integer`, `flip` and `normal` check their arguments and
-then draw from the draw object they are given.
-
-A batch of samples gives each sample's index to the draw object, which sets
-that index's stream state on the generator at the sample's first draw: a
-sample that draws nothing, such as every sample of a query whose only prior
-the optimizer pinned, derives no stream.
+Streams are numpy's PCG64, seeded by numpy's SeedSequence from an integer
+path such as (seed, index), so a path yields the same stream however many
+others were made.  `stream_states` re-implements that seeding for many
+paths that differ only in their last integer, in one pass.  `Draws`, the
+one draw object an evaluation draws through, steps PCG64 itself and gives
+numpy's values and bytes; numpy is imported only by `derive_rng`, `normal`
+draws and integer bounds above 2**32.  `NO_SOURCE` stands in for it in a
+context with no random source.  The primitives `random_integer`, `flip`
+and `normal` check their arguments and then draw from a draw object.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
-
-import numpy as np
+import sys
 
 from .errors import EvalError
 
@@ -43,7 +27,10 @@ def _entropy(parts):
 
 
 def derive_rng(*path):
-    """Independent generator for an integer path such as (seed, query, index)."""
+    """Independent numpy generator for an integer path such as (seed, query,
+    index)."""
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(path))))
 
 
@@ -59,8 +46,8 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def stream_states(prefix, start, stop):
-    """`derive_rng(*prefix, i).bit_generator.state` for i in range(start, stop),
-    computed for all the indices in one pass."""
+    """The PCG64 (state, inc) of `derive_rng(*prefix, i)` for i in
+    range(start, stop), computed for all the indices in one pass."""
     head = []   # SeedSequence's uint32 entropy words of the masked prefix
     for part in _entropy(prefix):
         head.append(part & _MASK32)
@@ -140,16 +127,13 @@ def _lane_states(head, indices, width):
         for j in (0, 2, 4, 6)]
 
     # PCG64 seeding: from state 0, one LCG step, add the seed, one more step
-    states = []
-    for a, b, c, d in zip(seed_hi, seed_lo, seq_hi, seq_lo):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    incs = [((c << 64 | d) << 1 | 1) & _MASK128 for c, d in zip(seq_hi, seq_lo)]
+    return [(((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128, inc)
+            for a, b, inc in zip(seed_hi, seed_lo, incs)]
 
 
 _WORD32 = 1 << 32
+_UNIT = 2.0 ** -53   # a uniform double is the top 53 bits of a word times this
 _NO_SOURCE_TEXT = "no random source available in this context"
 _NO_SAMPLING_SOURCE_TEXT = "no random source available for sampling"
 
@@ -164,105 +148,133 @@ def randint_below(rng, n):
     while True:
         r = 0
         for w in range(words):
-            r |= int(rng.integers(0, 1 << 64, dtype=np.uint64)) << (64 * w)
+            r |= int(rng.integers(0, 1 << 64, dtype="uint64")) << (64 * w)
         r &= (1 << k) - 1
         if r < n:
             return r
 
 
+def _path_state(path):
+    return stream_states(path[:-1], path[-1], path[-1] + 1)[0]
+
+
 class Draws:
-    """Every random choice of an evaluation, drawn from one numpy Generator.
+    """Every random choice of an evaluation, drawn from one PCG64 stream:
+    at first the stream of `derive_rng(*path)`, derived at the first draw.
 
     Each method returns what its numpy call returns and consumes the same
-    bits, so a program draws the same bytes through either:
-    `integer(n)` is `Generator.integers(0, n)`, `flip(p)` is
+    bits: `integer(n)` is `Generator.integers(0, n)`, `flip(p)` is
     `Generator.random() < p`, `choose(weights)` scales one
     `Generator.random()` by the total weight, `order(k)` is
     `Generator.permutation(k)` and `normal(mean, sd)` is
-    `Generator.normal(mean, sd)`.  `integer` below 2**32 and the uniform
-    draws call the bit generator's C functions `next_uint32` and
-    `next_double` directly, skipping numpy's per-call overhead; `integer`
-    runs Lemire's nearly divisionless method on 32-bit words, as numpy
-    does.  numpy keeps the unused half of a 64-bit word for the next
-    `next_uint32` in the bit generator's own state, so these calls and
-    numpy's share it, and setting `bit_generator.state` resets it.  `loc`
-    is where a missing random source is reported (see `NO_SOURCE`).
-
-    `pend` leaves a sample's stream pending: its state is set on the
-    generator just before the sample's first draw, by whichever method makes
-    it, so a sample that draws nothing costs no stream state at all.  While
-    a stream is pending, `_uint32` and `_double` point at installing
-    trampolines that put the C functions back, so the fast paths check
-    nothing per draw.  `settle` drops a pending stream.  Nothing else sets
-    the generator's state.
+    `Generator.normal(mean, sd)`.  The state is numpy's: the LCG state, its
+    increment, and the upper half of a word that a 32-bit draw left (None
+    when no half waits).  A step advances the LCG and outputs the XSL-RR
+    word of the new state.  `normal` and bounds above 2**32 hand the state
+    to a numpy Generator and take it back.  `loc` is where a missing random
+    source is reported (see `NO_SOURCE`).  `pend` leaves a sample's stream
+    pending until the sample's first draw, which sets it with no half word
+    waiting; `settle` drops it.
     """
 
-    __slots__ = ("generator", "_uint32", "_double", "_state", "_next_uint32",
-                 "_next_double", "_pending")
+    __slots__ = ("_state", "_inc", "_half", "_pending", "_unseeded", "_generator")
 
-    def __init__(self, generator):
-        # holding the generator keeps the state address valid; setting
-        # `bit_generator.state` writes in place and keeps it too
-        self.generator = generator
-        c = generator.bit_generator.ctypes
-        self._next_uint32, self._next_double, self._state = \
-            c.next_uint32, c.next_double, c.state
-        self.settle()
+    def __init__(self, *path):
+        self._pending = self._unseeded = _path_state, path
+        self._generator = None
 
     def pend(self, states, i):
-        """Draw next from the stream whose bit generator state is
-        `states(i)`, set on the generator at the next draw."""
+        """Draw next from the stream whose (state, inc) is `states(i)`."""
         self._pending = states, i
-        self._uint32, self._double = self._install_uint32, self._install_double
 
     def settle(self):
-        """Drop any pending stream and draw on from the generator's state."""
-        self._pending = None
-        self._uint32, self._double = self._next_uint32, self._next_double
+        """Drop any pending stream and draw on from the current state."""
+        self._pending = self._unseeded
 
     def _install(self):
         states, i = self._pending
-        self.generator.bit_generator.state = states(i)
-        self.settle()
+        self._state, self._inc = states(i)
+        self._half = self._pending = self._unseeded = None
 
-    def _install_uint32(self, state):
-        self._install()
-        return self._next_uint32(state)
-
-    def _install_double(self, state):
-        self._install()
-        return self._next_double(state)
-
-    def _numpy(self):
-        """The generator, with any pending stream installed."""
+    def _uint32(self):
         if self._pending is not None:
             self._install()
-        return self.generator
+        u = self._half
+        if u is not None:
+            self._half = None
+            return u
+        s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+        v, r = (s >> 64 ^ s) & _MASK64, s >> 122
+        w = (v >> r | v << 64 - r) & _MASK64
+        self._half = w >> 32
+        return w & _MASK32
+
+    def _give(self, generator):
+        half = self._half
+        generator.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": self._state, "inc": self._inc},
+            "has_uint32": int(half is not None), "uinteger": half or 0}
+
+    def _take(self, generator):
+        state = generator.bit_generator.state
+        self._state, self._inc = state["state"]["state"], state["state"]["inc"]
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def _numpy(self, draw):
+        """`draw(generator)` on a numpy Generator given this object's state,
+        which this object then takes back."""
+        if self._pending is not None:
+            self._install()
+        if self._generator is None:
+            self._generator = derive_rng(0)
+        self._give(self._generator)
+        value = draw(self._generator)
+        self._take(self._generator)
+        return value
 
     def integer(self, n, loc=None):
         """Uniform integer in [0, n), for n >= 1."""
         if n > _WORD32:
-            return randint_below(self._numpy(), n)
+            return self._numpy(lambda generator: randint_below(generator, n))
         if n == 1:
             return 0    # numpy draws nothing for a one-value range
-        # numpy's buffered_bounded_lemire_uint32 with rng_excl = n
-        m = self._uint32(self._state) * n
+        # numpy's buffered_bounded_lemire_uint32 with rng_excl = n, on an
+        # inline `_uint32`
+        if self._pending is not None:
+            self._install()
+        u = self._half
+        if u is None:
+            s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+            v, r = (s >> 64 ^ s) & _MASK64, s >> 122
+            w = (v >> r | v << 64 - r) & _MASK64
+            self._half, u = w >> 32, w & _MASK32
+        else:
+            self._half = None
+        m = u * n
         if m & _MASK32 < n:
             threshold = (_WORD32 - n) % n
             while m & _MASK32 < threshold:
-                m = self._uint32(self._state) * n
+                m = self._uint32() * n
         return m >> 32
 
     def flip(self, p, loc=None):
         """True with probability p."""
-        return self._double(self._state) < p
+        if self._pending is not None:
+            self._install()
+        s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+        v, r = (s >> 64 ^ s) & _MASK64, s >> 122
+        return (((v >> r | v << 64 - r) & _MASK64) >> 11) * _UNIT < p
 
     def choose(self, weights):
         """Index i with probability weights[i] / sum(weights)."""
         total = 0.0
         for w in weights:
             total += w
-        u = self._double(self._state) * total
+        if self._pending is not None:
+            self._install()
+        s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+        v, r = (s >> 64 ^ s) & _MASK64, s >> 122
+        u = (((v >> r | v << 64 - r) & _MASK64) >> 11) * _UNIT * total
         acc = 0.0
         for i, w in enumerate(weights):
             acc += w
@@ -271,12 +283,45 @@ class Draws:
         return len(weights) - 1
 
     def order(self, k):
-        """A uniformly random permutation of range(k), as a list."""
-        return self._numpy().permutation(k).tolist()
+        """A uniformly random permutation of range(k), as a list: each i
+        from k-1 down to 1 swaps with a j <= i, a 32-bit draw masked to i's
+        bit length and drawn again while above i."""
+        out = list(range(k))
+        for i in range(k - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._uint32() & mask
+            while j > i:
+                j = self._uint32() & mask
+            out[i], out[j] = out[j], out[i]
+        return out
 
     def normal(self, mean, sd, loc=None):
         """Gaussian draw with the given mean and standard deviation."""
-        return float(self._numpy().normal(mean, sd))
+        return self._numpy(lambda generator: float(generator.normal(mean, sd)))
+
+
+class _SharedDraws(Draws):
+    """The draws of a caller's numpy Generator: each draw starts from the
+    generator's state (or a pending stream) and leaves its own there, so the
+    generator advances as if numpy had made the draw."""
+
+    __slots__ = ()
+
+    def __init__(self, generator):
+        self._generator, self._pending, self._unseeded = generator, None, None
+
+    def _shared(draw):
+        def shared(self, *args):
+            if self._pending is None:
+                self._take(self._generator)
+            value = draw(self, *args)
+            self._give(self._generator)
+            return value
+        return shared
+
+    integer, flip, choose, order, normal = map(
+        _shared, (Draws.integer, Draws.flip, Draws.choose, Draws.order, Draws.normal))
+    del _shared
 
 
 class _NoSource:
@@ -304,13 +349,15 @@ NO_SOURCE = _NoSource()
 
 
 def as_draws(source):
-    """The draw object for `source`: a numpy Generator is wrapped in a new
-    `Draws`, None gives `NO_SOURCE`, and anything else is a draw object
-    already.  Wrap a generator once and pass the result on: each `Draws`
-    binds the generator's C functions anew."""
-    if isinstance(source, np.random.Generator):
-        return Draws(source)
-    return NO_SOURCE if source is None else source
+    """The draw object for `source`: a numpy Generator is adopted, so that
+    its draws advance it (`_SharedDraws`), None gives `NO_SOURCE`, and
+    anything else is a draw object already."""
+    if source is None:
+        return NO_SOURCE
+    numpy = sys.modules.get("numpy")   # a Generator means numpy is loaded
+    if numpy is not None and isinstance(source, numpy.random.Generator):
+        return _SharedDraws(source)
+    return source
 
 
 def random_integer(n, rng, loc=None):

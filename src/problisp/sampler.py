@@ -9,7 +9,7 @@ uniformly at random (the draws are independent, so the order is invisible in
 distribution but fixed for rng-trace reproducibility).  Both choices, the
 link and the order, are made by the draw object (`rng.Draws`) that the
 template's own primitives draw from; a numpy Generator passed to
-`sample_concept` or `instantiate_expression` is wrapped in one on entry.
+`sample_concept` or `instantiate_expression` is adopted by one on entry.
 
 Budgets guard the recursion: exceeding the depth or node cap aborts the
 sample with an error rather than silently truncating, since truncation would

@@ -2,10 +2,10 @@
 
 Top-level rejection-query forms run through the batch sampler (one rng
 stream per sample index, derived from (seed, query-ordinal, index) and set
-on the generator of one draw object the session makes once, at the sample's
-first draw, so a sample that draws nothing derives no stream); all other
-top-level forms consume the session's own stream.  Resetting the seed
-restores both, so identical inputs replay identically.
+on one draw object the session makes once, at the sample's first draw, so a
+sample that draws nothing derives no stream); all other top-level forms
+consume the session's own stream.  Resetting the seed restores both, so
+identical inputs replay identically.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import EvalError, ProblispError
 from .evaluator import (DEFAULT_MAX_ATTEMPTS, EvalContext, evaluate,
                         standard_env)
 from .inference import QuerySpec, run_samples
-from .rng import Draws, derive_rng
+from .rng import Draws
 from .sexpr import SList, Symbol, parse
 
 
@@ -50,13 +50,13 @@ class Session:
         self.max_attempts = max_attempts
         self.rewrite = rewrite
         self.last_query = None
-        # the query streams' states are set on it; its own seed is never used
-        self._query_rng = Draws(derive_rng(0))
+        # the query streams' states are set on it; its own stream is never used
+        self._query_rng = Draws(0)
         self.reset_seed(seed)
 
     def reset_seed(self, seed):
         self.seed = int(seed)
-        self.rng = Draws(derive_rng(self.seed, 0))
+        self.rng = Draws(self.seed, 0)
         self._query_ordinal = 0
 
     def _ctx(self):

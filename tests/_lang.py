@@ -17,6 +17,23 @@ def ev(src, seed=1, env=None, ctx=None):
     return result
 
 
+def draws_state(draws):
+    """The PCG64 state of the draw object `draws`: (LCG state, inc, waiting
+    upper half word or None).  One that has not drawn yet is at the start
+    of its path's stream, which it derives at its first draw."""
+    if draws._unseeded is not None:
+        states, path = draws._unseeded
+        return (*states(path), None)
+    return draws._state, draws._inc, draws._half
+
+
+def twin_state(rng):
+    """The PCG64 state of the numpy Generator `rng`, as `draws_state` gives it."""
+    state = rng.bit_generator.state
+    return (state["state"]["state"], state["state"]["inc"],
+            state["uinteger"] if state["has_uint32"] else None)
+
+
 def eval_condition(cond, assignment):
     """Evaluate a deterministic condition with variables bound to ints."""
     env = Env(standard_env(), dict(assignment))

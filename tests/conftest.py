@@ -10,12 +10,14 @@ SRC = REPO / "src"
 PROGRAMS = REPO / "programs"
 
 
-def run_cli(*args, stdin=None, timeout=60):
-    """Run the CLI in a subprocess; returns CompletedProcess with text I/O."""
+def run_cli(*args, stdin=None, timeout=60, code=None):
+    """Run the CLI in a subprocess, or the Python `code` with the CLI's
+    arguments in sys.argv; returns CompletedProcess with text I/O."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "problisp", *[str(a) for a in args]],
+        [sys.executable, *(("-c", code) if code else ("-m", "problisp")),
+         *[str(a) for a in args]],
         input=stdin, capture_output=True, text=True, timeout=timeout, env=env,
         cwd=REPO)
 

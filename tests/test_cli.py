@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from problisp import Pair, histogram
 from problisp.sexpr import MAX_NESTING
 
 from conftest import PROGRAMS, run_cli
+from test_golden import GOLDEN, SAMPLES
 
 
 @pytest.fixture
@@ -332,3 +334,19 @@ def test_histogram_geometric_lengths(prelude_session):
 def test_histogram_empty_rejected():
     with pytest.raises(ValueError):
         histogram([])
+
+
+# numpy is imported only for normal draws and integer bounds above 2**32:
+# with numpy made unimportable, programs that draw neither give their
+# golden records bytes
+_WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
+                  "from problisp.cli import main; sys.exit(main())")
+
+
+@pytest.mark.parametrize("program,flags,seed", [
+    key for key in GOLDEN if key[0] in ("arith_query.lisp", "two_queries.lisp")])
+def test_programs_without_normal_draws_run_without_numpy(program, flags, seed):
+    r = run_cli(f"programs/{program}", *flags, "--samples", SAMPLES, "--seed", seed,
+                "--output", "records", code=_WITHOUT_NUMPY)
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode("utf-8")).hexdigest() == GOLDEN[program, flags, seed]

@@ -171,7 +171,7 @@ def test_tail_calls_do_not_grow_the_stack():
 
 
 def test_random_integer_bounds():
-    rng = Draws(derive_rng(0))
+    rng = Draws(0)
     assert random_integer(1, rng) == 0
     with pytest.raises(EvalError):
         random_integer(0, rng)
@@ -185,7 +185,7 @@ def test_random_integer_bounds():
 def test_random_integer_uniformity():
     # binomial oracle: each outcome frequency within 4 sd of 0.1
     n = 100_000
-    rng = Draws(derive_rng(20240817))
+    rng = Draws(20240817)
     counts = np.zeros(10, dtype=int)
     for _ in range(n):
         counts[random_integer(10, rng)] += 1
@@ -195,7 +195,7 @@ def test_random_integer_uniformity():
 
 
 def test_normal_moments():
-    rng = Draws(derive_rng(7))
+    rng = Draws(7)
     assert normal(0, 0, rng) == 0.0
     assert ev("(normal 5 0)") == 5.0
     with pytest.raises(EvalError):
@@ -218,7 +218,7 @@ def test_purity_of_nonrandom_programs():
 
 def test_left_to_right_evaluation_order():
     # the program's two draws must replay the rng's own draw order
-    rng = Draws(derive_rng(55))
+    rng = Draws(55)
     first = random_integer(1000, rng)
     second = random_integer(1000, rng)
     env = standard_env()
@@ -234,7 +234,7 @@ def test_operator_evaluated_before_operands():
     ((pick-op) (pick 10))
     """
     # operator expression ran first: it consumes the first draw
-    rng = Draws(derive_rng(3))
+    rng = Draws(3)
     op_draw = random_integer(2, rng)
     arg_draw = random_integer(10, rng)
     env = standard_env()
@@ -547,7 +547,7 @@ def test_known_draws_match_the_primitive_in_a_variable(name, arg):
 
 
 def test_known_draws_replay_the_draw_objects_stream():
-    rng = Draws(derive_rng(77))
+    rng = Draws(77)
     expected = [rng.flip(0.25), rng.integer(6), rng.flip(0.9), rng.integer(1 << 40)]
     assert ev("(list (flip 0.25) (random-integer 6) (flip 0.9) "
               "(random-integer 1099511627776))", seed=77) == \

@@ -9,7 +9,7 @@ from problisp import (EvalContext, EvalError, ExhaustionError, QuerySpec,
                       standard_env)
 from problisp.rng import Draws
 
-from _lang import satisfaction_set
+from _lang import draws_state, satisfaction_set, twin_state
 
 PAPER_QUERY = "(rejection-query (define x (random-integer 10)) x (= (+ x 5) 10))"
 
@@ -228,7 +228,7 @@ def test_lazy_streams_draw_like_fresh_generators(knowledge, first, prefix, n, se
     batch = run_samples(spec, n, env, seed=seed, ctx=ctx).samples
     # a reused draw object whose own state is not a sample stream's
     assert run_samples(spec, n, env, seed=seed, ctx=ctx,
-                       rng=Draws(derive_rng(1))).samples == batch
+                       rng=Draws(1)).samples == batch
     for i in range(n) if n < 1030 else (0, 1, 1023, 1024, 1029):
         assert rejection_query(spec, env, derive_rng(*seed, i), ctx=ctx) == batch[i]
 
@@ -244,12 +244,31 @@ def test_streams_derived_only_for_samples_that_draw(knowledge, monkeypatch, firs
         assert len(calls) == (0 if first in _DRAW_FREE else -(-n // _STREAM_BLOCK))
 
 
+def test_batch_without_a_draw_object_draws_like_an_explicit_one(monkeypatch):
+    # without `rng`, a batch draws through a `Draws` on its own path, and
+    # makes no numpy generator for a query that draws no normal
+    from problisp import inference, rng
+
+    def no_generator(*path):
+        raise AssertionError("derive_rng called")
+    env = standard_env()
+    spec = _spec("(rejection-query (define x (random-integer 100)) (define b (flip 0.4))"
+                 " (list x b) (if b #t (< x 30)))")
+    for seed, n in ((5, 3), ((7000, 3), 40)):
+        path = seed if isinstance(seed, tuple) else (seed,)
+        explicit = run_samples(spec, n, env, seed=seed, rng=Draws(*path)).samples
+        with monkeypatch.context() as m:
+            for module in (inference, rng):
+                m.setattr(module, "derive_rng", no_generator)
+            assert run_samples(spec, n, env, seed=seed).samples == explicit
+
+
 def test_no_stream_pending_after_return_or_exhaustion(monkeypatch):
     # after run_samples the draw object draws on from its generator's state,
     # whether the last sample drew nothing or the batch ran out of attempts
     env = standard_env()
     calls = _count_stream_states(monkeypatch)
-    draws, twin = Draws(derive_rng(99)), derive_rng(99)
+    draws, twin = Draws(99), derive_rng(99)
     run_samples(_spec("(rejection-query (define x 5) x #t)"), 3, env, seed=4, rng=draws)
     assert calls == []
     assert [draws.integer(1000) for _ in range(5)] == \
@@ -259,7 +278,10 @@ def test_no_stream_pending_after_return_or_exhaustion(monkeypatch):
     with pytest.raises(ExhaustionError) as exc:
         run_samples(spec, 50, env, seed=6, max_attempts=1, rng=draws)
     assert 0 < len(exc.value.partial.samples) < 50
-    twin.bit_generator.state = draws.generator.bit_generator.state
+    # the exhausted sample drew one 32-bit word from its own stream
+    twin = derive_rng(6, len(exc.value.partial.samples))
+    twin.integers(0, 10)
+    assert draws_state(draws) == twin_state(twin)
     assert draws.flip(0.5) == (twin.random() < 0.5)
     # a later draw-free query derives no stream
     calls.clear()

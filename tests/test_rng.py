@@ -1,16 +1,20 @@
 """`stream_states` and `Draws` against numpy's own calls.
 
-The states are a re-implementation of numpy's seeding, and the draw object's
-integer and uniform draws re-implement numpy's, so these tests are what ties
-them to the installed numpy: a numpy release that changed its seeding or its
-draws would fail here, not silently change the streams of queries.
+The states are a re-implementation of numpy's seeding, and the draw object
+re-implements numpy's PCG64 and its integer, uniform and permutation draws,
+so these tests are what ties them to the installed numpy: a numpy release
+that changed its seeding or its draws would fail here, not silently change
+the streams of queries.  Each draw is checked against a numpy Generator
+twin, value by value and state by state.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from problisp.rng import Draws, derive_rng, stream_states
+from problisp.rng import Draws, as_draws, derive_rng, stream_states
+
+from _lang import draws_state, twin_state
 
 # path integers: 0, negatives, one- and two-word values, and values of 2**64
 # and up, which derive_rng masks to 64 bits
@@ -30,8 +34,15 @@ _STARTS = st.one_of(st.integers(0, 40), st.integers((1 << 32) - 4, (1 << 32) + 2
 @example((1, 2), 5, 0)
 def test_states_equal_derive_rng(prefix, start, count):
     stop = start + count
-    assert stream_states(prefix, start, stop) == \
-        [derive_rng(*prefix, i).bit_generator.state for i in range(start, stop)]
+    # a fresh generator has no half word waiting
+    assert [(state, inc, None) for state, inc in stream_states(prefix, start, stop)] == \
+        [twin_state(derive_rng(*prefix, i)) for i in range(start, stop)]
+
+
+def _set_state(rng, state, inc):
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
 
 
 def _draws(rng):
@@ -47,8 +58,8 @@ def _draws(rng):
 @given(_PREFIXES, _STARTS, st.integers(1, 5))
 def test_reused_generator_draws_like_fresh_ones(prefix, start, count):
     rng = derive_rng(7)
-    for i, state in enumerate(stream_states(prefix, start, start + count), start):
-        rng.bit_generator.state = state
+    for i, (state, inc) in enumerate(stream_states(prefix, start, start + count), start):
+        _set_state(rng, state, inc)
         assert _draws(rng) == _draws(derive_rng(*prefix, i)), i
         # the buffered half must not leak into the next index's stream
         assert rng.bit_generator.state["has_uint32"] == 1
@@ -115,22 +126,75 @@ def _numpy_draw(rng, op):
 @example(3, [("integer", 10), ("flip", 0.5), ("integer", 10), ("normal", 0.0, 1.0),
              ("integer", 10), ("order", 5), ("integer", 10), ("choose", [1.0, 2.0])])
 def test_draws_equal_numpy_calls(seed, ops):
-    draws, twin = Draws(derive_rng(seed)), derive_rng(seed)
+    draws, twin = Draws(seed), derive_rng(seed)
     for op in ops:
         assert _draw(draws, op) == _numpy_draw(twin, op), op
-        # the same bits consumed, the pending half-word included
-        assert draws.generator.bit_generator.state == twin.bit_generator.state, op
+        # the same bits consumed, the waiting half word included
+        assert draws_state(draws) == twin_state(twin), op
+
+
+def _takes_bits(op):
+    name, *args = op
+    return not (name == "integer" and args[0] == 1 or name == "order" and args[0] < 2)
+
+
+def _stream(states, start):
+    return lambda i: states[i - start]
 
 
 @settings(max_examples=100, deadline=None)
 @given(_PREFIXES, _STARTS, st.integers(1, 4), st.lists(_OPS, min_size=1, max_size=8))
 def test_draws_follow_a_state_change_with_a_half_word_pending(prefix, start, count, ops):
-    draws = Draws(derive_rng(7))
-    bit_generator = draws.generator.bit_generator
-    for i, state in enumerate(stream_states(prefix, start, start + count), start):
-        while not bit_generator.state["has_uint32"]:
+    draws = Draws(7)
+    states = stream_states(prefix, start, start + count)
+    for i in range(start, start + count):
+        while draws_state(draws)[2] is None:
             draws.integer(10)
-        bit_generator.state = state
+        draws.pend(_stream(states, start), i)
         twin = derive_rng(*prefix, i)
+        installed = False   # until an op takes bits, the old state stays
         for op in ops:
+            installed = installed or _takes_bits(op)
             assert _draw(draws, op) == _numpy_draw(twin, op), (i, op)
+            if installed:
+                assert draws_state(draws) == twin_state(twin), (i, op)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, (1 << 64) - 1),
+       st.lists(st.tuples(st.booleans(), st.lists(_OPS, max_size=5)), max_size=6))
+@example(3, [(False, [("integer", 10)]), (True, [("integer", 1), ("order", 1)]),
+             (False, [("integer", 10)]), (True, [("normal", 0.0, 1.0), ("integer", 10)]),
+             (True, [("integer", (1 << 32) + 1), ("flip", 0.5)])])
+def test_pend_and_settle_across_sample_boundaries(seed, samples):
+    # each sample pends its stream (index i of the prefix (seed,)) or settles;
+    # a pended stream is installed, with no half word waiting, at the
+    # sample's first op that takes bits, and a sample that takes none leaves
+    # the state as it was
+    states = stream_states((seed,), 0, len(samples))
+    draws, twin = Draws(seed), derive_rng(seed)
+    for i, (pend, ops) in enumerate(samples):
+        pending = pend
+        if pend:
+            draws.pend(_stream(states, 0), i)
+        else:
+            draws.settle()
+        for op in ops:
+            if pending and _takes_bits(op):
+                twin, pending = derive_rng(seed, i), False
+            assert _draw(draws, op) == _numpy_draw(twin, op), (i, op)
+            assert draws_state(draws) == twin_state(twin), (i, op)
+    draws.settle()
+    assert draws.integer(1000) == int(twin.integers(0, 1000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, (1 << 64) - 1), st.lists(st.tuples(st.booleans(), _OPS), max_size=20))
+def test_an_adopted_generator_advances_as_if_numpy_drew(seed, ops):
+    # draws through `as_draws(rng)` and numpy's own calls on `rng` interleave
+    rng, twin = derive_rng(seed), derive_rng(seed)
+    draws = as_draws(rng)
+    for direct, op in ops:
+        got = _numpy_draw(rng, op) if direct else _draw(draws, op)
+        assert got == _numpy_draw(twin, op), op
+        assert twin_state(rng) == twin_state(twin), op
