@@ -155,7 +155,8 @@ def randint_below(rng, n):
 
 
 def _path_state(path):
-    return stream_states(path[:-1], path[-1], path[-1] + 1)[0]
+    *prefix, last = _entropy(path)
+    return stream_states(prefix, last, last + 1)[0]
 
 
 class Draws:
