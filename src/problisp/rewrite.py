@@ -1,24 +1,33 @@
 """Pattern matching, substitution, constant folding and condition solving.
 
 Rules are directed (implication) or bidirectional (equivalence) pattern ->
-template pairs whose variables are $-prefixed symbols.  Solving a condition
-for a target variable starts from the constant-folded condition, with the
-sides of `=` swapped when the target is only on the right.  It then applies
-rules at the root and at every subexpression in leftmost-outermost order,
-keeping only rewrites that strictly reduce the depth of the target's
-shallowest occurrence, constant folding after every application.  That
-depth bounds the number of steps.  Equivalences are tried right-to-left only
-when no left-to-right application made progress in the current step.
+template pairs whose variables are $-prefixed symbols.  A rule compiles each
+pattern it applies (its left side, and for an equivalence its right side too)
+once, at its first use, into a matcher closure; an (arity, head symbol) key
+skips nodes of another shape without a call (a pattern whose head is a
+variable has no key).  Solving a condition for a target variable starts from
+the constant-folded condition, with the sides of `=` swapped when the target
+is only on the right.  Each step then keeps the first
+rewrite, leftmost-outermost and in rule order, that strictly reduces the depth
+of the target's shallowest occurrence, so that depth bounds the steps.  Rules
+are tried only at nodes whose subtree holds the target, since folding only
+removes ground subtrees; a rule whose template names the target as a plain
+symbol is tried at every node.  Equivalences are tried right-to-left only when
+no left-to-right application made progress in the current step.
 Solving is best effort: on failure the original condition is returned.
 Constant folding uses the evaluator's primitives, so it agrees with them.
+The optimizer leaves a query alone when a definition of it binds a name whose
+meaning it assumes: random-integer, a foldable operator or a rule's symbol.
 
-Everything here is a pure function over immutable inputs.
+Everything here is a pure function over immutable inputs; a rule only caches
+its compiled matchers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import is_not
 
 from .errors import EvalError, RuleError, ZeroProbabilityError
 from .evaluator import _PRIMITIVES
@@ -35,22 +44,44 @@ def match(pattern, expr, bindings=None):
     """First-order syntactic match; returns bindings or None.  Repeated
     variables must bind structurally equal subexpressions."""
     out = {} if bindings is None else dict(bindings)
-    return out if _match(pattern, expr, out) else None
+    return out if _matcher(pattern, set(out))(expr, out) else None
 
 
-def _match(pattern, expr, out):
+def _matcher(pattern, seen):
+    """`pattern` as a function (expr, bindings) -> bool that adds the
+    bindings it makes; the variables in `seen` are bound before it runs."""
     t = pattern.__class__
     if t is Symbol and pattern.name.startswith("$"):
-        seen = out.get(pattern.name)
-        if seen is None:
-            out[pattern.name] = expr
-            return True
-        return seen == expr
-    if t is SList:
-        if expr.__class__ is not SList or len(pattern.items) != len(expr.items):
+        name = pattern.name
+        if name in seen:
+            return lambda expr, out: out[name] == expr
+        seen.add(name)
+        return lambda expr, out: out.setdefault(name, expr) is expr   # binds it
+    if t is Symbol:
+        name = pattern.name
+        return lambda expr, out: expr.__class__ is Symbol and expr.name == name
+    if t is not SList:
+        return lambda expr, out: pattern == expr
+    n = len(pattern.items)
+    parts = tuple([_matcher(item, seen) for item in pattern.items])
+
+    def match_list(expr, out):
+        if expr.__class__ is not SList or len(expr.items) != n:
             return False
-        return all(_match(p, e, out) for p, e in zip(pattern.items, expr.items))
-    return pattern == expr
+        for part, item in zip(parts, expr.items):
+            if not part(item, out):
+                return False
+        return True
+    return match_list
+
+
+def _key(expr):
+    """(arity, head name) of a list whose head is a symbol but not a pattern
+    variable; None otherwise."""
+    if (expr.__class__ is SList and expr.items and expr.items[0].__class__ is Symbol
+            and not expr.items[0].name.startswith("$")):
+        return len(expr.items), expr.items[0].name
+    return None
 
 
 def substitute(template, bindings):
@@ -61,24 +92,16 @@ def substitute(template, bindings):
             raise RuleError(f"unbound pattern variable '{template.name}'", template.loc)
         return bindings[template.name]
     if t is SList:
-        return SList(tuple(substitute(item, bindings) for item in template.items),
+        return SList(tuple([substitute(item, bindings) for item in template.items]),
                      template.loc)
     return template
 
 
-def pattern_vars(expr):
-    out = set()
-    _collect_vars(expr, out)
-    return out
-
-
-def _collect_vars(expr, out):
-    t = expr.__class__
-    if t is Symbol and expr.name.startswith("$"):
-        out.add(expr.name)
-    elif t is SList:
-        for item in expr.items:
-            _collect_vars(item, out)
+def _symbols(expr):
+    """The names of the symbols in `expr`."""
+    if expr.__class__ is SList:
+        return set().union(*map(_symbols, expr.items))
+    return {expr.name} if expr.__class__ is Symbol else set()
 
 
 # -- constant folding ----------------------------------------------------------
@@ -99,22 +122,26 @@ def constant_fold(expr):
     """Bottom-up evaluation of ground arithmetic/comparison subexpressions with
     the evaluator's own primitives; ill-typed ground subexpressions, and those
     whose value is a non-finite real, which no literal can write, are left
-    unfolded."""
+    unfolded.  A node under which nothing folds is returned as it is."""
     if expr.__class__ is not SList or not expr.items:
         return expr
-    items = tuple(constant_fold(item) for item in expr.items)
+    items = tuple([constant_fold(item) if item.__class__ is SList else item
+                   for item in expr.items])
+    if any(map(is_not, items, expr.items)):
+        expr = SList(items, expr.loc)
     head = items[0]
-    folded = SList(items, expr.loc)
-    if (head.__class__ is Symbol and head.name in _FOLDABLE and len(items) >= 2
-            and all(a.__class__ in _LITERALS for a in items[1:])):
-        try:
-            value = _PRIMITIVES[head.name]([a.value for a in items[1:]], None, expr.loc)
-        except EvalError:
-            return folded
-        if value.__class__ is float and not math.isfinite(value):
-            return folded
-        return _literal_node(value)
-    return folded
+    if len(items) < 2 or head.__class__ is not Symbol or head.name not in _FOLDABLE:
+        return expr
+    for a in items[1:]:
+        if a.__class__ not in _LITERALS:
+            return expr
+    try:
+        value = _PRIMITIVES[head.name]([a.value for a in items[1:]], None, expr.loc)
+    except EvalError:
+        return expr
+    if value.__class__ is float and not math.isfinite(value):
+        return expr
+    return _literal_node(value)
 
 
 # -- rules ---------------------------------------------------------------------
@@ -126,6 +153,17 @@ class RewriteRule:
     lhs: SExpr
     rhs: SExpr
     name: str
+
+    def __post_init__(self):
+        # the symbols of each side; and per direction, left to right first:
+        # [key, matcher (compiled at its first use), pattern, template, the
+        # template's symbols]
+        symbols = (_symbols(self.lhs), _symbols(self.rhs))
+        ways = [[_key(self.lhs), None, self.lhs, self.rhs, symbols[1]]]
+        if self.kind == "equivalence":
+            ways.append([_key(self.rhs), None, self.rhs, self.lhs, symbols[0]])
+        object.__setattr__(self, "_symbols", symbols)
+        object.__setattr__(self, "_ways", ways)
 
 
 def rule_from_form(form, default_name=None):
@@ -145,7 +183,8 @@ def rule_from_form(form, default_name=None):
         name, lhs, rhs = default_name or "rule", rest[0], rest[1]
     else:
         raise RuleError(f"{kind} expects ({kind} [name] pattern template)", form.loc)
-    lvars, rvars = pattern_vars(lhs), pattern_vars(rhs)
+    rule = RewriteRule(kind, lhs, rhs, name)
+    lvars, rvars = [{v for v in side if v.startswith("$")} for side in rule._symbols]
     if not rvars <= lvars:
         extra = ", ".join(sorted(rvars - lvars))
         raise RuleError(f"rule '{name}': right side introduces unbound {extra}", form.loc)
@@ -154,7 +193,7 @@ def rule_from_form(form, default_name=None):
         raise RuleError(
             f"rule '{name}': equivalence is not reversible, left side loses {extra}",
             form.loc)
-    return RewriteRule(kind, lhs, rhs, name)
+    return rule
 
 
 # -- condition solving -----------------------------------------------------------
@@ -167,44 +206,46 @@ class SolveResult:
     trace: tuple          # condition states, original first
 
 
-def _positions(expr, path=()):
-    yield path
-    if expr.__class__ is SList:
-        for i, item in enumerate(expr.items):
-            yield from _positions(item, path + (i,))
-
-
-def _node_at(expr, path):
-    for i in path:
-        expr = expr.items[i]
-    return expr
-
-
 def _replace_at(expr, path, new):
     if not path:
         return new
     i = path[0]
-    items = list(expr.items)
-    items[i] = _replace_at(items[i], path[1:], new)
-    return SList(tuple(items), expr.loc)
+    items = expr.items
+    return SList(items[:i] + (_replace_at(items[i], path[1:], new),) + items[i + 1:],
+                 expr.loc)
 
 
-def _var_depth(expr, name, depth=0):
+def _var_depth(expr, name):
     """Depth of the shallowest occurrence of `name`, or None."""
-    if expr.__class__ is Symbol:
-        return depth if expr.name == name else None
-    if expr.__class__ is not SList:
-        return None
-    best = None
-    for item in expr.items:
-        d = _var_depth(item, name, depth + 1)
-        if d is not None and (best is None or d < best):
-            best = d
-    return best
+    return _scan(expr, name, False, [])
 
 
 def _contains_var(expr, name):
     return _var_depth(expr, name) is not None
+
+
+def _scan(expr, name, everywhere, sites, path=(), depth=0):
+    """The depth of the shallowest `name` in `expr`, counted from `depth`, or
+    None.  Adds a (path, node, key, holds the target) site to `sites` for each
+    node to try, outermost first and left to right: those whose subtree holds
+    the target, or all of them when `everywhere`."""
+    if expr.__class__ is not SList:
+        holds = expr.__class__ is Symbol and expr.name == name
+        if holds or everywhere:
+            sites.append((path, expr, None, holds))
+        return depth if holds else None
+    k = len(sites)
+    sites.append(None)
+    best = None
+    for i, item in enumerate(expr.items):
+        d = _scan(item, name, everywhere, sites, path + (i,), depth + 1)
+        if d is not None and (best is None or d < best):
+            best = d
+    if best is None and not everywhere:
+        sites.pop()   # nothing under it was added either
+    else:
+        sites[k] = (path, expr, _key(expr), best is not None)
+    return best
 
 
 def _eq_sides(expr):
@@ -238,30 +279,30 @@ def _start_state(condition, name):
     return state
 
 
-def _find_step(state, name, rules):
+def _find_step(state, name, ways, everywhere, base, sites):
     """The first rewrite, leftmost-outermost and in rule order, that strictly
-    lowers the target's depth; equivalences right-to-left only after every
-    left-to-right application failed.  Returns (applied, folded) or None."""
-    base_depth = _var_depth(state, name)
-    positions = list(_positions(state))
-    for direction in ("lr", "rl"):
-        for path in positions:
-            sub = _node_at(state, path)
-            for rule in rules:
-                if direction == "rl":
-                    if rule.kind != "equivalence":
-                        continue
-                    pat, tmpl = rule.rhs, rule.lhs
-                else:
-                    pat, tmpl = rule.lhs, rule.rhs
-                bindings = match(pat, sub)
-                if bindings is None:
+    lowers the target's depth `base`; equivalences right-to-left only after
+    every left-to-right application failed.  `ways` holds the rules' compiled
+    patterns in both directions, and `sites` is from `_scan(state, ...)`.
+    Returns (applied, folded, folded's depth, folded's sites) or None."""
+    for tries in ways:
+        for path, node, key, holds in sites:
+            for way in tries:
+                rule_key, matcher, pattern, template, symbols = way
+                if ((rule_key is not None and rule_key != key)
+                        or not (holds or name in symbols)):
                     continue
-                applied = _replace_at(state, path, substitute(tmpl, bindings))
+                if matcher is None:
+                    matcher = way[1] = _matcher(pattern, set())
+                bindings = {}
+                if not matcher(node, bindings):
+                    continue
+                applied = _replace_at(state, path, substitute(template, bindings))
                 folded = constant_fold(applied)
-                depth = _var_depth(folded, name)
-                if depth is not None and depth < base_depth:
-                    return applied, folded
+                new_sites = []
+                depth = _scan(folded, name, everywhere, new_sites)
+                if depth is not None and depth < base:
+                    return applied, folded, depth, new_sites
     return None
 
 
@@ -274,20 +315,24 @@ def solve_condition(condition, target, rules):
         return SolveResult(condition, False, (condition,))
     state = _start_state(condition, name)
     trace = [condition] if state == condition else [condition, state]
+    ways = ([rule._ways[0] for rule in rules],
+            [way for rule in rules for way in rule._ways[1:]])
+    everywhere = any(name in way[4] for tries in ways for way in tries)
+    sites = []
+    depth = _scan(state, name, everywhere, sites)
     while True:
         solved = _as_solved(state, name)
         if solved is not None:
             if solved != trace[-1]:
                 trace.append(solved)
             return SolveResult(solved, True, tuple(trace))
-        step = _find_step(state, name, rules)
+        step = _find_step(state, name, ways, everywhere, depth, sites)
         if step is None:
             return SolveResult(condition, False, tuple(trace))
-        applied, folded = step
+        applied, state, depth, sites = step
         trace.append(applied)
-        if folded != applied:
-            trace.append(folded)
-        state = folded
+        if state != applied:
+            trace.append(state)
 
 
 # -- query optimization ------------------------------------------------------------
@@ -301,6 +346,10 @@ class OptimizeOutcome:
     value: SExpr | None = None
     chain: tuple = ()          # condition states when fired
     definition: SExpr | None = None  # the rewritten (define v c) form
+
+
+# names whose meaning the optimizer assumes besides the rules' symbols
+_ASSUMED = _FOLDABLE | {"random-integer"}
 
 
 def _is_stochastic(expr):
@@ -340,12 +389,18 @@ def _in_support(value_node, n):
 def optimize_query_detail(spec, rules):
     """Try to replace a stochastic prior with the point mass forced by the
     condition.  Fires only on exactly-checkable finite supports; a solved
-    value provably outside the support raises ZeroProbabilityError."""
-    for idx, d in enumerate(spec.definitions):
-        if (d.__class__ is not SList or len(d.items) != 3
-                or d.items[0].__class__ is not Symbol or d.items[0].name != "define"
-                or d.items[1].__class__ is not Symbol):
-            continue
+    value provably outside the support raises ZeroProbabilityError.  A query
+    that defines random-integer, a foldable operator or a non-pattern symbol
+    of a rule is left untouched: the rewrite would assume their meaning."""
+    defines = [(idx, d) for idx, d in enumerate(spec.definitions)
+               if d.__class__ is SList and len(d.items) == 3
+               and d.items[0].__class__ is Symbol and d.items[0].name == "define"
+               and d.items[1].__class__ is Symbol]
+    names = {d.items[1].name for _, d in defines if not d.items[1].name.startswith("$")}
+    if not names.isdisjoint(_ASSUMED) or any(
+            not names.isdisjoint(side) for rule in rules for side in rule._symbols):
+        return OptimizeOutcome(spec, False)
+    for idx, d in defines:
         var = d.items[1].name
         prior = d.items[2]
         if not _is_stochastic(prior):

@@ -12,10 +12,11 @@ import random
 import time
 from contextlib import contextmanager
 
-from problisp import (QuerySpec, Session, derive_rng, match, parse_one,
+from problisp import (QuerySpec, Session, match, parse_one,
                       prelude_path, print_expr, rules_path, run_samples,
                       sample_concept, standard_env, substitute,
                       solve_condition)
+from problisp.rng import Draws
 from problisp.sexpr import SList, Symbol
 from problisp.values import Pair
 
@@ -208,7 +209,7 @@ def test_c4_number_concept_distribution():
         session.load_file(prelude_path())
         snap = session.store.snapshot()
         number = session.store.lookup("number")
-        rng = derive_rng(20240817)
+        rng = Draws(20240817)
         n = 100_000
         pi_count = int_count = 0
         normal_draws = []
@@ -235,7 +236,7 @@ def test_c5_sequence_length_law():
         session.load_file(prelude_path())
         snap = session.store.snapshot()
         seq = session.store.lookup("sequence")
-        rng = derive_rng(515151)
+        rng = Draws(515151)
         n = 100_000
         counts = {}
         for _ in range(n):

@@ -1,5 +1,5 @@
-"""Python call budgets of the two hot paths: recursive concept sampling and
-the blind rejection loop.
+"""Python call budgets of the two hot paths, recursive concept sampling and
+the blind rejection loop, and of the condition solver.
 
 The evaluator specializes its hot call shapes (see the evaluator module
 docstring).  These tests count the Python function calls that problisp's
@@ -14,7 +14,8 @@ import os
 import sys
 
 import problisp
-from problisp import Session, prelude_path
+from problisp import (QuerySpec, Session, ZeroProbabilityError, optimize_query_detail,
+                      parse_one, prelude_path, rules_path)
 
 PACKAGE = os.path.dirname(problisp.__file__) + os.sep
 
@@ -26,10 +27,24 @@ PACKAGE = os.path.dirname(problisp.__file__) + os.sep
 # (specialized call shapes), and 8550 and 8056 before those
 CONCEPT_BUDGET = 3671
 BLIND_BUDGET = 3557
+# counted at the change that compiles rule patterns and tries rules only at
+# nodes that hold the target; 2434 before it
+SOLVER_BUDGET = 1005
+
+# many_queries shapes: a 3-op chain, an out-of-support chain, and the two
+# two-variable conditions, which the optimizer cannot pin
+SOLVER_QUERIES = (
+    "(rejection-query (define x (random-integer 50)) x (= (- (+ (- x 3) 12) 7) 30))",
+    "(rejection-query (define z (random-integer 20)) z (= (+ (- 40 z) 5) 100))",
+    "(rejection-query (define x (random-integer 6)) (define y (random-integer 8)) "
+    "(list x y) (= (+ x y) 7))",
+    "(rejection-query (define a (random-integer 5)) (define b (random-integer 7)) "
+    "(list a b) (< a b))",
+)
 
 
-def _calls(session, text):
-    """Python calls into problisp's code while `session` runs `text`."""
+def _count_calls(thunk):
+    """Python calls into problisp's code while `thunk()` runs, and its value."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -39,9 +54,15 @@ def _calls(session, text):
 
     sys.setprofile(profile)
     try:
-        result, = session.run_text(text)
+        value = thunk()
     finally:
         sys.setprofile(None)
+    return calls, value
+
+
+def _calls(session, text):
+    """Python calls into problisp's code while `session` runs `text`."""
+    calls, (result,) = _count_calls(lambda: session.run_text(text))
     return calls, result.report
 
 
@@ -59,3 +80,24 @@ def test_blind_query_call_budget():
         s, "(rejection-query (define x (random-integer 10)) x (= (+ x 5) 10))")
     assert report.total_attempts == 438
     assert calls <= BLIND_BUDGET
+
+
+def test_solver_call_budget():
+    s = Session(seed=0)
+    s.load_file(rules_path())
+    rules = tuple(s.rules)
+    specs = [QuerySpec.from_form(parse_one(text)) for text in SOLVER_QUERIES]
+
+    def optimize_all():
+        fired = []
+        for spec in specs:
+            try:
+                fired.append(optimize_query_detail(spec, rules).fired)
+            except ZeroProbabilityError:
+                fired.append(None)
+        return fired
+
+    optimize_all()   # rules compile their matchers at first use
+    calls, fired = _count_calls(optimize_all)
+    assert fired == [True, None, False, False]   # the same work as when the budget was set
+    assert calls <= SOLVER_BUDGET

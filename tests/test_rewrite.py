@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from problisp import (EvalContext, QuerySpec, RuleError, Session,
+from problisp import (EvalContext, ExhaustionError, QuerySpec, RuleError, Session,
                       ZeroProbabilityError, constant_fold, evaluate, match,
                       optimize_query, optimize_query_detail, parse_one,
                       print_expr, rewrite, rule_from_form, rules_path,
                       solve_condition, standard_env, substitute)
 from problisp.sexpr import Boolean, Integer, Real, SList, Symbol
 
+import _solver_reference as reference
 from _lang import eval_condition, satisfaction_set
 
 
@@ -406,6 +407,96 @@ def test_solve_sound_on_integer_conditions(cond):
         assert expected == frozenset()
 
 
+# Rules that reach the solver's special cases: a repeated variable, literal
+# patterns, a non-`=` head, a variable head, a bare `$A` pattern, and templates
+# that name a target as a plain symbol, so they must be tried where the target
+# is not.
+_SPECIAL_RULES = tuple(rule_from_form(parse_one(src)) for src in (
+    "(equivalence (+ $A $A) (* 2 $A))",
+    "(implication (* $A 1) $A)",
+    "(equivalence (= (+ $A 0) $B) (= $A $B))",
+    "(equivalence (< (+ $A $B) $C) (< $A (- $C $B)))",
+    "(implication $A (= $A #t))",
+    "(implication (* $A $B) x)",
+    "(equivalence (= (* $A $B) $C) (= $A (- $C y $B)))",
+    "(equivalence (f $A) (g x $A))",
+    "(equivalence ($R (+ $A $B) $C) ($R $A (- $C $B)))",
+))
+
+_OPS = ["=", "<", "+", "-", "*"]
+
+
+def _pattern(leaves, heads):
+    return st.one_of(leaves, st.builds(_op, st.sampled_from(heads),
+                                       _tree(leaves), _tree(leaves)))
+
+
+@st.composite
+def _random_rule(draw):
+    """A valid rule over + - * = < and a variable head $R, with $A $B $C,
+    literals and x, y."""
+    lhs = draw(_pattern(st.sampled_from(["$A", "$B", "$C", "$A", "0", "1", "x", "y"])
+                        .map(parse_one), _OPS + ["$R"]))
+    names = sorted(_vars_of(lhs))
+    rhs = draw(_pattern(st.sampled_from(names + ["0", "1", "x", "y"]).map(parse_one),
+                        _OPS + [n for n in names if n == "$R"]))
+    kind = "implication"
+    if _vars_of(rhs) == set(names) and draw(st.booleans()):
+        kind = "equivalence"
+    return rule_from_form(SList((Symbol(kind), lhs, rhs)))
+
+
+_RULE_SETS = st.lists(st.one_of(st.sampled_from(RULES + _SPECIAL_RULES), _random_rule()),
+                      min_size=1, max_size=6).map(tuple)
+_ANY_CONDITION = _conditions(st.one_of(_INTS, _REALS))
+# the same conditions, sometimes under a `<` instead of the `=`
+_ROOTED_CONDITION = st.one_of(_ANY_CONDITION, _ANY_CONDITION.map(
+    lambda c: SList((Symbol("<"),) + c.items[1:])))
+
+
+def _outcome(solve, cond, target, rules):
+    try:
+        result = solve(cond, target, rules)
+    except Exception as err:  # both sides must fail alike
+        return type(err), str(err)
+    return result.solved, result.condition, result.trace
+
+
+def _assert_solves_like_reference(cond, rules):
+    for target in ("x", "y"):
+        assert (_outcome(solve_condition, cond, target, rules)
+                == _outcome(reference.solve_condition, cond, target, rules)), target
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_CONDITION)
+def test_solve_equals_reference_with_shipped_rules(cond):
+    _assert_solves_like_reference(cond, RULES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ROOTED_CONDITION, _RULE_SETS)
+def test_solve_equals_reference_with_generated_rules(cond, rules):
+    _assert_solves_like_reference(cond, rules)
+
+
+def test_template_that_names_the_target_is_tried_off_its_path():
+    # (+ y 3) does not hold x, but rewriting it to x lowers x's depth
+    cond = parse_one("(= (* x 2) (+ y 3))")
+    rules = (rule_from_form(parse_one("(implication (+ $A $B) x)")),)
+    result = solve_condition(cond, "x", rules)
+    assert chain(result)[:2] == ["(= (* x 2) (+ y 3))", "(= (* x 2) x)"]
+    _assert_solves_like_reference(cond, rules)
+
+
+def test_rule_with_a_variable_head_is_tried():
+    cond = parse_one("(= (+ x 5) 10)")
+    rules = (rule_from_form(parse_one("(equivalence ($R (+ $A $B) $C) ($R $A (- $C $B)))")),)
+    result = solve_condition(cond, "x", rules)
+    assert result.solved and chain(result)[-1] == "(= x 5)"
+    _assert_solves_like_reference(cond, rules)
+
+
 def test_solve_missing_target_is_failure():
     cond = parse_one("(= (+ y 5) 10)")
     result = solve_condition(cond, "x", RULES)
@@ -489,6 +580,46 @@ def test_optimize_canonicalizes_real_constant_to_prior_type():
     outcome = optimize_query_detail(spec, RULES)
     assert outcome.fired
     assert print_expr(outcome.definition) == "(define x 5)"
+
+
+_SHADOWED_PRIOR = ("(rejection-query (define random-integer (lambda (n) 3)) "
+                   "(define x (random-integer 10)) x (= x 5))")
+_SHADOWED_PLUS = ("(rejection-query (define + (lambda (a b) (- a b))) "
+                  "(define x (random-integer 20)) x (= (+ x 5) 10))")
+
+
+@pytest.mark.parametrize("src", [
+    _SHADOWED_PRIOR,
+    _SHADOWED_PLUS,
+    # a foldable operator that no rule names
+    "(rejection-query (define * (lambda (a b) 0)) (define x (random-integer 10)) "
+    "x (= (+ x (* 2 3)) 10))",
+])
+def test_optimize_leaves_a_query_that_defines_an_assumed_name_untouched(src):
+    spec = _spec(src)
+    assert optimize_query(spec, RULES) is spec
+
+
+def test_optimize_leaves_a_query_that_defines_a_rule_symbol_untouched():
+    rules = (rule_from_form(parse_one(
+        "(implication (= (list $A $B) (list $C $D)) (= $A $C))")),)
+    cond = "x (= (list x 1) (list 5 1)))"
+    assert optimize_query_detail(
+        _spec(f"(rejection-query (define x (random-integer 10)) {cond}"), rules).fired
+    spec = _spec("(rejection-query (define list (lambda (a b) (+ a b))) "
+                 f"(define x (random-integer 10)) {cond}")
+    assert optimize_query(spec, rules) is spec
+
+
+def test_shadowed_prior_or_operator_samples_as_blind_sampling_does():
+    for rewrite_on in (True, False):
+        s = Session(seed=5, samples=3, max_attempts=300, rewrite=rewrite_on)
+        s.load_file(rules_path())
+        with pytest.raises(ExhaustionError):   # the prior is always 3
+            s.run_text(_SHADOWED_PRIOR)
+        result, = s.run_text(_SHADOWED_PLUS)
+        assert result.report.samples == (15, 15, 15)
+        assert (result.optimize is None) or not result.optimize.fired
 
 
 def test_rewrites_never_introduce_unbound_variables():
