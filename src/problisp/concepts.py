@@ -147,9 +147,6 @@ class ConceptStore:
     def active_context(self):
         return self._active
 
-    def context_names(self):
-        return list(self._contexts)
-
     # -- reads -------------------------------------------------------------
 
     def snapshot(self, context=None):

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 from .concepts import ConceptId
 from .errors import ConceptError, EvalError
-from .rng import as_draws, flip, normal, random_integer
+from .rng import NO_SOURCE, flip, normal, random_integer
 from .sexpr import Integer, Real, SExpr, SList, Symbol
 from .values import NIL, Closure, Env, Pair, Primitive, format_value, is_number, values_equal
 
@@ -70,10 +70,8 @@ class EvalContext:
     """Everything an evaluation needs besides the environment.
 
     `rng` is the draw object (`rng.Draws`) that makes every random choice:
-    the primitives and the concept sampler call it and nothing else.  A
-    numpy Generator given here is adopted by one, whose draws advance it,
-    and a context made with no random source gets `rng.NO_SOURCE`, whose
-    draws are errors.
+    the primitives and the concept sampler call it and nothing else.  It
+    defaults to `rng.NO_SOURCE`, whose draws are errors.
 
     A session builds one context per top-level form; `rules`, `rewrite`,
     `max_attempts` and `global_env` stay fixed for the session, `session` is
@@ -92,7 +90,7 @@ class EvalContext:
     for, so one compiled query or template serves every context.
     """
 
-    rng: object = None
+    rng: object = NO_SOURCE
     snapshot: object | None = None
     session: object | None = None      # set only for top-level session forms
     rules: tuple = ()
@@ -101,9 +99,6 @@ class EvalContext:
     global_env: Env | None = None
     budget: object | None = None       # in-flight concept sampling budget
     sample_depth: int = 0
-
-    def __post_init__(self):
-        self.rng = as_draws(self.rng)
 
 
 def evaluate(expr, env, ctx):
@@ -403,7 +398,7 @@ class _Compiler:
         def run(env, ctx):
             query = spec
             if ctx.rewrite and ctx.rules:
-                query = _rewrite.optimize_query(spec, ctx.rules)
+                query = _rewrite.optimize_query(spec, ctx.rules, env)
             return _inference.rejection_query(query, env, ctx.rng, ctx.max_attempts,
                                               ctx=ctx)
         return run

@@ -20,7 +20,6 @@ stream.  Each index draws exactly the bytes a fresh
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, replace
 
 from .errors import EvalError, ExhaustionError, ProblispError
@@ -62,7 +61,6 @@ class SampleReport:
     samples: tuple
     total_attempts: int
     acceptance_rate: float
-    wall_time: float
 
 
 def _compile(spec, base_env):
@@ -124,7 +122,7 @@ def _stream_states(path, n):
 def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=None,
                 rng=None):
     """Draw n accepted samples, one independent rng stream per sample index.
-    The streams are set on `rng`, a numpy Generator or a `Draws`, whose own
+    The streams are set on the draw object `rng` (a `Draws`), whose own
     state is overwritten when a sample draws and left as it was when none
     does; without one, they are set on a `Draws(*path)`.  Each sample's
     stream is installed at its first draw, and no stream is left pending on
@@ -132,7 +130,6 @@ def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=
     if n < 1:
         raise EvalError("sample count must be at least 1")
     path = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    start = time.perf_counter()
     values = []
     attempts_total = 0
     code = _compile(spec, base_env)
@@ -145,15 +142,13 @@ def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=
             try:
                 value, attempts = _attempt_loop(spec, code, base_env, max_attempts, ctx)
             except ExhaustionError as err:
-                wall = time.perf_counter() - start
                 made = attempts_total + err.attempts
                 partial = SampleReport(tuple(values), made,
-                                       len(values) / made if made else 0.0, wall)
+                                       len(values) / made if made else 0.0)
                 raise ExhaustionError(f"sample {i}: {err.message}", err.attempts,
                                       partial) from None
             values.append(value)
             attempts_total += attempts
     finally:
         draws.settle()
-    wall = time.perf_counter() - start
-    return SampleReport(tuple(values), attempts_total, n / attempts_total, wall)
+    return SampleReport(tuple(values), attempts_total, n / attempts_total)

@@ -16,11 +16,14 @@ symbol is tried at every node.  Equivalences are tried right-to-left only when
 no left-to-right application made progress in the current step.
 Solving is best effort: on failure the original condition is returned.
 Constant folding uses the evaluator's primitives, so it agrees with them.
-The optimizer leaves a query alone when a definition of it binds a name whose
-meaning it assumes: random-integer, a foldable operator or a rule's symbol.
+The optimizer leaves a query alone when a name whose meaning it assumes
+(random-integer, a foldable operator or a rule's symbol) is bound by a
+definition of the query or by a frame between the query's environment and
+the root, such as a `let` or a closure call around it.
 
-Everything here is a pure function over immutable inputs; a rule only caches
-its compiled matchers.
+Everything here is a pure function that reads its inputs, an environment's
+frames included, and changes none of them; a rule only caches its compiled
+matchers.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .evaluator import _PRIMITIVES
 from .sexpr import Boolean, Integer, Real, SExpr, SList, Symbol, Text, print_expr
 
 _LITERALS = (Integer, Real, Boolean, Text)
-_RANDOM_HEADS = frozenset(["random-integer", "normal", "flip", "sample", "rejection-query"])
 
 
 # -- matching and substitution ------------------------------------------------
@@ -352,18 +354,6 @@ class OptimizeOutcome:
 _ASSUMED = _FOLDABLE | {"random-integer"}
 
 
-def _is_stochastic(expr):
-    t = expr.__class__
-    if t is Symbol:
-        return expr.name in _RANDOM_HEADS
-    if t is not SList or not expr.items:
-        return False
-    head = expr.items[0]
-    if head.__class__ is Symbol and head.name == "quote":
-        return False
-    return any(_is_stochastic(item) for item in expr.items)
-
-
 def _finite_support(expr):
     """Size n for a literal (random-integer n) prior; None otherwise."""
     if (expr.__class__ is SList and len(expr.items) == 2
@@ -386,32 +376,34 @@ def _in_support(value_node, n):
     return False, value_node
 
 
-def optimize_query_detail(spec, rules):
-    """Try to replace a stochastic prior with the point mass forced by the
-    condition.  Fires only on exactly-checkable finite supports; a solved
-    value provably outside the support raises ZeroProbabilityError.  A query
-    that defines random-integer, a foldable operator or a non-pattern symbol
-    of a rule is left untouched: the rewrite would assume their meaning."""
+def optimize_query_detail(spec, rules, env=None):
+    """Try to replace a literal (random-integer n) prior with the point mass
+    forced by the condition; a solved value provably outside the support
+    raises ZeroProbabilityError.  A query is left untouched when one of its
+    definitions, or a frame between `env` (the environment it runs in) and
+    the root, binds random-integer, a foldable operator or a non-pattern
+    symbol of a rule: the rewrite would assume their meaning."""
     defines = [(idx, d) for idx, d in enumerate(spec.definitions)
                if d.__class__ is SList and len(d.items) == 3
                and d.items[0].__class__ is Symbol and d.items[0].name == "define"
                and d.items[1].__class__ is Symbol]
-    names = {d.items[1].name for _, d in defines if not d.items[1].name.startswith("$")}
+    names = [d.items[1].name for _, d in defines]
+    while env is not None and env.parent is not None:
+        names += env.frame
+        env = env.parent
+    names = {name for name in names if not name.startswith("$")}
     if not names.isdisjoint(_ASSUMED) or any(
             not names.isdisjoint(side) for rule in rules for side in rule._symbols):
         return OptimizeOutcome(spec, False)
     for idx, d in defines:
+        support = _finite_support(d.items[2])
+        if support is None:
+            continue  # continuous, concept-valued or other prior: leave it alone
         var = d.items[1].name
-        prior = d.items[2]
-        if not _is_stochastic(prior):
-            continue
         result = solve_condition(spec.condition, var, rules)
         if not result.solved:
             continue
         constant = result.condition.items[2]
-        support = _finite_support(prior)
-        if support is None:
-            continue  # continuous or concept-valued prior: leave the query alone
         ok, canonical = _in_support(constant, support)
         if not ok:
             raise ZeroProbabilityError(
@@ -425,6 +417,6 @@ def optimize_query_detail(spec, rules):
     return OptimizeOutcome(spec, False)
 
 
-def optimize_query(spec, rules):
+def optimize_query(spec, rules, env=None):
     """QuerySpec -> QuerySpec; see optimize_query_detail for the report."""
-    return optimize_query_detail(spec, rules).spec
+    return optimize_query_detail(spec, rules, env).spec

@@ -3,19 +3,19 @@
 Streams are numpy's PCG64, seeded by numpy's SeedSequence from an integer
 path such as (seed, index), so a path yields the same stream however many
 others were made.  `stream_states` re-implements that seeding for many
-paths that differ only in their last integer, in one pass.  `Draws`, the
-one draw object an evaluation draws through, steps PCG64 itself and gives
-numpy's values and bytes; numpy is imported only by `derive_rng`, `normal`
-draws and integer bounds above 2**32.  `NO_SOURCE` stands in for it in a
-context with no random source.  The primitives `random_integer`, `flip`
-and `normal` check their arguments and then draw from a draw object.
+paths that differ only in their last integer, in one pass.  `Draws` is
+the one draw source the library accepts: `Draws(*path)` draws the values
+a numpy Generator `derive_rng(*path)` would, stepping PCG64 itself, and
+numpy is imported only by `derive_rng`, `normal` draws and integer bounds
+above 2**32.  `NO_SOURCE` stands in for it in a context with no random
+source.  The primitives `random_integer`, `flip` and `normal` check their
+arguments and then draw from a draw object.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
-import sys
 
 from .errors import EvalError
 
@@ -28,7 +28,8 @@ def _entropy(parts):
 
 def derive_rng(*path):
     """Independent numpy generator for an integer path such as (seed, query,
-    index)."""
+    index).  The library draws through `Draws(*path)` instead, which draws
+    the same values from the same stream."""
     import numpy as np
 
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(path))))
@@ -210,27 +211,22 @@ class Draws:
         self._half = w >> 32
         return w & _MASK32
 
-    def _give(self, generator):
-        half = self._half
-        generator.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": self._state, "inc": self._inc},
-            "has_uint32": int(half is not None), "uinteger": half or 0}
-
-    def _take(self, generator):
-        state = generator.bit_generator.state
-        self._state, self._inc = state["state"]["state"], state["state"]["inc"]
-        self._half = state["uinteger"] if state["has_uint32"] else None
-
     def _numpy(self, draw):
         """`draw(generator)` on a numpy Generator given this object's state,
         which this object then takes back."""
         if self._pending is not None:
             self._install()
-        if self._generator is None:
-            self._generator = derive_rng(0)
-        self._give(self._generator)
-        value = draw(self._generator)
-        self._take(self._generator)
+        generator = self._generator
+        if generator is None:
+            generator = self._generator = derive_rng(0)
+        half = self._half
+        generator.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": self._state, "inc": self._inc},
+            "has_uint32": int(half is not None), "uinteger": half or 0}
+        value = draw(generator)
+        state = generator.bit_generator.state
+        self._state, self._inc = state["state"]["state"], state["state"]["inc"]
+        self._half = state["uinteger"] if state["has_uint32"] else None
         return value
 
     def integer(self, n, loc=None):
@@ -301,30 +297,6 @@ class Draws:
         return self._numpy(lambda generator: float(generator.normal(mean, sd)))
 
 
-class _SharedDraws(Draws):
-    """The draws of a caller's numpy Generator: each draw starts from the
-    generator's state (or a pending stream) and leaves its own there, so the
-    generator advances as if numpy had made the draw."""
-
-    __slots__ = ()
-
-    def __init__(self, generator):
-        self._generator, self._pending, self._unseeded = generator, None, None
-
-    def _shared(draw):
-        def shared(self, *args):
-            if self._pending is None:
-                self._take(self._generator)
-            value = draw(self, *args)
-            self._give(self._generator)
-            return value
-        return shared
-
-    integer, flip, choose, order, normal = map(
-        _shared, (Draws.integer, Draws.flip, Draws.choose, Draws.order, Draws.normal))
-    del _shared
-
-
 class _NoSource:
     """The draws of a context with no random source: every draw is an error."""
 
@@ -347,18 +319,6 @@ class _NoSource:
 
 
 NO_SOURCE = _NoSource()
-
-
-def as_draws(source):
-    """The draw object for `source`: a numpy Generator is adopted, so that
-    its draws advance it (`_SharedDraws`), None gives `NO_SOURCE`, and
-    anything else is a draw object already."""
-    if source is None:
-        return NO_SOURCE
-    numpy = sys.modules.get("numpy")   # a Generator means numpy is loaded
-    if numpy is not None and isinstance(source, numpy.random.Generator):
-        return _SharedDraws(source)
-    return source
 
 
 def random_integer(n, rng, loc=None):

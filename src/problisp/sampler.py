@@ -7,9 +7,9 @@ is replaced by an independent recursive draw; when a template mentions
 several concepts, the order in which they are instantiated is itself chosen
 uniformly at random (the draws are independent, so the order is invisible in
 distribution but fixed for rng-trace reproducibility).  Both choices, the
-link and the order, are made by the draw object (`rng.Draws`) that the
-template's own primitives draw from; a numpy Generator passed to
-`sample_concept` or `instantiate_expression` is adopted by one on entry.
+link and the order, are made by the draw object (`rng.Draws`, or
+`rng.NO_SOURCE` where there is no random source) that the template's own
+primitives draw from.
 
 Budgets guard the recursion: exceeding the depth or node cap aborts the
 sample with an error rather than silently truncating, since truncation would
@@ -21,7 +21,6 @@ from __future__ import annotations
 from .concepts import ConceptId
 from .errors import BudgetError, ConceptError, EvalError
 from .evaluator import EvalContext, compile_forms
-from .rng import as_draws
 from .values import Env
 
 DEFAULT_MAX_DEPTH = 64
@@ -47,7 +46,6 @@ class SampleBudget:
 
 def sample_concept(snapshot, concept, rng, budget=None, *, env, ctx=None, depth=0):
     """Draw one instance of `concept` from its weighted is-a links."""
-    rng = as_draws(rng)
     if budget is None:
         budget = SampleBudget()
     budget.charge(depth)
@@ -68,7 +66,7 @@ def instantiate_expression(snapshot, expr, env, rng, budget=None, *, ctx=None, d
     evaluate the result against `env`, the session globals.  The template is
     compiled on its first use with `snapshot` and `env`; each concept
     occurrence reads its draw from a frame made for the instantiation."""
-    return _instantiate(snapshot, expr, env, as_draws(rng),
+    return _instantiate(snapshot, expr, env, rng,
                         budget if budget is not None else SampleBudget(), ctx, depth)
 
 

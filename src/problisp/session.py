@@ -27,7 +27,6 @@ class TopResult:
     """Outcome of one top-level form."""
 
     kind: str                 # "query" | "value" | "none"
-    form: object = None
     value: object = None
     report: object = None     # SampleReport for queries
     optimize: object = None   # OptimizeOutcome for queries (None if rewriting off)
@@ -70,8 +69,8 @@ class Session:
             return self._run_query(form)
         value = evaluate(form, self.env, self._ctx())
         if value is None:
-            return TopResult("none", form=form)
-        return TopResult("value", form=form, value=value)
+            return TopResult("none")
+        return TopResult("value", value=value)
 
     def _run_query(self, form):
         spec = QuerySpec.from_form(form)
@@ -86,8 +85,7 @@ class Session:
         report = run_samples(spec, self.samples, self.env,
                              (self.seed, 1 + ordinal), self.max_attempts,
                              ctx=self._ctx(), rng=self._query_rng)
-        result = TopResult("query", form=form, report=report,
-                           optimize=outcome, ordinal=ordinal)
+        result = TopResult("query", report=report, optimize=outcome, ordinal=ordinal)
         self.last_query = result
         return result
 

@@ -67,9 +67,6 @@ class Symbol(SExpr):
     def __init__(self, name, loc=None):
         self.name, self.loc = name, loc
 
-    def is_pattern_var(self):
-        return self.name.startswith("$")
-
 
 class _Literal(SExpr):
     __slots__ = ("value", "loc")

@@ -2,7 +2,8 @@
 
 import itertools
 
-from problisp import EvalContext, Env, derive_rng, evaluate, parse, parse_one, standard_env
+from problisp import EvalContext, Env, evaluate, parse, parse_one, standard_env
+from problisp.rng import Draws
 from problisp.sexpr import Integer
 
 
@@ -10,7 +11,7 @@ def ev(src, seed=1, env=None, ctx=None):
     """Evaluate every form in `src`, returning the last value."""
     env = env if env is not None else standard_env()
     if ctx is None:
-        ctx = EvalContext(rng=derive_rng(seed), global_env=env)
+        ctx = EvalContext(rng=Draws(seed), global_env=env)
     result = None
     for form in parse(src):
         result = evaluate(form, env, ctx)

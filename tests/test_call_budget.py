@@ -20,16 +20,18 @@ from problisp import (QuerySpec, Session, ZeroProbabilityError, optimize_query_d
 PACKAGE = os.path.dirname(problisp.__file__) + os.sep
 
 # counted on Python 3.11, each test alone in a fresh process, at the change
-# that steps PCG64 in pure Python and starts a call from an operator bound
-# when compiling (a process's first stream builds the seeding's hash tables,
-# 17 of these calls).  Earlier counts, newest first: 3766 and 3638 (local
-# operands, literal draw bounds and definitions read inline), 6343 and 5822
+# that makes `rng.Draws` the only draw source (a process's first stream
+# builds the seeding's hash tables, 17 of these calls).  Earlier counts,
+# newest first: 3671 and 3557 (PCG64 stepped in pure Python, a call started
+# from an operator bound when compiling), 3766 and 3638 (local operands,
+# literal draw bounds and definitions read inline), 6343 and 5822
 # (specialized call shapes), and 8550 and 8056 before those
-CONCEPT_BUDGET = 3671
-BLIND_BUDGET = 3557
-# counted at the change that compiles rule patterns and tries rules only at
-# nodes that hold the target; 2434 before it
-SOLVER_BUDGET = 1005
+CONCEPT_BUDGET = 3628
+BLIND_BUDGET = 3553
+# counted at the change that solves only for literal (random-integer n)
+# priors; 1005 at the change that compiles rule patterns and tries rules only
+# at nodes that hold the target, 2434 before it
+SOLVER_BUDGET = 989
 
 # many_queries shapes: a 3-op chain, an out-of-support chain, and the two
 # two-variable conditions, which the optimizer cannot pin

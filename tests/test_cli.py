@@ -311,12 +311,13 @@ def test_histogram_real_bins():
 
 def test_histogram_geometric_lengths(prelude_session):
     # sequence lengths approximate 50%, 25%, 12.5%, ...
-    from problisp import derive_rng, sample_concept
+    from problisp import sample_concept
+    from problisp.rng import Draws
 
     snap = prelude_session.store.snapshot()
     seq = prelude_session.store.lookup("sequence")
     lengths = []
-    rng = derive_rng(88)
+    rng = Draws(88)
     for _ in range(4000):
         v = sample_concept(snap, seq, rng, env=prelude_session.env)
         n = 0

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from problisp import (NIL, Env, EvalContext, EvalError, Pair, ProblispError, derive_rng,
-                      evaluate, format_value, parse, parse_one, standard_env)
-from problisp.rng import Draws, normal, random_integer
+from problisp import (NIL, Env, EvalContext, EvalError, Pair, ProblispError, evaluate,
+                      format_value, parse, parse_one, standard_env)
+from problisp.rng import NO_SOURCE, Draws, normal, random_integer
 from problisp.sexpr import Boolean, Integer, Real, SList, Symbol
 
 from _lang import ev
@@ -222,7 +222,7 @@ def test_left_to_right_evaluation_order():
     first = random_integer(1000, rng)
     second = random_integer(1000, rng)
     env = standard_env()
-    ctx = EvalContext(rng=derive_rng(55), global_env=env)
+    ctx = EvalContext(rng=Draws(55), global_env=env)
     value = evaluate(parse_one("(list (random-integer 1000) (random-integer 1000))"),
                      env, ctx)
     assert value == Pair(first, Pair(second, NIL))
@@ -238,7 +238,7 @@ def test_operator_evaluated_before_operands():
     op_draw = random_integer(2, rng)
     arg_draw = random_integer(10, rng)
     env = standard_env()
-    ctx = EvalContext(rng=derive_rng(3), global_env=env)
+    ctx = EvalContext(rng=Draws(3), global_env=env)
     for form in parse("""
         (define pick-op (lambda ()
           (if (= (random-integer 2) 0) (lambda (x) x) (lambda (x) (- 0 x)))))
@@ -431,7 +431,7 @@ def _outcome(src, seed=5, rng=True):
     """The last form's value as text, or the error's message and location,
     and the next draw of the context's random stream."""
     env = standard_env()
-    ctx = EvalContext(rng=derive_rng(seed) if rng else None, global_env=env)
+    ctx = EvalContext(rng=Draws(seed) if rng else NO_SOURCE, global_env=env)
     try:
         result = None
         for form in parse(src):

@@ -31,7 +31,7 @@ def test_paper_query_always_returns_five():
     spec = _spec(PAPER_QUERY)
     env = standard_env()
     for seed in range(20):
-        assert rejection_query(spec, env, derive_rng(seed)) == 5
+        assert rejection_query(spec, env, Draws(seed)) == 5
 
 
 def test_vacuous_condition_accepts_first_attempt():
@@ -67,10 +67,10 @@ def test_stream_independence_and_reordering():
     # index i of a batch draws from derive_rng(*seed, i), whatever else ran:
     # integer seeds and tuple seeds as sessions pass them, batches of 1, 2,
     # 10 and more than one block of precomputed states, and a query that
-    # draws normal and flip and rejects attempts; a generator passed in, as a
-    # session passes its one generator to every query, changes nothing
+    # draws normal and flip and rejects attempts; a draw object passed in, as
+    # a session passes its one draw object to every query, changes nothing
     env = standard_env()
-    shared = derive_rng(123)
+    shared = Draws(123)
     for src in ("(rejection-query (define x (random-integer 1000)) x #t)",
                 "(rejection-query (define x (normal 0 1)) (define b (flip 0.3))"
                 " (if b x (- x)) (if b #t (> x 0.5)))"):
@@ -79,11 +79,11 @@ def test_stream_independence_and_reordering():
                         (9, 1030)):
             path = seed if isinstance(seed, tuple) else (seed,)
             batch = run_samples(spec, n, env, seed=seed).samples
-            shared.random()
+            shared.flip(0.5)
             assert run_samples(spec, n, env, seed=seed, rng=shared).samples == batch
             for i in reversed(range(n)):
-                ctx = EvalContext(rng=derive_rng(*path, i), global_env=env)
-                alone = rejection_query(spec, env, derive_rng(*path, i), ctx=ctx)
+                ctx = EvalContext(rng=Draws(*path, i), global_env=env)
+                alone = rejection_query(spec, env, Draws(*path, i), ctx=ctx)
                 assert alone == batch[i], (src, seed, n, i)
 
 
@@ -99,13 +99,13 @@ def test_exhaustion_reports_attempts_and_partial():
 def test_non_boolean_condition_is_an_error():
     spec = _spec("(rejection-query (define x 1) x (+ x 1))")
     with pytest.raises(EvalError, match="boolean"):
-        rejection_query(spec, standard_env(), derive_rng(0))
+        rejection_query(spec, standard_env(), Draws(0))
 
 
 def test_eval_error_carries_attempt_number():
     spec = _spec("(rejection-query (define x (oops)) x #t)")
     with pytest.raises(EvalError, match=r"attempt 1"):
-        rejection_query(spec, standard_env(), derive_rng(0))
+        rejection_query(spec, standard_env(), Draws(0))
 
 
 def test_stack_overflow_in_an_attempt_carries_attempt_number():
@@ -139,7 +139,7 @@ def test_definitions_resampled_each_attempt():
       (+ x y)
       (= (+ x y) 2))
     """)
-    assert rejection_query(spec, standard_env(), derive_rng(4)) == 2
+    assert rejection_query(spec, standard_env(), Draws(4)) == 2
 
 
 def test_nested_rejection_query_expression():
@@ -230,7 +230,7 @@ def test_lazy_streams_draw_like_fresh_generators(knowledge, first, prefix, n, se
     assert run_samples(spec, n, env, seed=seed, ctx=ctx,
                        rng=Draws(1)).samples == batch
     for i in range(n) if n < 1030 else (0, 1, 1023, 1024, 1029):
-        assert rejection_query(spec, env, derive_rng(*seed, i), ctx=ctx) == batch[i]
+        assert rejection_query(spec, env, Draws(*seed, i), ctx=ctx) == batch[i]
 
 
 @pytest.mark.parametrize("first", _FIRST_DRAWS + _DRAW_FREE)

@@ -622,6 +622,31 @@ def test_shadowed_prior_or_operator_samples_as_blind_sampling_does():
         assert (result.optimize is None) or not result.optimize.fired
 
 
+_BLIND_QUERY = "(rejection-query (define x (random-integer 20)) x (= (+ x 5) 10))"
+
+
+@pytest.mark.parametrize("program", [
+    f"(let ((+ (lambda (a b) (- a b)))) {_BLIND_QUERY})",
+    f"(define f (lambda (+) {_BLIND_QUERY})) (f -)",
+    f"((lambda () (define + (lambda (a b) (- a b))) {_BLIND_QUERY}))",
+], ids=["let", "lambda-parameter", "define-in-lambda-body"])
+def test_a_binding_around_the_query_samples_as_blind_sampling_does(program):
+    # `+` is rebound in a frame between the query and the root: x + 5 is
+    # x - 5 there, so the only accepted value is 15 with or without rewriting
+    for rewrite_on in (True, False):
+        s = Session(seed=1, rewrite=rewrite_on)
+        s.load_file(rules_path())
+        assert s.run_text(program)[-1].value == 15, rewrite_on
+
+
+@pytest.mark.parametrize("prior", ["(sample integer)", "(normal 0 1)"])
+def test_a_prior_other_than_a_literal_random_integer_is_not_solved_for(prior):
+    spec = _spec(f"(rejection-query (define x {prior}) x (= (+ x 5) 10))")
+    with mock.patch.object(rewrite, "solve_condition", side_effect=AssertionError):
+        outcome = optimize_query_detail(spec, RULES)
+    assert outcome.spec is spec and not outcome.fired
+
+
 def test_rewrites_never_introduce_unbound_variables():
     # every rewrite output in a solve trace is a valid, variable-closed form
     conds = ["(= (+ x 5) 10)", "(= (- 9 x) 2)", "(= (+ (+ x 2) 3) 10)",

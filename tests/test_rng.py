@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from problisp.rng import Draws, as_draws, derive_rng, stream_states
+from problisp.rng import Draws, derive_rng, stream_states
 
 from _lang import draws_state, twin_state
 
@@ -186,15 +186,3 @@ def test_pend_and_settle_across_sample_boundaries(seed, samples):
             assert draws_state(draws) == twin_state(twin), (i, op)
     draws.settle()
     assert draws.integer(1000) == int(twin.integers(0, 1000))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, (1 << 64) - 1), st.lists(st.tuples(st.booleans(), _OPS), max_size=20))
-def test_an_adopted_generator_advances_as_if_numpy_drew(seed, ops):
-    # draws through `as_draws(rng)` and numpy's own calls on `rng` interleave
-    rng, twin = derive_rng(seed), derive_rng(seed)
-    draws = as_draws(rng)
-    for direct, op in ops:
-        got = _numpy_draw(rng, op) if direct else _draw(draws, op)
-        assert got == _numpy_draw(twin, op), op
-        assert twin_state(rng) == twin_state(twin), op

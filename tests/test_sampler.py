@@ -3,8 +3,9 @@ import math
 import pytest
 
 from problisp import (NIL, BudgetError, ConceptError, EvalError, Pair, SampleBudget,
-                      Session, derive_rng, instantiate_expression,
-                      parse_one, sample_concept, standard_env)
+                      Session, instantiate_expression, parse_one, sample_concept,
+                      standard_env)
+from problisp.rng import NO_SOURCE, Draws
 
 
 def _store_session(src, seed=11):
@@ -28,8 +29,8 @@ def test_single_link_concept_is_deterministic_passthrough():
     only = s.store.lookup("only")
     env = standard_env()
     for k in range(3):
-        direct = instantiate_expression(snap, parse_one("pi"), env, derive_rng(k))
-        via = sample_concept(snap, only, derive_rng(k), env=env)
+        direct = instantiate_expression(snap, parse_one("pi"), env, Draws(k))
+        via = sample_concept(snap, only, Draws(k), env=env)
         assert via == direct == math.pi
 
 
@@ -37,7 +38,7 @@ def test_number_model_probabilities(prelude_session):
     snap = prelude_session.store.snapshot()
     number = prelude_session.store.lookup("number")
     env = prelude_session.env  # templates resolve helpers in session globals
-    rng = derive_rng(2024)
+    rng = Draws(2024)
     n = 20_000
     pi_count = int_count = 0
     for _ in range(n):
@@ -57,7 +58,7 @@ def test_sequence_length_law(prelude_session):
     snap = prelude_session.store.snapshot()
     seq = prelude_session.store.lookup("sequence")
     env = prelude_session.env
-    rng = derive_rng(515)
+    rng = Draws(515)
     n = 20_000
     counts = {}
     for _ in range(n):
@@ -78,7 +79,7 @@ def test_multinomial_weight_frequencies():
     """)
     snap = s.store.snapshot()
     pick = s.store.lookup("pick")
-    rng = derive_rng(77)
+    rng = Draws(77)
     env = standard_env()
     n = 30_000
     counts = {10: 0, 20: 0, 30: 0}
@@ -102,7 +103,7 @@ def test_weight_scale_invariance_exact():
         s = _store_session(base.format(a=a, b=b, c=c))
         snap = s.store.snapshot()
         pick = s.store.lookup("pick")
-        rng = derive_rng(9)
+        rng = Draws(9)
         env = standard_env()
         draws[tag] = [sample_concept(snap, pick, rng, env=env) for _ in range(2_000)]
     assert draws["w1"] == draws["w2"]
@@ -112,7 +113,7 @@ def test_instantiate_cons_template(prelude_session):
     snap = prelude_session.store.snapshot()
     env = prelude_session.env
     v = instantiate_expression(snap, parse_one("(cons number sequence)"), env,
-                               derive_rng(4))
+                               Draws(4))
     assert isinstance(v, Pair)
 
 
@@ -121,7 +122,7 @@ def test_multiple_occurrences_are_independent():
     snap = s.store.snapshot()
     env = standard_env()
     v = instantiate_expression(snap, parse_one("(list coin coin)"), env,
-                               derive_rng(31))
+                               Draws(31))
     assert v.head != v.tail.head  # two draws, not one shared value
 
 
@@ -130,17 +131,17 @@ def test_quote_and_binders_shield_concept_symbols(prelude_session):
     env = standard_env()
     from problisp.sexpr import Symbol
 
-    v = instantiate_expression(snap, parse_one("(quote number)"), env, derive_rng(0))
+    v = instantiate_expression(snap, parse_one("(quote number)"), env, Draws(0))
     assert v == Symbol("number")
     v = instantiate_expression(snap, parse_one("((lambda (number) number) 5)"),
-                               env, derive_rng(0))
+                               env, Draws(0))
     assert v == 5
     v = instantiate_expression(snap, parse_one("(let ((number 5)) number)"),
-                               env, derive_rng(0))
+                               env, Draws(0))
     assert v == 5
     # a let binding's value sits outside the let's scope, so it is a draw
     v = instantiate_expression(snap, parse_one("(let ((x number)) x)"),
-                               prelude_session.env, derive_rng(0))
+                               prelude_session.env, Draws(0))
     assert isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
@@ -192,7 +193,7 @@ def test_node_budget_aborts_supercritical_branching():
     env = standard_env()
     budget = SampleBudget(max_depth=10 ** 6, max_nodes=500)
     with pytest.raises(BudgetError):
-        sample_concept(snap, tree, derive_rng(0), budget, env=env)
+        sample_concept(snap, tree, Draws(0), budget, env=env)
     assert budget.nodes_expanded == 501
 
 
@@ -218,7 +219,7 @@ def test_sampling_reads_the_active_context():
     s.run_text("(set-context ones)")
     snap = s.store.snapshot()
     pick = s.store.lookup("pick")
-    rng = derive_rng(5)
+    rng = Draws(5)
     env = standard_env()
     draws = [sample_concept(snap, pick, rng, env=env) for _ in range(300)]
     assert draws.count(1) >= 299
@@ -239,7 +240,7 @@ def test_templates_compile_once_per_snapshot(prelude_session, monkeypatch):
     monkeypatch.setattr(evaluator, "free_symbol_paths", counting)
     store = prelude_session.store
     snap = store.snapshot()
-    rng = derive_rng(77)
+    rng = Draws(77)
     for _ in range(200):
         sample_concept(snap, store.lookup("integer"), rng, env=prelude_session.env)
     assert len(walked) == 1
@@ -295,6 +296,6 @@ def test_sampling_with_no_random_source_is_an_error():
     s = _store_session("(concept pick) (is-a 1 pick) (is-a 2 pick)")
     snap = s.store.snapshot()
     with pytest.raises(EvalError, match="no random source available for sampling"):
-        sample_concept(snap, s.store.lookup("pick"), None, env=s.env)
+        sample_concept(snap, s.store.lookup("pick"), NO_SOURCE, env=s.env)
     with pytest.raises(EvalError, match="no random source available for sampling"):
-        instantiate_expression(snap, parse_one("(list pick pick)"), s.env, None)
+        instantiate_expression(snap, parse_one("(list pick pick)"), s.env, NO_SOURCE)

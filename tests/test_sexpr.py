@@ -80,7 +80,6 @@ def test_parse_numeric_classification():
 def test_pattern_vars_are_plain_symbols():
     expr = parse_one("(= (+ $A $B) $C)")
     assert expr.items[1].items[1] == Symbol("$A")
-    assert expr.items[1].items[1].is_pattern_var()
 
 
 def test_unbalanced_parens():
