@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .concepts import _describe_source
 from .errors import (BudgetError, ExhaustionError, LexError, ParseError,
                      ProblispError, ZeroProbabilityError)
 from .evaluator import DEFAULT_MAX_ATTEMPTS
@@ -40,16 +41,24 @@ class SessionConfig:
     rewrite: bool = True
     # [("prelude" | "rules", path)] in flag order
     load_order: list = field(default_factory=list)
-    rules: list = field(default_factory=list)       # rule files loaded, as given, set by main
     context: str | None = None
     output: str = "plain"
     stats: bool = False
     repl: bool = False
     files: list = field(default_factory=list)
 
+    def _given(self, kind):
+        return [path for k, path in self.load_order if k == kind]
+
     @property
     def preludes(self):
-        return [path for kind, path in self.load_order if kind == "prelude"]
+        return self._given("prelude")
+
+    @property
+    def rules(self):
+        """Rule files as given, else `std`, the shipped rules, if rewriting is
+        on; the records echo `std` so that they are the same in every checkout."""
+        return self._given("rules") or (["std"] if self.rewrite else [])
 
 
 def prelude_path():
@@ -126,22 +135,17 @@ def _parse_config(argv):
 
 def build_session(config):
     """Session with preludes and rule files loaded in flag order, context
-    activated; the shipped rules load by default when rewriting is on.  The
-    rule files are returned as given, `std` for the shipped rules, so that
-    the records echo the same bytes in every checkout."""
+    activated; the shipped rules load by default when rewriting is on
+    (`config.rules`)."""
     session = Session(seed=config.seed, samples=config.samples,
                       max_attempts=config.max_attempts, rewrite=config.rewrite)
-    rule_files = []
     for kind, path in config.load_order:
-        if kind == "rules":
-            rule_files.append(path)
         session.load_file(_resolve(path, prelude_path if kind == "prelude" else rules_path))
-    if not rule_files and config.rewrite:
-        rule_files.append("std")
+    if config.rules and not config._given("rules"):
         session.load_file(rules_path())
     if config.context is not None:
         session.store.set_context(config.context)
-    return session, rule_files
+    return session
 
 
 # -- output ------------------------------------------------------------------
@@ -203,11 +207,11 @@ def _query_summary(result, config):
     }
 
 
-def _config_echo(config, path, rule_files):
+def _config_echo(config, path):
     return {
         "seed": config.seed, "samples": config.samples,
         "max_attempts": config.max_attempts, "rewrite": config.rewrite,
-        "preludes": list(config.preludes), "rules": list(rule_files),
+        "preludes": config.preludes, "rules": config.rules,
         "context": config.context, "output": config.output,
         "stats": config.stats, "file": str(path),
     }
@@ -273,7 +277,7 @@ def run_file(path, session, config, out=None):
                     out.write(format_value(result.value) + "\n")
         if config.output == "records":
             out.write(json.dumps({"type": "summary",
-                                  "config": _config_echo(config, path, config.rules),
+                                  "config": _config_echo(config, path),
                                   "queries": summaries}, sort_keys=True) + "\n")
     except (ExhaustionError, ZeroProbabilityError, BudgetError) as err:
         if err.filename is None:
@@ -301,7 +305,7 @@ _REPL_HELP = """\
 """
 
 
-def _meta_command(line, session, config, out):
+def _meta_command(line, session, out):
     parts = line.split()
     cmd, args = parts[0], parts[1:]
     if cmd == ":help":
@@ -326,9 +330,7 @@ def _meta_command(line, session, config, out):
             rows = snapshot.instances(snapshot.concept(name))
             out.write(f"{name} ({len(rows)} links)\n")
             for link, weight in rows:
-                src = (link.source.name if hasattr(link.source, "index")
-                       else print_expr(link.source))
-                out.write(f"  {src} -> {name}  w={weight:g}\n")
+                out.write(f"  {_describe_source(link.source)} -> {name}  w={weight:g}\n")
     elif cmd == ":rules":
         if not session.rules:
             out.write("no rules loaded\n")
@@ -369,7 +371,7 @@ def repl(session, config, stdin=None, out=None):
                 out.write("\n")
             return 0
         if not buffer and line.strip().startswith(":"):
-            _meta_command(line.strip(), session, config, out)
+            _meta_command(line.strip(), session, out)
             continue
         buffer = buffer + line
         if not buffer.strip():
@@ -405,8 +407,7 @@ def main(argv=None):
     if sys.getrecursionlimit() < RECURSION_LIMIT:
         sys.setrecursionlimit(RECURSION_LIMIT)
     try:
-        session, rule_files = build_session(config)
-        config.rules = rule_files
+        session = build_session(config)
     except (ExhaustionError, ZeroProbabilityError, BudgetError) as err:
         print(f"problisp: {err}", file=sys.stderr)
         return 2

@@ -73,17 +73,16 @@ class EvalContext:
     the primitives and the concept sampler call it and nothing else.  It
     defaults to `rng.NO_SOURCE`, whose draws are errors.
 
-    A session builds one context per top-level form; `rules`, `rewrite`,
-    `max_attempts` and `global_env` stay fixed for the session, `session` is
-    set only there, and `snapshot` is refreshed after each knowledge form.
-    A query copies that context with `session` cleared and its own draw
-    object; `run_samples` reuses its one copy and one draw object across all
-    samples of the query, giving each sample's stream to the draw object,
-    so nothing may keep a context beyond the sample that used it.  A
-    concept instantiation sets `budget` and `sample_depth` for its own
-    recursion, along with `snapshot`, `global_env`, the `rng` it draws from
-    and no `session`, on the context it is given, and puts the old values
-    back when it returns.
+    A session builds one context per top-level form, and the query runners
+    and the concept sampler read their state from it, taking none of it as
+    parameters.  `rules` (empty when rewriting is off), `max_attempts` and
+    `global_env` stay fixed for the session, `session` is set only there,
+    and `snapshot` is refreshed after each knowledge form.  A query clears
+    `session` on a copy, made only when it is set; `run_samples` gives each
+    sample's stream to the one draw object, so nothing may keep a context
+    beyond the sample that used it.  A concept instantiation clears
+    `session` and sets `budget` and `sample_depth` for its recursion, and
+    puts the old values back when it returns.
 
     The context is read when code runs, never when it is compiled: compiled
     code depends only on the forms and on the root frame it was compiled
@@ -93,8 +92,7 @@ class EvalContext:
     rng: object = NO_SOURCE
     snapshot: object | None = None
     session: object | None = None      # set only for top-level session forms
-    rules: tuple = ()
-    rewrite: bool = False
+    rules: tuple = ()                  # empty when rewriting is off
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     global_env: Env | None = None
     budget: object | None = None       # in-flight concept sampling budget
@@ -376,12 +374,9 @@ class _Compiler:
             if not isinstance(value, ConceptId):
                 raise ConceptError(
                     f"sample expects a concept, got {format_value(value)}", loc)
-            if ctx.snapshot is None:
-                raise EvalError("no concept store available in this context", loc)
-            budget = ctx.budget if ctx.budget is not None else _sampler.SampleBudget()
-            base_env = ctx.global_env if ctx.global_env is not None else env
-            return _sampler.sample_concept(ctx.snapshot, value, ctx.rng, budget,
-                                           env=base_env, ctx=ctx, depth=ctx.sample_depth)
+            if ctx.snapshot is None or ctx.global_env is None:
+                raise EvalError("sample needs a concept store and globals in its context", loc)
+            return _sampler.sample_concept(value, ctx, ctx.budget, ctx.sample_depth)
         return run
 
     def rejection(self, expr, path):
@@ -397,10 +392,9 @@ class _Compiler:
 
         def run(env, ctx):
             query = spec
-            if ctx.rewrite and ctx.rules:
+            if ctx.rules:
                 query = _rewrite.optimize_query(spec, ctx.rules, env)
-            return _inference.rejection_query(query, env, ctx.rng, ctx.max_attempts,
-                                              ctx=ctx)
+            return _inference.rejection_query(query, env, ctx)
         return run
 
     def application(self, expr, path, tail):

@@ -7,14 +7,16 @@ conditioned on the condition.  The definitions, condition and query are
 compiled once per query, and every attempt runs the compiled code in a fresh
 frame.  Batch runs give every sample index its own deterministic rng stream
 derived from (seed, index), so parallel and serial execution produce
-identical multisets of samples.  All samples draw through one draw object:
-the caller's (a session owns one) or else a `Draws` on the batch's own path.
-Each sample's index is given to it (`Draws.pend`), and it sets the index's
-PCG64 state at the sample's first draw.  The states come from
+identical multisets of samples.  The runners read their draw object and
+attempt limit from the `EvalContext` given, and clear its session on a copy
+when it is set: knowledge forms are not allowed inside a query.  All samples
+draw through the context's draw object, or else a `Draws` on the batch's own
+path.  Each sample's index is given to it (`Draws.pend`), and it sets the
+index's PCG64 state at the sample's first draw.  The states come from
 `stream_states`, one pass per block of up to 1024 indices, computed when a
 sample of the block first draws; a sample that draws nothing derives no
-stream.  Each index draws exactly the bytes a fresh
-`derive_rng(seed..., index)` generator would.
+stream.  Each index draws exactly the bytes a fresh `derive_rng(seed...,
+index)` generator would.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import functools
 from dataclasses import dataclass, replace
 
 from .errors import EvalError, ExhaustionError, ProblispError
-from .evaluator import DEFAULT_MAX_ATTEMPTS, EvalContext, _sequence, compile_forms, evaluate
+from .evaluator import EvalContext, _sequence, compile_forms, evaluate
 # derive_rng is not used here; perfbench/test_perfbench.py reads it as inference.derive_rng
 from .rng import Draws, derive_rng, stream_states  # noqa: F401
 from .sexpr import SExpr, SList, Symbol
@@ -72,9 +74,11 @@ def _compile(spec, base_env):
     return _sequence(attempt), query
 
 
-def _attempt_loop(spec, code, base_env, max_attempts, ctx):
+def _attempt_loop(spec, code, base_env, ctx):
+    if ctx.session is not None:
+        ctx = replace(ctx, session=None)   # no knowledge forms inside a query
     attempt_code, query_code = code
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, ctx.max_attempts + 1):
         env = Env(base_env)
         try:
             cond = attempt_code(env, ctx)
@@ -90,23 +94,15 @@ def _attempt_loop(spec, code, base_env, max_attempts, ctx):
         if cond:
             return evaluate(query_code, env, ctx), attempt
     raise ExhaustionError(
-        f"no accepted sample after {max_attempts} attempts", max_attempts)
+        f"no accepted sample after {ctx.max_attempts} attempts", ctx.max_attempts)
 
 
-def _query_context(ctx, base_env, rng):
-    """A copy of `ctx` (or a fresh context) drawing from `rng`, with no
-    session: knowledge forms are not allowed inside a query."""
-    if ctx is None:
-        return EvalContext(rng=rng, global_env=base_env)
-    return replace(ctx, rng=rng, session=None)
-
-
-def rejection_query(spec, base_env, rng, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=None):
-    """Sample once from the conditioned distribution, or raise ExhaustionError."""
-    if max_attempts < 1:
+def rejection_query(spec, env, ctx):
+    """Sample once from the conditioned distribution, drawing from `ctx.rng`,
+    or raise ExhaustionError after `ctx.max_attempts` attempts."""
+    if ctx.max_attempts < 1:
         raise EvalError("max-attempts must be at least 1")
-    value, _ = _attempt_loop(spec, _compile(spec, base_env), base_env, max_attempts,
-                             _query_context(ctx, base_env, rng))
+    value, _ = _attempt_loop(spec, _compile(spec, env), env, ctx)
     return value
 
 
@@ -119,28 +115,28 @@ def _stream_states(path, n):
     return lambda i: block(i - i % _STATE_BLOCK)[i % _STATE_BLOCK]
 
 
-def run_samples(spec, n, base_env, seed, max_attempts=DEFAULT_MAX_ATTEMPTS, ctx=None,
-                rng=None):
+def run_samples(spec, n, env, seed, ctx=None):
     """Draw n accepted samples, one independent rng stream per sample index.
-    The streams are set on the draw object `rng` (a `Draws`), whose own
+    The streams are set on `ctx.rng`, which must be a `Draws`, whose own
     state is overwritten when a sample draws and left as it was when none
-    does; without one, they are set on a `Draws(*path)`.  Each sample's
-    stream is installed at its first draw, and no stream is left pending on
-    return."""
+    does; without a context, they are set on a `Draws(*path)`.  Each
+    sample's stream is installed at its first draw, and no stream is left
+    pending on return."""
     if n < 1:
         raise EvalError("sample count must be at least 1")
     path = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     values = []
     attempts_total = 0
-    code = _compile(spec, base_env)
-    ctx = _query_context(ctx, base_env, rng if rng is not None else Draws(*path))
+    code = _compile(spec, env)
+    if ctx is None:
+        ctx = EvalContext(rng=Draws(*path), global_env=env)
     draws = ctx.rng
     states = _stream_states(path, n)
     try:
         for i in range(n):
             draws.pend(states, i)
             try:
-                value, attempts = _attempt_loop(spec, code, base_env, max_attempts, ctx)
+                value, attempts = _attempt_loop(spec, code, env, ctx)
             except ExhaustionError as err:
                 made = attempts_total + err.attempts
                 partial = SampleReport(tuple(values), made,

@@ -6,10 +6,11 @@ instantiates an expression source.  Every concept symbol inside a template
 is replaced by an independent recursive draw; when a template mentions
 several concepts, the order in which they are instantiated is itself chosen
 uniformly at random (the draws are independent, so the order is invisible in
-distribution but fixed for rng-trace reproducibility).  Both choices, the
-link and the order, are made by the draw object (`rng.Draws`, or
-`rng.NO_SOURCE` where there is no random source) that the template's own
-primitives draw from.
+distribution but fixed for rng-trace reproducibility).  All state comes
+from the `EvalContext` given: the store snapshot, the session globals, and
+the draw object `ctx.rng` that makes both choices, the link and the order,
+and that the template's own primitives draw from.  A template runs with no
+session, so knowledge forms are refused inside it.
 
 Budgets guard the recursion: exceeding the depth or node cap aborts the
 sample with an error rather than silently truncating, since truncation would
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from .concepts import ConceptId
 from .errors import BudgetError, ConceptError, EvalError
-from .evaluator import EvalContext, compile_forms
+from .evaluator import compile_forms
 from .values import Env
 
 DEFAULT_MAX_DEPTH = 64
@@ -44,55 +45,48 @@ class SampleBudget:
                 f"{self.nodes_expanded}/{self.max_nodes})")
 
 
-def sample_concept(snapshot, concept, rng, budget=None, *, env, ctx=None, depth=0):
+def sample_concept(concept, ctx, budget=None, depth=0):
     """Draw one instance of `concept` from its weighted is-a links."""
     if budget is None:
         budget = SampleBudget()
     budget.charge(depth)
-    rows = snapshot.instances(concept)
+    rows = ctx.snapshot.instances(concept)
     if not rows:
         raise ConceptError(f"no generative model for concept '{concept.name}'")
     # single-link concepts are deterministic pass-throughs: no choice draw
-    link = rows[0 if len(rows) == 1 else rng.choose([w for _, w in rows])][0]
+    link = rows[0 if len(rows) == 1 else ctx.rng.choose([w for _, w in rows])][0]
     source = link.source
     if isinstance(source, ConceptId):
-        return sample_concept(snapshot, source, rng, budget, env=env, ctx=ctx,
-                              depth=depth + 1)
-    return _instantiate(snapshot, source, env, rng, budget, ctx, depth)
+        return sample_concept(source, ctx, budget, depth + 1)
+    return _instantiate(source, ctx, budget, depth)
 
 
-def instantiate_expression(snapshot, expr, env, rng, budget=None, *, ctx=None, depth=0):
+def instantiate_expression(expr, ctx, budget=None, depth=0):
     """Replace each concept symbol in `expr` by an independent draw, then
-    evaluate the result against `env`, the session globals.  The template is
-    compiled on its first use with `snapshot` and `env`; each concept
-    occurrence reads its draw from a frame made for the instantiation."""
-    return _instantiate(snapshot, expr, env, rng,
-                        budget if budget is not None else SampleBudget(), ctx, depth)
+    evaluate the result against the session globals.  The template is
+    compiled on its first use; each concept occurrence reads its draw from a
+    frame made for the instantiation."""
+    return _instantiate(expr, ctx, budget if budget is not None else SampleBudget(), depth)
 
 
-def _instantiate(snapshot, expr, env, rng, budget, ctx, depth):
-    code, concepts = _compiled_template(snapshot, expr, env)
-    eval_env = env
+def _instantiate(expr, ctx, budget, depth):
+    env = ctx.global_env
+    code, concepts = _compiled_template(ctx.snapshot, expr, env)
     if concepts:
-        order = [0] if len(concepts) == 1 else rng.order(len(concepts))
+        order = [0] if len(concepts) == 1 else ctx.rng.order(len(concepts))
         frame = {}
         for k in order:
             name, cid = concepts[k]
-            frame[name] = sample_concept(snapshot, cid, rng, budget, env=env, ctx=ctx,
-                                         depth=depth + 1)
-        eval_env = Env(env, frame)
-    if ctx is None:
-        ctx = EvalContext()
-    saved = ctx.rng, ctx.snapshot, ctx.session, ctx.budget, ctx.sample_depth, ctx.global_env
-    ctx.rng, ctx.snapshot, ctx.session = rng, snapshot, None
-    ctx.budget, ctx.sample_depth, ctx.global_env = budget, depth + 1, env
+            frame[name] = sample_concept(cid, ctx, budget, depth + 1)
+        env = Env(env, frame)
+    saved = ctx.session, ctx.budget, ctx.sample_depth
+    ctx.session, ctx.budget, ctx.sample_depth = None, budget, depth + 1
     try:
-        return code(eval_env, ctx)
+        return code(env, ctx)
     except RecursionError:
         raise EvalError("recursion depth exceeded") from None
     finally:
-        (ctx.rng, ctx.snapshot, ctx.session,
-         ctx.budget, ctx.sample_depth, ctx.global_env) = saved
+        ctx.session, ctx.budget, ctx.sample_depth = saved
 
 
 def _compiled_template(snapshot, expr, env):

@@ -58,33 +58,38 @@ class Session:
         self.rng = Draws(self.seed, 0)
         self._query_ordinal = 0
 
-    def _ctx(self):
-        return EvalContext(rng=self.rng, snapshot=self.store.snapshot(),
-                           session=self, rules=tuple(self.rules),
-                           rewrite=self.rewrite, max_attempts=self.max_attempts,
-                           global_env=self.env)
+    def _ctx(self, rng, session):
+        return EvalContext(rng=rng, snapshot=self.store.snapshot(), session=session,
+                           rules=tuple(self.rules) if self.rewrite else (),
+                           max_attempts=self.max_attempts, global_env=self.env)
 
     def eval_form(self, form):
-        if _is_query_form(form):
-            return self._run_query(form)
-        value = evaluate(form, self.env, self._ctx())
+        """Run one top-level form; an error without a location gets the form's."""
+        try:
+            if _is_query_form(form):
+                return self._run_query(form)
+            value = evaluate(form, self.env, self._ctx(self.rng, self))
+        except ProblispError as err:
+            if err.loc is None:
+                err.loc = form.loc
+            raise
         if value is None:
             return TopResult("none")
         return TopResult("value", value=value)
 
     def _run_query(self, form):
         spec = QuerySpec.from_form(form)
+        ctx = self._ctx(self._query_rng, None)
         outcome = None
-        if self.rewrite and self.rules:
+        if ctx.rules:
             from .rewrite import optimize_query_detail
 
-            outcome = optimize_query_detail(spec, tuple(self.rules))
+            outcome = optimize_query_detail(spec, ctx.rules)
             spec = outcome.spec
         ordinal = self._query_ordinal
         self._query_ordinal += 1
         report = run_samples(spec, self.samples, self.env,
-                             (self.seed, 1 + ordinal), self.max_attempts,
-                             ctx=self._ctx(), rng=self._query_rng)
+                             (self.seed, 1 + ordinal), ctx)
         result = TopResult("query", report=report, optimize=outcome, ordinal=ordinal)
         self.last_query = result
         return result

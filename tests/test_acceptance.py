@@ -12,7 +12,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from problisp import (QuerySpec, Session, match, parse_one,
+from problisp import (EvalContext, QuerySpec, Session, match, parse_one,
                       prelude_path, print_expr, rules_path, run_samples,
                       sample_concept, standard_env, substitute,
                       solve_condition)
@@ -209,12 +209,12 @@ def test_c4_number_concept_distribution():
         session.load_file(prelude_path())
         snap = session.store.snapshot()
         number = session.store.lookup("number")
-        rng = Draws(20240817)
+        ctx = EvalContext(rng=Draws(20240817), snapshot=snap, global_env=session.env)
         n = 100_000
         pi_count = int_count = 0
         normal_draws = []
         for _ in range(n):
-            v = sample_concept(snap, number, rng, env=session.env)
+            v = sample_concept(number, ctx)
             if isinstance(v, int):
                 int_count += 1
             elif v == math.pi:
@@ -236,11 +236,11 @@ def test_c5_sequence_length_law():
         session.load_file(prelude_path())
         snap = session.store.snapshot()
         seq = session.store.lookup("sequence")
-        rng = Draws(515151)
+        ctx = EvalContext(rng=Draws(515151), snapshot=snap, global_env=session.env)
         n = 100_000
         counts = {}
         for _ in range(n):
-            v = sample_concept(snap, seq, rng, env=session.env)
+            v = sample_concept(seq, ctx)
             k = 0
             while isinstance(v, Pair):
                 k, v = k + 1, v.tail

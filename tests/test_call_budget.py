@@ -20,14 +20,15 @@ from problisp import (QuerySpec, Session, ZeroProbabilityError, optimize_query_d
 PACKAGE = os.path.dirname(problisp.__file__) + os.sep
 
 # counted on Python 3.11, each test alone in a fresh process, at the change
-# that makes `rng.Draws` the only draw source (a process's first stream
-# builds the seeding's hash tables, 17 of these calls).  Earlier counts,
-# newest first: 3671 and 3557 (PCG64 stepped in pure Python, a call started
+# that makes `EvalContext` the one carrier of evaluation state (a process's
+# first stream builds the seeding's hash tables, 17 of these calls).
+# Earlier counts, newest first: 3628 and 3553 (`rng.Draws` the only draw
+# source), 3671 and 3557 (PCG64 stepped in pure Python, a call started
 # from an operator bound when compiling), 3766 and 3638 (local operands,
 # literal draw bounds and definitions read inline), 6343 and 5822
 # (specialized call shapes), and 8550 and 8056 before those
-CONCEPT_BUDGET = 3628
-BLIND_BUDGET = 3553
+CONCEPT_BUDGET = 3627
+BLIND_BUDGET = 3552
 # counted at the change that solves only for literal (random-integer n)
 # priors; 1005 at the change that compiles rule patterns and tries rules only
 # at nodes that hold the target, 2434 before it

@@ -161,6 +161,30 @@ def test_nesting_past_the_limit_exit_1_with_location(tmp_path, depth):
                         f"lists nested deeper than {MAX_NESTING} levels\n")
 
 
+_QUERY_OF_7 = "(rejection-query (define x (random-integer 3)) x (= x 7))"
+
+
+@pytest.mark.parametrize("program, flags, status, error", [
+    ("(concept tree) (is-a (cons tree tree) tree) (sample tree)", ("--seed", 1), 2,
+     "line 1, column 45: sampling did not terminate within budget "
+     "(depth 65/64, nodes 66/10000)"),
+    ("(concept empty) (sample empty)", (), 1,
+     "line 1, column 17: no generative model for concept 'empty'"),
+    (f"(concept c) (is-a {_QUERY_OF_7} c) (sample c)",
+     ("--max-attempts", 3, "--no-rewrite"), 2,
+     "line 1, column 80: no accepted sample after 3 attempts"),
+    (_QUERY_OF_7, ("--max-attempts", 3, "--no-rewrite"), 2,
+     "line 1, column 1: sample 0: no accepted sample after 3 attempts"),
+], ids=["budget", "no-model", "query-in-template", "top-level-query"])
+def test_runtime_failure_reports_its_top_level_form(tmp_path, program, flags, status, error):
+    # an error raised without a location gets the top-level form's
+    p = tmp_path / "fails.lisp"
+    p.write_text(program + "\n")
+    r = run_cli(p, *flags)
+    assert (r.returncode, r.stdout) == (status, "")
+    assert r.stderr == f"problisp: {p}: {error}\n"
+
+
 def test_zero_probability_exit_2(tmp_path):
     p = tmp_path / "zp.lisp"
     p.write_text("(rejection-query (define x (random-integer 10)) x (= (+ x 5) 100))\n")
@@ -311,15 +335,15 @@ def test_histogram_real_bins():
 
 def test_histogram_geometric_lengths(prelude_session):
     # sequence lengths approximate 50%, 25%, 12.5%, ...
-    from problisp import sample_concept
+    from problisp import EvalContext, sample_concept
     from problisp.rng import Draws
 
     snap = prelude_session.store.snapshot()
     seq = prelude_session.store.lookup("sequence")
     lengths = []
-    rng = Draws(88)
+    ctx = EvalContext(rng=Draws(88), snapshot=snap, global_env=prelude_session.env)
     for _ in range(4000):
-        v = sample_concept(snap, seq, rng, env=prelude_session.env)
+        v = sample_concept(seq, ctx)
         n = 0
         while isinstance(v, Pair):
             n, v = n + 1, v.tail

@@ -173,6 +173,22 @@ def test_knowledge_forms_require_session_toplevel(session):
 
     with pytest.raises(EvalError, match="top level"):
         session.run_text("(rejection-query (concept inner) 1 #t)")
+    # a query nested in a top-level form runs without the session, and so
+    # does a template, wherever it is instantiated
+    for text, column in (
+            ("(if #t (rejection-query (concept inner) 1 #t) 0)", 25),
+            ("(concept c) (concept d) (is-a 1 d) (is-a (concept d) c) (sample c)", 42)):
+        with pytest.raises(EvalError, match="top level") as exc:
+            session.run_text(text)
+        assert exc.value.loc.column == column
+
+
+def test_knowledge_forms_allowed_outside_queries_and_templates(session):
+    # a closure body is not a query body, and a template's draw gives the
+    # session back to the rest of its form
+    session.run_text("(define f (lambda () (concept z))) (f)"
+                     " (concept c) (is-a 1 c) (list (sample c) (concept y))")
+    assert session.store.snapshot().concept_names() == ["z", "c", "y"]
 
 
 def test_snapshot_is_reused_until_the_store_changes():

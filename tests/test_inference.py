@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +19,10 @@ def _spec(src):
     return QuerySpec.from_form(parse_one(src))
 
 
+def _ctx(rng, env, **fields):
+    return EvalContext(rng=rng, global_env=env, **fields)
+
+
 def test_spec_splits_defs_query_condition():
     spec = _spec(PAPER_QUERY)
     assert len(spec.definitions) == 1
@@ -31,7 +36,7 @@ def test_paper_query_always_returns_five():
     spec = _spec(PAPER_QUERY)
     env = standard_env()
     for seed in range(20):
-        assert rejection_query(spec, env, Draws(seed)) == 5
+        assert rejection_query(spec, env, _ctx(Draws(seed), env)) == 5
 
 
 def test_vacuous_condition_accepts_first_attempt():
@@ -80,17 +85,17 @@ def test_stream_independence_and_reordering():
             path = seed if isinstance(seed, tuple) else (seed,)
             batch = run_samples(spec, n, env, seed=seed).samples
             shared.flip(0.5)
-            assert run_samples(spec, n, env, seed=seed, rng=shared).samples == batch
+            assert run_samples(spec, n, env, seed, _ctx(shared, env)).samples == batch
             for i in reversed(range(n)):
-                ctx = EvalContext(rng=Draws(*path, i), global_env=env)
-                alone = rejection_query(spec, env, Draws(*path, i), ctx=ctx)
+                alone = rejection_query(spec, env, _ctx(Draws(*path, i), env))
                 assert alone == batch[i], (src, seed, n, i)
 
 
 def test_exhaustion_reports_attempts_and_partial():
     spec = _spec("(rejection-query (define x (random-integer 10)) x (= x 99))")
+    env = standard_env()
     with pytest.raises(ExhaustionError) as exc:
-        run_samples(spec, 3, standard_env(), seed=2, max_attempts=50)
+        run_samples(spec, 3, env, 2, _ctx(Draws(2), env, max_attempts=50))
     assert exc.value.attempts == 50
     assert exc.value.partial is not None
     assert exc.value.partial.samples == ()
@@ -98,14 +103,16 @@ def test_exhaustion_reports_attempts_and_partial():
 
 def test_non_boolean_condition_is_an_error():
     spec = _spec("(rejection-query (define x 1) x (+ x 1))")
+    env = standard_env()
     with pytest.raises(EvalError, match="boolean"):
-        rejection_query(spec, standard_env(), Draws(0))
+        rejection_query(spec, env, _ctx(Draws(0), env))
 
 
 def test_eval_error_carries_attempt_number():
     spec = _spec("(rejection-query (define x (oops)) x #t)")
+    env = standard_env()
     with pytest.raises(EvalError, match=r"attempt 1"):
-        rejection_query(spec, standard_env(), Draws(0))
+        rejection_query(spec, env, _ctx(Draws(0), env))
 
 
 def test_stack_overflow_in_an_attempt_carries_attempt_number():
@@ -123,8 +130,8 @@ def test_stack_overflow_in_an_attempt_carries_attempt_number():
 
     env = standard_env()
     with pytest.raises(EvalError) as exc:
-        _attempt_loop(_spec(PAPER_QUERY), (attempt, attempt), env, 10,
-                      EvalContext(global_env=env))
+        _attempt_loop(_spec(PAPER_QUERY), (attempt, attempt), env,
+                      EvalContext(max_attempts=10, global_env=env))
     assert exc.value.message == "recursion depth exceeded (attempt 3)"
     assert exc.value.args == (exc.value.message,) and exc.value.loc is None
     assert exc.value.__suppress_context__
@@ -139,7 +146,8 @@ def test_definitions_resampled_each_attempt():
       (+ x y)
       (= (+ x y) 2))
     """)
-    assert rejection_query(spec, standard_env(), Draws(4)) == 2
+    env = standard_env()
+    assert rejection_query(spec, env, _ctx(Draws(4), env)) == 2
 
 
 def test_nested_rejection_query_expression():
@@ -225,12 +233,11 @@ def _count_stream_states(monkeypatch):
 def test_lazy_streams_draw_like_fresh_generators(knowledge, first, prefix, n, seed):
     env, ctx = knowledge
     spec = _lazy_query(first, prefix)
-    batch = run_samples(spec, n, env, seed=seed, ctx=ctx).samples
+    batch = run_samples(spec, n, env, seed, replace(ctx, rng=Draws(*seed))).samples
     # a reused draw object whose own state is not a sample stream's
-    assert run_samples(spec, n, env, seed=seed, ctx=ctx,
-                       rng=Draws(1)).samples == batch
+    assert run_samples(spec, n, env, seed, replace(ctx, rng=Draws(1))).samples == batch
     for i in range(n) if n < 1030 else (0, 1, 1023, 1024, 1029):
-        assert rejection_query(spec, env, Draws(*seed, i), ctx=ctx) == batch[i]
+        assert rejection_query(spec, env, replace(ctx, rng=Draws(*seed, i))) == batch[i]
 
 
 @pytest.mark.parametrize("first", _FIRST_DRAWS + _DRAW_FREE)
@@ -240,12 +247,12 @@ def test_streams_derived_only_for_samples_that_draw(knowledge, monkeypatch, firs
     spec = _lazy_query(first, 1)
     for n in (1, 1030, 2049):
         calls.clear()
-        run_samples(spec, n, env, seed=(3, n), ctx=ctx)
+        run_samples(spec, n, env, (3, n), replace(ctx, rng=Draws(3, n)))
         assert len(calls) == (0 if first in _DRAW_FREE else -(-n // _STREAM_BLOCK))
 
 
 def test_batch_without_a_draw_object_draws_like_an_explicit_one(monkeypatch):
-    # without `rng`, a batch draws through a `Draws` on its own path, and
+    # without a context, a batch draws through a `Draws` on its own path, and
     # makes no numpy generator for a query that draws no normal
     from problisp import inference, rng
 
@@ -256,7 +263,7 @@ def test_batch_without_a_draw_object_draws_like_an_explicit_one(monkeypatch):
                  " (list x b) (if b #t (< x 30)))")
     for seed, n in ((5, 3), ((7000, 3), 40)):
         path = seed if isinstance(seed, tuple) else (seed,)
-        explicit = run_samples(spec, n, env, seed=seed, rng=Draws(*path)).samples
+        explicit = run_samples(spec, n, env, seed, _ctx(Draws(*path), env)).samples
         with monkeypatch.context() as m:
             for module in (inference, rng):
                 m.setattr(module, "derive_rng", no_generator)
@@ -269,14 +276,14 @@ def test_no_stream_pending_after_return_or_exhaustion(monkeypatch):
     env = standard_env()
     calls = _count_stream_states(monkeypatch)
     draws, twin = Draws(99), derive_rng(99)
-    run_samples(_spec("(rejection-query (define x 5) x #t)"), 3, env, seed=4, rng=draws)
+    run_samples(_spec("(rejection-query (define x 5) x #t)"), 3, env, 4, _ctx(draws, env))
     assert calls == []
     assert [draws.integer(1000) for _ in range(5)] == \
         [int(twin.integers(0, 1000)) for _ in range(5)]
 
     spec = _spec("(rejection-query (define x (random-integer 10)) x (< x 8))")
     with pytest.raises(ExhaustionError) as exc:
-        run_samples(spec, 50, env, seed=6, max_attempts=1, rng=draws)
+        run_samples(spec, 50, env, 6, _ctx(draws, env, max_attempts=1))
     assert 0 < len(exc.value.partial.samples) < 50
     # the exhausted sample drew one 32-bit word from its own stream
     twin = derive_rng(6, len(exc.value.partial.samples))
@@ -285,6 +292,6 @@ def test_no_stream_pending_after_return_or_exhaustion(monkeypatch):
     assert draws.flip(0.5) == (twin.random() < 0.5)
     # a later draw-free query derives no stream
     calls.clear()
-    run_samples(_spec("(rejection-query (define x 5) x #t)"), 2000, env, seed=4, rng=draws)
+    run_samples(_spec("(rejection-query (define x 5) x #t)"), 2000, env, 4, _ctx(draws, env))
     assert calls == []
     assert draws.normal(0, 1) == float(twin.normal(0, 1))

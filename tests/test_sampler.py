@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from problisp import (NIL, BudgetError, ConceptError, EvalError, Pair, SampleBudget,
-                      Session, instantiate_expression, parse_one, sample_concept,
-                      standard_env)
+from problisp import (NIL, BudgetError, ConceptError, EvalContext, EvalError, Pair,
+                      SampleBudget, Session, instantiate_expression, parse_one,
+                      sample_concept, standard_env)
 from problisp.rng import NO_SOURCE, Draws
 
 
@@ -12,6 +12,10 @@ def _store_session(src, seed=11):
     s = Session(seed=seed)
     s.run_text(src)
     return s
+
+
+def _ctx(snap, rng, env):
+    return EvalContext(rng=rng, snapshot=snap, global_env=env)
 
 
 def seq_length(v):
@@ -29,8 +33,8 @@ def test_single_link_concept_is_deterministic_passthrough():
     only = s.store.lookup("only")
     env = standard_env()
     for k in range(3):
-        direct = instantiate_expression(snap, parse_one("pi"), env, Draws(k))
-        via = sample_concept(snap, only, Draws(k), env=env)
+        direct = instantiate_expression(parse_one("pi"), _ctx(snap, Draws(k), env))
+        via = sample_concept(only, _ctx(snap, Draws(k), env))
         assert via == direct == math.pi
 
 
@@ -38,11 +42,11 @@ def test_number_model_probabilities(prelude_session):
     snap = prelude_session.store.snapshot()
     number = prelude_session.store.lookup("number")
     env = prelude_session.env  # templates resolve helpers in session globals
-    rng = Draws(2024)
+    ctx = _ctx(snap, Draws(2024), env)
     n = 20_000
     pi_count = int_count = 0
     for _ in range(n):
-        v = sample_concept(snap, number, rng, env=env)
+        v = sample_concept(number, ctx)
         if isinstance(v, int):
             int_count += 1
         elif v == math.pi:
@@ -58,11 +62,11 @@ def test_sequence_length_law(prelude_session):
     snap = prelude_session.store.snapshot()
     seq = prelude_session.store.lookup("sequence")
     env = prelude_session.env
-    rng = Draws(515)
+    ctx = _ctx(snap, Draws(515), env)
     n = 20_000
     counts = {}
     for _ in range(n):
-        k = seq_length(sample_concept(snap, seq, rng, env=env))
+        k = seq_length(sample_concept(seq, ctx))
         counts[k] = counts.get(k, 0) + 1
     for k in range(4):
         p = 2.0 ** -(k + 1)
@@ -79,12 +83,11 @@ def test_multinomial_weight_frequencies():
     """)
     snap = s.store.snapshot()
     pick = s.store.lookup("pick")
-    rng = Draws(77)
-    env = standard_env()
+    ctx = _ctx(snap, Draws(77), standard_env())
     n = 30_000
     counts = {10: 0, 20: 0, 30: 0}
     for _ in range(n):
-        counts[sample_concept(snap, pick, rng, env=env)] += 1
+        counts[sample_concept(pick, ctx)] += 1
     for value, w in ((10, 1), (20, 2), (30, 3)):
         p = w / 6
         sd = math.sqrt(p * (1 - p) / n)
@@ -103,17 +106,16 @@ def test_weight_scale_invariance_exact():
         s = _store_session(base.format(a=a, b=b, c=c))
         snap = s.store.snapshot()
         pick = s.store.lookup("pick")
-        rng = Draws(9)
-        env = standard_env()
-        draws[tag] = [sample_concept(snap, pick, rng, env=env) for _ in range(2_000)]
+        ctx = _ctx(snap, Draws(9), standard_env())
+        draws[tag] = [sample_concept(pick, ctx) for _ in range(2_000)]
     assert draws["w1"] == draws["w2"]
 
 
 def test_instantiate_cons_template(prelude_session):
     snap = prelude_session.store.snapshot()
     env = prelude_session.env
-    v = instantiate_expression(snap, parse_one("(cons number sequence)"), env,
-                               Draws(4))
+    v = instantiate_expression(parse_one("(cons number sequence)"),
+                               _ctx(snap, Draws(4), env))
     assert isinstance(v, Pair)
 
 
@@ -121,8 +123,7 @@ def test_multiple_occurrences_are_independent():
     s = _store_session("(concept coin) (is-a (random-integer 1000000) coin)")
     snap = s.store.snapshot()
     env = standard_env()
-    v = instantiate_expression(snap, parse_one("(list coin coin)"), env,
-                               Draws(31))
+    v = instantiate_expression(parse_one("(list coin coin)"), _ctx(snap, Draws(31), env))
     assert v.head != v.tail.head  # two draws, not one shared value
 
 
@@ -131,17 +132,17 @@ def test_quote_and_binders_shield_concept_symbols(prelude_session):
     env = standard_env()
     from problisp.sexpr import Symbol
 
-    v = instantiate_expression(snap, parse_one("(quote number)"), env, Draws(0))
+    v = instantiate_expression(parse_one("(quote number)"), _ctx(snap, Draws(0), env))
     assert v == Symbol("number")
-    v = instantiate_expression(snap, parse_one("((lambda (number) number) 5)"),
-                               env, Draws(0))
+    v = instantiate_expression(parse_one("((lambda (number) number) 5)"),
+                               _ctx(snap, Draws(0), env))
     assert v == 5
-    v = instantiate_expression(snap, parse_one("(let ((number 5)) number)"),
-                               env, Draws(0))
+    v = instantiate_expression(parse_one("(let ((number 5)) number)"),
+                               _ctx(snap, Draws(0), env))
     assert v == 5
     # a let binding's value sits outside the let's scope, so it is a draw
-    v = instantiate_expression(snap, parse_one("(let ((x number)) x)"),
-                               prelude_session.env, Draws(0))
+    v = instantiate_expression(parse_one("(let ((x number)) x)"),
+                               _ctx(snap, Draws(0), prelude_session.env))
     assert isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
@@ -193,7 +194,7 @@ def test_node_budget_aborts_supercritical_branching():
     env = standard_env()
     budget = SampleBudget(max_depth=10 ** 6, max_nodes=500)
     with pytest.raises(BudgetError):
-        sample_concept(snap, tree, Draws(0), budget, env=env)
+        sample_concept(tree, _ctx(snap, Draws(0), env), budget)
     assert budget.nodes_expanded == 501
 
 
@@ -219,9 +220,8 @@ def test_sampling_reads_the_active_context():
     s.run_text("(set-context ones)")
     snap = s.store.snapshot()
     pick = s.store.lookup("pick")
-    rng = Draws(5)
-    env = standard_env()
-    draws = [sample_concept(snap, pick, rng, env=env) for _ in range(300)]
+    ctx = _ctx(snap, Draws(5), standard_env())
+    draws = [sample_concept(pick, ctx) for _ in range(300)]
     assert draws.count(1) >= 299
 
 
@@ -240,13 +240,13 @@ def test_templates_compile_once_per_snapshot(prelude_session, monkeypatch):
     monkeypatch.setattr(evaluator, "free_symbol_paths", counting)
     store = prelude_session.store
     snap = store.snapshot()
-    rng = Draws(77)
+    ctx = _ctx(snap, Draws(77), prelude_session.env)
     for _ in range(200):
-        sample_concept(snap, store.lookup("integer"), rng, env=prelude_session.env)
+        sample_concept(store.lookup("integer"), ctx)
     assert len(walked) == 1
     for _ in range(200):
-        sample_concept(snap, store.lookup("sequence"), rng, env=prelude_session.env)
-        sample_concept(snap, store.lookup("number"), rng, env=prelude_session.env)
+        sample_concept(store.lookup("sequence"), ctx)
+        sample_concept(store.lookup("number"), ctx)
     # integer, (normal 0 1), pi, null, (cons number sequence): each once
     assert len(walked) == 5
     assert len({id(expr) for expr in walked}) == 5
@@ -296,6 +296,6 @@ def test_sampling_with_no_random_source_is_an_error():
     s = _store_session("(concept pick) (is-a 1 pick) (is-a 2 pick)")
     snap = s.store.snapshot()
     with pytest.raises(EvalError, match="no random source available for sampling"):
-        sample_concept(snap, s.store.lookup("pick"), NO_SOURCE, env=s.env)
+        sample_concept(s.store.lookup("pick"), _ctx(snap, NO_SOURCE, s.env))
     with pytest.raises(EvalError, match="no random source available for sampling"):
-        instantiate_expression(snap, parse_one("(list pick pick)"), s.env, NO_SOURCE)
+        instantiate_expression(parse_one("(list pick pick)"), _ctx(snap, NO_SOURCE, s.env))
