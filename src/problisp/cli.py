@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
 
 from .concepts import _describe_source
 from .errors import (BudgetError, ExhaustionError, LexError, ParseError,
                      ProblispError, ZeroProbabilityError)
 from .evaluator import DEFAULT_MAX_ATTEMPTS
-from .sexpr import parse, print_expr
+from .sexpr import _Record, parse, print_expr
 from .session import Session
 from .values import format_value, is_number
 
@@ -33,19 +31,25 @@ from .values import format_value, is_number
 RECURSION_LIMIT = 15_000
 
 
-@dataclass
-class SessionConfig:
-    seed: int = 0
-    samples: int = 1
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    rewrite: bool = True
-    # [("prelude" | "rules", path)] in flag order
-    load_order: list = field(default_factory=list)
-    context: str | None = None
-    output: str = "plain"
-    stats: bool = False
-    repl: bool = False
-    files: list = field(default_factory=list)
+class SessionConfig(_Record):
+    __slots__ = _fields = ("seed", "samples", "max_attempts", "rewrite", "load_order",
+                           "context", "output", "stats", "repl", "files")
+    __hash__ = None   # mutable
+
+    def __init__(self, seed=0, samples=1, max_attempts=DEFAULT_MAX_ATTEMPTS, rewrite=True,
+                 load_order=None, context=None, output="plain", stats=False, repl=False,
+                 files=None):
+        self.seed = seed
+        self.samples = samples
+        self.max_attempts = max_attempts
+        self.rewrite = rewrite
+        # [("prelude" | "rules", path)] in flag order
+        self.load_order = [] if load_order is None else load_order
+        self.context = context
+        self.output = output
+        self.stats = stats
+        self.repl = repl
+        self.files = [] if files is None else files
 
     def _given(self, kind):
         return [path for k, path in self.load_order if k == kind]
@@ -63,12 +67,12 @@ class SessionConfig:
 
 def prelude_path():
     """Filesystem path of the shipped knowledge prelude."""
-    return str(resources.files("problisp").joinpath("data/prelude.lisp"))
+    return os.path.join(os.path.dirname(__file__), "data", "prelude.lisp")
 
 
 def rules_path():
     """Filesystem path of the shipped default rewrite rules."""
-    return str(resources.files("problisp").joinpath("data/rules.lisp"))
+    return os.path.join(os.path.dirname(__file__), "data", "rules.lisp")
 
 
 def _resolve(path, std):
@@ -254,7 +258,8 @@ def run_file(path, session, config, out=None):
     """Run one program file in the session; returns a process exit status."""
     out = out if out is not None else sys.stdout
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as err:
         print(f"problisp: cannot read '{path}': {err.strerror}", file=sys.stderr)
         return 3

@@ -9,26 +9,33 @@ that snapshot serve every form in between.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConceptError
-from .sexpr import SExpr, print_expr
+from .sexpr import SExpr, _Record, print_expr
 
 
-@dataclass(frozen=True)
-class ConceptId:
-    """Opaque handle for a declared concept; names are unique per store."""
+class ConceptId(_Record):
+    """Opaque handle for a declared concept; names are unique per store.
+    Equal handles have equal indices, so the index alone is the hash."""
 
-    name: str
-    index: int
+    __slots__ = _fields = ("name", "index")
+
+    def __init__(self, name, index):
+        self.name, self.index = name, index
+
+    def __hash__(self):
+        return self.index
 
 
-@dataclass(eq=False)
 class IsALink:
-    link_id: int
-    source: object  # SExpr template or ConceptId
-    target: ConceptId
-    weight: float
+    """One weighted is-a link; equal only to itself."""
+
+    __slots__ = ("link_id", "source", "target", "weight")
+
+    def __init__(self, link_id, source, target, weight):
+        self.link_id = link_id
+        self.source = source   # SExpr template or ConceptId
+        self.target = target
+        self.weight = weight
 
 
 def _describe_source(source):
@@ -159,7 +166,8 @@ class ConceptStore:
             raise ConceptError(f"unknown context '{name}'")
         overlay = self._contexts[name]
         instances = {
-            cid: tuple((link, overlay.get(link.link_id, link.weight)) for link in links)
+            cid.name: (cid, tuple((link, overlay.get(link.link_id, link.weight))
+                                  for link in links))
             for cid, links in self._by_target.items()
         }
         snap = StoreSnapshot(dict(self._concepts), instances, name)
@@ -187,7 +195,9 @@ class StoreSnapshot:
         return list(self._concepts)
 
     def instances(self, concept):
-        rows = self._instances.get(concept)
-        if rows is None:
-            raise ConceptError(f"unknown concept '{getattr(concept, 'name', concept)}'")
-        return rows
+        """The (link, weight) rows of the ConceptId `concept`.  They are found
+        by its name, whose hash is cached: the sampler asks on every expansion."""
+        entry = self._instances.get(concept.name)
+        if entry is None or (entry[0] is not concept and entry[0] != concept):
+            raise ConceptError(f"unknown concept '{concept.name}'")
+        return entry[1]

@@ -47,12 +47,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .concepts import ConceptId
 from .errors import ConceptError, EvalError
 from .rng import NO_SOURCE, flip, normal, random_integer
-from .sexpr import Integer, Real, SExpr, SList, Symbol
+from .sexpr import Integer, Real, SExpr, SList, Symbol, _Record
 from .values import NIL, Closure, Env, Pair, Primitive, format_value, is_number, values_equal
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 6
@@ -65,8 +64,7 @@ SPECIAL_FORMS = frozenset(
 _MISSING = object()
 
 
-@dataclass
-class EvalContext:
+class EvalContext(_Record):
     """Everything an evaluation needs besides the environment.
 
     `rng` is the draw object (`rng.Draws`) that makes every random choice:
@@ -78,25 +76,32 @@ class EvalContext:
     parameters.  `rules` (empty when rewriting is off), `max_attempts` and
     `global_env` stay fixed for the session, `session` is set only there,
     and `snapshot` is refreshed after each knowledge form.  A query clears
-    `session` on a copy, made only when it is set; `run_samples` gives each
-    sample's stream to the one draw object, so nothing may keep a context
-    beyond the sample that used it.  A concept instantiation clears
-    `session` and sets `budget` and `sample_depth` for its recursion, and
-    puts the old values back when it returns.
+    `session` while its attempts run; `run_samples` gives each sample's
+    stream to the one draw object, so nothing may keep a context beyond the
+    sample that used it.  A concept instantiation clears `session` and sets
+    `budget` and `sample_depth` for its recursion.  Both put the old values
+    back when they return.
 
     The context is read when code runs, never when it is compiled: compiled
     code depends only on the forms and on the root frame it was compiled
     for, so one compiled query or template serves every context.
     """
 
-    rng: object = NO_SOURCE
-    snapshot: object | None = None
-    session: object | None = None      # set only for top-level session forms
-    rules: tuple = ()                  # empty when rewriting is off
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    global_env: Env | None = None
-    budget: object | None = None       # in-flight concept sampling budget
-    sample_depth: int = 0
+    __slots__ = _fields = ("rng", "snapshot", "session", "rules", "max_attempts",
+                           "global_env", "budget", "sample_depth")
+    __hash__ = None   # mutable
+
+    def __init__(self, rng=NO_SOURCE, snapshot=None, session=None, rules=(),
+                 max_attempts=DEFAULT_MAX_ATTEMPTS, global_env=None, budget=None,
+                 sample_depth=0):
+        self.rng = rng
+        self.snapshot = snapshot
+        self.session = session            # set only for top-level session forms
+        self.rules = rules                # empty when rewriting is off
+        self.max_attempts = max_attempts
+        self.global_env = global_env
+        self.budget = budget              # in-flight concept sampling budget
+        self.sample_depth = sample_depth
 
 
 def evaluate(expr, env, ctx):

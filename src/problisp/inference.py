@@ -8,10 +8,10 @@ compiled once per query, and every attempt runs the compiled code in a fresh
 frame.  Batch runs give every sample index its own deterministic rng stream
 derived from (seed, index), so parallel and serial execution produce
 identical multisets of samples.  The runners read their draw object and
-attempt limit from the `EvalContext` given, and clear its session on a copy
-when it is set: knowledge forms are not allowed inside a query.  All samples
-draw through the context's draw object, or else a `Draws` on the batch's own
-path.  Each sample's index is given to it (`Draws.pend`), and it sets the
+attempt limit from the `EvalContext` given, and clear its session while
+their attempts run: knowledge forms are not allowed inside a query.  All
+samples draw through the context's draw object, or else a `Draws` on the
+batch's own path.  Each sample's index is given to it (`Draws.pend`), and it sets the
 index's PCG64 state at the sample's first draw.  The states come from
 `stream_states`, one pass per block of up to 1024 indices, computed when a
 sample of the block first draws; a sample that draws nothing derives no
@@ -22,26 +22,25 @@ index)` generator would.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 
 from .errors import EvalError, ExhaustionError, ProblispError
-from .evaluator import EvalContext, _sequence, compile_forms, evaluate
+from .evaluator import EvalContext, _sequence, compile_forms
 # derive_rng is not used here; perfbench/test_perfbench.py reads it as inference.derive_rng
 from .rng import Draws, derive_rng, stream_states  # noqa: F401
-from .sexpr import SExpr, SList, Symbol
+from .sexpr import SList, Symbol, _Record
 from .values import Env
 
 # sample indices per `stream_states` call: bounds the states held at once
 _STATE_BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class QuerySpec:
+class QuerySpec(_Record):
     """Definitions, query expression and condition expression of one query."""
 
-    definitions: tuple
-    query: SExpr
-    condition: SExpr
+    __slots__ = _fields = ("definitions", "query", "condition")
+
+    def __init__(self, definitions, query, condition):
+        self.definitions, self.query, self.condition = definitions, query, condition
 
     @classmethod
     def from_form(cls, form):
@@ -58,11 +57,13 @@ class QuerySpec:
         return cls(tuple(body[:-2]), body[-2], body[-1])
 
 
-@dataclass(frozen=True)
-class SampleReport:
-    samples: tuple
-    total_attempts: int
-    acceptance_rate: float
+class SampleReport(_Record):
+    __slots__ = _fields = ("samples", "total_attempts", "acceptance_rate")
+
+    def __init__(self, samples, total_attempts, acceptance_rate):
+        self.samples = samples
+        self.total_attempts = total_attempts
+        self.acceptance_rate = acceptance_rate
 
 
 def _compile(spec, base_env):
@@ -75,33 +76,40 @@ def _compile(spec, base_env):
 
 
 def _attempt_loop(spec, code, base_env, ctx):
-    if ctx.session is not None:
-        ctx = replace(ctx, session=None)   # no knowledge forms inside a query
+    """(query value, attempts) of the first accepted attempt; both runners
+    come here, so the attempt limit is checked here alone."""
+    limit = ctx.max_attempts
+    if limit < 1:
+        raise EvalError("max-attempts must be at least 1")
     attempt_code, query_code = code
-    for attempt in range(1, ctx.max_attempts + 1):
-        env = Env(base_env)
-        try:
-            cond = attempt_code(env, ctx)
-        except ProblispError as err:
-            err.message = f"{err.message} (attempt {attempt})"
-            err.args = (err.message,)
-            raise
-        except RecursionError:
-            raise EvalError(f"recursion depth exceeded (attempt {attempt})") from None
-        if cond.__class__ is not bool:
-            raise EvalError("query condition must evaluate to a boolean "
-                            f"(attempt {attempt})", spec.condition.loc)
-        if cond:
-            return evaluate(query_code, env, ctx), attempt
-    raise ExhaustionError(
-        f"no accepted sample after {ctx.max_attempts} attempts", ctx.max_attempts)
+    session, ctx.session = ctx.session, None   # no knowledge forms inside a query
+    try:
+        for attempt in range(1, limit + 1):
+            env = Env(base_env)
+            try:
+                cond = attempt_code(env, ctx)
+            except ProblispError as err:
+                err.message = f"{err.message} (attempt {attempt})"
+                err.args = (err.message,)
+                raise
+            except RecursionError:
+                raise EvalError(f"recursion depth exceeded (attempt {attempt})") from None
+            if cond.__class__ is not bool:
+                raise EvalError("query condition must evaluate to a boolean "
+                                f"(attempt {attempt})", spec.condition.loc)
+            if cond:
+                try:
+                    return query_code(env, ctx), attempt
+                except RecursionError:
+                    raise EvalError("recursion depth exceeded") from None
+    finally:
+        ctx.session = session
+    raise ExhaustionError(f"no accepted sample after {limit} attempts", limit)
 
 
 def rejection_query(spec, env, ctx):
     """Sample once from the conditioned distribution, drawing from `ctx.rng`,
     or raise ExhaustionError after `ctx.max_attempts` attempts."""
-    if ctx.max_attempts < 1:
-        raise EvalError("max-attempts must be at least 1")
     value, _ = _attempt_loop(spec, _compile(spec, env), env, ctx)
     return value
 
@@ -117,11 +125,11 @@ def _stream_states(path, n):
 
 def run_samples(spec, n, env, seed, ctx=None):
     """Draw n accepted samples, one independent rng stream per sample index.
-    The streams are set on `ctx.rng`, which must be a `Draws`, whose own
-    state is overwritten when a sample draws and left as it was when none
-    does; without a context, they are set on a `Draws(*path)`.  Each
-    sample's stream is installed at its first draw, and no stream is left
-    pending on return."""
+    The streams are set on `ctx.rng`, a `Draws`, whose own state is
+    overwritten when a sample draws and left as it was when none does (or
+    `rng.NO_SOURCE`, whose draws are errors); without a context, they are set
+    on a `Draws(*path)`.  Each sample's stream is installed at its first
+    draw, and no stream is left pending on return."""
     if n < 1:
         raise EvalError("sample count must be at least 1")
     path = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)

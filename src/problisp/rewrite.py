@@ -29,12 +29,11 @@ matchers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import is_not
 
 from .errors import EvalError, RuleError, ZeroProbabilityError
 from .evaluator import _PRIMITIVES
-from .sexpr import Boolean, Integer, Real, SExpr, SList, Symbol, Text, print_expr
+from .sexpr import Boolean, Integer, Real, SList, Symbol, Text, _Record, print_expr
 
 _LITERALS = (Integer, Real, Boolean, Text)
 
@@ -149,23 +148,22 @@ def constant_fold(expr):
 # -- rules ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    kind: str       # "equivalence" | "implication"
-    lhs: SExpr
-    rhs: SExpr
-    name: str
+class RewriteRule(_Record):
+    __slots__ = ("kind", "lhs", "rhs", "name", "_symbols", "_ways")
+    _fields = ("kind", "lhs", "rhs", "name")
 
-    def __post_init__(self):
+    def __init__(self, kind, lhs, rhs, name):
+        self.kind = kind   # "equivalence" | "implication"
+        self.lhs = lhs
+        self.rhs = rhs
+        self.name = name
         # the symbols of each side; and per direction, left to right first:
         # [key, matcher (compiled at its first use), pattern, template, the
         # template's symbols]
-        symbols = (_symbols(self.lhs), _symbols(self.rhs))
-        ways = [[_key(self.lhs), None, self.lhs, self.rhs, symbols[1]]]
-        if self.kind == "equivalence":
-            ways.append([_key(self.rhs), None, self.rhs, self.lhs, symbols[0]])
-        object.__setattr__(self, "_symbols", symbols)
-        object.__setattr__(self, "_ways", ways)
+        self._symbols = (_symbols(lhs), _symbols(rhs))
+        self._ways = [[_key(lhs), None, lhs, rhs, self._symbols[1]]]
+        if kind == "equivalence":
+            self._ways.append([_key(rhs), None, rhs, lhs, self._symbols[0]])
 
 
 def rule_from_form(form, default_name=None):
@@ -201,11 +199,13 @@ def rule_from_form(form, default_name=None):
 # -- condition solving -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    condition: SExpr      # solved form, or the original condition on failure
-    solved: bool
-    trace: tuple          # condition states, original first
+class SolveResult(_Record):
+    __slots__ = _fields = ("condition", "solved", "trace")
+
+    def __init__(self, condition, solved, trace):
+        self.condition = condition   # solved form, or the original condition on failure
+        self.solved = solved
+        self.trace = trace           # condition states, original first
 
 
 def _replace_at(expr, path, new):
@@ -340,14 +340,16 @@ def solve_condition(condition, target, rules):
 # -- query optimization ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OptimizeOutcome:
-    spec: object               # QuerySpec (possibly rewritten)
-    fired: bool
-    target: str | None = None
-    value: SExpr | None = None
-    chain: tuple = ()          # condition states when fired
-    definition: SExpr | None = None  # the rewritten (define v c) form
+class OptimizeOutcome(_Record):
+    __slots__ = _fields = ("spec", "fired", "target", "value", "chain", "definition")
+
+    def __init__(self, spec, fired, target=None, value=None, chain=(), definition=None):
+        self.spec = spec                 # QuerySpec (possibly rewritten)
+        self.fired = fired
+        self.target = target             # the pinned variable's name
+        self.value = value               # its value node
+        self.chain = chain               # condition states when fired
+        self.definition = definition     # the rewritten (define v c) form
 
 
 # names whose meaning the optimizer assumes besides the rules' symbols
@@ -392,8 +394,8 @@ def optimize_query_detail(spec, rules, env=None):
         names += env.frame
         env = env.parent
     names = {name for name in names if not name.startswith("$")}
-    if not names.isdisjoint(_ASSUMED) or any(
-            not names.isdisjoint(side) for rule in rules for side in rule._symbols):
+    if not names.isdisjoint(_ASSUMED.union(*[side for rule in rules
+                                             for side in rule._symbols])):
         return OptimizeOutcome(spec, False)
     for idx, d in defines:
         support = _finite_support(d.items[2])

@@ -298,9 +298,16 @@ class Draws:
 
 
 class _NoSource:
-    """The draws of a context with no random source: every draw is an error."""
+    """The draws of a context with no random source: every draw is an error,
+    and a sample stream given to it (`pend`, `settle`) is ignored."""
 
     __slots__ = ()
+
+    def pend(self, states, i):
+        pass
+
+    def settle(self):
+        pass
 
     def integer(self, n, loc=None):
         raise EvalError(_NO_SOURCE_TEXT, loc)

@@ -10,27 +10,27 @@ identical inputs replay identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-
 from .concepts import ConceptStore
 from .errors import EvalError, ProblispError
 from .evaluator import (DEFAULT_MAX_ATTEMPTS, EvalContext, evaluate,
                         standard_env)
 from .inference import QuerySpec, run_samples
 from .rng import Draws
-from .sexpr import SList, Symbol, parse
+from .sexpr import SList, Symbol, _Record, parse
 
 
-@dataclass
-class TopResult:
+class TopResult(_Record):
     """Outcome of one top-level form."""
 
-    kind: str                 # "query" | "value" | "none"
-    value: object = None
-    report: object = None     # SampleReport for queries
-    optimize: object = None   # OptimizeOutcome for queries (None if rewriting off)
-    ordinal: int = None
+    __slots__ = _fields = ("kind", "value", "report", "optimize", "ordinal")
+    __hash__ = None   # mutable
+
+    def __init__(self, kind, value=None, report=None, optimize=None, ordinal=None):
+        self.kind = kind              # "query" | "value" | "none"
+        self.value = value
+        self.report = report          # SampleReport for queries
+        self.optimize = optimize      # OptimizeOutcome for queries (None if rewriting off)
+        self.ordinal = ordinal
 
 
 def _is_query_form(form):
@@ -100,7 +100,8 @@ class Session:
     def load_file(self, path):
         """Evaluate a file for its session effects, discarding printed values."""
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
         except OSError as err:
             raise EvalError(f"cannot read '{path}': {err.strerror}") from None
         try:

@@ -4,9 +4,18 @@ The surface syntax is a small Scheme subset: parenthesised lists, symbols,
 integer and real literals, ``#t``/``#f`` booleans, double-quoted strings,
 and ``;`` comments running to end of line.  Pattern variables such as ``$A``
 are ordinary symbols to the reader.  Every node carries an optional source
-location that never participates in equality, hashing or printing.  Nodes,
-tokens and locations are immutable by convention but not frozen dataclasses,
-which cost two to three times as much to build (see `SExpr`).
+location that never participates in equality, hashing or printing.
+
+Every record type of the package that compares by value is a plain
+`__slots__` class on `_Record`: the reader's nodes, tokens and locations, and
+also runtime pairs and concept handles, rules and solver results, query specs
+and reports, and the evaluator's and the CLI's configuration records.
+`_Record` gives them field-wise equality, hash and repr without any code
+generated when the package is imported.  Closures, primitives and is-a links
+compare by identity and are plain `__slots__` classes of their own.  Records
+are immutable by convention, not frozen: a frozen class's `__init__` sets
+each field through `object.__setattr__`, which costs two to three times as
+much to build (see `SExpr`).
 """
 
 from __future__ import annotations
@@ -19,9 +28,16 @@ from .errors import LexError, ParseError
 
 
 class _Record:
-    """`==` (same class only), hash and repr as a frozen dataclass over `_fields`."""
+    """`==` (same class only), hash and repr over the tuple of `_fields`.
+    A subclass that names its `_fields` gets `_key`, their getter.  A record
+    that is meant to change sets `__hash__ = None`, which makes it unhashable."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__:
+            cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -39,7 +55,6 @@ class _Record:
 
 class Location(_Record):
     __slots__ = _fields = ("line", "column")
-    _key = attrgetter(*_fields)
 
     def __init__(self, line, column):
         self.line, self.column = line, column
@@ -49,9 +64,9 @@ class Location(_Record):
 
 
 class SExpr(_Record):
-    """Base class for expression nodes; immutable by convention.  Not a frozen
-    dataclass, whose `__init__` sets each field through `object.__setattr__`:
-    the reader builds one node per token and the solver one per rewrite."""
+    """Base class for expression nodes; immutable by convention.  Not frozen,
+    which would set each field through `object.__setattr__`: the reader
+    builds one node per token and the solver one per rewrite."""
 
     __slots__ = ()
 
@@ -62,7 +77,6 @@ class SExpr(_Record):
 class Symbol(SExpr):
     __slots__ = ("name", "loc")
     _fields = ("name",)
-    _key = attrgetter(*_fields)
 
     def __init__(self, name, loc=None):
         self.name, self.loc = name, loc
@@ -71,7 +85,6 @@ class Symbol(SExpr):
 class _Literal(SExpr):
     __slots__ = ("value", "loc")
     _fields = ("value",)
-    _key = attrgetter(*_fields)
 
     def __init__(self, value, loc=None):
         self.value, self.loc = value, loc
@@ -96,7 +109,6 @@ class Text(_Literal):
 class SList(SExpr):
     __slots__ = ("items", "loc")
     _fields = ("items",)
-    _key = attrgetter(*_fields)
 
     def __init__(self, items, loc=None):
         self.items, self.loc = items, loc
@@ -118,7 +130,6 @@ def slist(*items, loc=None):
 class Token(_Record):
     # kind: "(" | ")" | "symbol" | "integer" | "real" | "boolean" | "string"
     __slots__ = _fields = ("kind", "text", "value", "loc")
-    _key = attrgetter(*_fields)
 
     def __init__(self, kind, text, value, loc):
         self.kind = kind

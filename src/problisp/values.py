@@ -8,10 +8,8 @@ result of ``define`` and the knowledge forms) and is not a language value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .concepts import ConceptId
-from .sexpr import Symbol, escape_text
+from .sexpr import Symbol, _Record, escape_text
 
 
 class EmptyList:
@@ -26,26 +24,31 @@ class EmptyList:
 NIL = EmptyList()
 
 
-@dataclass(frozen=True)
-class Pair:
-    head: object
-    tail: object
+class Pair(_Record):
+    __slots__ = _fields = ("head", "tail")
+
+    def __init__(self, head, tail):
+        self.head, self.tail = head, tail
 
 
-@dataclass(eq=False)
 class Closure:
     """A lambda's value: its parameter names, its body compiled once with
-    the form that contains the lambda, and the environment it captured."""
+    the form that contains the lambda, and the environment it captured.
+    Closures and primitives are equal only to themselves."""
 
-    params: tuple
-    body: object   # compiled code (env, ctx) -> value, or a tail call
-    env: "Env"
+    __slots__ = ("params", "body", "env")
+
+    def __init__(self, params, body, env):
+        self.params = params
+        self.body = body   # compiled code (env, ctx) -> value, or a tail call
+        self.env = env
 
 
-@dataclass(eq=False)
 class Primitive:
-    name: str
-    fn: object
+    __slots__ = ("name", "fn")
+
+    def __init__(self, name, fn):
+        self.name, self.fn = name, fn
 
     def __repr__(self):
         return f"#<primitive {self.name}>"

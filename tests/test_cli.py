@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from problisp import Pair, histogram
 from problisp.sexpr import MAX_NESTING
 
-from conftest import PROGRAMS, run_cli
+from conftest import PROGRAMS, REPO, SRC, run_cli
 from test_golden import GOLDEN, SAMPLES
 
 
@@ -375,3 +378,15 @@ def test_programs_without_normal_draws_run_without_numpy(program, flags, seed):
                 "--output", "records", code=_WITHOUT_NUMPY)
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout.encode("utf-8")).hexdigest() == GOLDEN[program, flags, seed]
+
+
+def test_cli_start_up_imports_no_library_machinery():
+    # `-S` keeps out `site`, which may import importlib.resources and pathlib
+    # itself; what is left is what `import problisp.cli` loads
+    unwanted = ("dataclasses", "inspect", "importlib.resources", "pathlib", "numpy")
+    code = "import sys, problisp.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    r = subprocess.run([sys.executable, "-S", "-c", code, *unwanted],
+                       capture_output=True, text=True, timeout=60, cwd=REPO,
+                       env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == []

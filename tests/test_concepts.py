@@ -1,6 +1,32 @@
 import pytest
 
-from problisp import ConceptError, ConceptStore, parse_one
+from problisp import ConceptError, ConceptId, ConceptStore, IsALink, parse_one
+
+
+def test_concept_ids_compare_and_hash_by_value():
+    store = ConceptStore()
+    number = store.declare_concept("number")
+    same = ConceptId("number", 0)
+    assert same == number and same is not number
+    assert hash(same) == hash(number)
+    assert {number: 1}[same] == 1
+    assert ConceptId("number", 1) != number and ConceptId("real", 0) != number
+    assert number != ("number", 0)   # a different class is never equal
+    assert repr(number) == "ConceptId(name='number', index=0)"
+    # an equal handle finds the concept's rows; the same name with another index does not
+    assert store.snapshot().instances(same) == ()
+    with pytest.raises(ConceptError, match="unknown concept 'number'"):
+        store.snapshot().instances(ConceptId("number", 5))
+
+
+def test_is_a_links_are_equal_only_to_themselves():
+    store = ConceptStore()
+    number = store.declare_concept("number")
+    store.add_isa(parse_one("1"), number)
+    link = store.find_link(parse_one("1"), number)
+    twin = IsALink(link.link_id, link.source, link.target, link.weight)
+    assert link == link and link != twin
+    assert len({link, twin}) == 2
 
 
 def test_declare_and_instances_empty():
@@ -184,11 +210,12 @@ def test_knowledge_forms_require_session_toplevel(session):
 
 
 def test_knowledge_forms_allowed_outside_queries_and_templates(session):
-    # a closure body is not a query body, and a template's draw gives the
-    # session back to the rest of its form
+    # a closure body is not a query body, and a template's draw and a nested
+    # query give the session back to the rest of their form
     session.run_text("(define f (lambda () (concept z))) (f)"
-                     " (concept c) (is-a 1 c) (list (sample c) (concept y))")
-    assert session.store.snapshot().concept_names() == ["z", "c", "y"]
+                     " (concept c) (is-a 1 c) (list (sample c) (concept y))"
+                     " (list (rejection-query (define x 1) x #t) (concept w))")
+    assert session.store.snapshot().concept_names() == ["z", "c", "y", "w"]
 
 
 def test_snapshot_is_reused_until_the_store_changes():

@@ -5,12 +5,49 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from problisp import (NIL, Env, EvalContext, EvalError, Pair, ProblispError, evaluate,
-                      format_value, parse, parse_one, standard_env)
+from problisp import (NIL, Env, EvalContext, EvalError, Pair, Primitive, ProblispError,
+                      evaluate, format_value, parse, parse_one, standard_env)
+from problisp.evaluator import DEFAULT_MAX_ATTEMPTS
 from problisp.rng import NO_SOURCE, Draws, normal, random_integer
 from problisp.sexpr import Boolean, Integer, Real, SList, Symbol
 
 from _lang import ev
+
+
+def test_pairs_compare_and_hash_by_value():
+    assert Pair(1, Pair(2, NIL)) == Pair(1, Pair(2, NIL))
+    assert hash(Pair(1, Pair(2, NIL))) == hash(Pair(1, Pair(2, NIL)))
+    assert Pair(1, NIL) != Pair(2, NIL) and Pair(1, NIL) != Pair(NIL, 1)
+    assert Pair(1, NIL) != (1, NIL)   # a different class is never equal
+    # tuples of samples compare as before, and pairs can key a dict
+    assert (Pair(1, NIL), 3) == (Pair(1, NIL), 3)
+    assert {Pair("a", NIL): 1}[Pair("a", NIL)] == 1
+    assert repr(Pair(1, NIL)) == "Pair(head=1, tail=())"
+
+
+def test_closures_and_primitives_are_equal_only_to_themselves():
+    env = standard_env()
+    twins = [evaluate(parse_one("(lambda (x) x)"), env, EvalContext()) for _ in range(2)]
+    assert twins[0] == twins[0] and twins[0] != twins[1]
+    assert len({twins[0], twins[1], twins[0]}) == 2
+    cons = env.frame["cons"]
+    assert cons == env.frame["cons"]
+    assert cons != Primitive(cons.name, cons.fn)
+    assert repr(cons) == "#<primitive cons>"
+
+
+def test_eval_context_defaults():
+    ctx = EvalContext()
+    assert (ctx.rng, ctx.snapshot, ctx.session, ctx.rules, ctx.max_attempts,
+            ctx.global_env, ctx.budget, ctx.sample_depth) == (
+        NO_SOURCE, None, None, (), DEFAULT_MAX_ATTEMPTS, None, None, 0)
+    env = Env()
+    ctx = EvalContext(global_env=env, max_attempts=7)
+    assert (ctx.global_env, ctx.max_attempts, ctx.rules) == (env, 7, ())
+    assert EvalContext(max_attempts=7) == EvalContext(max_attempts=7)
+    assert EvalContext(max_attempts=7) != EvalContext(max_attempts=8)
+    with pytest.raises(TypeError):
+        hash(ctx)   # mutable, like the session's records
 
 
 def test_arithmetic():

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -99,6 +98,40 @@ def test_exhaustion_reports_attempts_and_partial():
     assert exc.value.attempts == 50
     assert exc.value.partial is not None
     assert exc.value.partial.samples == ()
+
+
+def test_batch_on_a_context_without_a_draw_source():
+    # the context's default draw object is rng.NO_SOURCE: a query that draws
+    # gets the located language error, and one that draws nothing runs
+    env = standard_env()
+    with pytest.raises(EvalError, match="no random source available in this context") as exc:
+        run_samples(_spec(PAPER_QUERY), 2, env, 1, EvalContext(global_env=env))
+    assert exc.value.loc.column == PAPER_QUERY.index("(random-integer") + 1
+    report = run_samples(_spec("(rejection-query (define x 4) (+ x 1) (= x 4))"), 2, env, 1,
+                         EvalContext(global_env=env))
+    assert report.samples == (5, 5)
+
+
+@pytest.mark.parametrize("text", [PAPER_QUERY, f"(list {PAPER_QUERY})"])
+def test_attempt_limit_below_one_is_the_same_error_in_both_runners(text):
+    # a top-level query runs as a batch, a nested one through rejection_query
+    from problisp import Session
+
+    with pytest.raises(EvalError) as exc:
+        Session(max_attempts=0).run_text(text)
+    assert str(exc.value) == "line 1, column 1: max-attempts must be at least 1"
+
+
+def test_a_query_gives_its_context_the_session_back():
+    from problisp import Session
+
+    s = Session()
+    ctx = _ctx(Draws(5), s.env, session=s, max_attempts=1000)
+    assert rejection_query(_spec(PAPER_QUERY), s.env, ctx) == 5
+    assert ctx.session is s
+    with pytest.raises(ExhaustionError):
+        rejection_query(_spec("(rejection-query (define x 1) x (= x 2))"), s.env, ctx)
+    assert ctx.session is s
 
 
 def test_non_boolean_condition_is_an_error():
@@ -209,7 +242,8 @@ def knowledge():
 
     s = Session(seed=0)
     s.run_text(_KNOWLEDGE)
-    return s.env, EvalContext(snapshot=s.store.snapshot(), global_env=s.env)
+    snap = s.store.snapshot()
+    return s.env, lambda rng: EvalContext(rng=rng, snapshot=snap, global_env=s.env)
 
 
 def _count_stream_states(monkeypatch):
@@ -231,23 +265,23 @@ def _count_stream_states(monkeypatch):
        st.sampled_from((1, 2, 1030)), st.lists(st.integers(0, 1 << 40), min_size=1,
                                               max_size=3).map(tuple))
 def test_lazy_streams_draw_like_fresh_generators(knowledge, first, prefix, n, seed):
-    env, ctx = knowledge
+    env, ctx_for = knowledge
     spec = _lazy_query(first, prefix)
-    batch = run_samples(spec, n, env, seed, replace(ctx, rng=Draws(*seed))).samples
+    batch = run_samples(spec, n, env, seed, ctx_for(Draws(*seed))).samples
     # a reused draw object whose own state is not a sample stream's
-    assert run_samples(spec, n, env, seed, replace(ctx, rng=Draws(1))).samples == batch
+    assert run_samples(spec, n, env, seed, ctx_for(Draws(1))).samples == batch
     for i in range(n) if n < 1030 else (0, 1, 1023, 1024, 1029):
-        assert rejection_query(spec, env, replace(ctx, rng=Draws(*seed, i))) == batch[i]
+        assert rejection_query(spec, env, ctx_for(Draws(*seed, i))) == batch[i]
 
 
 @pytest.mark.parametrize("first", _FIRST_DRAWS + _DRAW_FREE)
 def test_streams_derived_only_for_samples_that_draw(knowledge, monkeypatch, first):
-    env, ctx = knowledge
+    env, ctx_for = knowledge
     calls = _count_stream_states(monkeypatch)
     spec = _lazy_query(first, 1)
     for n in (1, 1030, 2049):
         calls.clear()
-        run_samples(spec, n, env, (3, n), replace(ctx, rng=Draws(3, n)))
+        run_samples(spec, n, env, (3, n), ctx_for(Draws(3, n)))
         assert len(calls) == (0 if first in _DRAW_FREE else -(-n // _STREAM_BLOCK))
 
 
