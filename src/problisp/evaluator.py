@@ -25,18 +25,27 @@ between.  A closure call in tail position returns a tail call for the
 caller's loop, so tail recursion runs in constant Python stack.
 
 Hot call shapes are specialized, each to exactly the values, draws, errors
-and locations of the generic path it skips.  A symbol read probes its own
-frame before `_lookup` walks the parents, the order `_lookup` takes; a
-closure call's operator (then in the parent frame too) and single argument,
-`flip`'s argument and the operands of two-argument `+ - * = < >` make that
-probe inline and run the read on a miss; an operator bound when compiling
-is held in the call's code.  A one-parameter closure's frame is the dict
-`zip` would build.  A known global primitive is called directly:
-`random-integer` of a positive integer literal and `flip` of a real in
-[0, 1] draw at once, any other argument goes through the checking draw.
-`+ - * = < >` on two numbers apply the primitive's own two-argument fold,
-with a numeric literal operand held in the code; any other operand, or an
-overflow, goes to the primitive.  `define` checks and writes its frame.
+and locations of the generic path it skips.  A shape is kept only where
+removing it adds Python calls to the concept and blind queries of
+tests/test_call_budget.py, or slows the benchmark.  The calls each one
+saves on the two queries, counted on Python 3.11, follow it:
+- a root symbol bound when compiling is held in the code, and a known
+  global primitive is called directly: 4107 and 8323 calls;
+- `+ - * = < >` on two operands: each operand is a numeric literal held in
+  the code or a read probing its own frame, two numbers get the
+  primitive's own two-argument fold, and anything else, an overflow
+  included, goes to the primitive: 3137 and 6998;
+- `random-integer` and `flip` of one argument, a literal or a probed read:
+  a positive int, or a float in [0, 1], draws at once, and any other value
+  goes through the checking draw: 1826 and 1750;
+- a closure call's operator probes its own frame, then its parent's: 758
+  and 0; its single argument probes its own frame: 379 and 0;
+- any other symbol read probes its own frame before `_lookup` walks the
+  parents, the order `_lookup` takes: 25 and 50;
+- a one-parameter closure's frame is a dict display: no calls, but
+  `dict(zip(...))` ran concept_sampling at 0.83x the samples per second.
+A probe that misses runs the read.  `tests/_reference_eval.py` is a plain
+walker that a differential test holds these shapes to.
 
 A single Env/rng pair must not be shared across concurrent evaluations;
 distinct evaluations with distinct Env and rng instances are safe to run in
@@ -51,7 +60,7 @@ import operator
 from .concepts import ConceptId
 from .errors import ConceptError, EvalError
 from .rng import NO_SOURCE, flip, normal, random_integer
-from .sexpr import Integer, Real, SExpr, SList, Symbol, _Record
+from .sexpr import Integer, Real, SList, Symbol, _Record
 from .values import NIL, Closure, Env, Pair, Primitive, format_value, is_number, values_equal
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 6
@@ -105,12 +114,11 @@ class EvalContext(_Record):
 
 
 def evaluate(expr, env, ctx):
-    """Run `expr` in `env`: an SExpr is compiled first, code from
-    `compile_forms` runs as it is.  Recursion blowups are language errors."""
-    if isinstance(expr, SExpr):
-        expr, = compile_forms((expr,), env)
+    """Compile the form `expr` for `env` and run it there.  Recursion
+    blowups are language errors."""
+    code, = compile_forms((expr,), env)
     try:
-        return expr(env, ctx)
+        return code(env, ctx)
     except RecursionError:
         raise EvalError("recursion depth exceeded") from None
 
@@ -194,6 +202,13 @@ _BINARY = {
     "=": operator.eq,
     "<": operator.lt,
     ">": operator.gt,
+}
+
+# one-argument draws: (class, low, high, checking draw); an argument of that
+# exact class in [low, high] draws at once, any other goes through the check
+_DRAWS = {
+    "random-integer": (int, 1, math.inf, random_integer),
+    "flip": (float, 0.0, 1.0, flip),
 }
 
 
@@ -460,80 +475,55 @@ class _Compiler:
         """Code calling a standard primitive known when compiling, on the
         argument codes `codes` compiled from `items[1:]`."""
         fn = prim.fn
-        if len(codes) == 1:
-            a, = codes
-            node = items[1]
-            if prim.name == "random-integer":
-                if node.__class__ is Integer and node.value > 0:
-                    n = node.value
-                    return lambda env, ctx: ctx.rng.integer(n, loc)
-                return lambda env, ctx: random_integer(a(env, ctx), ctx.rng, loc)
-            if prim.name == "flip":
-                if node.__class__ is Real and 0 <= node.value <= 1:
-                    p = node.value
-                    return lambda env, ctx: ctx.rng.flip(p, loc)
-                name = self.local(node, path + (1,))
-
-                def run(env, ctx):
-                    p = env.frame.get(name, _MISSING)
-                    if p is _MISSING:
-                        p = a(env, ctx)
-                    if p.__class__ is float and 0.0 <= p <= 1.0:
-                        return ctx.rng.flip(p, loc)
-                    return flip(p, ctx.rng, loc)   # checks and reports the rest
-                return run
-            return lambda env, ctx: fn([a(env, ctx)], ctx, loc)
+        draw = _DRAWS.get(prim.name) if len(codes) == 1 else None
         binary = _BINARY.get(prim.name) if len(codes) == 2 else None
-        if binary is None:
+        if draw is None and binary is None:
             return lambda env, ctx: fn([c(env, ctx) for c in codes], ctx, loc)
-        a, b = codes
-        # what the fast path does not take, an overflow included, goes to the
-        # primitive, which checks it and reports the error
-        lit_a, lit_b = (n.value if n.__class__ in _NUMBER_NODES else _MISSING
-                        for n in items[1:])
-        if prim.name == "+" and (lit_a is not _MISSING or lit_b is not _MISSING):
+        # each operand is a numeric literal held in the code (None for none),
+        # or else a read that probes its own frame first
+        lits = [n.value if n.__class__ in _NUMBER_NODES else None for n in items[1:]]
+        names = [self.local(items[i], path + (i,)) if lits[i - 1] is None else None
+                 for i in range(1, len(items))]
+        if draw is not None:
+            (a,), (lit,), (name,) = codes, lits, names
+            kind, low, high, check = draw
+            integer = kind is int
+            if lit is not None and not (lit.__class__ is kind and low <= lit <= high):
+                lit = None   # runs as any other argument
+
+            def run(env, ctx):
+                x = lit
+                if x is None:
+                    if name is None or (x := env.frame.get(name, _MISSING)) is _MISSING:
+                        x = a(env, ctx)
+                    if x.__class__ is not kind or not low <= x <= high:
+                        return check(x, ctx.rng, loc)   # checks and reports the rest
+                return ctx.rng.integer(x, loc) if integer else ctx.rng.flip(x, loc)
+            return run
+        (a, b), (lit_a, lit_b), (name_a, name_b) = codes, lits, names
+        if prim.name == "+" and (lit_a is not None or lit_b is not None):
             # 0 + x + c is x + (0 + c) for every int and float x and c: adding 0
             # changes only -0.0, and only a sum of two -0.0 tells -0.0 from 0.0
             binary = operator.add
-            lit_a, lit_b = (v if v is _MISSING else 0 + v for v in (lit_a, lit_b))
-        name_a = self.local(items[1], path + (1,)) if lit_a is _MISSING else None
-        name_b = self.local(items[2], path + (2,)) if lit_b is _MISSING else None
-        if lit_b is not _MISSING:
-            def run(env, ctx):
-                x = env.frame.get(name_a, _MISSING)
-                if x is _MISSING:
+            lit_a, lit_b = (v if v is None else 0 + v for v in (lit_a, lit_b))
+
+        def run(env, ctx):
+            x = lit_a
+            if x is None:
+                if name_a is None or (x := env.frame.get(name_a, _MISSING)) is _MISSING:
                     x = a(env, ctx)
-                if x.__class__ in _NUMERIC:
-                    try:
-                        return binary(x, lit_b)
-                    except OverflowError:
-                        pass
-                return fn([x, lit_b], ctx, loc)
-        elif lit_a is not _MISSING:
-            def run(env, ctx):
-                y = env.frame.get(name_b, _MISSING)
-                if y is _MISSING:
+            y = lit_b
+            if y is None:
+                if name_b is None or (y := env.frame.get(name_b, _MISSING)) is _MISSING:
                     y = b(env, ctx)
-                if y.__class__ in _NUMERIC:
-                    try:
-                        return binary(lit_a, y)
-                    except OverflowError:
-                        pass
-                return fn([lit_a, y], ctx, loc)
-        else:
-            def run(env, ctx):
-                x = env.frame.get(name_a, _MISSING)
-                if x is _MISSING:
-                    x = a(env, ctx)
-                y = env.frame.get(name_b, _MISSING)
-                if y is _MISSING:
-                    y = b(env, ctx)
-                if x.__class__ in _NUMERIC and y.__class__ in _NUMERIC:
-                    try:
-                        return binary(x, y)
-                    except OverflowError:
-                        pass
-                return fn([x, y], ctx, loc)
+            # what the fast path does not take, an overflow included, goes to
+            # the primitive, which checks it and reports the error
+            if x.__class__ in _NUMERIC and y.__class__ in _NUMERIC:
+                try:
+                    return binary(x, y)
+                except OverflowError:
+                    pass
+            return fn([x, y], ctx, loc)
         return run
 
 

@@ -15,6 +15,7 @@ from .errors import EvalError, ProblispError
 from .evaluator import (DEFAULT_MAX_ATTEMPTS, EvalContext, evaluate,
                         standard_env)
 from .inference import QuerySpec, run_samples
+from .rewrite import optimize_query_detail
 from .rng import Draws
 from .sexpr import SList, Symbol, _Record, parse
 
@@ -82,8 +83,6 @@ class Session:
         ctx = self._ctx(self._query_rng, None)
         outcome = None
         if ctx.rules:
-            from .rewrite import optimize_query_detail
-
             outcome = optimize_query_detail(spec, ctx.rules)
             spec = outcome.spec
         ordinal = self._query_ordinal

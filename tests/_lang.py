@@ -6,6 +6,8 @@ from problisp import EvalContext, Env, evaluate, parse, parse_one, standard_env
 from problisp.rng import Draws
 from problisp.sexpr import Integer
 
+import _reference_eval
+
 
 def ev(src, seed=1, env=None, ctx=None):
     """Evaluate every form in `src`, returning the last value."""
@@ -36,9 +38,11 @@ def twin_state(rng):
 
 
 def eval_condition(cond, assignment):
-    """Evaluate a deterministic condition with variables bound to ints."""
+    """Evaluate a deterministic condition with variables bound to ints, on
+    the reference walker, so that the oracle shares no code with the
+    compiled evaluator but the primitives."""
     env = Env(standard_env(), dict(assignment))
-    return evaluate(cond, env, EvalContext())
+    return _reference_eval.run(cond, env, EvalContext())
 
 
 def satisfaction_set(cond_src_or_expr, supports):

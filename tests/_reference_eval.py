@@ -1,0 +1,132 @@
+"""A plain eval/apply walker over the reader's trees, in the style of SICP 4.1.
+
+A reference for differential tests of `problisp.evaluator.evaluate`: it
+walks each form every time it runs, looks up every symbol through the
+scopes, and calls the primitives that `standard_env` binds, the functions
+of `evaluator._PRIMITIVES`, for every primitive application.  It gives
+the same values, the same errors at the same locations and the same draws
+as the compiled evaluator, for the forms it covers: `define`, `lambda`,
+`if`, `quote`, `let` and applications.  The other special forms raise
+NotImplementedError.  A call in tail position continues the walker's loop,
+so tail recursion runs in constant Python stack; running out of stack in a
+non-tail call is reported without the call's location.
+"""
+
+from problisp.errors import EvalError
+from problisp.evaluator import SPECIAL_FORMS
+from problisp.sexpr import SList, Symbol
+from problisp.values import NIL, Closure, Env, Pair, Primitive, format_value
+
+
+def run(expr, env, ctx):
+    """The value of the form `expr` in `env`, as `evaluate` gives it."""
+    try:
+        return _eval(expr, env, ctx)
+    except RecursionError:
+        raise EvalError("recursion depth exceeded") from None
+
+
+def _eval(expr, env, ctx):
+    while True:   # a form in tail position replaces `expr` and `env`
+        if expr.__class__ is Symbol:
+            return _lookup(expr, env, ctx)
+        if expr.__class__ is not SList:
+            return expr.value
+        items = expr.items
+        if not items:
+            raise EvalError("cannot evaluate an empty form", expr.loc)
+        op = items[0].name if items[0].__class__ is Symbol else None
+        if op not in SPECIAL_FORMS:
+            fn = _eval(items[0], env, ctx)
+            args = [_eval(item, env, ctx) for item in items[1:]]
+            if fn.__class__ is Primitive:
+                return fn.fn(args, ctx, expr.loc)
+            if fn.__class__ is not Closure:
+                raise EvalError(f"not a function: {format_value(fn)}", expr.loc)
+            if len(args) != len(fn.params):
+                raise EvalError(f"closure expects {len(fn.params)} arguments, "
+                                f"got {len(args)}", expr.loc)
+            env = Env(fn.env, dict(zip(fn.params, args)))
+            expr = _body(fn.body, env, ctx)
+        elif op == "if":
+            if len(items) != 4:
+                raise EvalError("if expects (if test then else)", expr.loc)
+            test = _eval(items[1], env, ctx)
+            if test is not True and test is not False:
+                raise EvalError("if test must be a boolean", items[1].loc)
+            expr = items[2] if test else items[3]
+        elif op == "let":
+            if len(items) < 3 or items[1].__class__ is not SList:
+                raise EvalError("let expects (let ((name expr)...) body...)", expr.loc)
+            frame = {}
+            for binding in items[1].items:
+                if (binding.__class__ is not SList or len(binding.items) != 2
+                        or binding.items[0].__class__ is not Symbol):
+                    raise EvalError("malformed let binding", expr.loc)
+                name = binding.items[0].name
+                if name in frame:
+                    raise EvalError(f"duplicate let binding '{name}'", expr.loc)
+                frame[name] = _eval(binding.items[1], env, ctx)
+            env = Env(env, frame)
+            expr = _body(items[2:], env, ctx)
+        elif op == "define":
+            if len(items) != 3 or items[1].__class__ is not Symbol:
+                raise EvalError("define expects (define name expr)", expr.loc)
+            value = _eval(items[2], env, ctx)
+            if items[1].name in env.frame:
+                raise EvalError(f"'{items[1].name}' is already defined in this scope",
+                                items[1].loc)
+            env.frame[items[1].name] = value
+            return None
+        elif op == "lambda":
+            return _lambda(expr, env)
+        elif op == "quote":
+            if len(items) != 2:
+                raise EvalError("quote expects one argument", expr.loc)
+            return _quote(items[1])
+        else:
+            raise NotImplementedError(f"the reference walker has no '{op}'")
+
+
+def _body(forms, env, ctx):
+    """Run every form of a body but the last, which is returned for the
+    caller's loop to run in tail position."""
+    for form in forms[:-1]:
+        _eval(form, env, ctx)
+    return forms[-1]
+
+
+def _lookup(sym, env, ctx):
+    while env is not None:
+        if sym.name in env.frame:
+            return env.frame[sym.name]
+        env = env.parent
+    concept = ctx.snapshot.concept(sym.name) if ctx.snapshot is not None else None
+    if concept is None:
+        raise EvalError(f"unbound symbol '{sym.name}'", sym.loc)
+    return concept
+
+
+def _lambda(expr, env):
+    """A closure whose body is the lambda's forms, walked at each call."""
+    items = expr.items
+    if len(items) < 3 or items[1].__class__ is not SList:
+        raise EvalError("lambda expects (lambda (params...) body...)", expr.loc)
+    params = items[1].items
+    if any(p.__class__ is not Symbol for p in params):
+        raise EvalError("lambda parameters must be symbols", expr.loc)
+    names = tuple(p.name for p in params)
+    if len(set(names)) != len(names):
+        raise EvalError("duplicate lambda parameter", expr.loc)
+    return Closure(names, items[2:], env)
+
+
+def _quote(expr):
+    if expr.__class__ is Symbol:
+        return expr
+    if expr.__class__ is SList:
+        out = NIL
+        for item in reversed(expr.items):
+            out = Pair(_quote(item), out)
+        return out
+    return expr.value

@@ -4,13 +4,20 @@ the blind rejection loop, and of the condition solver.
 The evaluator specializes its hot call shapes (see the evaluator module
 docstring).  These tests count the Python function calls that problisp's
 own code makes for one fixed query of each kind, with `sys.setprofile`, and
-fail when a change makes more of them than the budget.  The counts are
-deterministic for a fixed seed, so no wall clock is involved.  A budget is
-an upper bound: an interpreter that inlines comprehensions (Python 3.12 and
-later) counts fewer calls.
+fail when a change makes more of them than the budget.  Each query is
+counted alone, in a fresh `python` child with `PYTHONPATH=src` that runs
+this file as a script, so that no earlier test has warmed a cache for it.
+The counts are deterministic for a fixed seed, so no wall clock is
+involved.  A budget is an upper bound: an interpreter that inlines
+comprehensions (Python 3.12 and later) counts fewer calls.
+
+Run one query's count by hand with
+`PYTHONPATH=src python tests/test_call_budget.py blind_query`.
 """
 
+import json
 import os
+import subprocess
 import sys
 
 import problisp
@@ -18,26 +25,15 @@ from problisp import (QuerySpec, Session, ZeroProbabilityError, optimize_query_d
                       parse_one, prelude_path, rules_path)
 
 PACKAGE = os.path.dirname(problisp.__file__) + os.sep
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# counted on Python 3.11, each test alone in a fresh process, at the change
-# that makes every record a plain class (a process's first stream builds the
-# seeding's hash tables, 17 of these calls).  Record constructors now count:
-# generated ones ran from "<string>", which the profile hook does not count.
-# The query's value is run without `evaluate`, and the sampler finds a
-# concept's rows by its name, with no ConceptId hash.
-# Earlier counts, newest first: 3627 and 3552 (`EvalContext` the one carrier
-# of evaluation state), 3628 and 3553 (`rng.Draws` the only draw
-# source), 3671 and 3557 (PCG64 stepped in pure Python, a call started
-# from an operator bound when compiling), 3766 and 3638 (local operands,
-# literal draw bounds and definitions read inline), 6343 and 5822
-# (specialized call shapes), and 8550 and 8056 before those
+# A call count is a deterministic stand-in for the cost of a hot path: one
+# more call in a rejection attempt or a concept expansion is one more Python
+# frame on every one of the ~10^5 attempts of a query.  Each budget is the
+# count, on Python 3.11, of the change that set it; a change that needs more
+# calls shows it here and is measured on the benchmark before a budget moves.
 CONCEPT_BUDGET = 3606
 BLIND_BUDGET = 3506
-# counted at the change that makes every record a plain class, whose
-# optimizer checks the rules' symbols with one set union instead of a
-# generator; 989 at the change that solves only for literal (random-integer
-# n) priors, 1005 at the change that compiles rule patterns and tries rules
-# only at nodes that hold the target, 2434 before it
 SOLVER_BUDGET = 967
 
 # many_queries shapes: a 3-op chain, an out-of-support chain, and the two
@@ -75,23 +71,26 @@ def _calls(session, text):
     return calls, result.report
 
 
-def test_concept_query_call_budget():
+def concept_query():
+    """(calls, attempts) of a recursive concept-sampling query."""
     s = Session(seed=3, samples=25, rewrite=False)
     s.load_file(prelude_path())
     calls, report = _calls(s, "(rejection-query (define x (sample integer)) x (< x 3))")
-    assert report.total_attempts == 39   # the same work as when the budget was set
-    assert calls <= CONCEPT_BUDGET
+    return calls, report.total_attempts
 
 
-def test_blind_query_call_budget():
+def blind_query():
+    """(calls, attempts) of a blind rejection query."""
     s = Session(seed=3, samples=50, rewrite=False)
     calls, report = _calls(
         s, "(rejection-query (define x (random-integer 10)) x (= (+ x 5) 10))")
-    assert report.total_attempts == 438
-    assert calls <= BLIND_BUDGET
+    return calls, report.total_attempts
 
 
-def test_solver_call_budget():
+def solver_queries():
+    """(calls, fired) of optimizing the many_queries shapes, after the rules
+    compile their matchers at first use; fired is None where the condition
+    is unsatisfiable."""
     s = Session(seed=0)
     s.load_file(rules_path())
     rules = tuple(s.rules)
@@ -106,7 +105,36 @@ def test_solver_call_budget():
                 fired.append(None)
         return fired
 
-    optimize_all()   # rules compile their matchers at first use
-    calls, fired = _count_calls(optimize_all)
+    optimize_all()
+    return _count_calls(optimize_all)
+
+
+def _in_child(query):
+    """What `query()` returns when it runs alone in a fresh Python process."""
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), query.__name__],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_concept_query_call_budget():
+    calls, attempts = _in_child(concept_query)
+    assert attempts == 39   # the same work as when the budget was set
+    assert calls <= CONCEPT_BUDGET
+
+
+def test_blind_query_call_budget():
+    calls, attempts = _in_child(blind_query)
+    assert attempts == 438
+    assert calls <= BLIND_BUDGET
+
+
+def test_solver_call_budget():
+    calls, fired = _in_child(solver_queries)
     assert fired == [True, None, False, False]   # the same work as when the budget was set
     assert calls <= SOLVER_BUDGET
+
+
+if __name__ == "__main__":
+    print(json.dumps(globals()[sys.argv[1]]()))

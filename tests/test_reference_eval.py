@@ -1,0 +1,212 @@
+"""Differential test of the compiled evaluator against a plain walker.
+
+Random well-scoped programs run form by form through `evaluate` and through
+`_reference_eval.run`, each on a recording draw object with the same seed.
+Both must give the same values, the same error (class, message and
+location) and the same draws.  The programs cover the constructs the
+evaluator's call shapes specialize: lambda, let, define after use, shadowed
+primitives, tail and non-tail recursion, `flip` and `random-integer` of
+literals and locals, and `+ - * = < >` over literals, locals and ints too
+large for a real.  The method is differential testing, as in Yang et al.,
+"Finding and Understanding Bugs in C Compilers" (PLDI 2011).
+"""
+
+import functools
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from problisp import EvalContext, ProblispError, evaluate, format_value, parse, standard_env
+from problisp.rng import Draws
+
+import _reference_eval
+
+
+class RecordingDraws(Draws):
+    """A draw object that logs each draw: method, argument, location, result."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, *path):
+        super().__init__(*path)
+        self.log = []
+
+    def integer(self, n, loc=None):
+        value = super().integer(n, loc)
+        self.log.append(("integer", repr(n), loc, value))
+        return value
+
+    def flip(self, p, loc=None):
+        value = super().flip(p, loc)
+        self.log.append(("flip", repr(p), loc, value))
+        return value
+
+
+def outcomes(run, program, seed):
+    """What each form of `program` gives when `run(form, env, ctx)` runs
+    them in turn, and the draws they made.  A form's error does not stop
+    the forms after it."""
+    env = standard_env()
+    ctx = EvalContext(rng=RecordingDraws(seed), global_env=env)
+    out = []
+    for form in parse(program):
+        try:
+            value = run(form, env, ctx)
+        except ProblispError as err:
+            out.append((type(err), err.message, err.loc))
+        else:
+            out.append((type(value), format_value(value)))
+    return out, ctx.rng.log
+
+
+# local names: let and a body's defines bind values to all of them, and
+# functions to let's names and to f and g (see `programs`)
+NAMES = ("x", "y", "f", "pi", "+", "<", "flip", "random-integer")
+PARAMS = ("a", "b", "x", "y")
+BIG = str(10 ** 320)   # an int too large for a real
+# the palettes of `programs` draw the signed zero and `+` twice as often:
+# only a sum tells -0.0 from 0.0, and only when both operands are -0.0
+NUMBERS = ("1", "2", "0", "3", "-1", "0.5", "-0.0", "-0.0", "1.5", "0.25", "1e308", BIG,
+           "#t", "#f", "pi")
+OPERATORS = ("+", "+", "-", "*", "=", "<", ">")
+FLIP_ARGS = ("0.5", "0.25", "1.5", "0.0", "1.0", "-0.5", "1", "#t", "-0.0")
+RANDOM_INTEGER_ARGS = ("3", "2", "10", "0", "1", "-1", "2.0", "#f", BIG)
+KINDS = ("literal", "var", "arith", "arith", "arith", "draw", "draw", "if", "let", "call",
+         "body")
+PRIMITIVES = {"-": 2, "*": 2, "+": 2, "<": 2, "flip": 1, "random-integer": 1}
+
+
+_PARAM_LISTS = st.lists(st.sampled_from(PARAMS), max_size=2, unique=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _index(n):
+    return st.integers(0, n - 1)
+
+
+@st.composite
+def programs(draw):
+    """Source text of a program that is well scoped except by design:
+    names may be shadowed, read before their define or bound twice, and
+    values may have the wrong type, but every run ends.
+
+    A scope maps each name to None for a value, to its arity for a
+    function, to "rec" for a recursion on a bounded counter and to "hidden"
+    for a function that may be neither read nor called.  A function's body
+    hides the functions of its scope, and a function is defined only under
+    a name that no operator calls, so no closure can reach itself: a
+    closure bound by `let` cannot see its own binding, and one bound by a
+    define cannot call its name.  A value name holds no closure, since a
+    function may read a name before its define only where that name is
+    unbound in every enclosing scope."""
+    pick = lambda options: options[draw(_index(len(options)))]   # noqa: E731
+    # swarm testing (Groce et al., ISSTA 2012): a program draws its literals
+    # and operators from a few of them, so that the ones it has meet often
+    numbers = draw(st.lists(st.sampled_from(NUMBERS), min_size=1, max_size=4, unique=True))
+    ops = draw(st.lists(st.sampled_from(OPERATORS), min_size=1, max_size=3, unique=True))
+
+    def expr(scope, depth, kinds=KINDS):
+        kind = pick(kinds if depth > 0 else ("literal", "var"))
+        values = [name for name, arity in scope.items() if arity is None]
+        if kind == "var" and values:
+            return pick(values)
+        if kind in ("literal", "var"):
+            return pick(numbers)
+        if kind == "arith":
+            n = pick((2, 2, 2, 1, 3))
+            return "({} {})".format(pick(ops), " ".join(
+                operand(scope, depth - 1) for _ in range(n)))
+        if kind == "draw":
+            prim, args = pick((("flip", FLIP_ARGS), ("random-integer", RANDOM_INTEGER_ARGS)))
+            arg = pick(args) if draw(st.booleans()) else operand(scope, depth - 1)
+            return f"({prim} {arg})"
+        if kind == "if":
+            test = pick(("(flip 0.5)", "(flip 0.5)", "#t", None)) or expr(scope, depth - 1)
+            return f"(if {test} {expr(scope, depth - 1)} {expr(scope, depth - 1)})"
+        if kind == "let":
+            bindings, inner = [], dict(scope)
+            for name in draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=2)):
+                if draw(st.booleans()):
+                    value, inner[name] = function(scope, depth - 1)
+                else:
+                    value, inner[name] = expr(scope, depth - 1), None
+                bindings.append(f"({name} {value})")
+            return f"(let ({' '.join(bindings)}) {expr(inner, depth - 1)})"
+        if kind == "call":
+            fns = [name for name, arity in scope.items() if arity not in (None, "hidden")]
+            if fns:
+                fn = pick(fns)
+                arity = scope[fn]
+            else:
+                fn, arity = function(scope, depth - 1)
+            if arity == "rec":
+                return f"({fn} {pick(('0', '1', '4', '(random-integer 5)'))} " \
+                       f"{expr(scope, depth - 1)})"
+            return "({} {})".format(fn, " ".join(
+                operand(scope, depth - 1) for _ in range(arity)))
+        # a lambda body of defines; its functions may read values defined later
+        params = draw(_PARAM_LISTS)
+        inner = dict(scope, **dict.fromkeys(params))
+        names = draw(st.lists(st.sampled_from(NAMES + ("g",)), min_size=1, max_size=3,
+                              unique=True))
+        functions = {name for name in names if name in "fg" and draw(st.booleans())}
+        later = dict(inner)
+        for name in names:
+            if name in functions:
+                later[name] = "hidden"
+            elif name not in later:
+                later[name] = None
+        defines = []
+        for name in names:
+            if name in functions:
+                value, inner[name] = function(later, depth - 1)
+            else:
+                value, inner[name] = expr(inner, depth - 1), None
+            defines.append(f"(define {name} {value})")
+        body = " ".join(defines + [expr(inner, depth - 1)])
+        args = " ".join(operand(scope, depth - 1) for _ in params)
+        return f"((lambda ({' '.join(params)}) {body}) {args})"
+
+    def operand(scope, depth):
+        """A literal, a local or an expression."""
+        return expr(scope, pick((0, depth)))
+
+    def function(scope, depth):
+        """(source, arity) of a primitive or of a lambda over `scope`."""
+        if draw(st.booleans()):
+            name = pick(sorted(PRIMITIVES))
+            return name, PRIMITIVES[name]
+        params = draw(_PARAM_LISTS)
+        inner = {name: "hidden" if arity.__class__ is int else arity
+                 for name, arity in scope.items()}
+        body = expr(dict(inner, **dict.fromkeys(params)), depth)
+        return f"(lambda ({' '.join(params)}) {body})", len(params)
+
+    forms, scope = [], {}
+    for name in ("r0", "r1")[:pick((0, 1, 2))]:
+        # tail, non-tail or conditional recursion on a counter n of at most 4
+        inner = dict(scope, n=None, acc=None)
+        call = f"({name} (- n 1) {expr(inner, 1)})"
+        step = pick(("tail", "+", "*", "if"))
+        if step in "+*":
+            call = f"({step} {expr(inner, 1)} {call})"
+        elif step == "if":
+            call = f"(if (flip 0.5) {call} {expr(inner, 1)})"
+        forms.append(f"(define {name} (lambda (n acc) (if (< n 1) {expr(inner, 1)} {call})))")
+        scope[name] = "rec"
+    if draw(st.booleans()):
+        # define after use: h reads v, which the next form defines
+        forms.append(f"(define h (lambda (a) {expr(dict(scope, a=None, v=None), 2)}))")
+        forms.append(f"(define v {expr(scope, 2)})")
+        scope.update(h=1, v=None)
+    forms.extend(expr(scope, 3, KINDS[2:]) for _ in range(pick((2, 3, 4))))
+    return "\n".join(forms)
+
+
+# drawing the programs is most of the test's time, so a slow host may not
+# fail it for that
+@settings(max_examples=500, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(programs(), st.integers(0, 2 ** 32))
+def test_compiled_evaluator_matches_the_reference_walker(program, seed):
+    assert outcomes(evaluate, program, seed) == outcomes(_reference_eval.run, program, seed)
