@@ -29,6 +29,8 @@ from .values import format_value, is_number
 # about 5,000 nested calls.  `main` raises the process's limit to it; the
 # library leaves the limit alone.
 RECURSION_LIMIT = 15_000
+# the errors that exit with status 2; any other language error exits with 1
+_EXHAUSTED = (ExhaustionError, ZeroProbabilityError, BudgetError)
 
 
 class SessionConfig(_Record):
@@ -129,12 +131,11 @@ def _parse_config(argv):
         print("problisp: error: --samples and --max-attempts must be >= 1",
               file=sys.stderr)
         raise SystemExit(3)
-    config = SessionConfig(
+    return SessionConfig(
         seed=ns.seed, samples=ns.samples, max_attempts=ns.max_attempts,
         rewrite=not ns.no_rewrite, load_order=ns.load_order,
         context=ns.context, output=ns.output, stats=ns.stats, repl=ns.repl,
         files=ns.files)
-    return config
 
 
 def build_session(config):
@@ -284,16 +285,11 @@ def run_file(path, session, config, out=None):
             out.write(json.dumps({"type": "summary",
                                   "config": _config_echo(config, path),
                                   "queries": summaries}, sort_keys=True) + "\n")
-    except (ExhaustionError, ZeroProbabilityError, BudgetError) as err:
-        if err.filename is None:
-            err.filename = str(path)
-        print(f"problisp: {err}", file=sys.stderr)
-        return 2
     except ProblispError as err:
         if err.filename is None:
             err.filename = str(path)
         print(f"problisp: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, _EXHAUSTED) else 1
     return 0
 
 
@@ -413,12 +409,9 @@ def main(argv=None):
         sys.setrecursionlimit(RECURSION_LIMIT)
     try:
         session = build_session(config)
-    except (ExhaustionError, ZeroProbabilityError, BudgetError) as err:
-        print(f"problisp: {err}", file=sys.stderr)
-        return 2
     except ProblispError as err:
         print(f"problisp: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, _EXHAUSTED) else 1
     for path in config.files:
         status = run_file(path, session, config)
         if status != 0:

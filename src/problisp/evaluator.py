@@ -38,8 +38,8 @@ saves on the two queries, counted on Python 3.11, follow it:
 - `random-integer` and `flip` of one argument, a literal or a probed read:
   a positive int, or a float in [0, 1], draws at once, and any other value
   goes through the checking draw: 1826 and 1750;
-- a closure call's operator probes its own frame, then its parent's: 758
-  and 0; its single argument probes its own frame: 379 and 0;
+- a closure call's operator symbol probes its own frame, then its
+  parent's: 758 and 0; a single argument symbol probes its own: 379 and 0;
 - any other symbol read probes its own frame before `_lookup` walks the
   parents, the order `_lookup` takes: 25 and 50;
 - a one-parameter closure's frame is a dict display: no calls, but
@@ -436,16 +436,18 @@ class _Compiler:
         def run(env, ctx):
             fn = known
             if fn is _MISSING:   # on a miss the operand's own code looks again
-                fn = env.frame.get(op_name, _MISSING)
-                if fn is _MISSING and env.parent is not None:
-                    fn = env.parent.frame.get(op_name, _MISSING)
+                if op_name is not None:
+                    fn = env.frame.get(op_name, _MISSING)
+                    if fn is _MISSING and env.parent is not None:
+                        fn = env.parent.frame.get(op_name, _MISSING)
                 if fn is _MISSING:
                     fn = op_code(env, ctx)
             if single is None:
                 args = [c(env, ctx) for c in codes]
+            elif arg is None or (x := env.frame.get(arg, _MISSING)) is _MISSING:
+                args = [single(env, ctx)]
             else:
-                x = env.frame.get(arg, _MISSING)
-                args = [x if x is not _MISSING else single(env, ctx)]
+                args = [x]
             call_loc = loc
             while True:   # runs the tail calls that closure bodies return
                 c = fn.__class__

@@ -5,16 +5,19 @@ path such as (seed, index), so a path yields the same stream however many
 others were made.  `stream_states` re-implements that seeding for many
 paths that differ only in their last integer, in one pass.  `Draws` is
 the one draw source the library accepts: `Draws(*path)` draws the values
-a numpy Generator `derive_rng(*path)` would, stepping PCG64 itself, and
-numpy is imported only by `derive_rng`, `normal` draws and integer bounds
-above 2**32.  `NO_SOURCE` stands in for it in a context with no random
-source.  The primitives `random_integer`, `flip` and `normal` check their
-arguments and then draw from a draw object.
+a numpy Generator `derive_rng(*path)` would, stepping PCG64 and running
+numpy's integer, uniform, permutation and normal draws in Python.  Only
+`derive_rng`, the reference twin of the tests and the benchmark, imports
+numpy.  `NO_SOURCE` stands in for a draw object in a context with no
+random source.  The primitives `random_integer`, `flip` and `normal` check
+their arguments and then draw from a draw object.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import os
 import struct
 
 from .errors import EvalError
@@ -133,26 +136,13 @@ def _lane_states(head, indices, width):
             for a, b, inc in zip(seed_hi, seed_lo, incs)]
 
 
-_WORD32 = 1 << 32
+_WORD32, _WORD63, _WORD64 = 1 << 32, 1 << 63, 1 << 64
 _UNIT = 2.0 ** -53   # a uniform double is the top 53 bits of a word times this
+# numpy's ziggurat: where its tail starts, 1/that, and data/ziggurat.txt's tables
+_TAIL, _INV_TAIL = 3.6541528853610087963519472518, 0.27366123732975827203338247596
+_ZIGGURAT = []   # (ki, wi, fi), read at the first normal draw
 _NO_SOURCE_TEXT = "no random source available in this context"
 _NO_SAMPLING_SOURCE_TEXT = "no random source available for sampling"
-
-
-def randint_below(rng, n):
-    """Uniform integer in [0, n) from the numpy Generator `rng`, for
-    arbitrary-precision n."""
-    if n <= (1 << 63) - 1:
-        return int(rng.integers(0, n))
-    k = n.bit_length()
-    words = (k + 63) // 64
-    while True:
-        r = 0
-        for w in range(words):
-            r |= int(rng.integers(0, 1 << 64, dtype="uint64")) << (64 * w)
-        r &= (1 << k) - 1
-        if r < n:
-            return r
 
 
 def _path_state(path):
@@ -172,18 +162,17 @@ class Draws:
     `Generator.normal(mean, sd)`.  The state is numpy's: the LCG state, its
     increment, and the upper half of a word that a 32-bit draw left (None
     when no half waits).  A step advances the LCG and outputs the XSL-RR
-    word of the new state.  `normal` and bounds above 2**32 hand the state
-    to a numpy Generator and take it back.  `loc` is where a missing random
-    source is reported (see `NO_SOURCE`).  `pend` leaves a sample's stream
-    pending until the sample's first draw, which sets it with no half word
-    waiting; `settle` drops it.
+    word of the new state.  Bounds up to 2**32 take 32-bit halves; the
+    other draws take whole words and leave a waiting half alone.  `loc` is
+    where a missing random source is reported (see `NO_SOURCE`).  `pend`
+    leaves a sample's stream pending until the sample's first draw, which
+    sets it with no half word waiting; `settle` drops it.
     """
 
-    __slots__ = ("_state", "_inc", "_half", "_pending", "_unseeded", "_generator")
+    __slots__ = ("_state", "_inc", "_half", "_pending", "_unseeded")
 
     def __init__(self, *path):
         self._pending = self._unseeded = _path_state, path
-        self._generator = None
 
     def pend(self, states, i):
         """Draw next from the stream whose (state, inc) is `states(i)`."""
@@ -205,34 +194,32 @@ class Draws:
         if u is not None:
             self._half = None
             return u
-        s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
-        v, r = (s >> 64 ^ s) & _MASK64, s >> 122
-        w = (v >> r | v << 64 - r) & _MASK64
+        w = self._u64()
         self._half = w >> 32
         return w & _MASK32
 
-    def _numpy(self, draw):
-        """`draw(generator)` on a numpy Generator given this object's state,
-        which this object then takes back."""
+    def _u64(self):
+        """The next whole 64-bit word; a waiting half word stays waiting."""
         if self._pending is not None:
             self._install()
-        generator = self._generator
-        if generator is None:
-            generator = self._generator = derive_rng(0)
-        half = self._half
-        generator.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": self._state, "inc": self._inc},
-            "has_uint32": int(half is not None), "uinteger": half or 0}
-        value = draw(generator)
-        state = generator.bit_generator.state
-        self._state, self._inc = state["state"]["state"], state["state"]["inc"]
-        self._half = state["uinteger"] if state["has_uint32"] else None
-        return value
+        s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+        v, r = (s >> 64 ^ s) & _MASK64, s >> 122
+        return (v >> r | v << 64 - r) & _MASK64
 
     def integer(self, n, loc=None):
         """Uniform integer in [0, n), for n >= 1."""
         if n > _WORD32:
-            return self._numpy(lambda generator: randint_below(generator, n))
+            if n >= _WORD63:   # whole words, low word first, masked to n's bit length
+                k, r = n.bit_length(), n
+                while r >= n:
+                    r = sum(self._u64() << shift for shift in range(0, k, 64)) & (1 << k) - 1
+                return r
+            m = self._u64() * n   # numpy's buffered_bounded_lemire_uint64, rng_excl = n
+            if m & _MASK64 < n:
+                threshold = (_WORD64 - n) % n
+                while m & _MASK64 < threshold:
+                    m = self._u64() * n
+            return m >> 64
         if n == 1:
             return 0    # numpy draws nothing for a one-value range
         # numpy's buffered_bounded_lemire_uint32 with rng_excl = n, on an
@@ -267,11 +254,7 @@ class Draws:
         total = 0.0
         for w in weights:
             total += w
-        if self._pending is not None:
-            self._install()
-        s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
-        v, r = (s >> 64 ^ s) & _MASK64, s >> 122
-        u = (((v >> r | v << 64 - r) & _MASK64) >> 11) * _UNIT * total
+        u = (self._u64() >> 11) * _UNIT * total
         acc = 0.0
         for i, w in enumerate(weights):
             acc += w
@@ -293,8 +276,29 @@ class Draws:
         return out
 
     def normal(self, mean, sd, loc=None):
-        """Gaussian draw with the given mean and standard deviation."""
-        return self._numpy(lambda generator: float(generator.normal(mean, sd)))
+        """Gaussian draw: numpy's 256-layer ziggurat on one word (8 bits of
+        layer, 1 of sign, 52 of magnitude), a tail at layer 0, wedges above."""
+        if not _ZIGGURAT:
+            with open(os.path.join(os.path.dirname(__file__), "data", "ziggurat.txt"),
+                      encoding="ascii") as f:
+                ki, wi, fi = zip(*(line.split() for line in f if line[0] != "#"))
+            _ZIGGURAT[:] = tuple(map(int, ki)), tuple(map(float, wi)), tuple(map(float, fi))
+        ki, wi, fi = _ZIGGURAT
+        while True:
+            r = self._u64()
+            i, magnitude = r & 0xFF, r >> 9 & 0xFFFFFFFFFFFFF
+            z = -(magnitude * wi[i]) if r & 0x100 else magnitude * wi[i]
+            if magnitude < ki[i]:
+                return mean + sd * z
+            if i == 0:
+                while True:   # 1 - u, so that log1p never sees -1
+                    x = -_INV_TAIL * math.log1p(-((self._u64() >> 11) * _UNIT))
+                    y = -math.log1p(-((self._u64() >> 11) * _UNIT))
+                    if y + y > x * x:
+                        return mean + sd * (-(_TAIL + x) if magnitude & 0x100 else _TAIL + x)
+            elif ((fi[i - 1] - fi[i]) * ((self._u64() >> 11) * _UNIT) + fi[i]
+                  < math.exp(-0.5 * z * z)):
+                return mean + sd * z
 
 
 class _NoSource:

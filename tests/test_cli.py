@@ -364,9 +364,9 @@ def test_histogram_empty_rejected():
         histogram([])
 
 
-# numpy is imported only for normal draws and integer bounds above 2**32:
-# with numpy made unimportable, programs that draw neither give their
-# golden records bytes
+# numpy is imported only by `rng.derive_rng`, the tests' reference twin:
+# with numpy made unimportable, the shipped programs give their golden
+# records bytes, those that draw reals included
 _WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
                   "from problisp.cli import main; sys.exit(main())")
 
@@ -378,6 +378,50 @@ def test_programs_without_normal_draws_run_without_numpy(program, flags, seed):
                 "--output", "records", code=_WITHOUT_NUMPY)
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout.encode("utf-8")).hexdigest() == GOLDEN[program, flags, seed]
+
+
+@pytest.mark.parametrize("program,flags,seed", [
+    key for key in GOLDEN if key[0] == "knowledge_sampling.lisp"])
+def test_knowledge_sampling_runs_without_numpy(program, flags, seed):
+    r = run_cli(f"programs/{program}", *flags, "--samples", SAMPLES, "--seed", seed,
+                "--output", "records", code=_WITHOUT_NUMPY)
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode("utf-8")).hexdigest() == GOLDEN[program, flags, seed]
+
+
+# Runs the CLI's `main` on each argument list of argv[1] (JSON) in this one
+# process and prints, as JSON, each run's exit status and stdout, and whether
+# numpy is loaded afterwards; argv[2] == "block" makes numpy unimportable first.
+_RECORDS_OF_RUNS = """\
+import io, json, sys
+if sys.argv[2] == "block":
+    sys.modules["numpy"] = None
+from problisp.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    sys.stdout = io.StringIO()
+    status = main(argv)
+    runs.append((status, sys.stdout.getvalue()))
+    sys.stdout = sys.__stdout__
+print(json.dumps({"runs": runs, "numpy": sys.modules.get("numpy") is not None}))
+"""
+
+
+def test_shipped_programs_draw_alike_without_numpy():
+    # every shipped program at seeds 1-10, with and without rewriting, gives
+    # the same records bytes with numpy unimportable, and none loads numpy
+    argvs = [[str(path), "--prelude", "std", *flags, "--samples", "50", "--seed", str(seed),
+              "--output", "records"]
+             for path in sorted(PROGRAMS.glob("*.lisp")) for flags in ([], ["--no-rewrite"])
+             for seed in range(1, 11)]
+    outputs = {}
+    for mode in ("block", "allow"):
+        r = run_cli(json.dumps(argvs), mode, code=_RECORDS_OF_RUNS, timeout=300)
+        assert r.returncode == 0, r.stderr
+        outputs[mode] = json.loads(r.stdout)
+    assert len(argvs) == 60 and all(status == 0 for status, _ in outputs["allow"]["runs"])
+    assert outputs["block"]["runs"] == outputs["allow"]["runs"]
+    assert outputs["allow"]["numpy"] is False
 
 
 def test_cli_start_up_imports_no_library_machinery():

@@ -720,3 +720,27 @@ def test_duplicate_define_in_a_query_names_the_attempt():
     s = Session(seed=2, rewrite=False)
     with pytest.raises(EvalError, match=r"'x' is already defined in this scope \(attempt 1\)"):
         s.run_text("(rejection-query (define x 1) (define x 2) x #t)")
+
+
+class _RecordingFrame(dict):
+    """A frame that records the keys the compiled code probes it for."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.probed = []
+
+    def get(self, key, default=None):
+        self.probed.append(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("program,value", [
+    ("((lambda (a) a) 3)", 3), ("(f (- n 1))", 3), ("(f 0.5)", 0.5), ("(f n)", 4)])
+def test_closure_calls_probe_a_frame_only_for_symbol_operands(program, value):
+    # a closure call's operator and single argument probe the frame only when
+    # they are symbols; any other operand runs its own code at once
+    frame = _RecordingFrame({"n": 4})
+    env = Env(standard_env(), frame)
+    frame["f"] = evaluate(parse_one("(lambda (a) a)"), env, EvalContext())
+    assert evaluate(parse_one(program), env, EvalContext()) == value
+    assert None not in frame.probed

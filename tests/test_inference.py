@@ -287,7 +287,7 @@ def test_streams_derived_only_for_samples_that_draw(knowledge, monkeypatch, firs
 
 def test_batch_without_a_draw_object_draws_like_an_explicit_one(monkeypatch):
     # without a context, a batch draws through a `Draws` on its own path, and
-    # makes no numpy generator for a query that draws no normal
+    # makes no numpy generator
     from problisp import inference, rng
 
     def no_generator(*path):

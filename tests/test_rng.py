@@ -1,18 +1,20 @@
 """`stream_states` and `Draws` against numpy's own calls.
 
 The states are a re-implementation of numpy's seeding, and the draw object
-re-implements numpy's PCG64 and its integer, uniform and permutation draws,
-so these tests are what ties them to the installed numpy: a numpy release
-that changed its seeding or its draws would fail here, not silently change
-the streams of queries.  Each draw is checked against a numpy Generator
-twin, value by value and state by state.
+re-implements numpy's PCG64 and its integer, uniform, permutation and
+normal draws, so these tests are what ties them to the installed numpy: a
+numpy release that changed its seeding or its draws would fail here, not
+silently change the streams of queries.  Each draw is checked against a
+numpy Generator twin, value by value and state by state.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from problisp.rng import Draws, derive_rng, stream_states
+from problisp.rng import (_MASK64, _MASK128, _PCG64_MULT, _ZIGGURAT, Draws, derive_rng,
+                          stream_states)
 
 from _lang import draws_state, twin_state
 
@@ -186,3 +188,59 @@ def test_pend_and_settle_across_sample_boundaries(seed, samples):
             assert draws_state(draws) == twin_state(twin), (i, op)
     draws.settle()
     assert draws.integer(1000) == int(twin.integers(0, 1000))
+
+
+# `Draws.normal` is numpy's ziggurat: a word's low 8 bits pick a layer i, bit
+# 8 is the sign and bits 9-60 the magnitude, accepted at once below ki[i].
+_INV_MULT = pow(_PCG64_MULT, -1, 1 << 128)
+
+
+def _state_before(word, inc, hi):
+    """The PCG64 state whose next step outputs `word`: the stepped state
+    has upper half `hi`, whose top 6 bits are XSL-RR's rotation, and a
+    lower half that makes `hi ^ lo` the word rotated back."""
+    rot = hi >> 58
+    lo = hi ^ ((word << rot | word >> (64 - rot)) & _MASK64)
+    return ((hi << 64 | lo) - inc) * _INV_MULT & _MASK128
+
+
+def _ziggurat():
+    Draws(1).normal(0.0, 1.0)   # the tables are read at the first normal draw
+    return _ZIGGURAT
+
+
+def test_normal_tables_have_a_row_per_layer():
+    ki, wi, fi = _ziggurat()
+    assert len(ki) == len(wi) == len(fi) == 256
+    assert all(0 <= k < 1 << 52 for k in ki) and fi[0] == 1.0
+
+
+@pytest.mark.parametrize("layer", range(256))
+def test_normal_accepts_below_ki_exactly_as_numpy(layer):
+    # a magnitude of ki - 1 takes one word and ki takes more (the tail at
+    # layer 0, the wedge test above it), so every ki entry is pinned; what
+    # the wedge and tail draw next is the crafted stream's own
+    ki = _ziggurat()[0]
+    rng = derive_rng(0)
+    inc = twin_state(rng)[1]
+    for magnitude in (ki[layer] - 1, ki[layer]):
+        if magnitude < 0:
+            continue
+        for sign in (0, 1):
+            for top in (0, 5):   # the 3 bits above the magnitude are unused
+                word = top << 61 | magnitude << 9 | sign << 8 | layer
+                state = _state_before(word, inc, (layer * 0x9E3779B97F4A7C15 + sign) & _MASK64)
+                _set_state(rng, state, inc)
+                draws = Draws(0)
+                draws.pend(lambda i: (state, inc), 0)
+                assert draws.normal(0.0, 1.0) == float(rng.normal(0.0, 1.0)), (magnitude, sign)
+                assert draws_state(draws) == twin_state(rng), (magnitude, sign)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 12345])
+def test_long_normal_streams_equal_numpy(seed):
+    draws, twin = Draws(seed), derive_rng(seed)
+    for mean, sd in ((0.0, 1.0), (2.0, 3.0), (-1e3, 1e-3)):
+        assert [draws.normal(mean, sd) for _ in range(100_000)] == \
+            twin.normal(mean, sd, size=100_000).tolist(), (mean, sd)
+        assert draws_state(draws) == twin_state(twin), (mean, sd)
