@@ -15,8 +15,8 @@ from .errors import (BudgetError, ConceptError, EvalError, ExhaustionError,
 from .evaluator import EvalContext, evaluate, standard_env
 from .inference import QuerySpec, SampleReport, rejection_query, run_samples
 from .rewrite import (OptimizeOutcome, RewriteRule, SolveResult, constant_fold,
-                      match, optimize_query, optimize_query_detail,
-                      rule_from_form, solve_condition, substitute)
+                      match, optimize_query_detail, rule_from_form,
+                      solve_condition, substitute)
 from .rng import derive_rng
 from .sampler import SampleBudget, instantiate_expression, sample_concept
 from .session import Session, TopResult
@@ -36,9 +36,9 @@ __all__ = [
     "StoreSnapshot", "Symbol", "Text", "TopResult", "ZeroProbabilityError",
     "build_session", "constant_fold", "derive_rng", "evaluate",
     "format_value", "histogram", "instantiate_expression", "main",
-    "match", "optimize_query", "optimize_query_detail", "parse",
-    "parse_one", "prelude_path", "print_expr", "rejection_query",
-    "rule_from_form", "rules_path", "run_samples", "sample_concept",
-    "solve_condition", "standard_env", "substitute", "tokenize",
+    "match", "optimize_query_detail", "parse", "parse_one",
+    "prelude_path", "print_expr", "rejection_query", "rule_from_form",
+    "rules_path", "run_samples", "sample_concept", "solve_condition",
+    "standard_env", "substitute", "tokenize",
     "values_equal",
 ]

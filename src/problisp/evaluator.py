@@ -9,10 +9,19 @@ number consumption and is part of the contract.
 Compile once, run many.  A form is compiled in one pass into code, a Python
 function `(env, ctx) -> value`; queries and concept templates then run that
 code on every attempt or instantiation, and a closure holds the code of its
-lambda's body.  Special forms and their shapes are decided when compiling.
-A malformed form compiles to code that raises its error, so errors still
-happen when the form is evaluated, with the same message and location:
-`(if #t 1 (if))` is 1.
+lambda's body.  A query nested in a form is compiled with it, so a run of
+the query decides only whether the rewrite pins one of its definitions.
+Special forms and their shapes are decided when compiling.  A malformed
+form compiles to code that raises its error, so errors still happen when
+the form is evaluated, with the same message and location: `(if #t 1 (if))`
+is 1.  The compiler never looks inside a malformed form's operands or a
+knowledge form's arguments: neither is ever evaluated as code.
+
+The compiler is the one walk that knows scope: it carries down the names
+that the enclosing lambdas and lets bind, and resolves each symbol
+occurrence once, in document order, the operator of an application before
+its operands.  The names the unit's defines bind come from a pre-pass that
+skips quoted forms.
 
 A symbol is replaced by its value when compiling only if the code is
 compiled for a root (global) environment that binds it, no enclosing lambda
@@ -128,11 +137,11 @@ def compile_forms(forms, env, slot=None):
     child frame of it, into one code object each.  They are compiled as one
     unit: a define in any of them keeps that name from being bound when
     compiling in all of them.  `slot(symbol)` is called for each free symbol
-    occurrence, left to right; where it returns a name, that occurrence reads
-    the variable of that name instead."""
+    occurrence of the well-formed forms, in document order; where it returns
+    a name, that occurrence reads the variable of that name instead."""
     try:
         compiler = _Compiler(forms, env, slot)
-        return [compiler.expr(form, (i,)) for i, form in enumerate(forms)]
+        return [compiler.expr(form, frozenset()) for form in forms]
     except RecursionError:
         raise EvalError("recursion depth exceeded") from None
 
@@ -145,10 +154,6 @@ def _lookup(env, name):
             return v
         env = env.parent
     return _MISSING
-
-
-def _concept_lookup(ctx, name):
-    return ctx.snapshot.concept(name) if ctx.snapshot is not None else None
 
 
 # -- running compiled code ----------------------------------------------------
@@ -172,6 +177,30 @@ def _constant(value):
 def _fail(message, loc):
     def run(env, ctx):
         raise EvalError(message, loc)
+    return run
+
+
+def _read(name, loc, message="unbound symbol '{}'", error=EvalError):
+    """Code reading the variable `name`, or else the concept of that name."""
+    def run(env, ctx):
+        v = env.frame.get(name, _MISSING)
+        if v is _MISSING:
+            v = _lookup(env.parent, name)
+            if v is _MISSING:
+                v = ctx.snapshot.concept(name) if ctx.snapshot is not None else None
+                if v is None:
+                    raise error(message.format(name), loc)
+        return v
+    return run
+
+
+def _define(name, loc, value):
+    """Code binding `name` in its own frame to what the code `value` returns."""
+    def run(env, ctx):
+        v = value(env, ctx)
+        if name in env.frame:
+            raise EvalError(f"'{name}' is already defined in this scope", loc)
+        env.frame[name] = v
     return run
 
 
@@ -214,23 +243,21 @@ _DRAWS = {
 
 class _Compiler:
     """Compiles the forms of one unit; see the module docstring for what is
-    decided here and what is left to run time.  A node's path is the index
-    of its form followed by the SList indices leading to it."""
+    decided here and what is left to run time.  `bound` holds the names that
+    the enclosing lambdas and lets bind."""
 
     def __init__(self, forms, env, slot=None):
         self.root = env if env is not None and env.parent is None else None
-        self.defined = set()
-        self.free = {}   # path of a free symbol -> None, or the slot name read there
-        for i, form in enumerate(forms):
-            for path, sym in free_symbol_paths(form, self.defined):
-                self.free[(i, *path)] = slot(sym) if slot is not None else None
+        self.slot = slot
+        self.slotted = []   # the names of the occurrences `slot` renamed, in order
+        self.defined = _defined_names(forms)
 
-    def expr(self, expr, path, tail=False):
-        """Code for `expr` at `path`.  The dispatch is inline, so that a level
-        of nesting costs two Python frames to compile."""
+    def expr(self, expr, bound, tail=False):
+        """Code for `expr`.  The dispatch is inline, so that a level of
+        nesting costs two Python frames to compile."""
         t = expr.__class__
         if t is Symbol:
-            return self.symbol(expr, path)
+            return self.symbol(expr, bound)[0]
         if t is not SList:
             return _constant(expr.value)
         items = expr.items
@@ -238,77 +265,65 @@ class _Compiler:
             return _fail("cannot evaluate an empty form", expr.loc)
         head = items[0]
         if head.__class__ is not Symbol or head.name not in SPECIAL_FORMS:
-            return self.application(expr, path, tail)
+            return self.application(expr, bound, tail)
         op = head.name
         if op == "if":
-            return self.if_form(expr, path, tail)
+            return self.if_form(expr, bound, tail)
         if op == "define":
-            return self.define(expr, path)
+            return self.define(expr, bound)
         if op == "quote":
             if len(items) != 2:
                 return _fail("quote expects one argument", expr.loc)
             return _constant(_quote(items[1]))
         if op == "lambda":
-            return self.lambda_form(expr, path)
+            return self.lambda_form(expr, bound)
         if op == "let":
-            return self.let(expr, path, tail)
+            return self.let(expr, bound, tail)
         if op == "sample":
-            return self.sample(expr, path)
+            return self.sample(expr, bound)
         if op == "rejection-query":
-            return self.rejection(expr, path)
+            return self.rejection(expr, bound)
         return lambda env, ctx: _eval_knowledge(op, expr, env, ctx)
 
-    def body(self, items, start, path, tail):
+    def body(self, items, start, bound, tail):
         last = len(items) - 1
         codes = []
         for i in range(start, last + 1):
-            codes.append(self.expr(items[i], path + (i,), tail and i == last))
+            codes.append(self.expr(items[i], bound, tail and i == last))
         return _sequence(codes)
 
-    def resolve(self, sym, path):
-        """(name, value) for the symbol `sym` at `path`: the name to look up
+    def resolve(self, sym, bound):
+        """(name, value) for the symbol occurrence `sym`: the name to look up
         (a slot's, or its own) and the value it is bound to when compiling,
-        or _MISSING when it must be looked up when it runs."""
-        free = self.free.get(path, _MISSING)
-        if free.__class__ is str:
-            return free, _MISSING
-        if free is None and self.root is not None and sym.name not in self.defined:
-            return sym.name, self.root.frame.get(sym.name, _MISSING)
-        return sym.name, _MISSING
+        or _MISSING when it must be looked up when it runs.  Called once for
+        each occurrence, in document order."""
+        name = sym.name
+        if name in bound:
+            return name, _MISSING
+        if self.slot is not None:
+            renamed = self.slot(sym)
+            if renamed is not None:
+                self.slotted.append(name)
+                return renamed, _MISSING
+        if self.root is not None and name not in self.defined:
+            return name, self.root.frame.get(name, _MISSING)
+        return name, _MISSING
 
-    def local(self, node, path):
-        """The variable a symbol read `node` at `path` looks up when it runs,
-        or None (which no frame holds) for any other node."""
-        if node.__class__ is Symbol:
-            name, value = self.resolve(node, path)
-            if value is _MISSING:
-                return name
-        return None
-
-    def symbol(self, sym, path, message="unbound symbol '{}'", error=EvalError):
-        name, value = self.resolve(sym, path)
+    def symbol(self, sym, bound, message="unbound symbol '{}'", error=EvalError):
+        """(code, name) for a symbol occurrence: `name` is the variable the
+        code looks up when it runs, or None when the code holds its value."""
+        name, value = self.resolve(sym, bound)
         if value is not _MISSING:
-            return _constant(value)
-        loc = sym.loc
+            return _constant(value), None
+        return _read(name, sym.loc, message, error), name
 
-        def run(env, ctx):
-            v = env.frame.get(name, _MISSING)
-            if v is _MISSING:
-                v = _lookup(env.parent, name)
-                if v is _MISSING:
-                    v = _concept_lookup(ctx, name)
-                    if v is None:
-                        raise error(message.format(name), loc)
-            return v
-        return run
-
-    def if_form(self, expr, path, tail):
+    def if_form(self, expr, bound, tail):
         items = expr.items
         if len(items) != 4:
             return _fail("if expects (if test then else)", expr.loc)
-        test = self.expr(items[1], path + (1,))
-        then = self.expr(items[2], path + (2,), tail)
-        other = self.expr(items[3], path + (3,), tail)
+        test = self.expr(items[1], bound)
+        then = self.expr(items[2], bound, tail)
+        other = self.expr(items[3], bound, tail)
         loc = items[1].loc
 
         def run(env, ctx):
@@ -320,21 +335,13 @@ class _Compiler:
             raise EvalError("if test must be a boolean", loc)
         return run
 
-    def define(self, expr, path):
+    def define(self, expr, bound):
         items = expr.items
         if len(items) != 3 or items[1].__class__ is not Symbol:
             return _fail("define expects (define name expr)", expr.loc)
-        value = self.expr(items[2], path + (2,))
-        name, loc = items[1].name, items[1].loc
+        return _define(items[1].name, items[1].loc, self.expr(items[2], bound))
 
-        def run(env, ctx):
-            v = value(env, ctx)
-            if name in env.frame:
-                raise EvalError(f"'{name}' is already defined in this scope", loc)
-            env.frame[name] = v
-        return run
-
-    def lambda_form(self, expr, path):
+    def lambda_form(self, expr, bound):
         items = expr.items
         if len(items) < 3 or items[1].__class__ is not SList:
             return _fail("lambda expects (lambda (params...) body...)", expr.loc)
@@ -346,15 +353,15 @@ class _Compiler:
         if len(set(params)) != len(params):
             return _fail("duplicate lambda parameter", expr.loc)
         params = tuple(params)
-        body = self.body(items, 2, path, True)
+        body = self.body(items, 2, bound.union(params), True)
         return lambda env, ctx: Closure(params, body, env)
 
-    def let(self, expr, path, tail):
+    def let(self, expr, bound, tail):
         items = expr.items
         if len(items) < 3 or items[1].__class__ is not SList:
             return _fail("let expects (let ((name expr)...) body...)", expr.loc)
         names, values, error = [], [], None
-        for j, binding in enumerate(items[1].items):
+        for binding in items[1].items:
             if (binding.__class__ is not SList or len(binding.items) != 2
                     or binding.items[0].__class__ is not Symbol):
                 error = "malformed let binding"
@@ -364,11 +371,11 @@ class _Compiler:
                 error = f"duplicate let binding '{name}'"
                 break
             names.append(name)
-            values.append(self.expr(binding.items[1], path + (1, j, 1)))
+            values.append(self.expr(binding.items[1], bound))
         if error is not None:
             # the bindings before the bad one run first, draws and errors included
             return _sequence(values + [_fail(error, expr.loc)])
-        body = self.body(items, 2, path, tail)
+        body = self.body(items, 2, bound.union(names), tail)
         bindings = tuple(zip(names, values))
 
         def run(env, ctx):
@@ -378,15 +385,15 @@ class _Compiler:
             return body(Env(env, frame), ctx)
         return run
 
-    def sample(self, expr, path):
+    def sample(self, expr, bound):
         items = expr.items
         if len(items) != 2:
             return _fail("sample expects one argument", expr.loc)
         target = items[1]
         if target.__class__ is Symbol:
-            find = self.symbol(target, path + (1,), "unknown concept '{}'", ConceptError)
+            find = self.symbol(target, bound, "unknown concept '{}'", ConceptError)[0]
         else:
-            find = self.expr(target, path + (1,))
+            find = self.expr(target, bound)
         loc = expr.loc
 
         def run(env, ctx):
@@ -399,39 +406,57 @@ class _Compiler:
             return _sampler.sample_concept(value, ctx, ctx.budget, ctx.sample_depth)
         return run
 
-    def rejection(self, expr, path):
-        # the query compiles its own forms when it runs, so slot occurrences
-        # inside it become symbols naming their slots
-        n = len(path)
-        slots = {p[n:]: name for p, name in self.free.items()
-                 if name.__class__ is str and p[:n] == path}
+    def rejection(self, expr, bound):
+        """A nested query: its definitions, query and condition are compiled
+        here, in source order, and every run starts its attempts on that
+        code.  Only the rewrite is decided when it runs."""
         try:
-            spec = _inference.QuerySpec.from_form(_rename(expr, slots) if slots else expr)
+            spec = _inference.QuerySpec.from_form(expr)
         except EvalError as err:
             return _fail(err.message, err.loc)
+        first_slot = len(self.slotted)
+        defs = [self.expr(d, bound) for d in spec.definitions]
+        query = self.expr(spec.query, bound)
+        code = _sequence(defs + [self.expr(spec.condition, bound)]), query
+        # an occurrence read through a slot holds what the slot holds, as if
+        # a frame between the query and the root bound its name: the rewrite
+        # may not assume that name, nor that it reads one of the definitions
+        shadow = dict.fromkeys(self.slotted[first_slot:])
+        rewritable = shadow.keys().isdisjoint(_defined_names(spec.definitions))
 
         def run(env, ctx):
-            query = spec
-            if ctx.rules:
-                query = _rewrite.optimize_query(spec, ctx.rules, env)
-            return _inference.rejection_query(query, env, ctx)
+            attempt = code
+            if ctx.rules and rewritable:
+                outcome = _rewrite.optimize_query_detail(spec, ctx.rules, Env(env, shadow))
+                if outcome.fired:   # the pinned define, and #t for the condition
+                    name = outcome.definition.items[1]
+                    pin = _define(name.name, name.loc, _constant(outcome.value.value))
+                    pinned = [pin if new is outcome.definition else c
+                              for c, new in zip(defs, outcome.spec.definitions)]
+                    attempt = _sequence(pinned + [_constant(True)]), query
+            return _inference._attempt_loop(spec, attempt, env, ctx)[0]
         return run
 
-    def application(self, expr, path, tail):
+    def application(self, expr, bound, tail):
         items = expr.items
         loc = expr.loc
-        codes = []
-        for i in range(1, len(items)):
-            codes.append(self.expr(items[i], path + (i,)))
         head = items[0]
-        # the operator's value when it is bound when compiling
-        known = self.resolve(head, path + (0,))[1] if head.__class__ is Symbol else _MISSING
+        # the operator resolves before the operands, in document order;
+        # `known` is its value when it is bound when compiling
+        if head.__class__ is Symbol:
+            op_name, known = self.resolve(head, bound)
+            op_code = _read(op_name, head.loc) if known is _MISSING else None
+        else:
+            op_name, known, op_code = None, _MISSING, self.expr(head, bound)
+        # (code, name) of each operand, as `symbol` gives them for a symbol;
+        # any other operand has the name None, which no frame holds
+        operands = [self.symbol(item, bound) if item.__class__ is Symbol
+                    else (self.expr(item, bound), None) for item in items[1:]]
         if known.__class__ is Primitive and _PRIMITIVES.get(known.name) is known.fn:
-            return self.primitive_call(known, codes, items, path, loc)
-        op_code = self.expr(head, path + (0,)) if known is _MISSING else None
-        op_name = self.local(head, path + (0,))
+            return self.primitive_call(known, operands, items, loc)
+        codes = [code for code, _ in operands]
         single = codes[0] if len(codes) == 1 else None
-        arg = self.local(items[1], path + (1,)) if single is not None else None
+        arg = operands[0][1] if single is not None else None
 
         def run(env, ctx):
             fn = known
@@ -473,10 +498,11 @@ class _Compiler:
                 fn, args, call_loc = result.fn, result.args, result.loc
         return run
 
-    def primitive_call(self, prim, codes, items, path, loc):
+    def primitive_call(self, prim, operands, items, loc):
         """Code calling a standard primitive known when compiling, on the
-        argument codes `codes` compiled from `items[1:]`."""
+        (code, name) pairs `operands` compiled from `items[1:]`."""
         fn = prim.fn
+        codes = [code for code, _ in operands]
         draw = _DRAWS.get(prim.name) if len(codes) == 1 else None
         binary = _BINARY.get(prim.name) if len(codes) == 2 else None
         if draw is None and binary is None:
@@ -484,8 +510,7 @@ class _Compiler:
         # each operand is a numeric literal held in the code (None for none),
         # or else a read that probes its own frame first
         lits = [n.value if n.__class__ in _NUMBER_NODES else None for n in items[1:]]
-        names = [self.local(items[i], path + (i,)) if lits[i - 1] is None else None
-                 for i in range(1, len(items))]
+        names = [name for _, name in operands]
         if draw is not None:
             (a,), (lit,), (name,) = codes, lits, names
             kind, low, high, check = draw
@@ -527,16 +552,6 @@ class _Compiler:
                     pass
             return fn([x, y], ctx, loc)
         return run
-
-
-def _rename(expr, names, path=()):
-    """`expr` with the symbol at each path of `names` renamed to its name there."""
-    if path in names:
-        return Symbol(names[path], expr.loc)
-    if expr.__class__ is SList:
-        return SList(tuple(_rename(item, names, path + (i,))
-                           for i, item in enumerate(expr.items)), expr.loc)
-    return expr
 
 
 def _quote(expr):
@@ -619,71 +634,35 @@ def _resolve_isa_source(node, store, env):
     """A bare symbol naming a declared concept denotes that concept; anything
     else is an expression template whose free names must be resolvable.  A
     name the template defines itself, such as a query's definition, is
-    resolved when the template runs."""
+    resolved when the template runs.  The free names are those the compiler
+    resolves, so none inside a malformed form, which never runs."""
     if node.__class__ is Symbol:
         cid = store.lookup(node.name)
         if cid is not None:
             return cid
-    defined = set()
-    free = {sym.name for _, sym in free_symbol_paths(node, defined)}
-    for name in sorted(free - defined):
+    free = set()
+    compile_forms((node,), None, lambda sym: free.add(sym.name))
+    for name in sorted(free - _defined_names((node,))):
         if store.lookup(name) is None and (env is None or _lookup(env, name) is _MISSING):
             raise ConceptError(f"unknown name '{name}' in is-a source", node.loc)
     return node
 
 
-def free_symbol_paths(expr, defined=None):
-    """(path, Symbol) for each free symbol occurrence, left to right; a path
-    indexes SList items from the root.  Quote shields its argument; lambda and
-    let bind their names in the body only (let binding values stay outside
-    the scope); define's value is scanned, its name is not, but when
-    `defined` is a set the name of every well-formed define is added to it."""
-    out = []
-    _scope_walk(expr, frozenset(), (), out, defined)
-    return out
-
-
-def _scope_walk(expr, bound, path, out, defined):
-    t = expr.__class__
-    if t is Symbol:
-        if expr.name not in bound:
-            out.append((path, expr))
-        return
-    if t is not SList or not expr.items:
-        return
-    items = expr.items
-    head = items[0]
-    if head.__class__ is Symbol:
-        op = head.name
-        if op == "quote":
-            return
-        if op == "lambda" and len(items) >= 3 and items[1].__class__ is SList:
-            inner = bound | {p.name for p in items[1].items if p.__class__ is Symbol}
-            for i in range(2, len(items)):
-                _scope_walk(items[i], inner, path + (i,), out, defined)
-            return
-        if op == "let" and len(items) >= 3 and items[1].__class__ is SList:
-            names = set()
-            for j, pair in enumerate(items[1].items):
-                if pair.__class__ is SList and len(pair.items) == 2:
-                    if pair.items[0].__class__ is Symbol:
-                        names.add(pair.items[0].name)
-                    _scope_walk(pair.items[1], bound, path + (1, j, 1), out, defined)
-            inner = bound | names
-            for i in range(2, len(items)):
-                _scope_walk(items[i], inner, path + (i,), out, defined)
-            return
-        if op == "define" and len(items) == 3 and items[1].__class__ is Symbol:
-            if defined is not None:
-                defined.add(items[1].name)
-            _scope_walk(items[2], bound, path + (2,), out, defined)
-            return
-        if op in SPECIAL_FORMS:
-            for i in range(1, len(items)):
-                _scope_walk(items[i], bound, path + (i,), out, defined)
-            return
-    for i, item in enumerate(items):
-        _scope_walk(item, bound, path + (i,), out, defined)
+def _defined_names(forms):
+    """The name of every well-formed define in `forms`, quoted forms skipped."""
+    names, todo = set(), list(forms)
+    while todo:
+        form = todo.pop()
+        if form.__class__ is SList and form.items:
+            items = form.items
+            head = items[0]
+            if head.__class__ is Symbol:
+                if head.name == "quote":
+                    continue
+                if head.name == "define" and len(items) == 3 and items[1].__class__ is Symbol:
+                    names.add(items[1].name)
+            todo.extend(items)
+    return names
 
 
 # -- primitives -------------------------------------------------------------

@@ -5,18 +5,19 @@ randomness each time), checks the condition, and returns the query value of
 the first accepted attempt; the returned value is distributed as the prior
 conditioned on the condition.  The definitions, condition and query are
 compiled once per query, and every attempt runs the compiled code in a fresh
-frame.  Batch runs give every sample index its own deterministic rng stream
-derived from (seed, index), so parallel and serial execution produce
-identical multisets of samples.  The runners read their draw object and
-attempt limit from the `EvalContext` given, and clear its session while
-their attempts run: knowledge forms are not allowed inside a query.  All
-samples draw through the context's draw object, or else a `Draws` on the
-batch's own path.  Each sample's index is given to it (`Draws.pend`), and it sets the
-index's PCG64 state at the sample's first draw.  The states come from
-`stream_states`, one pass per block of up to 1024 indices, computed when a
-sample of the block first draws; a sample that draws nothing derives no
-stream.  Each index draws exactly the bytes a fresh `derive_rng(seed...,
-index)` generator would.
+frame; a query nested in a form is compiled with that form, and each run of
+it comes to the attempt loop here with that code.  Batch runs give every
+sample index its own deterministic rng stream derived from (seed, index), so
+parallel and serial execution produce identical multisets of samples.  The
+runners read their draw object and attempt limit from the `EvalContext`
+given, and clear its session while their attempts run: knowledge forms are
+not allowed inside a query.  All samples draw through the context's draw
+object, or else a `Draws` on the batch's own path.  Each sample's index is
+given to it (`Draws.pend`), and it sets the index's PCG64 state at the
+sample's first draw.  The states come from `stream_states`, one pass per
+block of up to 1024 indices, computed when a sample of the block first
+draws; a sample that draws nothing derives no stream.  Each index draws
+exactly the bytes a fresh `derive_rng(seed..., index)` generator would.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def _compile(spec, base_env):
 
 def _attempt_loop(spec, code, base_env, ctx):
     """(query value, attempts) of the first accepted attempt; both runners
-    come here, so the attempt limit is checked here alone."""
+    and the compiled nested queries come here, so the attempt limit is
+    checked here alone."""
     limit = ctx.max_attempts
     if limit < 1:
         raise EvalError("max-attempts must be at least 1")

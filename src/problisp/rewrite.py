@@ -417,8 +417,3 @@ def optimize_query_detail(spec, rules, env=None):
         new_spec = spec.__class__(tuple(definitions), spec.query, Boolean(True))
         return OptimizeOutcome(new_spec, True, var, canonical, result.trace, new_define)
     return OptimizeOutcome(spec, False)
-
-
-def optimize_query(spec, rules, env=None):
-    """QuerySpec -> QuerySpec; see optimize_query_detail for the report."""
-    return optimize_query_detail(spec, rules, env).spec

@@ -241,9 +241,9 @@ _ATOM_NODES = {
 }
 
 
-# the deepest list nesting the reader accepts.  The reader, the compiler, the
-# scope walker and `print_expr` recurse over the tree, and at this depth they
-# all fit in Python's default recursion limit of 1000; the prelude nests 6.
+# the deepest list nesting the reader accepts.  The reader, the compiler and
+# `print_expr` recurse over the tree, and at this depth they all fit in
+# Python's default recursion limit of 1000; the prelude nests 6.
 MAX_NESTING = 100
 
 

@@ -252,3 +252,29 @@ def test_isa_source_may_define_its_own_names(session):
     # a name defined nowhere is still refused
     with pytest.raises(ConceptError, match="unknown name 'nope' in is-a source"):
         session.run_text("(is-a (rejection-query (define c coin) nope #t) thing)")
+
+
+def test_a_template_draws_no_concept_named_only_in_a_malformed_form(session):
+    # the compiler does not look inside a malformed form's operands, which
+    # never run, so `coin` in `(if coin)` takes no draw and changes none of
+    # the draws after it
+    from problisp import format_value
+
+    session.reset_seed(4)
+    *_, result = session.run_text("""
+        (concept coin) (is-a #t coin) (is-a #f coin 3)
+        (concept t1) (is-a (if #t (list coin) (if coin)) t1)
+        (list (sample t1) (sample t1) (sample t1) (sample t1))""")
+    assert format_value(result.value) == "((#f) (#f) (#f) (#t))"
+
+
+def test_is_a_accepts_an_unknown_name_only_in_a_malformed_form(session):
+    # `nope` is inside a form that never runs, so `is-a` no longer refuses
+    # it; sampling raises the malformed form's own error at its location
+    from problisp import EvalError
+
+    session.run_text("(concept t3)\n(is-a (if nope) t3)")
+    with pytest.raises(EvalError) as exc:
+        session.run_text("(sample t3)")
+    assert exc.value.message == "if expects (if test then else)"
+    assert (exc.value.loc.line, exc.value.loc.column) == (2, 7)

@@ -1,4 +1,5 @@
-"""Golden records: the sha256 of `--output records` for the shipped programs.
+"""Golden records: the sha256 of `--output records` for the shipped programs,
+and for one program of nested queries written here.
 
 The digests were recorded before the interpreter's internals were refactored
 and must not change when only internals change: the records bytes are the
@@ -50,3 +51,48 @@ def records_digest(program, flags, seed):
                               for p, f, s in GOLDEN])
 def test_records_bytes_match_golden(program, flags, seed):
     assert records_digest(program, flags, seed) == GOLDEN[program, flags, seed]
+
+
+# Nested queries: lambda-wrapped queries, one the rewrite pins and two it
+# cannot (`(= (+ x y) 7)` and a bound `c`), and concept templates that hold
+# queries mentioning concept names.  The program is written to a temporary
+# directory and run from there, so the summary echoes the same file name in
+# every checkout.
+NESTED_PROGRAM = """
+(define pin (lambda () (rejection-query (define x (random-integer 10)) x (= (+ x 5) 10))))
+(define pair-sum (lambda () (rejection-query (define x (random-integer 6))
+                                             (define y (random-integer 8))
+                                             (list x y) (= (+ x y) 7))))
+(define above (lambda (c) (rejection-query (define x (random-integer 10)) x (< c x))))
+(list (pin) (pair-sum) (above 6) (pin) (pair-sum) (above 2))
+(concept coin) (is-a #t coin) (is-a #f coin 3)
+(concept die) (is-a 1 die) (is-a 2 die) (is-a 3 die 2)
+(concept roll)
+(is-a (rejection-query (define a (random-integer die)) (list a die coin) (< a 2)) roll)
+(is-a (rejection-query (define k (random-integer 10)) (list k coin) (= (+ k 2) 5)) roll 2)
+(list (sample roll) (sample roll))
+(rejection-query (define r (sample roll)) (define p (pair-sum))
+                 (list r p (pin) (above 4)) (< (first p) 5))
+"""
+
+NESTED_SAMPLES = 50
+
+NESTED_GOLDEN = {
+    ((), 1): "5251de45050166c819ac2465989ca3aa5b52a157c3358c68ce7eab4898004ae6",
+    ((), 7): "c18e43a9238a1342cea16b4b43fee841a2976078123058ebd6582309f1852366",
+    (("--no-rewrite",), 1):
+        "2471e85e4201c96941fb29be9dfeb66d93387e05d24cb45db9d134863cb13de2",
+    (("--no-rewrite",), 7):
+        "276641ea78c244374b88c5bf3194a0d8aa158c26ce2bd65c1f92b897d603e157",
+}
+
+
+@pytest.mark.parametrize("flags,seed", list(NESTED_GOLDEN),
+                         ids=[f"{'_'.join(f) or 'default'}-seed{s}" for f, s in NESTED_GOLDEN])
+def test_nested_query_records_bytes_match_golden(flags, seed, tmp_path):
+    (tmp_path / "nested.lisp").write_text(NESTED_PROGRAM, encoding="utf-8")
+    r = run_cli("nested.lisp", *flags, "--samples", NESTED_SAMPLES, "--seed", seed,
+                "--output", "records", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    digest = hashlib.sha256(r.stdout.encode("utf-8")).hexdigest()
+    assert digest == NESTED_GOLDEN[flags, seed]

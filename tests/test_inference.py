@@ -114,7 +114,8 @@ def test_batch_on_a_context_without_a_draw_source():
 
 @pytest.mark.parametrize("text", [PAPER_QUERY, f"(list {PAPER_QUERY})"])
 def test_attempt_limit_below_one_is_the_same_error_in_both_runners(text):
-    # a top-level query runs as a batch, a nested one through rejection_query
+    # a top-level query runs as a batch, a nested one on the code compiled
+    # with the form around it
     from problisp import Session
 
     with pytest.raises(EvalError) as exc:
@@ -188,6 +189,38 @@ def test_nested_rejection_query_expression():
 
     value = ev("(+ 1 (rejection-query (define x (random-integer 4)) x (> x 2)))")
     assert value == 4
+
+
+@pytest.mark.parametrize("rules_on", [True, False])
+def test_a_nested_query_compiles_once_with_the_form_around_it(rules_on, monkeypatch):
+    # 200 calls of a lambda that wraps a query compile nothing beyond the
+    # calling form; with rules on, every call still solves the condition
+    from problisp import Session, evaluator, format_value, rewrite, rules_path
+
+    s = Session(seed=3, rewrite=rules_on)
+    s.load_file(rules_path())
+    s.run_text(f"""
+        (define f (lambda () {PAPER_QUERY}))
+        (define loop (lambda (n acc) (if (= n 0) acc (loop (- n 1) (cons (f) acc)))))""")
+    compiles, solves = [], []
+
+    class Counting(evaluator._Compiler):
+        def __init__(self, forms, env, slot=None):
+            compiles.append(forms)
+            super().__init__(forms, env, slot)
+
+    solve = rewrite.solve_condition
+
+    def counting_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(evaluator, "_Compiler", Counting)
+    monkeypatch.setattr(rewrite, "solve_condition", counting_solve)
+    result, = s.run_text("(loop 200 null)")
+    assert format_value(result.value) == "(" + " ".join(["5"] * 200) + ")"
+    assert len(compiles) == 1   # the calling form's own compile
+    assert len(solves) == (200 if rules_on else 0)
 
 
 @pytest.mark.parametrize("src,supports,query_var", [

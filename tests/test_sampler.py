@@ -226,18 +226,18 @@ def test_sampling_reads_the_active_context():
 
 
 def test_templates_compile_once_per_snapshot(prelude_session, monkeypatch):
-    # every compile walks its template once with the scope walker; a second
+    # the sampler compiles a template with one `compile_forms` call; a second
     # draw from the same snapshot must reuse the compiled template
-    import problisp.evaluator as evaluator
+    import problisp.sampler as sampler
 
     walked = []
-    walk = evaluator.free_symbol_paths
+    compile_forms = sampler.compile_forms
 
-    def counting(expr, defined=None):
-        walked.append(expr)
-        return walk(expr, defined)
+    def counting(forms, env, slot=None):
+        walked.extend(forms)
+        return compile_forms(forms, env, slot)
 
-    monkeypatch.setattr(evaluator, "free_symbol_paths", counting)
+    monkeypatch.setattr(sampler, "compile_forms", counting)
     store = prelude_session.store
     snap = store.snapshot()
     ctx = _ctx(snap, Draws(77), prelude_session.env)
@@ -253,7 +253,7 @@ def test_templates_compile_once_per_snapshot(prelude_session, monkeypatch):
 
 
 def test_concept_symbols_in_a_template_query_are_draws():
-    # a query inside a template compiles its forms when it runs; its concept
+    # a query inside a template is compiled with the template; its concept
     # occurrences must still read the instantiation's draws
     s = _store_session("""
         (concept coin) (is-a #t coin) (is-a #f coin 3)
@@ -265,20 +265,21 @@ def test_concept_symbols_in_a_template_query_are_draws():
 
 def test_templates_compile_once_across_forms(prelude_session, monkeypatch):
     # the store hands out one snapshot until it changes, so a template
-    # compiled for one (sample ...) form serves the later ones too
-    import problisp.evaluator as evaluator
+    # compiled for one (sample ...) form serves the later ones too: the
+    # sampler makes one `compile_forms` call for it
+    import problisp.sampler as sampler
 
     store = prelude_session.store
     integer_template, = [link.source for link, _ in
                          store.snapshot().instances(store.lookup("integer"))]
     walked = []
-    walk = evaluator.free_symbol_paths
+    compile_forms = sampler.compile_forms
 
-    def counting(expr, defined=None):
-        walked.append(expr)
-        return walk(expr, defined)
+    def counting(forms, env, slot=None):
+        walked.extend(forms)
+        return compile_forms(forms, env, slot)
 
-    monkeypatch.setattr(evaluator, "free_symbol_paths", counting)
+    monkeypatch.setattr(sampler, "compile_forms", counting)
     results = prelude_session.run_text("(sample integer) " * 20)
     assert all(isinstance(r.value, int) for r in results)
     assert [e for e in walked if e is integer_template] == [integer_template]
