@@ -7,10 +7,10 @@ rule engine rewrites query conditions so point-mass posteriors are sampled
 directly instead of searched for blindly.
 """
 
-from .cli import SessionConfig, build_session, histogram, main, prelude_path, rules_path
+from .cli import build_session, histogram, main, prelude_path, rules_path
 from .concepts import ConceptId, ConceptStore, IsALink, StoreSnapshot
 from .errors import (BudgetError, ConceptError, EvalError, ExhaustionError,
-                     LexError, ParseError, ProblispError, RuleError,
+                     FileReadError, LexError, ParseError, ProblispError, RuleError,
                      ZeroProbabilityError)
 from .evaluator import EvalContext, evaluate, standard_env
 from .inference import QuerySpec, SampleReport, rejection_query, run_samples
@@ -29,10 +29,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Boolean", "BudgetError", "Closure", "ConceptError", "ConceptId",
     "ConceptStore", "Env", "EvalContext", "EvalError", "ExhaustionError",
-    "Integer", "IsALink", "LexError", "Location", "NIL", "OptimizeOutcome",
-    "Pair", "ParseError", "Primitive", "ProblispError", "QuerySpec", "Real",
+    "FileReadError", "Integer", "IsALink", "LexError", "Location", "NIL",
+    "OptimizeOutcome", "Pair", "ParseError", "Primitive", "ProblispError", "QuerySpec", "Real",
     "RewriteRule", "RuleError", "SExpr", "SList", "SampleBudget",
-    "SampleReport", "Session", "SessionConfig", "SolveResult",
+    "SampleReport", "Session", "SolveResult",
     "StoreSnapshot", "Symbol", "Text", "TopResult", "ZeroProbabilityError",
     "build_session", "constant_fold", "derive_rng", "evaluate",
     "format_value", "histogram", "instantiate_expression", "main",

@@ -1,25 +1,27 @@
 """Command-line entry point: script runner and REPL.
 
 Exit codes: 0 success, 1 language error, 2 exhaustion or zero-probability
-condition, 3 usage error.  With ``--output records`` every sample becomes one
-JSON line and each file ends with a summary record (config echo, acceptance
-stats, optimizer report); identical inputs, flags and seed produce
-byte-identical records output.
+condition, 3 usage error or a program, prelude or rules file that cannot be
+opened or decoded as UTF-8.  With ``--output records`` every sample becomes
+one JSON line and each file ends with a summary record (config echo,
+acceptance stats, optimizer report); identical inputs, flags and seed
+produce byte-identical records output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .concepts import _describe_source
-from .errors import (BudgetError, ExhaustionError, LexError, ParseError,
-                     ProblispError, ZeroProbabilityError)
+from .errors import (BudgetError, EvalError, ExhaustionError, FileReadError, LexError,
+                     ParseError, ProblispError, ZeroProbabilityError)
 from .evaluator import DEFAULT_MAX_ATTEMPTS
-from .sexpr import _Record, parse, print_expr
-from .session import Session
+from .sexpr import parse, print_expr
+from .session import Session, read_source
 from .values import format_value, is_number
 
 # deep enough for any plausible prelude recursion, shallow enough that
@@ -31,40 +33,6 @@ from .values import format_value, is_number
 RECURSION_LIMIT = 15_000
 # the errors that exit with status 2; any other language error exits with 1
 _EXHAUSTED = (ExhaustionError, ZeroProbabilityError, BudgetError)
-
-
-class SessionConfig(_Record):
-    __slots__ = _fields = ("seed", "samples", "max_attempts", "rewrite", "load_order",
-                           "context", "output", "stats", "repl", "files")
-    __hash__ = None   # mutable
-
-    def __init__(self, seed=0, samples=1, max_attempts=DEFAULT_MAX_ATTEMPTS, rewrite=True,
-                 load_order=None, context=None, output="plain", stats=False, repl=False,
-                 files=None):
-        self.seed = seed
-        self.samples = samples
-        self.max_attempts = max_attempts
-        self.rewrite = rewrite
-        # [("prelude" | "rules", path)] in flag order
-        self.load_order = [] if load_order is None else load_order
-        self.context = context
-        self.output = output
-        self.stats = stats
-        self.repl = repl
-        self.files = [] if files is None else files
-
-    def _given(self, kind):
-        return [path for k, path in self.load_order if k == kind]
-
-    @property
-    def preludes(self):
-        return self._given("prelude")
-
-    @property
-    def rules(self):
-        """Rule files as given, else `std`, the shipped rules, if rewriting is
-        on; the records echo `std` so that they are the same in every checkout."""
-        return self._given("rules") or (["std"] if self.rewrite else [])
 
 
 def prelude_path():
@@ -106,7 +74,7 @@ def _build_parser():
                    help="samples per top-level rejection-query (default 1)")
     p.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS,
                    help="rejection attempts per sample (default 10^6)")
-    p.add_argument("--no-rewrite", action="store_true",
+    p.add_argument("--no-rewrite", dest="rewrite", action="store_false",
                    help="disable condition propagation / query rewriting")
     p.set_defaults(load_order=[])
     p.add_argument("--prelude", action=_OrderedLoad, metavar="PATH",
@@ -126,27 +94,35 @@ def _build_parser():
 
 
 def _parse_config(argv):
-    ns = _build_parser().parse_args(argv)
-    if ns.samples < 1 or ns.max_attempts < 1:
+    """The parsed flags, which are the run's config: `load_order` lists
+    ("prelude" | "rules", path) in flag order."""
+    config = _build_parser().parse_args(argv)
+    if config.samples < 1 or config.max_attempts < 1:
         print("problisp: error: --samples and --max-attempts must be >= 1",
               file=sys.stderr)
         raise SystemExit(3)
-    return SessionConfig(
-        seed=ns.seed, samples=ns.samples, max_attempts=ns.max_attempts,
-        rewrite=not ns.no_rewrite, load_order=ns.load_order,
-        context=ns.context, output=ns.output, stats=ns.stats, repl=ns.repl,
-        files=ns.files)
+    return config
+
+
+def _given(config, kind):
+    return [path for k, path in config.load_order if k == kind]
+
+
+def _rules(config):
+    """Rule files as given, else `std`, the shipped rules, if rewriting is
+    on; the records echo `std` so that they are the same in every checkout."""
+    return _given(config, "rules") or (["std"] if config.rewrite else [])
 
 
 def build_session(config):
     """Session with preludes and rule files loaded in flag order, context
     activated; the shipped rules load by default when rewriting is on
-    (`config.rules`)."""
+    (`_rules`)."""
     session = Session(seed=config.seed, samples=config.samples,
                       max_attempts=config.max_attempts, rewrite=config.rewrite)
     for kind, path in config.load_order:
         session.load_file(_resolve(path, prelude_path if kind == "prelude" else rules_path))
-    if config.rules and not config._given("rules"):
+    if config.rewrite and not _given(config, "rules"):
         session.load_file(rules_path())
     if config.context is not None:
         session.store.set_context(config.context)
@@ -156,18 +132,32 @@ def build_session(config):
 # -- output ------------------------------------------------------------------
 
 
+def _bin_width(values, bins):
+    """The width of `bins` equal bins over the values' range, or None when
+    a value or the width is not a finite real."""
+    try:
+        if all(math.isfinite(v) for v in values):
+            width = (max(values) - min(values)) / bins
+            return width if math.isfinite(width) else None
+    except OverflowError:   # an integer too large for a real
+        pass
+    return None
+
+
 def histogram(values, bins=10):
-    """Text table of value counts; reals get equal-width bins over the
-    observed range, everything else is counted per distinct printed value."""
+    """Text table of value counts; finite reals get equal-width bins over
+    the observed range, everything else is counted per distinct printed
+    value."""
     if not values:
         raise ValueError("histogram requires at least one value")
     n = len(values)
     all_numeric = all(is_number(v) for v in values)
-    if all_numeric and any(isinstance(v, float) for v in values):
+    reals = all_numeric and any(isinstance(v, float) for v in values)
+    width = _bin_width(values, bins) if reals else None
+    if width is not None:
         lo, hi = min(values), max(values)
-        if lo == hi:
+        if width == 0:
             return f"[{lo:g}, {hi:g}] : {n} (100.0%)"
-        width = (hi - lo) / bins
         counts = [0] * bins
         for v in values:
             counts[min(int((v - lo) / width), bins - 1)] += 1
@@ -184,8 +174,8 @@ def histogram(values, bins=10):
         rows[key] = rows.get(key, 0) + 1
         if key not in order:
             order[key] = v
-    if all_numeric:
-        keys = sorted(rows, key=lambda k: order[k])
+    if all_numeric:   # nan, which compares false with every number, last
+        keys = sorted(rows, key=lambda k: (order[k] != order[k], order[k]))
     else:
         keys = sorted(rows)
     return "\n".join(f"{k} : {rows[k]} ({100 * rows[k] / n:.1f}%)" for k in keys)
@@ -216,7 +206,7 @@ def _config_echo(config, path):
     return {
         "seed": config.seed, "samples": config.samples,
         "max_attempts": config.max_attempts, "rewrite": config.rewrite,
-        "preludes": config.preludes, "rules": config.rules,
+        "preludes": _given(config, "prelude"), "rules": _rules(config),
         "context": config.context, "output": config.output,
         "stats": config.stats, "file": str(path),
     }
@@ -255,42 +245,47 @@ def _print_query_plain(result, config, out):
             out.write(f";;   {line}\n")
 
 
+def _write_result(out, form, result, config, index=None):
+    """Write a top-level form's result as plain text, or as records when
+    `index`, the form's position in its file, is given.  A value nested too
+    deep to print is a language error at the form."""
+    try:
+        if result.kind == "query":
+            if index is None:
+                _print_query_plain(result, config, out)
+            else:
+                _sample_records(out, result)
+        elif result.kind == "value":
+            if index is None:
+                out.write(format_value(result.value) + "\n")
+            else:
+                out.write(f'{{"form": {index}, "type": "value", '
+                          f'"value": {_encode(format_value(result.value))}}}\n')
+    except RecursionError:
+        raise EvalError("recursion depth exceeded", form.loc) from None
+
+
 def run_file(path, session, config, out=None):
-    """Run one program file in the session; returns a process exit status."""
+    """Run one program file in the session; a language error propagates,
+    named with the file."""
     out = out if out is not None else sys.stdout
+    records = config.output == "records"
+    text = read_source(path)
     try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as err:
-        print(f"problisp: cannot read '{path}': {err.strerror}", file=sys.stderr)
-        return 3
-    try:
-        forms = parse(text)
         summaries = []
-        for idx, form in enumerate(forms):
+        for idx, form in enumerate(parse(text)):
             result = session.eval_form(form)
+            _write_result(out, form, result, config, idx if records else None)
             if result.kind == "query":
-                if config.output == "records":
-                    _sample_records(out, result)
-                else:
-                    _print_query_plain(result, config, out)
                 summaries.append(_query_summary(result, config))
-            elif result.kind == "value":
-                if config.output == "records":
-                    out.write(f'{{"form": {idx}, "type": "value", '
-                              f'"value": {_encode(format_value(result.value))}}}\n')
-                else:
-                    out.write(format_value(result.value) + "\n")
-        if config.output == "records":
+        if records:
             out.write(json.dumps({"type": "summary",
                                   "config": _config_echo(config, path),
                                   "queries": summaries}, sort_keys=True) + "\n")
     except ProblispError as err:
         if err.filename is None:
             err.filename = str(path)
-        print(f"problisp: {err}", file=sys.stderr)
-        return 2 if isinstance(err, _EXHAUSTED) else 1
-    return 0
+        raise
 
 
 # -- repl ----------------------------------------------------------------------
@@ -380,27 +375,18 @@ def repl(session, config, stdin=None, out=None):
             continue
         try:
             forms = parse(buffer)
-        except ParseError as err:
+        except (LexError, ParseError) as err:
             if err.incomplete:
                 continue
-            out.write(f"error: {err}\n")
-            buffer = ""
-            continue
-        except LexError as err:
             out.write(f"error: {err}\n")
             buffer = ""
             continue
         buffer = ""
         for form in forms:
             try:
-                result = session.eval_form(form)
+                _write_result(out, form, session.eval_form(form), config)
             except ProblispError as err:
                 out.write(f"error: {err}\n")
-                continue
-            if result.kind == "query":
-                _print_query_plain(result, config, out)
-            elif result.kind == "value":
-                out.write(format_value(result.value) + "\n")
 
 
 def main(argv=None):
@@ -409,13 +395,11 @@ def main(argv=None):
         sys.setrecursionlimit(RECURSION_LIMIT)
     try:
         session = build_session(config)
+        for path in config.files:
+            run_file(path, session, config)
     except ProblispError as err:
         print(f"problisp: {err}", file=sys.stderr)
-        return 2 if isinstance(err, _EXHAUSTED) else 1
-    for path in config.files:
-        status = run_file(path, session, config)
-        if status != 0:
-            return status
+        return 3 if isinstance(err, FileReadError) else 2 if isinstance(err, _EXHAUSTED) else 1
     if config.repl or not config.files:
         return repl(session, config)
     return 0

@@ -36,6 +36,10 @@ class EvalError(ProblispError):
     pass
 
 
+class FileReadError(EvalError):
+    """A program, prelude or rules file could not be opened or decoded."""
+
+
 class ConceptError(ProblispError):
     pass
 

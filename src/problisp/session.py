@@ -11,7 +11,7 @@ identical inputs replay identically.
 from __future__ import annotations
 
 from .concepts import ConceptStore
-from .errors import EvalError, ProblispError
+from .errors import FileReadError, ProblispError
 from .evaluator import (DEFAULT_MAX_ATTEMPTS, EvalContext, evaluate,
                         standard_env)
 from .inference import QuerySpec, run_samples
@@ -32,6 +32,19 @@ class TopResult(_Record):
         self.report = report          # SampleReport for queries
         self.optimize = optimize      # OptimizeOutcome for queries (None if rewriting off)
         self.ordinal = ordinal
+
+
+def read_source(path):
+    """The text of a UTF-8 program file; one that cannot be opened or
+    decoded is a FileReadError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError as err:
+        reason = err.strerror
+    except UnicodeDecodeError as err:
+        reason = f"not UTF-8 at byte {err.start}"
+    raise FileReadError(f"cannot read '{path}': {reason}")
 
 
 def _is_query_form(form):
@@ -98,11 +111,7 @@ class Session:
 
     def load_file(self, path):
         """Evaluate a file for its session effects, discarding printed values."""
-        try:
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
-        except OSError as err:
-            raise EvalError(f"cannot read '{path}': {err.strerror}") from None
+        text = read_source(path)
         try:
             return self.run_text(text)
         except ProblispError as err:

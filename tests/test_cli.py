@@ -1,16 +1,22 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from problisp import Pair, histogram
+from problisp import EvalError, Pair, Session, cli, histogram
 from problisp.sexpr import MAX_NESTING
 
 from conftest import PROGRAMS, REPO, SRC, run_cli
 from test_golden import GOLDEN, SAMPLES
+from test_reference_eval import programs
 
 
 @pytest.fixture
@@ -209,8 +215,47 @@ def test_usage_error_exit_3():
     assert run_cli("--samples", 0).returncode == 3
 
 
-def test_missing_file_exit_3():
-    assert run_cli("no-such-file.lisp").returncode == 3
+def test_missing_file_exit_3(tmp_path):
+    # a program, prelude or rules file that cannot be opened or decoded
+    program = tmp_path / "one.lisp"
+    program.write_text("1\n")
+    undecodable = tmp_path / "bytes.lisp"
+    undecodable.write_bytes(b"\xff\xfe")
+    for args, path in [(("no-such-file.lisp",), "no-such-file.lisp"),
+                       (("--prelude", "no-such-prelude.lisp", program), "no-such-prelude.lisp"),
+                       (("--rules", "no-such-rules.lisp", program), "no-such-rules.lisp"),
+                       ((undecodable,), undecodable),
+                       (("--prelude", undecodable, program), undecodable)]:
+        r = run_cli(*args)
+        assert (r.returncode, r.stdout) == (3, ""), args
+        assert r.stderr.startswith(f"problisp: cannot read '{path}': "), r.stderr
+        assert r.stderr.count("\n") == 1
+    with pytest.raises(EvalError, match="cannot read"):
+        Session().load_file(undecodable)
+
+
+_NEST = "(define nest (lambda (n acc) (if (= n 0) acc (nest (- n 1) (cons acc null)))))\n"
+
+
+@pytest.mark.parametrize("form, flags", [
+    ("(nest 16000 1)", ()),
+    ("(nest 16000 1)", ("--output", "records")),
+    ("(rejection-query (nest 16000 1) #t)", ("--stats",)),
+    ("(rejection-query (nest 16000 1) #t)", ("--output", "records")),
+])
+def test_value_too_deep_to_print_exit_1_with_location(tmp_path, form, flags):
+    p = tmp_path / "deep.lisp"
+    p.write_text(_NEST + form + "\n")
+    r = run_cli(p, *flags)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == f"problisp: {p}: line 2, column 1: recursion depth exceeded\n"
+
+
+def test_repl_value_too_deep_to_print_is_an_error():
+    r = run_cli(stdin=_NEST + "(nest 16000 1)\n(nest 10000 1)\n")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.splitlines() == ["error: line 1, column 1: recursion depth exceeded",
+                                     "(" * 10_000 + "1" + ")" * 10_000]
 
 
 def test_unknown_context_exit_1(paper_program):
@@ -359,6 +404,20 @@ def test_histogram_geometric_lengths(prelude_session):
     assert abs(second_pct - 25.0) < 4.0
 
 
+def test_histogram_counts_values_it_cannot_bin():
+    # infinities, nan, an integer too large for a real and a range too wide
+    # for one are counted per printed value
+    inf = math.inf
+    assert histogram([0.5, inf, 0.5, -inf]).splitlines() == [
+        "-inf : 1 (25.0%)", "0.5 : 2 (50.0%)", "inf : 1 (25.0%)"]
+    assert histogram([0.5, math.nan, 0.25, 0.5]).splitlines() == [
+        "0.25 : 1 (25.0%)", "0.5 : 2 (50.0%)", "nan : 1 (25.0%)"]
+    assert histogram([0.5, 10 ** 400]).splitlines() == [
+        "0.5 : 1 (50.0%)", f"{10 ** 400} : 1 (50.0%)"]
+    assert histogram([-1e308, 1e308]).splitlines() == [
+        "-1e+308 : 1 (50.0%)", "1e+308 : 1 (50.0%)"]
+
+
 def test_histogram_empty_rejected():
     with pytest.raises(ValueError):
         histogram([])
@@ -434,3 +493,40 @@ def test_cli_start_up_imports_no_library_machinery():
                        env={**os.environ, "PYTHONPATH": str(SRC)})
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == []
+
+
+def _main_status(path, seed, *flags):
+    """`cli.main`'s exit status on one file, its output discarded; the
+    recursion limit that `main` raises is put back."""
+    limit = sys.getrecursionlimit()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return cli.main([str(path), "--seed", str(seed), "--samples", "5", *flags])
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated")
+
+
+# every run ends in an exit status, not an exception: each generated program
+# runs as a file, and after its defines its last form runs as a query value,
+# once as it is and once times 1e616, so that its numbers overflow to inf;
+# the plain printer, the records writers and the histogram see what it makes
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(programs(), st.integers(0, 2 ** 32))
+def test_cli_main_returns_a_status_on_generated_programs(scratch_dir, program, seed):
+    forms = program.split("\n")
+    queries = [form for form in forms if form.startswith("(define ")]
+    queries += [f"(rejection-query {forms[-1]} #t)",
+                f"(rejection-query (* {forms[-1]} 1e308 1e308) #t)"]
+    files = [scratch_dir / "program.lisp", scratch_dir / "queries.lisp"]
+    files[0].write_text(program + "\n")
+    files[1].write_text("\n".join(queries) + "\n")
+    for path in files:
+        for flags in (("--stats",), ("--output", "records")):
+            assert _main_status(path, seed, *flags) in (0, 1, 2)
