@@ -8,7 +8,7 @@ directly instead of searched for blindly.
 """
 
 from .cli import build_session, histogram, main, prelude_path, rules_path
-from .concepts import ConceptId, ConceptStore, IsALink, StoreSnapshot
+from .concepts import ConceptId, ConceptStore, IsALink
 from .errors import (BudgetError, ConceptError, EvalError, ExhaustionError,
                      FileReadError, LexError, ParseError, ProblispError, RuleError,
                      ZeroProbabilityError)
@@ -33,7 +33,7 @@ __all__ = [
     "OptimizeOutcome", "Pair", "ParseError", "Primitive", "ProblispError", "QuerySpec", "Real",
     "RewriteRule", "RuleError", "SExpr", "SList", "SampleBudget",
     "SampleReport", "Session", "SolveResult",
-    "StoreSnapshot", "Symbol", "Text", "TopResult", "ZeroProbabilityError",
+    "Symbol", "Text", "TopResult", "ZeroProbabilityError",
     "build_session", "constant_fold", "derive_rng", "evaluate",
     "format_value", "histogram", "instantiate_expression", "main",
     "match", "optimize_query_detail", "parse", "parse_one",

@@ -5,7 +5,8 @@ condition, 3 usage error or a program, prelude or rules file that cannot be
 opened or decoded as UTF-8.  With ``--output records`` every sample becomes
 one JSON line and each file ends with a summary record (config echo,
 acceptance stats, optimizer report); identical inputs, flags and seed
-produce byte-identical records output.
+produce byte-identical records output.  The REPL writes plain text only, so
+records need program files and no ``--repl``.
 """
 
 from __future__ import annotations
@@ -98,10 +99,13 @@ def _parse_config(argv):
     ("prelude" | "rules", path) in flag order."""
     config = _build_parser().parse_args(argv)
     if config.samples < 1 or config.max_attempts < 1:
-        print("problisp: error: --samples and --max-attempts must be >= 1",
-              file=sys.stderr)
-        raise SystemExit(3)
-    return config
+        message = "--samples and --max-attempts must be >= 1"
+    elif config.output == "records" and (config.repl or not config.files):
+        message = "--output records needs program files and no --repl: the REPL writes text"
+    else:
+        return config
+    print(f"problisp: error: {message}", file=sys.stderr)
+    raise SystemExit(3)
 
 
 def _given(config, kind):
@@ -318,12 +322,12 @@ def _meta_command(line, session, out):
         if opt is not None and opt.fired:
             out.write("rewrite: " + " -> ".join(print_expr(c) for c in opt.chain) + "\n")
     elif cmd == ":concepts":
-        snapshot = session.store.snapshot()
-        names = snapshot.concept_names()
+        store = session.store
+        names = store.concept_names()
         if not names:
             out.write("no concepts declared\n")
         for name in names:
-            rows = snapshot.instances(snapshot.concept(name))
+            rows = store.instances(store.lookup(name))
             out.write(f"{name} ({len(rows)} links)\n")
             for link, weight in rows:
                 out.write(f"  {_describe_source(link.source)} -> {name}  w={weight:g}\n")

@@ -1,10 +1,12 @@
 """Concept graph: named concepts, weighted is-a links, context overlays.
 
-Mutation is single-writer and session-level; sampling reads an immutable
-snapshot, so any number of concurrent samplers can share one snapshot.  The
-store hands out the same snapshot of its active context until the next
-change to its concepts, links or contexts, so the templates compiled for
-that snapshot serve every form in between.
+The store is the concept layer's one copy: knowledge forms write it and the
+sampler reads it; knowledge forms are refused inside queries and templates,
+so it never changes under a sampler.  Sampling reads two caches, each built
+lazily as a pure function of the store's state: the active context's (link,
+effective weight) rows, and the sampler's compiled templates, which stay
+until a `concept` form declares a name, the one change that alters a
+template's code.  A change drops a cache by replacing its whole dict.
 """
 
 from __future__ import annotations
@@ -38,6 +40,16 @@ class IsALink:
         self.weight = weight
 
 
+def _weight(weight, what, loc):
+    """`weight` as a real, if it is a positive number that a real can hold."""
+    if isinstance(weight, bool) or not isinstance(weight, (int, float)) or weight <= 0:
+        raise ConceptError(f"{what} weight must be a positive number, got {weight!r}", loc)
+    try:
+        return float(weight)
+    except OverflowError:
+        raise ConceptError(f"{what} weight is too large for a real", loc) from None
+
+
 def _describe_source(source):
     if isinstance(source, ConceptId):
         return source.name
@@ -48,11 +60,11 @@ class ConceptStore:
     def __init__(self):
         self._concepts = {}           # name -> ConceptId, insertion ordered
         self._by_target = {}          # ConceptId -> [IsALink], insertion ordered
-        self._edges = {}              # concept-to-concept source -> {targets}
         self._contexts = {"default": {}}  # name -> {link_id: weight}
         self._active = "default"
         self._next_link = 0
-        self._snapshot = None         # of the active context, until a change
+        self._rows = None             # of the active context, until a change
+        self.templates = {}           # the sampler's, until a concept is declared
 
     # -- concepts ----------------------------------------------------------
 
@@ -60,7 +72,8 @@ class ConceptStore:
         if name in self._concepts:
             raise ConceptError(f"concept '{name}' is already declared", loc)
         cid = ConceptId(name, len(self._concepts))
-        self._snapshot = None
+        self._rows = None
+        self.templates = {}
         self._concepts[name] = cid
         self._by_target[cid] = []
         return cid
@@ -85,8 +98,7 @@ class ConceptStore:
         including the target itself."""
         if target not in self._by_target:
             raise ConceptError(f"unknown concept '{getattr(target, 'name', target)}'", loc)
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)) or weight <= 0:
-            raise ConceptError(f"is-a weight must be a positive number, got {weight!r}", loc)
+        weight = _weight(weight, "is-a", loc)
         for link in self._by_target[target]:
             if link.source == source:
                 raise ConceptError(
@@ -94,30 +106,31 @@ class ConceptStore:
         if isinstance(source, ConceptId):
             if source not in self._by_target:
                 raise ConceptError(f"unknown concept '{source.name}'", loc)
-            if source == target or self._reaches(target, source):
+            if self._is_a(target, source):
                 raise ConceptError(
                     f"is-a link {source.name} -> {target.name} would create a concept cycle",
                     loc)
-            self._edges.setdefault(source, set()).add(target)
         elif not isinstance(source, SExpr):
             raise ConceptError(f"is-a source must be an expression or concept, got {source!r}", loc)
-        link = IsALink(self._next_link, source, target, float(weight))
-        self._snapshot = None
+        link = IsALink(self._next_link, source, target, weight)
+        self._rows = None
         self._next_link += 1
         self._by_target[target].append(link)
         return link.link_id
 
-    def _reaches(self, start, goal):
+    def _is_a(self, concept, ancestor):
+        """Whether `concept` is `ancestor` or concept-to-concept links lead
+        up from it to `ancestor`: the walk goes down from `ancestor`."""
         seen = set()
-        stack = [start]
+        stack = [ancestor]
         while stack:
             node = stack.pop()
-            if node == goal:
+            if node == concept:
                 return True
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(self._edges.get(node, ()))
+            if node not in seen:
+                seen.add(node)
+                stack.extend(link.source for link in self._by_target[node]
+                             if isinstance(link.source, ConceptId))
         return False
 
     def find_link(self, source, target):
@@ -137,17 +150,13 @@ class ConceptStore:
         for link_id, weight in overrides.items():
             if link_id not in valid:
                 raise ConceptError(f"unknown link id {link_id} in context '{name}'", loc)
-            if isinstance(weight, bool) or not isinstance(weight, (int, float)) or weight <= 0:
-                raise ConceptError(
-                    f"context weight must be a positive number, got {weight!r}", loc)
-            table[link_id] = float(weight)
-        self._snapshot = None
+            table[link_id] = _weight(weight, "context", loc)
         self._contexts[name] = table
 
     def set_context(self, name, loc=None):
         if name not in self._contexts:
             raise ConceptError(f"unknown context '{name}'", loc)
-        self._snapshot = None
+        self._rows = None
         self._active = name
 
     @property
@@ -156,48 +165,19 @@ class ConceptStore:
 
     # -- reads -------------------------------------------------------------
 
-    def snapshot(self, context=None):
-        """The store under `context`, or under the active context; the active
-        context's snapshot is built once per change to the store."""
-        name = self._active if context is None else context
-        if name == self._active and self._snapshot is not None:
-            return self._snapshot
-        if name not in self._contexts:
-            raise ConceptError(f"unknown context '{name}'")
-        overlay = self._contexts[name]
-        instances = {
-            cid.name: (cid, tuple((link, overlay.get(link.link_id, link.weight))
-                                  for link in links))
-            for cid, links in self._by_target.items()
-        }
-        snap = StoreSnapshot(dict(self._concepts), instances, name)
-        if name == self._active:
-            self._snapshot = snap
-        return snap
-
-
-class StoreSnapshot:
-    """Immutable view of a store under one context; safe to share.
-    `templates` caches the sampler's compiled expression templates."""
-
-    __slots__ = ("_concepts", "_instances", "context", "templates")
-
-    def __init__(self, concepts, instances, context):
-        self._concepts = concepts
-        self._instances = instances
-        self.context = context
-        self.templates = {}
-
-    def concept(self, name):
-        return self._concepts.get(name)
-
-    def concept_names(self):
-        return list(self._concepts)
-
     def instances(self, concept):
-        """The (link, weight) rows of the ConceptId `concept`.  They are found
-        by its name, whose hash is cached: the sampler asks on every expansion."""
-        entry = self._instances.get(concept.name)
+        """The (link, effective weight) rows of the ConceptId `concept` in the
+        active context.  They are found by its name, whose hash is cached:
+        the sampler asks on every expansion."""
+        rows = self._rows
+        if rows is None:
+            overlay = self._contexts[self._active]
+            rows = self._rows = {
+                cid.name: (cid, tuple((link, overlay.get(link.link_id, link.weight))
+                                      for link in links))
+                for cid, links in self._by_target.items()
+            }
+        entry = rows.get(concept.name)
         if entry is None or (entry[0] is not concept and entry[0] != concept):
             raise ConceptError(f"unknown concept '{concept.name}'")
         return entry[1]

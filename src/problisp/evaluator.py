@@ -91,29 +91,30 @@ class EvalContext(_Record):
 
     A session builds one context per top-level form, and the query runners
     and the concept sampler read their state from it, taking none of it as
-    parameters.  `rules` (empty when rewriting is off), `max_attempts` and
-    `global_env` stay fixed for the session, `session` is set only there,
-    and `snapshot` is refreshed after each knowledge form.  A query clears
-    `session` while its attempts run; `run_samples` gives each sample's
-    stream to the one draw object, so nothing may keep a context beyond the
-    sample that used it.  A concept instantiation clears `session` and sets
-    `budget` and `sample_depth` for its recursion.  Both put the old values
-    back when they return.
+    parameters.  `store`, the concept store that the knowledge forms change
+    and the sampler reads, `rules` (empty when rewriting is off),
+    `max_attempts` and `global_env` stay fixed for the session, and
+    `session` is set only there.  A query clears `session` while its
+    attempts run; `run_samples` gives each sample's stream to the one draw
+    object, so nothing may keep a context beyond the sample that used it.  A
+    concept instantiation clears `session` and sets `budget` and
+    `sample_depth` for its recursion.  Both put the old values back when
+    they return.
 
     The context is read when code runs, never when it is compiled: compiled
     code depends only on the forms and on the root frame it was compiled
     for, so one compiled query or template serves every context.
     """
 
-    __slots__ = _fields = ("rng", "snapshot", "session", "rules", "max_attempts",
+    __slots__ = _fields = ("rng", "store", "session", "rules", "max_attempts",
                            "global_env", "budget", "sample_depth")
     __hash__ = None   # mutable
 
-    def __init__(self, rng=NO_SOURCE, snapshot=None, session=None, rules=(),
+    def __init__(self, rng=NO_SOURCE, store=None, session=None, rules=(),
                  max_attempts=DEFAULT_MAX_ATTEMPTS, global_env=None, budget=None,
                  sample_depth=0):
         self.rng = rng
-        self.snapshot = snapshot
+        self.store = store
         self.session = session            # set only for top-level session forms
         self.rules = rules                # empty when rewriting is off
         self.max_attempts = max_attempts
@@ -187,7 +188,7 @@ def _read(name, loc, message="unbound symbol '{}'", error=EvalError):
         if v is _MISSING:
             v = _lookup(env.parent, name)
             if v is _MISSING:
-                v = ctx.snapshot.concept(name) if ctx.snapshot is not None else None
+                v = ctx.store.lookup(name) if ctx.store is not None else None
                 if v is None:
                     raise error(message.format(name), loc)
         return v
@@ -401,7 +402,7 @@ class _Compiler:
             if not isinstance(value, ConceptId):
                 raise ConceptError(
                     f"sample expects a concept, got {format_value(value)}", loc)
-            if ctx.snapshot is None or ctx.global_env is None:
+            if ctx.store is None or ctx.global_env is None:
                 raise EvalError("sample needs a concept store and globals in its context", loc)
             return _sampler.sample_concept(value, ctx, ctx.budget, ctx.sample_depth)
         return run
@@ -596,7 +597,7 @@ def _eval_knowledge(op, expr, env, ctx):
         target = _symbol_arg(items, 2, "is-a", expr.loc)
         cid = store.require(target.name, loc=target.loc)
         weight = _literal_weight(items[3], items[3].loc) if len(items) == 4 else 1.0
-        source = _resolve_isa_source(items[1], store, env)
+        source = _resolve_isa_source(items[1], store, env, ctx.global_env)
         store.add_isa(source, cid, weight, loc=expr.loc)
     elif op in ("equivalence", "implication"):
         rule = _rewrite.rule_from_form(expr, default_name=f"rule-{len(sess.rules) + 1}")
@@ -613,7 +614,7 @@ def _eval_knowledge(op, expr, env, ctx):
                 raise EvalError("context clause must be (source concept weight)", expr.loc)
             tgt = _symbol_arg(clause.items, 1, "define-context", clause.loc)
             cid = store.require(tgt.name, loc=tgt.loc)
-            source = _resolve_isa_source(clause.items[0], store, env)
+            source = _resolve_isa_source(clause.items[0], store, env, ctx.global_env)
             link = store.find_link(source, cid)
             if link is None:
                 raise ConceptError(
@@ -625,23 +626,21 @@ def _eval_knowledge(op, expr, env, ctx):
             raise EvalError("set-context expects (set-context name)", expr.loc)
         name = _symbol_arg(items, 1, "set-context", expr.loc)
         store.set_context(name.name, loc=name.loc)
-    # knowledge added by this form is visible to the rest of the same program
-    ctx.snapshot = store.snapshot()
     return None
 
 
-def _resolve_isa_source(node, store, env):
+def _resolve_isa_source(node, store, env, global_env):
     """A bare symbol naming a declared concept denotes that concept; anything
     else is an expression template whose free names must be resolvable.  A
     name the template defines itself, such as a query's definition, is
     resolved when the template runs.  The free names are those the compiler
-    resolves, so none inside a malformed form, which never runs."""
+    resolves, so none inside a malformed form, which never runs: they come
+    from compiling the template for the sampler, which keeps the code."""
     if node.__class__ is Symbol:
         cid = store.lookup(node.name)
         if cid is not None:
             return cid
-    free = set()
-    compile_forms((node,), None, lambda sym: free.add(sym.name))
+    free = _sampler._compiled_template(store, node, global_env)[2]
     for name in sorted(free - _defined_names((node,))):
         if store.lookup(name) is None and (env is None or _lookup(env, name) is _MISSING):
             raise ConceptError(f"unknown name '{name}' in is-a source", node.loc)

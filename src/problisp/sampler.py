@@ -7,10 +7,12 @@ is replaced by an independent recursive draw; when a template mentions
 several concepts, the order in which they are instantiated is itself chosen
 uniformly at random (the draws are independent, so the order is invisible in
 distribution but fixed for rng-trace reproducibility).  All state comes
-from the `EvalContext` given: the store snapshot, the session globals, and
+from the `EvalContext` given: the concept store, the session globals, and
 the draw object `ctx.rng` that makes both choices, the link and the order,
 and that the template's own primitives draw from.  A template runs with no
-session, so knowledge forms are refused inside it.
+session, so knowledge forms are refused inside it.  Each template is
+compiled once, at its `is-a`, and its code is kept on the store until a
+`concept` form declares a name.
 
 Budgets guard the recursion: exceeding the depth or node cap aborts the
 sample with an error rather than silently truncating, since truncation would
@@ -50,7 +52,7 @@ def sample_concept(concept, ctx, budget=None, depth=0):
     if budget is None:
         budget = SampleBudget()
     budget.charge(depth)
-    rows = ctx.snapshot.instances(concept)
+    rows = ctx.store.instances(concept)
     if not rows:
         raise ConceptError(f"no generative model for concept '{concept.name}'")
     # single-link concepts are deterministic pass-throughs: no choice draw
@@ -63,15 +65,14 @@ def sample_concept(concept, ctx, budget=None, depth=0):
 
 def instantiate_expression(expr, ctx, budget=None, depth=0):
     """Replace each concept symbol in `expr` by an independent draw, then
-    evaluate the result against the session globals.  The template is
-    compiled on its first use; each concept occurrence reads its draw from a
-    frame made for the instantiation."""
+    evaluate the result against the session globals.  Each concept
+    occurrence reads its draw from a frame made for the instantiation."""
     return _instantiate(expr, ctx, budget if budget is not None else SampleBudget(), depth)
 
 
 def _instantiate(expr, ctx, budget, depth):
     env = ctx.global_env
-    code, concepts = _compiled_template(ctx.snapshot, expr, env)
+    code, concepts, _ = _compiled_template(ctx.store, expr, env)
     if concepts:
         order = [0] if len(concepts) == 1 else ctx.rng.order(len(concepts))
         frame = {}
@@ -89,16 +90,18 @@ def _instantiate(expr, ctx, budget, depth):
         ctx.session, ctx.budget, ctx.sample_depth = saved
 
 
-def _compiled_template(snapshot, expr, env):
-    """(code, concepts) for `expr`, cached on `snapshot`.  `concepts` holds
-    a (variable name, ConceptId) pair for each free symbol of `expr` that
-    names a concept, left to right; in `code` that symbol reads the variable."""
-    entry = snapshot.templates.get(id(expr))
+def _compiled_template(store, expr, env):
+    """(code, concepts, names) for `expr` compiled for `env`, cached on
+    `store`.  `concepts` holds a (variable name, ConceptId) pair for each
+    free symbol of `expr` that names a concept, left to right; in `code`
+    that symbol reads the variable.  `names` is the set of free names."""
+    entry = store.templates.get(id(expr))
     if entry is None or entry[0] is not expr or entry[1] is not env:
-        concepts = []
+        concepts, names = [], set()
 
         def slot(sym):
-            cid = snapshot.concept(sym.name)
+            names.add(sym.name)
+            cid = store.lookup(sym.name)
             if cid is None:
                 return None
             # the space keeps the name unwritable in source
@@ -108,5 +111,5 @@ def _compiled_template(snapshot, expr, env):
 
         code, = compile_forms((expr,), env, slot)
         # the entry holds `expr`, so its id is not reused while cached
-        entry = snapshot.templates[id(expr)] = (expr, env, code, tuple(concepts))
-    return entry[2], entry[3]
+        entry = store.templates[id(expr)] = (expr, env, code, tuple(concepts), names)
+    return entry[2:]

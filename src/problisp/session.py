@@ -73,7 +73,7 @@ class Session:
         self._query_ordinal = 0
 
     def _ctx(self, rng, session):
-        return EvalContext(rng=rng, snapshot=self.store.snapshot(), session=session,
+        return EvalContext(rng=rng, store=self.store, session=session,
                            rules=tuple(self.rules) if self.rewrite else (),
                            max_attempts=self.max_attempts, global_env=self.env)
 

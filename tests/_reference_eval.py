@@ -6,14 +6,23 @@ scopes, and calls the primitives that `standard_env` binds, the functions
 of `evaluator._PRIMITIVES`, for every primitive application.  It gives
 the same values, the same errors at the same locations and the same draws
 as the compiled evaluator, for the forms it covers: `define`, `lambda`,
-`if`, `quote`, `let` and applications.  The other special forms raise
-NotImplementedError.  A call in tail position continues the walker's loop,
-so tail recursion runs in constant Python stack; running out of stack in a
-non-tail call is reported without the call's location.
+`if`, `quote`, `let`, `sample` and applications.  The other special forms
+raise NotImplementedError.  A call in tail position continues the walker's
+loop, so tail recursion runs in constant Python stack; running out of stack
+in a non-tail call is reported without the call's location.
+
+`sample` draws a concept as `sampler.sample_concept` does, for well-formed
+templates made of the forms above: it charges the budget, chooses a link,
+and recurses on a concept source.  In an expression template it finds each
+free symbol occurrence that names a concept, in document order, draws them
+in the order `ctx.rng.order` gives, and walks a copy of the template in
+which each of those occurrences is its draw.
 """
 
-from problisp.errors import EvalError
+from problisp.concepts import ConceptId
+from problisp.errors import ConceptError, EvalError
 from problisp.evaluator import SPECIAL_FORMS
+from problisp.sampler import SampleBudget
 from problisp.sexpr import SList, Symbol
 from problisp.values import NIL, Closure, Env, Pair, Primitive, format_value
 
@@ -84,6 +93,20 @@ def _eval(expr, env, ctx):
             if len(items) != 2:
                 raise EvalError("quote expects one argument", expr.loc)
             return _quote(items[1])
+        elif op == "sample":
+            if len(items) != 2:
+                raise EvalError("sample expects one argument", expr.loc)
+            if items[1].__class__ is Symbol:
+                concept = _lookup(items[1], env, ctx, "unknown concept '{}'", ConceptError)
+            else:
+                concept = _eval(items[1], env, ctx)
+            if concept.__class__ is not ConceptId:
+                raise ConceptError(f"sample expects a concept, got {format_value(concept)}",
+                                   expr.loc)
+            if ctx.store is None or ctx.global_env is None:
+                raise EvalError("sample needs a concept store and globals in its context",
+                                expr.loc)
+            return sample(concept, ctx, ctx.budget, ctx.sample_depth)
         else:
             raise NotImplementedError(f"the reference walker has no '{op}'")
 
@@ -96,15 +119,84 @@ def _body(forms, env, ctx):
     return forms[-1]
 
 
-def _lookup(sym, env, ctx):
+def _lookup(sym, env, ctx, message="unbound symbol '{}'", error=EvalError):
     while env is not None:
         if sym.name in env.frame:
             return env.frame[sym.name]
         env = env.parent
-    concept = ctx.snapshot.concept(sym.name) if ctx.snapshot is not None else None
+    concept = ctx.store.lookup(sym.name) if ctx.store is not None else None
     if concept is None:
-        raise EvalError(f"unbound symbol '{sym.name}'", sym.loc)
+        raise error(message.format(sym.name), sym.loc)
     return concept
+
+
+def sample(concept, ctx, budget=None, depth=0):
+    """A draw of `concept`, as `sampler.sample_concept` makes it."""
+    if budget is None:
+        budget = SampleBudget()
+    budget.charge(depth)
+    rows = ctx.store.instances(concept)
+    if not rows:
+        raise ConceptError(f"no generative model for concept '{concept.name}'")
+    link = rows[0][0] if len(rows) == 1 else rows[ctx.rng.choose([w for _, w in rows])][0]
+    if link.source.__class__ is ConceptId:
+        return sample(link.source, ctx, budget, depth + 1)
+    draws = []
+    template = _mark(link.source, frozenset(), ctx.store, draws)
+    for k in ctx.rng.order(len(draws)) if len(draws) > 1 else range(len(draws)):
+        draws[k].value = sample(draws[k].concept, ctx, budget, depth + 1)
+    # a template that draws runs in a frame of its own
+    env = Env(ctx.global_env, {}) if draws else ctx.global_env
+    saved = ctx.session, ctx.budget, ctx.sample_depth
+    ctx.session, ctx.budget, ctx.sample_depth = None, budget, depth + 1
+    try:
+        return _eval(template, env, ctx)
+    finally:
+        ctx.session, ctx.budget, ctx.sample_depth = saved
+
+
+class _Drawn:
+    """A concept occurrence of a template; the walker reads its `value`."""
+
+    __slots__ = ("concept", "loc", "value")
+
+    def __init__(self, concept, loc):
+        self.concept, self.loc = concept, loc
+
+
+def _mark(expr, bound, store, draws):
+    """A copy of `expr` in which each symbol occurrence that names a concept
+    and that no enclosing lambda or let binds is a `_Drawn`, appended to
+    `draws` in document order.  Quoted forms are left as they are."""
+    if expr.__class__ is Symbol:
+        concept = None if expr.name in bound else store.lookup(expr.name)
+        if concept is None:
+            return expr
+        draws.append(_Drawn(concept, expr.loc))
+        return draws[-1]
+    if expr.__class__ is not SList or not expr.items:
+        return expr
+    head, *rest = expr.items
+    op = head.name if head.__class__ is Symbol else None
+    if op == "quote":
+        return expr
+    if op in ("lambda", "let"):
+        names = rest[0].items
+        if op == "let":
+            names = [SList((b.items[0], _mark(b.items[1], bound, store, draws)), b.loc)
+                     for b in names]
+        inner = bound | {(n.items[0] if op == "let" else n).name for n in names}
+        rest = [SList(tuple(names), rest[0].loc)] + [_mark(f, inner, store, draws)
+                                                       for f in rest[1:]]
+    elif op == "define":
+        rest = [rest[0], _mark(rest[1], bound, store, draws)]
+    elif op in ("if", "sample"):
+        rest = [_mark(item, bound, store, draws) for item in rest]
+    elif op in SPECIAL_FORMS:
+        raise NotImplementedError(f"the reference walker has no '{op}' in a template")
+    else:
+        head, *rest = [_mark(item, bound, store, draws) for item in expr.items]
+    return SList((head, *rest), expr.loc)
 
 
 def _lambda(expr, env):

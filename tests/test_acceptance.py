@@ -207,9 +207,8 @@ def test_c4_number_concept_distribution():
     with criterion(4, "number model: P(pi)~0.25, int/real split ~0.5, normal mean ~0"):
         session = Session(seed=0)
         session.load_file(prelude_path())
-        snap = session.store.snapshot()
         number = session.store.lookup("number")
-        ctx = EvalContext(rng=Draws(20240817), snapshot=snap, global_env=session.env)
+        ctx = EvalContext(rng=Draws(20240817), store=session.store, global_env=session.env)
         n = 100_000
         pi_count = int_count = 0
         normal_draws = []
@@ -234,9 +233,8 @@ def test_c5_sequence_length_law():
     with criterion(5, "sequence model: P(length=k) ~ 2^-(k+1) for k in 0..4"):
         session = Session(seed=0)
         session.load_file(prelude_path())
-        snap = session.store.snapshot()
         seq = session.store.lookup("sequence")
-        ctx = EvalContext(rng=Draws(515151), snapshot=snap, global_env=session.env)
+        ctx = EvalContext(rng=Draws(515151), store=session.store, global_env=session.env)
         n = 100_000
         counts = {}
         for _ in range(n):

@@ -215,6 +215,28 @@ def test_usage_error_exit_3():
     assert run_cli("--samples", 0).returncode == 3
 
 
+def test_records_output_with_the_repl_is_a_usage_error(paper_program):
+    # the REPL writes plain text, so records with no files or with --repl
+    # would be plain values where records were asked for
+    for args in (("--output", "records"), (paper_program, "--repl", "--output", "records")):
+        r = run_cli(*args, stdin="(+ 1 2)\n")
+        assert (r.returncode, r.stdout) == (3, ""), args
+        assert r.stderr == ("problisp: error: --output records needs program files and "
+                            "no --repl: the REPL writes text\n")
+
+
+@pytest.mark.parametrize("text, column, kind", [
+    ("(concept t)\n(is-a 1 t {})\n", 1, "is-a"),
+    ("(concept t) (is-a 1 t)\n  (define-context c (1 t {}))\n", 3, "context")])
+def test_a_weight_too_large_for_a_real_exit_1(tmp_path, text, column, kind):
+    p = tmp_path / "weight.lisp"
+    p.write_text(text.format(10 ** 400))
+    r = run_cli(p)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == (f"problisp: {p}: line 2, column {column}: "
+                        f"{kind} weight is too large for a real\n")
+
+
 def test_missing_file_exit_3(tmp_path):
     # a program, prelude or rules file that cannot be opened or decoded
     program = tmp_path / "one.lisp"
@@ -386,10 +408,10 @@ def test_histogram_geometric_lengths(prelude_session):
     from problisp import EvalContext, sample_concept
     from problisp.rng import Draws
 
-    snap = prelude_session.store.snapshot()
     seq = prelude_session.store.lookup("sequence")
     lengths = []
-    ctx = EvalContext(rng=Draws(88), snapshot=snap, global_env=prelude_session.env)
+    ctx = EvalContext(rng=Draws(88), store=prelude_session.store,
+                      global_env=prelude_session.env)
     for _ in range(4000):
         v = sample_concept(seq, ctx)
         n = 0

@@ -14,9 +14,9 @@ def test_concept_ids_compare_and_hash_by_value():
     assert number != ("number", 0)   # a different class is never equal
     assert repr(number) == "ConceptId(name='number', index=0)"
     # an equal handle finds the concept's rows; the same name with another index does not
-    assert store.snapshot().instances(same) == ()
+    assert store.instances(same) == ()
     with pytest.raises(ConceptError, match="unknown concept 'number'"):
-        store.snapshot().instances(ConceptId("number", 5))
+        store.instances(ConceptId("number", 5))
 
 
 def test_is_a_links_are_equal_only_to_themselves():
@@ -32,7 +32,7 @@ def test_is_a_links_are_equal_only_to_themselves():
 def test_declare_and_instances_empty():
     store = ConceptStore()
     number = store.declare_concept("number")
-    assert store.snapshot().instances(number) == ()
+    assert store.instances(number) == ()
     assert store.lookup("number") is number
 
 
@@ -52,7 +52,7 @@ def test_prelude_concepts_resolvable(prelude_session):
 def test_prelude_number_links_in_insertion_order(prelude_session):
     store = prelude_session.store
     number = store.lookup("number")
-    rows = store.snapshot().instances(number)
+    rows = store.instances(number)
     assert [(link.source.name, w) for link, w in rows] == \
         [("real-number", 1.0), ("integer", 1.0)]
 
@@ -62,7 +62,7 @@ def test_add_isa_expression_and_weights():
     real = store.declare_concept("real-number")
     link = store.add_isa(parse_one("pi"), real)
     assert isinstance(link, int)
-    rows = store.snapshot().instances(real)
+    rows = store.instances(real)
     assert rows[0][1] == 1.0
     with pytest.raises(ConceptError, match="positive"):
         store.add_isa(parse_one("(normal 0 1)"), real, weight=0)
@@ -76,7 +76,7 @@ def test_recursive_expression_link_accepted():
     seq = store.declare_concept("sequence")
     store.add_isa(parse_one("null"), seq)
     store.add_isa(parse_one("(cons number sequence)"), seq)
-    assert len(store.snapshot().instances(seq)) == 2
+    assert len(store.instances(seq)) == 2
 
 
 def test_concept_cycle_rejected():
@@ -98,7 +98,7 @@ def test_unknown_target():
     with pytest.raises(ConceptError, match="unknown concept"):
         store.add_isa(parse_one("1"), other)
     with pytest.raises(ConceptError, match="unknown concept"):
-        store.snapshot().instances(other)
+        store.instances(other)
 
 
 def test_unknown_name_in_isa_source(session):
@@ -127,14 +127,13 @@ def test_context_overlays():
     store.define_context("inty", {l2: 3.0})
     store.define_context("realy", {l1: 5.0, l2: 0.5})
 
-    assert [w for _, w in store.snapshot().instances(number)] == [1.0, 1.0]
-    assert [w for _, w in store.snapshot("inty").instances(number)] == [1.0, 3.0]
-    assert [w for _, w in store.snapshot("realy").instances(number)] == [5.0, 0.5]
-
+    assert [w for _, w in store.instances(number)] == [1.0, 1.0]
     store.set_context("inty")
-    assert [w for _, w in store.snapshot().instances(number)] == [1.0, 3.0]
+    assert [w for _, w in store.instances(number)] == [1.0, 3.0]
+    store.set_context("realy")
+    assert [w for _, w in store.instances(number)] == [5.0, 0.5]
     store.set_context("default")
-    assert [w for _, w in store.snapshot().instances(number)] == [1.0, 1.0]
+    assert [w for _, w in store.instances(number)] == [1.0, 1.0]
 
 
 def test_context_errors():
@@ -161,24 +160,12 @@ def test_language_level_contexts(session):
     """)
     store = session.store
     number = store.lookup("number")
-    assert [w for _, w in store.snapshot("heavy").instances(number)] == [3.0]
+    assert [w for _, w in store.instances(number)] == [1.0]
     session.run_text("(set-context heavy)")
     assert store.active_context == "heavy"
+    assert [w for _, w in store.instances(number)] == [3.0]
     with pytest.raises(ConceptError, match="no is-a link"):
         session.run_text("(define-context bad (number integer 1.0))")
-
-
-def test_snapshot_is_immutable_under_mutation():
-    store = ConceptStore()
-    number = store.declare_concept("number")
-    integer = store.declare_concept("integer")
-    store.add_isa(integer, number)
-    snap = store.snapshot()
-    store.add_isa(parse_one("(normal 0 1)"), number)
-    store.declare_concept("later")
-    assert len(snap.instances(number)) == 1
-    assert snap.concept("later") is None
-    assert len(store.snapshot().instances(number)) == 2
 
 
 def test_adding_links_never_changes_existing_effective_weights():
@@ -189,9 +176,25 @@ def test_adding_links_never_changes_existing_effective_weights():
     store.define_context("ctx", {l1: 2.0})
     store.add_isa(parse_one("pi"), number)
     # the original link's weight is untouched in every context
-    assert store.snapshot("default").instances(number)[0][1] == 1.0
-    assert store.snapshot("ctx").instances(number)[0][1] == 2.0
-    assert store.snapshot("ctx").instances(number)[1][1] == 1.0
+    assert store.instances(number)[0][1] == 1.0
+    store.set_context("ctx")
+    assert store.instances(number)[0][1] == 2.0
+    assert store.instances(number)[1][1] == 1.0
+
+
+def test_rows_follow_each_change_to_the_store():
+    # the active context's rows are built at the first read after a change
+    store = ConceptStore()
+    number = store.declare_concept("number")
+    assert store.instances(number) == ()
+    link = store.add_isa(parse_one("pi"), number)
+    assert [w for _, w in store.instances(number)] == [1.0]
+    integer = store.declare_concept("integer")
+    assert store.instances(integer) == ()
+    store.define_context("heavy", {link: 2.0})
+    assert [w for _, w in store.instances(number)] == [1.0]
+    store.set_context("heavy")
+    assert [w for _, w in store.instances(number)] == [2.0]
 
 
 def test_knowledge_forms_require_session_toplevel(session):
@@ -215,32 +218,7 @@ def test_knowledge_forms_allowed_outside_queries_and_templates(session):
     session.run_text("(define f (lambda () (concept z))) (f)"
                      " (concept c) (is-a 1 c) (list (sample c) (concept y))"
                      " (list (rejection-query (define x 1) x #t) (concept w))")
-    assert session.store.snapshot().concept_names() == ["z", "c", "y", "w"]
-
-
-def test_snapshot_is_reused_until_the_store_changes():
-    store = ConceptStore()
-    number = store.declare_concept("number")
-    snaps = [store.snapshot()]
-    assert store.snapshot() is snaps[0]
-    assert store.snapshot("default") is snaps[0]
-
-    def changed():
-        snap = store.snapshot()
-        assert snap is not snaps[-1]
-        assert store.snapshot() is snap
-        snaps.append(snap)
-
-    link = store.add_isa(parse_one("pi"), number)
-    changed()
-    store.declare_concept("integer")
-    changed()
-    store.define_context("heavy", {link: 2.0})
-    changed()
-    store.set_context("heavy")
-    changed()
-    assert [w for _, w in snaps[-1].instances(number)] == [2.0]
-    assert store.snapshot("default") is not snaps[-1]
+    assert session.store.concept_names() == ["z", "c", "y", "w"]
 
 
 def test_isa_source_may_define_its_own_names(session):

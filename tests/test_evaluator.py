@@ -38,7 +38,7 @@ def test_closures_and_primitives_are_equal_only_to_themselves():
 
 def test_eval_context_defaults():
     ctx = EvalContext()
-    assert (ctx.rng, ctx.snapshot, ctx.session, ctx.rules, ctx.max_attempts,
+    assert (ctx.rng, ctx.store, ctx.session, ctx.rules, ctx.max_attempts,
             ctx.global_env, ctx.budget, ctx.sample_depth) == (
         NO_SOURCE, None, None, (), DEFAULT_MAX_ATTEMPTS, None, None, 0)
     env = Env()

@@ -275,8 +275,7 @@ def knowledge():
 
     s = Session(seed=0)
     s.run_text(_KNOWLEDGE)
-    snap = s.store.snapshot()
-    return s.env, lambda rng: EvalContext(rng=rng, snapshot=snap, global_env=s.env)
+    return s.env, lambda rng: EvalContext(rng=rng, store=s.store, global_env=s.env)
 
 
 def _count_stream_states(monkeypatch):

@@ -7,23 +7,29 @@ location) and the same draws.  The programs cover the constructs the
 evaluator's call shapes specialize: lambda, let, define after use, shadowed
 primitives, tail and non-tail recursion, `flip` and `random-integer` of
 literals and locals, and `+ - * = < >` over literals, locals and ints too
-large for a real.  The method is differential testing, as in Yang et al.,
-"Finding and Understanding Bugs in C Compilers" (PLDI 2011).
+large for a real.  The concept sampler is held to the walker's `sample`
+in the same way, on the std prelude's concepts and on hand-written graphs.
+The method is differential testing, as in Yang et al., "Finding and
+Understanding Bugs in C Compilers" (PLDI 2011).
 """
 
 import functools
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from problisp import EvalContext, ProblispError, evaluate, format_value, parse, standard_env
+from problisp import (NIL, BudgetError, ConceptError, EvalContext, Pair, ProblispError, Session,
+                      evaluate, format_value, parse, prelude_path, sample_concept,
+                      standard_env)
+from problisp.evaluator import KNOWLEDGE_FORMS
 from problisp.rng import Draws
 
 import _reference_eval
 
 
 class RecordingDraws(Draws):
-    """A draw object that logs each draw: method, argument, location, result."""
+    """A draw object that logs each draw: method, arguments, location, result."""
 
     __slots__ = ("log",)
 
@@ -39,6 +45,21 @@ class RecordingDraws(Draws):
     def flip(self, p, loc=None):
         value = super().flip(p, loc)
         self.log.append(("flip", repr(p), loc, value))
+        return value
+
+    def normal(self, mean, sd, loc=None):
+        value = super().normal(mean, sd, loc)
+        self.log.append(("normal", repr((mean, sd)), loc, value))
+        return value
+
+    def choose(self, weights):
+        value = super().choose(weights)
+        self.log.append(("choose", repr(weights), None, value))
+        return value
+
+    def order(self, k):
+        value = super().order(k)
+        self.log.append(("order", repr(k), None, value))
         return value
 
 
@@ -210,3 +231,78 @@ def programs(draw):
 @given(programs(), st.integers(0, 2 ** 32))
 def test_compiled_evaluator_matches_the_reference_walker(program, seed):
     assert outcomes(evaluate, program, seed) == outcomes(_reference_eval.run, program, seed)
+
+
+# concepts whose templates have a lambda parameter and a let name named like
+# a concept, a concept inside quote, several occurrences of one concept, an
+# explicit `sample` (of a global holding a concept, and of an occurrence,
+# which is a draw and so not a concept), and recursions that exhaust the
+# depth budget, through one concept and through two
+GRAPHS = """
+(concept coin) (is-a #t coin) (is-a #f coin 3)
+(concept digit) (is-a (random-integer 10) digit)
+(concept small) (is-a digit small) (is-a coin small 2) (is-a 0.5 small)
+(concept shadowed)
+(is-a ((lambda (coin) (list coin digit)) coin) shadowed)
+(is-a (let ((x digit) (coin 2)) (list x coin)) shadowed)
+(concept quoted) (is-a (list (quote coin) coin (quote (digit small))) quoted)
+(concept twice) (is-a (list coin digit coin (+ digit digit) small) twice)
+(define which digit)
+(concept explicit)
+(is-a (list (sample which) coin) explicit 2)
+(is-a (if coin (sample coin) (sample small)) explicit)
+(concept chain) (is-a null chain) (is-a (cons coin chain) chain 1000000)
+(concept ping) (concept pong)
+(is-a (cons 1 (sample pong)) ping) (is-a (cons 2 (sample ping)) pong)
+"""
+
+
+def _session(program, run):
+    """A session that has run the std prelude or GRAPHS: knowledge forms as
+    a session runs them, and every other form with `run`, so that the
+    reference's closures are its own."""
+    session = Session()
+    text = GRAPHS
+    if program == "std":
+        with open(prelude_path(), encoding="utf-8") as f:
+            text = f.read()
+    for form in parse(text):
+        if form.items[0].name in KNOWLEDGE_FORMS:
+            session.eval_form(form)
+        else:
+            run(form, session.env, EvalContext(store=session.store, global_env=session.env))
+    return session
+
+
+def sample_outcome(sample, session, concept, seed):
+    """What `sample(concept, ctx)` gives, and the draws it made."""
+    ctx = EvalContext(rng=RecordingDraws(seed), store=session.store,
+                      global_env=session.env)
+    try:
+        value = sample(session.store.lookup(concept), ctx)
+    except ProblispError as err:
+        return (type(err), err.message, err.loc), ctx.rng.log
+    return (type(value), format_value(value)), ctx.rng.log
+
+
+@pytest.mark.parametrize("program, concept, kinds", [
+    ("std", "number", {int, float}),
+    ("std", "real-number", {float}),
+    ("std", "integer", {int}),
+    ("std", "sequence", {Pair, type(NIL)}),
+    ("graphs", "small", {int, bool, float}),
+    ("graphs", "shadowed", {Pair}),
+    ("graphs", "quoted", {Pair}),
+    ("graphs", "twice", {Pair}),
+    ("graphs", "explicit", {Pair, ConceptError}),
+    ("graphs", "chain", {BudgetError}),
+    ("graphs", "ping", {BudgetError}),
+])
+def test_concept_sampler_matches_the_reference_walker(program, concept, kinds):
+    compiled, reference = _session(program, evaluate), _session(program, _reference_eval.run)
+    seen = set()
+    for seed in range(1, 201):
+        outcome = sample_outcome(sample_concept, compiled, concept, seed)
+        assert outcome == sample_outcome(_reference_eval.sample, reference, concept, seed)
+        seen.add(outcome[0][0])
+    assert seen == kinds   # what the seeds reach, so that no case goes untested

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from problisp import (NIL, BudgetError, ConceptError, EvalContext, EvalError, Pair,
-                      SampleBudget, Session, instantiate_expression, parse_one,
-                      sample_concept, standard_env)
+                      SampleBudget, Session, format_value, instantiate_expression,
+                      parse_one, prelude_path, print_expr, sample_concept, standard_env)
 from problisp.rng import NO_SOURCE, Draws
 
 
@@ -14,8 +14,8 @@ def _store_session(src, seed=11):
     return s
 
 
-def _ctx(snap, rng, env):
-    return EvalContext(rng=rng, snapshot=snap, global_env=env)
+def _ctx(store, rng, env):
+    return EvalContext(rng=rng, store=store, global_env=env)
 
 
 def seq_length(v):
@@ -29,20 +29,20 @@ def seq_length(v):
 
 def test_single_link_concept_is_deterministic_passthrough():
     s = _store_session("(concept only) (is-a pi only)")
-    snap = s.store.snapshot()
+    store = s.store
     only = s.store.lookup("only")
     env = standard_env()
     for k in range(3):
-        direct = instantiate_expression(parse_one("pi"), _ctx(snap, Draws(k), env))
-        via = sample_concept(only, _ctx(snap, Draws(k), env))
+        direct = instantiate_expression(parse_one("pi"), _ctx(store, Draws(k), env))
+        via = sample_concept(only, _ctx(store, Draws(k), env))
         assert via == direct == math.pi
 
 
 def test_number_model_probabilities(prelude_session):
-    snap = prelude_session.store.snapshot()
+    store = prelude_session.store
     number = prelude_session.store.lookup("number")
     env = prelude_session.env  # templates resolve helpers in session globals
-    ctx = _ctx(snap, Draws(2024), env)
+    ctx = _ctx(store, Draws(2024), env)
     n = 20_000
     pi_count = int_count = 0
     for _ in range(n):
@@ -59,10 +59,10 @@ def test_number_model_probabilities(prelude_session):
 
 def test_sequence_length_law(prelude_session):
     # P(length = k) = 2^-(k+1): each level is an even stop/recurse coin
-    snap = prelude_session.store.snapshot()
+    store = prelude_session.store
     seq = prelude_session.store.lookup("sequence")
     env = prelude_session.env
-    ctx = _ctx(snap, Draws(515), env)
+    ctx = _ctx(store, Draws(515), env)
     n = 20_000
     counts = {}
     for _ in range(n):
@@ -81,9 +81,9 @@ def test_multinomial_weight_frequencies():
     (is-a 20 pick 2)
     (is-a 30 pick 3)
     """)
-    snap = s.store.snapshot()
+    store = s.store
     pick = s.store.lookup("pick")
-    ctx = _ctx(snap, Draws(77), standard_env())
+    ctx = _ctx(store, Draws(77), standard_env())
     n = 30_000
     counts = {10: 0, 20: 0, 30: 0}
     for _ in range(n):
@@ -104,45 +104,45 @@ def test_weight_scale_invariance_exact():
     draws = {}
     for tag, (a, b, c) in (("w1", (1, 2, 3)), ("w2", (2, 4, 6))):
         s = _store_session(base.format(a=a, b=b, c=c))
-        snap = s.store.snapshot()
+        store = s.store
         pick = s.store.lookup("pick")
-        ctx = _ctx(snap, Draws(9), standard_env())
+        ctx = _ctx(store, Draws(9), standard_env())
         draws[tag] = [sample_concept(pick, ctx) for _ in range(2_000)]
     assert draws["w1"] == draws["w2"]
 
 
 def test_instantiate_cons_template(prelude_session):
-    snap = prelude_session.store.snapshot()
+    store = prelude_session.store
     env = prelude_session.env
     v = instantiate_expression(parse_one("(cons number sequence)"),
-                               _ctx(snap, Draws(4), env))
+                               _ctx(store, Draws(4), env))
     assert isinstance(v, Pair)
 
 
 def test_multiple_occurrences_are_independent():
     s = _store_session("(concept coin) (is-a (random-integer 1000000) coin)")
-    snap = s.store.snapshot()
+    store = s.store
     env = standard_env()
-    v = instantiate_expression(parse_one("(list coin coin)"), _ctx(snap, Draws(31), env))
+    v = instantiate_expression(parse_one("(list coin coin)"), _ctx(store, Draws(31), env))
     assert v.head != v.tail.head  # two draws, not one shared value
 
 
 def test_quote_and_binders_shield_concept_symbols(prelude_session):
-    snap = prelude_session.store.snapshot()
+    store = prelude_session.store
     env = standard_env()
     from problisp.sexpr import Symbol
 
-    v = instantiate_expression(parse_one("(quote number)"), _ctx(snap, Draws(0), env))
+    v = instantiate_expression(parse_one("(quote number)"), _ctx(store, Draws(0), env))
     assert v == Symbol("number")
     v = instantiate_expression(parse_one("((lambda (number) number) 5)"),
-                               _ctx(snap, Draws(0), env))
+                               _ctx(store, Draws(0), env))
     assert v == 5
     v = instantiate_expression(parse_one("(let ((number 5)) number)"),
-                               _ctx(snap, Draws(0), env))
+                               _ctx(store, Draws(0), env))
     assert v == 5
     # a let binding's value sits outside the let's scope, so it is a draw
     v = instantiate_expression(parse_one("(let ((x number)) x)"),
-                               _ctx(snap, Draws(0), prelude_session.env))
+                               _ctx(store, Draws(0), prelude_session.env))
     assert isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
@@ -189,12 +189,12 @@ def test_node_budget_aborts_supercritical_branching():
     (is-a 1 tree 1)
     (is-a (list tree tree tree) tree 2)
     """)
-    snap = s.store.snapshot()
+    store = s.store
     tree = s.store.lookup("tree")
     env = standard_env()
     budget = SampleBudget(max_depth=10 ** 6, max_nodes=500)
     with pytest.raises(BudgetError):
-        sample_concept(tree, _ctx(snap, Draws(0), env), budget)
+        sample_concept(tree, _ctx(store, Draws(0), env), budget)
     assert budget.nodes_expanded == 501
 
 
@@ -218,16 +218,15 @@ def test_sampling_reads_the_active_context():
     (define-context ones (2 pick 0.000001))
     """)
     s.run_text("(set-context ones)")
-    snap = s.store.snapshot()
+    store = s.store
     pick = s.store.lookup("pick")
-    ctx = _ctx(snap, Draws(5), standard_env())
+    ctx = _ctx(store, Draws(5), standard_env())
     draws = [sample_concept(pick, ctx) for _ in range(300)]
     assert draws.count(1) >= 299
 
 
-def test_templates_compile_once_per_snapshot(prelude_session, monkeypatch):
-    # the sampler compiles a template with one `compile_forms` call; a second
-    # draw from the same snapshot must reuse the compiled template
+def _count_template_compiles(monkeypatch):
+    """The templates the sampler compiles from now on, in order."""
     import problisp.sampler as sampler
 
     walked = []
@@ -238,16 +237,28 @@ def test_templates_compile_once_per_snapshot(prelude_session, monkeypatch):
         return compile_forms(forms, env, slot)
 
     monkeypatch.setattr(sampler, "compile_forms", counting)
+    return walked
+
+
+def test_templates_compile_once_per_snapshot(prelude_session, monkeypatch):
+    # each template was compiled at its `is-a`, so sampling compiles none
+    walked = _count_template_compiles(monkeypatch)
     store = prelude_session.store
-    snap = store.snapshot()
-    ctx = _ctx(snap, Draws(77), prelude_session.env)
+    ctx = _ctx(store, Draws(77), prelude_session.env)
     for _ in range(200):
         sample_concept(store.lookup("integer"), ctx)
-    assert len(walked) == 1
-    for _ in range(200):
         sample_concept(store.lookup("sequence"), ctx)
         sample_concept(store.lookup("number"), ctx)
-    # integer, (normal 0 1), pi, null, (cons number sequence): each once
+    assert walked == []
+
+
+def test_each_prelude_template_compiles_once(monkeypatch):
+    # integer, (normal 0 1), pi, null, (cons number sequence): each once, at
+    # its `is-a`, and the samples after the prelude reuse that code
+    walked = _count_template_compiles(monkeypatch)
+    s = Session(seed=3)
+    s.load_file(prelude_path())
+    s.run_text("(sample sequence) (sample number) (sample integer)")
     assert len(walked) == 5
     assert len({id(expr) for expr in walked}) == 5
 
@@ -264,25 +275,30 @@ def test_concept_symbols_in_a_template_query_are_draws():
 
 
 def test_templates_compile_once_across_forms(prelude_session, monkeypatch):
-    # the store hands out one snapshot until it changes, so a template
-    # compiled for one (sample ...) form serves the later ones too: the
-    # sampler makes one `compile_forms` call for it
-    import problisp.sampler as sampler
-
-    store = prelude_session.store
-    integer_template, = [link.source for link, _ in
-                         store.snapshot().instances(store.lookup("integer"))]
-    walked = []
-    compile_forms = sampler.compile_forms
-
-    def counting(forms, env, slot=None):
-        walked.extend(forms)
-        return compile_forms(forms, env, slot)
-
-    monkeypatch.setattr(sampler, "compile_forms", counting)
+    # a template compiled at its `is-a` serves every (sample ...) form
+    walked = _count_template_compiles(monkeypatch)
     results = prelude_session.run_text("(sample integer) " * 20)
     assert all(isinstance(r.value, int) for r in results)
-    assert [e for e in walked if e is integer_template] == [integer_template]
+    assert walked == []
+
+
+def test_links_and_contexts_keep_the_compiled_templates(prelude_session, monkeypatch):
+    # only a `concept` form drops the compiled templates: a new link's
+    # template compiles once, at its `is-a`, and a context changes no code
+    walked = _count_template_compiles(monkeypatch)
+    forms = prelude_session.run_text(
+        "(is-a 100 integer) (define-context wide (integer number 3)) (set-context wide)"
+        + " (sample number) (sample sequence)" * 10)
+    assert [print_expr(e) for e in walked] == ["100"]
+    assert 100 in {r.value for r in forms[3:]}
+
+
+def test_declaring_a_concept_recompiles_the_templates(session):
+    # `g` reads the global until a concept of that name makes it a draw
+    session.run_text("(define g 5) (concept t) (is-a (list g) t)")
+    assert format_value(session.run_text("(sample t)")[-1].value) == "(5)"
+    session.run_text("(concept g) (is-a 7 g)")
+    assert format_value(session.run_text("(sample t)")[-1].value) == "(7)"
 
 
 def test_a_link_added_between_samples_is_seen():
@@ -295,8 +311,8 @@ def test_a_link_added_between_samples_is_seen():
 
 def test_sampling_with_no_random_source_is_an_error():
     s = _store_session("(concept pick) (is-a 1 pick) (is-a 2 pick)")
-    snap = s.store.snapshot()
+    store = s.store
     with pytest.raises(EvalError, match="no random source available for sampling"):
-        sample_concept(s.store.lookup("pick"), _ctx(snap, NO_SOURCE, s.env))
+        sample_concept(s.store.lookup("pick"), _ctx(store, NO_SOURCE, s.env))
     with pytest.raises(EvalError, match="no random source available for sampling"):
-        instantiate_expression(parse_one("(list pick pick)"), _ctx(snap, NO_SOURCE, s.env))
+        instantiate_expression(parse_one("(list pick pick)"), _ctx(store, NO_SOURCE, s.env))
