@@ -17,21 +17,25 @@ the form is evaluated, with the same message and location: `(if #t 1 (if))`
 is 1.  The compiler never looks inside a malformed form's operands or a
 knowledge form's arguments: neither is ever evaluated as code.
 
-The compiler is the one walk that knows scope: it carries down the names
-that the enclosing lambdas and lets bind, and resolves each symbol
-occurrence once, in document order, the operator of an application before
-its operands.  The names the unit's defines bind come from a pre-pass that
-skips quoted forms.
+The compiler is the one walk that knows scope, and it has one rule: a
+define binds its name in the whole of the frame it runs in, before the
+define and after it (R7RS 5.3.2: internal definitions bind their whole
+body).  Wherever a frame starts, at the compiled unit, a lambda body, a let
+body and a nested query's attempt, the compiler adds to `bound` the
+parameters or let names and the names that `_scope_names` finds the frame's
+defines bind, and it carries `bound` down.  Each symbol occurrence is
+resolved once, in document order, the operator of an application before
+its operands, and `bound` alone decides how: a name in it is read when the
+code runs, and any other name goes to the slot and then to the root.
 
 A symbol is replaced by its value when compiling only if the code is
-compiled for a root (global) environment that binds it, no enclosing lambda
-or let binds it, and no define in the compiled forms defines it (a define may
-target a frame between the use and the root, even after the use).  This is
-sound because a root binding never changes: `define` refuses to rebind.
-Every other symbol is looked up when it runs, and so is every symbol of code
-compiled for a frame below the root, since later forms may extend the frames
-between.  A closure call in tail position returns a tail call for the
-caller's loop, so tail recursion runs in constant Python stack.
+compiled for a root (global) environment that binds it and `bound` does not
+hold it.  This is sound because a root binding never changes: `define`
+refuses to rebind.  Every other symbol is looked up when it runs, and so is
+every symbol of code compiled for a frame below the root, since later forms
+may extend the frames between.  A closure call in tail position returns a
+tail call for the caller's loop, so tail recursion runs in constant Python
+stack.
 
 Hot call shapes are specialized, each to exactly the values, draws, errors
 and locations of the generic path it skips.  A shape is kept only where
@@ -136,13 +140,15 @@ def evaluate(expr, env, ctx):
 def compile_forms(forms, env, slot=None):
     """Compile `forms` together, for running in order in `env` or in a fresh
     child frame of it, into one code object each.  They are compiled as one
-    unit: a define in any of them keeps that name from being bound when
-    compiling in all of them.  `slot(symbol)` is called for each free symbol
-    occurrence of the well-formed forms, in document order; where it returns
-    a name, that occurrence reads the variable of that name instead."""
+    unit, whose frame binds the names of their defines: such a name is read
+    when the code runs, in all of the forms.  `slot(symbol)` is called for
+    each free symbol occurrence of the well-formed forms, in document order;
+    where it returns a name, that occurrence reads the variable of that name
+    instead."""
     try:
-        compiler = _Compiler(forms, env, slot)
-        return [compiler.expr(form, frozenset()) for form in forms]
+        compiler = _Compiler(env, slot)
+        bound = frozenset(_scope_names(forms))
+        return [compiler.expr(form, bound) for form in forms]
     except RecursionError:
         raise EvalError("recursion depth exceeded") from None
 
@@ -245,13 +251,12 @@ _DRAWS = {
 class _Compiler:
     """Compiles the forms of one unit; see the module docstring for what is
     decided here and what is left to run time.  `bound` holds the names that
-    the enclosing lambdas and lets bind."""
+    the frames between the code and the compiled-for environment bind."""
 
-    def __init__(self, forms, env, slot=None):
+    def __init__(self, env, slot=None):
         self.root = env if env is not None and env.parent is None else None
         self.slot = slot
         self.slotted = []   # the names of the occurrences `slot` renamed, in order
-        self.defined = _defined_names(forms)
 
     def expr(self, expr, bound, tail=False):
         """Code for `expr`.  The dispatch is inline, so that a level of
@@ -306,7 +311,7 @@ class _Compiler:
             if renamed is not None:
                 self.slotted.append(name)
                 return renamed, _MISSING
-        if self.root is not None and name not in self.defined:
+        if self.root is not None:
             return name, self.root.frame.get(name, _MISSING)
         return name, _MISSING
 
@@ -354,7 +359,7 @@ class _Compiler:
         if len(set(params)) != len(params):
             return _fail("duplicate lambda parameter", expr.loc)
         params = tuple(params)
-        body = self.body(items, 2, bound.union(params), True)
+        body = self.body(items, 2, bound.union(params, _scope_names(items[2:])), True)
         return lambda env, ctx: Closure(params, body, env)
 
     def let(self, expr, bound, tail):
@@ -376,7 +381,7 @@ class _Compiler:
         if error is not None:
             # the bindings before the bad one run first, draws and errors included
             return _sequence(values + [_fail(error, expr.loc)])
-        body = self.body(items, 2, bound.union(names), tail)
+        body = self.body(items, 2, bound.union(names, _scope_names(items[2:])), tail)
         bindings = tuple(zip(names, values))
 
         def run(env, ctx):
@@ -416,19 +421,21 @@ class _Compiler:
         except EvalError as err:
             return _fail(err.message, err.loc)
         first_slot = len(self.slotted)
-        defs = [self.expr(d, bound) for d in spec.definitions]
-        query = self.expr(spec.query, bound)
-        code = _sequence(defs + [self.expr(spec.condition, bound)]), query
-        # an occurrence read through a slot holds what the slot holds, as if
-        # a frame between the query and the root bound its name: the rewrite
-        # may not assume that name, nor that it reads one of the definitions
-        shadow = dict.fromkeys(self.slotted[first_slot:])
-        rewritable = shadow.keys().isdisjoint(_defined_names(spec.definitions))
+        inner = bound.union(_scope_names((*spec.definitions, spec.query, spec.condition)))
+        defs = [self.expr(d, inner) for d in spec.definitions]
+        query = self.expr(spec.query, inner)
+        code = _sequence(defs + [self.expr(spec.condition, inner)]), query
+        # the rewrite may not assume a name bound by a frame between the
+        # query and the root, nor one read through a slot (a template's
+        # concept draw); code compiled below the root is never rewritten,
+        # since later forms may add names to the frames between
+        shadowed = bound.union(self.slotted[first_slot:])
+        rewritable = self.root is not None
 
         def run(env, ctx):
             attempt = code
             if ctx.rules and rewritable:
-                outcome = _rewrite.optimize_query_detail(spec, ctx.rules, Env(env, shadow))
+                outcome = _rewrite.optimize_query_detail(spec, ctx.rules, shadowed)
                 if outcome.fired:   # the pinned define, and #t for the condition
                     name = outcome.definition.items[1]
                     pin = _define(name.name, name.loc, _constant(outcome.value.value))
@@ -632,34 +639,45 @@ def _eval_knowledge(op, expr, env, ctx):
 def _resolve_isa_source(node, store, env, global_env):
     """A bare symbol naming a declared concept denotes that concept; anything
     else is an expression template whose free names must be resolvable.  A
-    name the template defines itself, such as a query's definition, is
-    resolved when the template runs.  The free names are those the compiler
-    resolves, so none inside a malformed form, which never runs: they come
-    from compiling the template for the sampler, which keeps the code."""
+    name the template defines itself, such as a query's definition, is bound
+    and so not free.  The free names are those the compiler resolves, so
+    none inside a malformed form, which never runs: they come from compiling
+    the template for the sampler, which keeps the code."""
     if node.__class__ is Symbol:
         cid = store.lookup(node.name)
         if cid is not None:
             return cid
     free = _sampler._compiled_template(store, node, global_env)[2]
-    for name in sorted(free - _defined_names((node,))):
+    for name in sorted(free):
         if store.lookup(name) is None and (env is None or _lookup(env, name) is _MISSING):
             raise ConceptError(f"unknown name '{name}' in is-a source", node.loc)
     return node
 
 
-def _defined_names(forms):
-    """The name of every well-formed define in `forms`, quoted forms skipped."""
+# forms whose operands run in a frame of their own, or never run as code
+_OWN_SCOPE = frozenset(["quote", "lambda", "rejection-query"]) | KNOWLEDGE_FORMS
+
+
+def _scope_names(forms):
+    """The names that the well-formed defines in `forms` bind in the frame
+    the forms run in.  Quoted forms, knowledge forms' arguments and the
+    bodies of a lambda, a let and a rejection-query, which run in frames of
+    their own, are skipped; a let's binding values run in this frame."""
     names, todo = set(), list(forms)
     while todo:
         form = todo.pop()
-        if form.__class__ is SList and form.items:
-            items = form.items
-            head = items[0]
-            if head.__class__ is Symbol:
-                if head.name == "quote":
-                    continue
-                if head.name == "define" and len(items) == 3 and items[1].__class__ is Symbol:
-                    names.add(items[1].name)
+        if form.__class__ is not SList or not form.items:
+            continue
+        items = form.items
+        op = items[0].name if items[0].__class__ is Symbol else None
+        if op == "let":
+            if len(items) > 1 and items[1].__class__ is SList:
+                for binding in items[1].items:
+                    if binding.__class__ is SList and len(binding.items) == 2:
+                        todo.append(binding.items[1])
+        elif op not in _OWN_SCOPE:
+            if op == "define" and len(items) == 3 and items[1].__class__ is Symbol:
+                names.add(items[1].name)
             todo.extend(items)
     return names
 

@@ -18,12 +18,12 @@ Solving is best effort: on failure the original condition is returned.
 Constant folding uses the evaluator's primitives, so it agrees with them.
 The optimizer leaves a query alone when a name whose meaning it assumes
 (random-integer, a foldable operator or a rule's symbol) is bound by a
-definition of the query or by a frame between the query's environment and
-the root, such as a `let` or a closure call around it.
+define in the query's own forms, or is one of the names that its caller
+says a frame around it binds, such as a `let` or a closure's parameters.
+Both come from the forms, so the optimizer reads no environment.
 
-Everything here is a pure function that reads its inputs, an environment's
-frames included, and changes none of them; a rule only caches its compiled
-matchers.
+Everything here is a pure function that reads its inputs and changes none
+of them; a rule only caches its compiled matchers.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 from operator import is_not
 
 from .errors import EvalError, RuleError, ZeroProbabilityError
-from .evaluator import _PRIMITIVES
+from .evaluator import _PRIMITIVES, _scope_names
 from .sexpr import Boolean, Integer, Real, SList, Symbol, Text, _Record, print_expr
 
 _LITERALS = (Integer, Real, Boolean, Text)
@@ -378,22 +378,19 @@ def _in_support(value_node, n):
     return False, value_node
 
 
-def optimize_query_detail(spec, rules, env=None):
+def optimize_query_detail(spec, rules, shadowed=()):
     """Try to replace a literal (random-integer n) prior with the point mass
     forced by the condition; a solved value provably outside the support
-    raises ZeroProbabilityError.  A query is left untouched when one of its
-    definitions, or a frame between `env` (the environment it runs in) and
-    the root, binds random-integer, a foldable operator or a non-pattern
-    symbol of a rule: the rewrite would assume their meaning."""
+    raises ZeroProbabilityError.  A query is left untouched when
+    random-integer, a foldable operator or a non-pattern symbol of a rule is
+    bound by a define in its forms, or is in `shadowed`, the names that the
+    frames around the query bind: the rewrite would assume their meaning."""
     defines = [(idx, d) for idx, d in enumerate(spec.definitions)
                if d.__class__ is SList and len(d.items) == 3
                and d.items[0].__class__ is Symbol and d.items[0].name == "define"
                and d.items[1].__class__ is Symbol]
-    names = [d.items[1].name for _, d in defines]
-    while env is not None and env.parent is not None:
-        names += env.frame
-        env = env.parent
-    names = {name for name in names if not name.startswith("$")}
+    names = _scope_names((*spec.definitions, spec.query, spec.condition))
+    names = {name for name in names.union(shadowed) if not name.startswith("$")}
     if not names.isdisjoint(_ASSUMED.union(*[side for rule in rules
                                              for side in rule._symbols])):
         return OptimizeOutcome(spec, False)

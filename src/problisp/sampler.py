@@ -10,9 +10,10 @@ distribution but fixed for rng-trace reproducibility).  All state comes
 from the `EvalContext` given: the concept store, the session globals, and
 the draw object `ctx.rng` that makes both choices, the link and the order,
 and that the template's own primitives draw from.  A template runs with no
-session, so knowledge forms are refused inside it.  Each template is
-compiled once, at its `is-a`, and its code is kept on the store until a
-`concept` form declares a name.
+session, so knowledge forms are refused inside it.  A template that draws
+or defines runs in a frame of its own, so it never writes the session's
+globals.  Each template is compiled once, at its `is-a`, and its code is
+kept on the store until a `concept` form declares a name.
 
 Budgets guard the recursion: exceeding the depth or node cap aborts the
 sample with an error rather than silently truncating, since truncation would
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from .concepts import ConceptId
 from .errors import BudgetError, ConceptError, EvalError
-from .evaluator import compile_forms
+from .evaluator import _scope_names, compile_forms
 from .values import Env
 
 DEFAULT_MAX_DEPTH = 64
@@ -72,11 +73,11 @@ def instantiate_expression(expr, ctx, budget=None, depth=0):
 
 def _instantiate(expr, ctx, budget, depth):
     env = ctx.global_env
-    code, concepts, _ = _compiled_template(ctx.store, expr, env)
-    if concepts:
-        order = [0] if len(concepts) == 1 else ctx.rng.order(len(concepts))
+    code, concepts, _, framed = _compiled_template(ctx.store, expr, env)
+    if framed:
         frame = {}
-        for k in order:
+        n = len(concepts)
+        for k in range(n) if n < 2 else ctx.rng.order(n):
             name, cid = concepts[k]
             frame[name] = sample_concept(cid, ctx, budget, depth + 1)
         env = Env(env, frame)
@@ -91,10 +92,12 @@ def _instantiate(expr, ctx, budget, depth):
 
 
 def _compiled_template(store, expr, env):
-    """(code, concepts, names) for `expr` compiled for `env`, cached on
-    `store`.  `concepts` holds a (variable name, ConceptId) pair for each
-    free symbol of `expr` that names a concept, left to right; in `code`
-    that symbol reads the variable.  `names` is the set of free names."""
+    """(code, concepts, names, framed) for `expr` compiled for `env`,
+    cached on `store`.  `concepts` holds a (variable name, ConceptId) pair
+    for each free symbol of `expr` that names a concept, left to right; in
+    `code` that symbol reads the variable.  `names` is the set of free
+    names.  `framed` says whether the code runs in a frame of its own: it
+    does when it draws or defines."""
     entry = store.templates.get(id(expr))
     if entry is None or entry[0] is not expr or entry[1] is not env:
         concepts, names = [], set()
@@ -110,6 +113,8 @@ def _compiled_template(store, expr, env):
             return name
 
         code, = compile_forms((expr,), env, slot)
+        framed = bool(concepts or _scope_names((expr,)))
         # the entry holds `expr`, so its id is not reused while cached
-        entry = store.templates[id(expr)] = (expr, env, code, tuple(concepts), names)
+        entry = store.templates[id(expr)] = (expr, env, code, tuple(concepts), names,
+                                             framed)
     return entry[2:]

@@ -6,22 +6,25 @@ scopes, and calls the primitives that `standard_env` binds, the functions
 of `evaluator._PRIMITIVES`, for every primitive application.  It gives
 the same values, the same errors at the same locations and the same draws
 as the compiled evaluator, for the forms it covers: `define`, `lambda`,
-`if`, `quote`, `let`, `sample` and applications.  The other special forms
-raise NotImplementedError.  A call in tail position continues the walker's
-loop, so tail recursion runs in constant Python stack; running out of stack
-in a non-tail call is reported without the call's location.
+`if`, `quote`, `let`, `sample`, `rejection-query` and applications.  A
+query is sampled blind, as it is without rules.  The knowledge forms raise
+NotImplementedError.  A call in tail position continues the walker's loop,
+so tail recursion runs in constant Python stack; running out of stack in a
+non-tail call is reported without the call's location.
 
 `sample` draws a concept as `sampler.sample_concept` does, for well-formed
 templates made of the forms above: it charges the budget, chooses a link,
 and recurses on a concept source.  In an expression template it finds each
 free symbol occurrence that names a concept, in document order, draws them
 in the order `ctx.rng.order` gives, and walks a copy of the template in
-which each of those occurrences is its draw.
+which each of those occurrences is its draw, in a frame of its own.  The
+free occurrences come from a textbook free-variable function, not from
+the compiler's walk.
 """
 
 from problisp.concepts import ConceptId
-from problisp.errors import ConceptError, EvalError
-from problisp.evaluator import SPECIAL_FORMS
+from problisp.errors import ConceptError, EvalError, ExhaustionError, ProblispError
+from problisp.evaluator import KNOWLEDGE_FORMS, SPECIAL_FORMS
 from problisp.sampler import SampleBudget
 from problisp.sexpr import SList, Symbol
 from problisp.values import NIL, Closure, Env, Pair, Primitive, format_value
@@ -107,8 +110,39 @@ def _eval(expr, env, ctx):
                 raise EvalError("sample needs a concept store and globals in its context",
                                 expr.loc)
             return sample(concept, ctx, ctx.budget, ctx.sample_depth)
+        elif op == "rejection-query":
+            return _query(expr, env, ctx)
         else:
             raise NotImplementedError(f"the reference walker has no '{op}'")
+
+
+def _query(expr, env, ctx):
+    """A blind sample of a rejection query: each attempt walks the
+    definitions and then the condition in a fresh child frame of `env`, and
+    the first accepted attempt's frame gives the query's value."""
+    if len(expr.items) < 3:
+        raise EvalError("rejection-query expects (rejection-query defs... query condition)",
+                        expr.loc)
+    *definitions, query, condition = expr.items[1:]
+    if ctx.max_attempts < 1:
+        raise EvalError("max-attempts must be at least 1")
+    for attempt in range(1, ctx.max_attempts + 1):
+        frame = Env(env, {})
+        try:
+            for form in definitions:
+                _eval(form, frame, ctx)
+            accepted = _eval(condition, frame, ctx)
+        except ProblispError as err:
+            err.message = f"{err.message} (attempt {attempt})"
+            err.args = (err.message,)
+            raise
+        if accepted is not True and accepted is not False:
+            raise EvalError(f"query condition must evaluate to a boolean (attempt {attempt})",
+                            condition.loc)
+        if accepted:
+            return _eval(query, frame, ctx)
+    raise ExhaustionError(f"no accepted sample after {ctx.max_attempts} attempts",
+                          ctx.max_attempts)
 
 
 def _body(forms, env, ctx):
@@ -142,11 +176,11 @@ def sample(concept, ctx, budget=None, depth=0):
     if link.source.__class__ is ConceptId:
         return sample(link.source, ctx, budget, depth + 1)
     draws = []
-    template = _mark(link.source, frozenset(), ctx.store, draws)
+    free = {id(sym) for sym in free_occurrences((link.source,))}
+    template = _mark(link.source, free, ctx.store, draws)
     for k in ctx.rng.order(len(draws)) if len(draws) > 1 else range(len(draws)):
         draws[k].value = sample(draws[k].concept, ctx, budget, depth + 1)
-    # a template that draws runs in a frame of its own
-    env = Env(ctx.global_env, {}) if draws else ctx.global_env
+    env = Env(ctx.global_env, {})
     saved = ctx.session, ctx.budget, ctx.sample_depth
     ctx.session, ctx.budget, ctx.sample_depth = None, budget, depth + 1
     try:
@@ -164,39 +198,71 @@ class _Drawn:
         self.concept, self.loc = concept, loc
 
 
-def _mark(expr, bound, store, draws):
-    """A copy of `expr` in which each symbol occurrence that names a concept
-    and that no enclosing lambda or let binds is a `_Drawn`, appended to
-    `draws` in document order.  Quoted forms are left as they are."""
+def free_occurrences(body, bound=frozenset()):
+    """The free symbol occurrences of the forms `body`, which run in a frame
+    of their own, in document order.  A lambda's parameters, a let's names
+    and a body's defines bind the whole body they belong to (R7RS 5.3.2);
+    the body of a lambda, of a let and of a rejection-query is a body."""
+    bound = bound | _defines(body)
+    return [sym for form in body for sym in _free(form, bound)]
+
+
+def _free(expr, bound):
     if expr.__class__ is Symbol:
-        concept = None if expr.name in bound else store.lookup(expr.name)
+        return [] if expr.name in bound else [expr]
+    if expr.__class__ is not SList or not expr.items:
+        return []
+    head, *rest = expr.items
+    op = head.name if head.__class__ is Symbol else None
+    if op == "quote":
+        return []
+    if op == "lambda":
+        return free_occurrences(rest[1:], bound | {p.name for p in rest[0].items})
+    if op == "let":
+        bindings = [b.items for b in rest[0].items]
+        return ([sym for _, value in bindings for sym in _free(value, bound)]
+                + free_occurrences(rest[1:], bound | {name.name for name, _ in bindings}))
+    if op == "rejection-query":
+        return free_occurrences(rest, bound)
+    if op == "define":
+        return _free(rest[1], bound)
+    if op in KNOWLEDGE_FORMS:
+        raise NotImplementedError(f"the reference walker has no '{op}' in a template")
+    return [sym for item in (rest if op in SPECIAL_FORMS else expr.items)
+            for sym in _free(item, bound)]
+
+
+def _defines(body):
+    """The names that the defines of the forms `body` bind in its frame:
+    those not inside a quote or a nested body."""
+    names = set()
+    for expr in body:
+        if expr.__class__ is not SList or not expr.items:
+            continue
+        head, *rest = expr.items
+        op = head.name if head.__class__ is Symbol else None
+        if op == "define":
+            names |= {rest[0].name} | _defines(rest[1:])
+        elif op == "let":
+            names |= _defines([b.items[1] for b in rest[0].items])
+        elif op not in ("quote", "lambda", "rejection-query"):
+            names |= _defines(expr.items)
+    return names
+
+
+def _mark(expr, free, store, draws):
+    """A copy of `expr` in which each symbol occurrence whose id is in `free`
+    and that names a concept is a `_Drawn`, appended to `draws` in document
+    order."""
+    if expr.__class__ is Symbol:
+        concept = store.lookup(expr.name) if id(expr) in free else None
         if concept is None:
             return expr
         draws.append(_Drawn(concept, expr.loc))
         return draws[-1]
-    if expr.__class__ is not SList or not expr.items:
+    if expr.__class__ is not SList:
         return expr
-    head, *rest = expr.items
-    op = head.name if head.__class__ is Symbol else None
-    if op == "quote":
-        return expr
-    if op in ("lambda", "let"):
-        names = rest[0].items
-        if op == "let":
-            names = [SList((b.items[0], _mark(b.items[1], bound, store, draws)), b.loc)
-                     for b in names]
-        inner = bound | {(n.items[0] if op == "let" else n).name for n in names}
-        rest = [SList(tuple(names), rest[0].loc)] + [_mark(f, inner, store, draws)
-                                                       for f in rest[1:]]
-    elif op == "define":
-        rest = [rest[0], _mark(rest[1], bound, store, draws)]
-    elif op in ("if", "sample"):
-        rest = [_mark(item, bound, store, draws) for item in rest]
-    elif op in SPECIAL_FORMS:
-        raise NotImplementedError(f"the reference walker has no '{op}' in a template")
-    else:
-        head, *rest = [_mark(item, bound, store, draws) for item in expr.items]
-    return SList((head, *rest), expr.loc)
+    return SList(tuple(_mark(item, free, store, draws) for item in expr.items), expr.loc)
 
 
 def _lambda(expr, env):

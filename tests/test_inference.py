@@ -205,9 +205,9 @@ def test_a_nested_query_compiles_once_with_the_form_around_it(rules_on, monkeypa
     compiles, solves = [], []
 
     class Counting(evaluator._Compiler):
-        def __init__(self, forms, env, slot=None):
-            compiles.append(forms)
-            super().__init__(forms, env, slot)
+        def __init__(self, env, slot=None):
+            compiles.append(env)
+            super().__init__(env, slot)
 
     solve = rewrite.solve_condition
 

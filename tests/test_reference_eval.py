@@ -236,8 +236,11 @@ def test_compiled_evaluator_matches_the_reference_walker(program, seed):
 # concepts whose templates have a lambda parameter and a let name named like
 # a concept, a concept inside quote, several occurrences of one concept, an
 # explicit `sample` (of a global holding a concept, and of an occurrence,
-# which is a draw and so not a concept), and recursions that exhaust the
-# depth budget, through one concept and through two
+# which is a draw and so not a concept), recursions that exhaust the depth
+# budget, through one concept and through two, and body defines named like
+# a concept, which bind the whole body they are in and no other: before
+# and after the use, in an `if` arm, in a nested lambda, in the template
+# itself and in a query's definitions
 GRAPHS = """
 (concept coin) (is-a #t coin) (is-a #f coin 3)
 (concept digit) (is-a (random-integer 10) digit)
@@ -254,6 +257,16 @@ GRAPHS = """
 (concept chain) (is-a null chain) (is-a (cons coin chain) chain 1000000)
 (concept ping) (concept pong)
 (is-a (cons 1 (sample pong)) ping) (is-a (cons 2 (sample ping)) pong)
+(concept bodydef) (is-a ((lambda () (define coin 5) coin)) bodydef)
+(concept later)
+(is-a ((lambda () (define f (lambda () (list coin digit))) (define coin 5) (f))) later)
+(concept armdef)
+(is-a ((lambda () (if coin (define digit 1) (define digit 2)) (list coin digit))) armdef)
+(concept inner)
+(is-a ((lambda () (define g (lambda () (define digit 4) digit)) (list (g) digit))) inner)
+(concept defines) (is-a (define yy 3) defines) (is-a (list (define u digit) u coin) defines)
+(concept qdef)
+(is-a (rejection-query (define coin (random-integer 3)) (list coin digit) (< coin 2)) qdef)
 """
 
 
@@ -297,6 +310,12 @@ def sample_outcome(sample, session, concept, seed):
     ("graphs", "explicit", {Pair, ConceptError}),
     ("graphs", "chain", {BudgetError}),
     ("graphs", "ping", {BudgetError}),
+    ("graphs", "bodydef", {int}),
+    ("graphs", "later", {Pair}),
+    ("graphs", "armdef", {Pair}),
+    ("graphs", "inner", {Pair}),
+    ("graphs", "defines", {Pair, type(None)}),
+    ("graphs", "qdef", {Pair}),
 ])
 def test_concept_sampler_matches_the_reference_walker(program, concept, kinds):
     compiled, reference = _session(program, evaluate), _session(program, _reference_eval.run)

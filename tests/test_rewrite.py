@@ -5,11 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from problisp import (EvalContext, ExhaustionError, QuerySpec, RuleError, Session,
+from problisp import (Env, EvalContext, ExhaustionError, ProblispError, QuerySpec, RuleError,
+                      Session,
                       ZeroProbabilityError, constant_fold, evaluate, match,
                       optimize_query_detail, parse_one,
                       print_expr, rewrite, rule_from_form, rules_path,
                       solve_condition, standard_env, substitute)
+from problisp.rng import Draws
 from problisp.sexpr import Boolean, Integer, Real, SList, Symbol
 
 import _solver_reference as reference
@@ -586,6 +588,9 @@ _SHADOWED_PRIOR = ("(rejection-query (define random-integer (lambda (n) 3)) "
                    "(define x (random-integer 10)) x (= x 5))")
 _SHADOWED_PLUS = ("(rejection-query (define + (lambda (a b) (- a b))) "
                   "(define x (random-integer 20)) x (= (+ x 5) 10))")
+# a define in an `if` arm binds `+` in the attempt's frame too
+_IF_ARM_PLUS = ("(rejection-query (if #t (define + (lambda (a b) (- a b))) 0) "
+                "(define x (random-integer 20)) x (= (+ x 5) 10))")
 
 
 @pytest.mark.parametrize("src", [
@@ -594,6 +599,7 @@ _SHADOWED_PLUS = ("(rejection-query (define + (lambda (a b) (- a b))) "
     # a foldable operator that no rule names
     "(rejection-query (define * (lambda (a b) 0)) (define x (random-integer 10)) "
     "x (= (+ x (* 2 3)) 10))",
+    _IF_ARM_PLUS,
 ])
 def test_optimize_leaves_a_query_that_defines_an_assumed_name_untouched(src):
     spec = _spec(src)
@@ -617,9 +623,10 @@ def test_shadowed_prior_or_operator_samples_as_blind_sampling_does():
         s.load_file(rules_path())
         with pytest.raises(ExhaustionError):   # the prior is always 3
             s.run_text(_SHADOWED_PRIOR)
-        result, = s.run_text(_SHADOWED_PLUS)
-        assert result.report.samples == (15, 15, 15)
-        assert (result.optimize is None) or not result.optimize.fired
+        for query in (_SHADOWED_PLUS, _IF_ARM_PLUS):
+            result, = s.run_text(query)
+            assert result.report.samples == (15, 15, 15)
+            assert (result.optimize is None) or not result.optimize.fired
 
 
 _BLIND_QUERY = "(rejection-query (define x (random-integer 20)) x (= (+ x 5) 10))"
@@ -629,31 +636,58 @@ _BLIND_QUERY = "(rejection-query (define x (random-integer 20)) x (= (+ x 5) 10)
     f"(let ((+ (lambda (a b) (- a b)))) {_BLIND_QUERY})",
     f"(define f (lambda (+) {_BLIND_QUERY})) (f -)",
     f"((lambda () (define + (lambda (a b) (- a b))) {_BLIND_QUERY}))",
-], ids=["let", "lambda-parameter", "define-in-lambda-body"])
+    f"((lambda () {_IF_ARM_PLUS}))",
+], ids=["let", "lambda-parameter", "define-in-lambda-body", "define-in-if-arm-in-lambda"])
 def test_a_binding_around_the_query_samples_as_blind_sampling_does(program):
-    # `+` is rebound in a frame between the query and the root: x + 5 is
-    # x - 5 there, so the only accepted value is 15 with or without rewriting
+    # `+` is rebound in a frame between the query and the root, or in the
+    # query's own frame: x + 5 is x - 5 there, so the only accepted value is
+    # 15 with or without rewriting
     for rewrite_on in (True, False):
         s = Session(seed=1, rewrite=rewrite_on)
         s.load_file(rules_path())
         assert s.run_text(program)[-1].value == 15, rewrite_on
 
 
-@pytest.mark.parametrize("concept,template", [
+def test_a_nested_query_compiled_below_the_root_is_never_rewritten():
+    # `f` is compiled for a frame below the root, and a later form defines
+    # `+` in that frame, between the query and the root
+    env = Env(standard_env())
+    ctx = EvalContext(rng=Draws(1), rules=RULES, global_env=env.parent)
+    evaluate(parse_one(f"(define f (lambda () {_BLIND_QUERY}))"), env, ctx)
+    evaluate(parse_one("(define + (lambda (a b) (- a b)))"), env, ctx)
+    assert [evaluate(parse_one("(f)"), env, ctx) for _ in range(3)] == [15, 15, 15]
+
+
+@pytest.mark.parametrize("concept,template,value", [
     # `+` in the condition reads a draw of the concept `+`, which is `-`
     ("(concept +) (is-a - +)", "(rejection-query (define x (random-integer 20)) x "
-                               "(= (+ x 5) 2))"),
-    # both `k`s read the concept's draw, 7, not the definition
-    ("(concept k) (is-a 7 k)", "(rejection-query (define k (random-integer 3)) k (= k 7))"),
+                               "(= (+ x 5) 2))", 7),
+    # both `k`s read the query's definition, as they do at top level, where
+    # no k in {0, 1, 2} is 7: rewriting proves it, and blind sampling runs
+    # out of attempts (value None: the template raises what the query does)
+    ("(concept k) (is-a 7 k)", "(rejection-query (define k (random-integer 3)) k (= k 7))",
+     None),
 ], ids=["assumed-operator", "definition-name"])
-def test_a_concept_read_in_a_template_query_samples_as_blind_sampling_does(concept, template):
+def test_a_concept_read_in_a_template_query_samples_as_blind_sampling_does(concept, template,
+                                                                          value):
     # a concept name in a template reads the instantiation's draw, as if a
-    # frame around the query bound it, so the rewrite may not assume it
+    # frame around the query bound it, so the rewrite may not assume it;
+    # a name the query defines is bound by its definition instead
     for rewrite_on in (True, False):
         s = Session(seed=1, rewrite=rewrite_on, max_attempts=1000)
         s.load_file(rules_path())
         s.run_text(f"{concept} (concept t) (is-a {template} t)")
-        assert s.run_text("(sample t)")[-1].value == 7, rewrite_on
+        if value is not None:
+            assert s.run_text("(sample t)")[-1].value == value, rewrite_on
+            continue
+        with pytest.raises(ProblispError) as top:
+            s.run_text(template)
+        with pytest.raises(ProblispError) as nested:
+            s.run_text("(sample t)")
+        assert type(top.value) is (ZeroProbabilityError if rewrite_on else ExhaustionError)
+        # the batch runner prefixes the sample's index
+        assert type(nested.value) is type(top.value), rewrite_on
+        assert top.value.message.endswith(nested.value.message), rewrite_on
 
 
 @pytest.mark.parametrize("prior", ["(sample integer)", "(normal 0 1)"])
