@@ -7,13 +7,13 @@ once, at its first use, into a matcher closure; an (arity, head symbol) key
 skips nodes of another shape without a call (a pattern whose head is a
 variable has no key).  Solving a condition for a target variable starts from
 the constant-folded condition, with the sides of `=` swapped when the target
-is only on the right.  Each step then keeps the first
-rewrite, leftmost-outermost and in rule order, that strictly reduces the depth
-of the target's shallowest occurrence, so that depth bounds the steps.  Rules
-are tried only at nodes whose subtree holds the target, since folding only
-removes ground subtrees; a rule whose template names the target as a plain
-symbol is tried at every node.  Equivalences are tried right-to-left only when
-no left-to-right application made progress in the current step.
+is only on the right.  Each step keeps the first rewrite, leftmost-outermost
+and in rule order, that strictly reduces the depth of the target's shallowest
+occurrence, so that depth bounds the steps.  Rules are tried at every node
+shallower than it, and a candidate is judged on its own subtree: a rewrite at
+depth L puts the target at L + 1 or deeper (at L for a bare-symbol template),
+folding never moves it, and the accepted rewrite alone is applied and folded.
+Equivalences go right-to-left only when no left-to-right application helped.
 Solving is best effort: on failure the original condition is returned.
 Constant folding uses the evaluator's primitives, so it agrees with them.
 The optimizer leaves a query alone when a name whose meaning it assumes
@@ -159,11 +159,12 @@ class RewriteRule(_Record):
         self.name = name
         # the symbols of each side; and per direction, left to right first:
         # [key, matcher (compiled at its first use), pattern, template, the
-        # template's symbols]
+        # least depth below its node at which the template can put the
+        # target: 0 for a bare symbol, 1 otherwise]
         self._symbols = (_symbols(lhs), _symbols(rhs))
-        self._ways = [[_key(lhs), None, lhs, rhs, self._symbols[1]]]
+        self._ways = [[_key(lhs), None, lhs, rhs, int(rhs.__class__ is not Symbol)]]
         if kind == "equivalence":
-            self._ways.append([_key(rhs), None, rhs, lhs, self._symbols[0]])
+            self._ways.append([_key(rhs), None, rhs, lhs, int(lhs.__class__ is not Symbol)])
 
 
 def rule_from_form(form, default_name=None):
@@ -217,36 +218,18 @@ def _replace_at(expr, path, new):
                  expr.loc)
 
 
-def _var_depth(expr, name):
-    """Depth of the shallowest occurrence of `name`, or None."""
-    return _scan(expr, name, False, [])
-
-
-def _contains_var(expr, name):
-    return _var_depth(expr, name) is not None
-
-
-def _scan(expr, name, everywhere, sites, path=(), depth=0):
-    """The depth of the shallowest `name` in `expr`, counted from `depth`, or
-    None.  Adds a (path, node, key, holds the target) site to `sites` for each
-    node to try, outermost first and left to right: those whose subtree holds
-    the target, or all of them when `everywhere`."""
+def _var_depth(expr, name, depth=0):
+    """Depth of the shallowest `name` in `expr`, counted from `depth`, or None."""
     if expr.__class__ is not SList:
-        holds = expr.__class__ is Symbol and expr.name == name
-        if holds or everywhere:
-            sites.append((path, expr, None, holds))
-        return depth if holds else None
-    k = len(sites)
-    sites.append(None)
+        return depth if expr.__class__ is Symbol and expr.name == name else None
     best = None
-    for i, item in enumerate(expr.items):
-        d = _scan(item, name, everywhere, sites, path + (i,), depth + 1)
-        if d is not None and (best is None or d < best):
-            best = d
-    if best is None and not everywhere:
-        sites.pop()   # nothing under it was added either
-    else:
-        sites[k] = (path, expr, _key(expr), best is not None)
+    for item in expr.items:
+        if item.__class__ is SList:
+            d = _var_depth(item, name, depth + 1)
+            if d is not None and (best is None or d < best):
+                best = d
+        elif item.__class__ is Symbol and item.name == name:
+            return depth + 1   # no sibling holds it shallower
     return best
 
 
@@ -270,41 +253,41 @@ def _as_solved(expr, name):
     return None
 
 
-def _start_state(condition, name):
-    """The condition constant-folded, with the sides of `=` swapped when the
-    target occurs only on the right."""
-    state = constant_fold(condition)
-    sides = _eq_sides(state)
-    if (sides is not None and not _contains_var(sides[0], name)
-            and _contains_var(sides[1], name)):
-        state = SList((state.items[0], sides[1], sides[0]), state.loc)
-    return state
-
-
-def _find_step(state, name, ways, everywhere, base, sites):
-    """The first rewrite, leftmost-outermost and in rule order, that strictly
-    lowers the target's depth `base`; equivalences right-to-left only after
-    every left-to-right application failed.  `ways` holds the rules' compiled
-    patterns in both directions, and `sites` is from `_scan(state, ...)`.
-    Returns (applied, folded, folded's depth, folded's sites) or None."""
+def _find_step(state, name, ways, base):
+    """(path, new subtree, the target's new depth) of the first rewrite that
+    lowers the target's depth `base`, or None; `ways` holds the rules'
+    compiled patterns, all left to right and then right to left."""
     for tries in ways:
-        for path, node, key, holds in sites:
-            for way in tries:
-                rule_key, matcher, pattern, template, symbols = way
-                if ((rule_key is not None and rule_key != key)
-                        or not (holds or name in symbols)):
-                    continue
-                if matcher is None:
-                    matcher = way[1] = _matcher(pattern, set())
-                bindings = {}
-                if not matcher(node, bindings):
-                    continue
-                applied = _replace_at(state, path, substitute(template, bindings))
-                folded = constant_fold(applied)
-                new_sites = []
-                depth = _scan(folded, name, everywhere, new_sites)
-                if depth is not None and depth < base:
-                    return applied, folded, depth, new_sites
+        step = tries and _step_at(state, (), name, tries, base)
+        if step:
+            return step
+    return None
+
+
+def _step_at(node, path, name, tries, base):
+    """`_find_step` in one direction, at `node` and then below it, visiting
+    only nodes shallower than `base` and skipping a template that cannot
+    reach below it there."""
+    depth = len(path)
+    key = _key(node)
+    for way in tries:
+        rule_key, matcher, pattern, template, reach = way
+        if depth + reach >= base or (rule_key is not None and rule_key != key):
+            continue
+        if matcher is None:
+            matcher = way[1] = _matcher(pattern, set())
+        bindings = {}
+        if not matcher(node, bindings):
+            continue
+        new = substitute(template, bindings)
+        new_depth = _var_depth(new, name, depth)
+        if new_depth is not None and new_depth < base:
+            return path, new, new_depth
+    if node.__class__ is SList and depth + 1 < base:
+        for i, item in enumerate(node.items):
+            step = _step_at(item, path + (i,), name, tries, base)
+            if step is not None:
+                return step
     return None
 
 
@@ -313,27 +296,33 @@ def solve_condition(condition, target, rules):
     returns the original condition (solved=False) when it cannot.  Every step
     lowers the target's depth, so the loop ends after at most that many."""
     name = target.name if isinstance(target, Symbol) else target
-    if not _contains_var(condition, name):
+    depth = _var_depth(condition, name)
+    if depth is None:
         return SolveResult(condition, False, (condition,))
-    state = _start_state(condition, name)
-    trace = [condition] if state == condition else [condition, state]
+    # neither folding nor the swap of `=` sides moves the target
+    state = constant_fold(condition)
+    sides = _eq_sides(state)
+    if (sides is not None and _var_depth(sides[0], name) is None
+            and _var_depth(sides[1], name) is not None):
+        state = SList((state.items[0], sides[1], sides[0]), state.loc)
+    # constant_fold returns its input when nothing folds, so `is` suffices
+    trace = [condition] if state is condition else [condition, state]
     ways = ([rule._ways[0] for rule in rules],
             [way for rule in rules for way in rule._ways[1:]])
-    everywhere = any(name in way[4] for tries in ways for way in tries)
-    sites = []
-    depth = _scan(state, name, everywhere, sites)
     while True:
         solved = _as_solved(state, name)
         if solved is not None:
-            if solved != trace[-1]:
+            if solved is not trace[-1]:
                 trace.append(solved)
             return SolveResult(solved, True, tuple(trace))
-        step = _find_step(state, name, ways, everywhere, depth, sites)
+        step = _find_step(state, name, ways, depth)
         if step is None:
             return SolveResult(condition, False, tuple(trace))
-        applied, state, depth, sites = step
+        path, new, depth = step
+        applied = _replace_at(state, path, new)
+        state = constant_fold(applied)
         trace.append(applied)
-        if state != applied:
+        if state is not applied:
             trace.append(state)
 
 

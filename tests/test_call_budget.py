@@ -34,7 +34,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # calls shows it here and is measured on the benchmark before a budget moves.
 CONCEPT_BUDGET = 3511
 BLIND_BUDGET = 3494
-SOLVER_BUDGET = 967
+# 967 until the solver tried only the rewrites that can lower the target's
+# depth.  What that saved is the headroom for ROADMAP item 1's Real-literal
+# check, which went over the old budget (1074 against 967); the change that
+# adds it sets the new count here.
+SOLVER_BUDGET = 471
 
 # many_queries shapes: a 3-op chain, an out-of-support chain, and the two
 # two-variable conditions, which the optimizer cannot pin

@@ -343,6 +343,24 @@ def test_solve_steps_bounded_by_target_depth():
     assert chain(result) == ["(= (+ x y) 7)", "(= x (- 7 y))"]
 
 
+def test_solve_builds_only_the_accepted_step(monkeypatch):
+    # (= x (- 7 y)) has the target at depth 1, so no template can lower it:
+    # the one substitution into a rule's template is the accepted first step
+    templates = []
+    substitute = rewrite.substitute
+
+    def counting(template, bindings):
+        templates.append(template)   # and each part of it, as it recurses
+        return substitute(template, bindings)
+
+    monkeypatch.setattr(rewrite, "substitute", counting)
+    result = solve_condition(parse_one("(= (+ x y) 7)"), "x", RULES)
+    assert chain(result) == ["(= (+ x y) 7)", "(= x (- 7 y))"]
+    sides = [side for rule in RULES for side in (rule.lhs, rule.rhs)]
+    assert [print_expr(t) for t in templates
+            if any(t is side for side in sides)] == ["(= $A (- $C $B))"]
+
+
 _INTS = st.integers(-6, 6).map(Integer)
 _REALS = st.floats(-6, 6).map(lambda v: Real(round(v, 1)))
 
