@@ -43,22 +43,21 @@ removing it adds Python calls to the concept and blind queries of
 tests/test_call_budget.py, or slows the benchmark.  The calls each one
 saves on the two queries, counted on Python 3.11, follow it:
 - a root symbol bound when compiling is held in the code, and a known
-  global primitive is called directly: 4107 and 8323 calls;
+  global primitive is called directly: 4095 and 8313 calls;
 - `+ - * = < >` on two operands: each operand is a numeric literal held in
   the code or a read probing its own frame, two numbers get the
   primitive's own two-argument fold, and anything else, an overflow
-  included, goes to the primitive: 3137 and 6998;
+  included, goes to the primitive: 3142 and 7001;
 - `random-integer` and `flip` of one argument, a literal or a probed read:
   a positive int, or a float in [0, 1], draws at once, and any other value
-  goes through the checking draw: 1826 and 1750;
+  goes through the checking draw: 1828 and 1750;
 - a closure call's operator symbol probes its own frame, then its
   parent's: 758 and 0; a single argument symbol probes its own: 379 and 0;
 - any other symbol read probes its own frame before `_lookup` walks the
-  parents, the order `_lookup` takes: 25 and 50;
-- a one-parameter closure's frame is a dict display: no calls, but
-  `dict(zip(...))` ran concept_sampling at 0.83x the samples per second.
-A probe that misses runs the read.  `tests/_reference_eval.py` is a plain
-walker that a differential test holds these shapes to.
+  parents, the order `_lookup` takes: 25 and 50.
+A probe that misses runs the read.  A one-parameter closure's frame is
+filled without a loop.  `tests/_reference_eval.py` is a plain walker that a
+differential test holds these shapes to.
 
 A single Env/rng pair must not be shared across concurrent evaluations;
 distinct evaluations with distinct Env and rng instances are safe to run in
@@ -156,7 +155,7 @@ def compile_forms(forms, env, slot=None):
 def _lookup(env, name):
     """Value bound to `name` in the innermost frame that has it, else _MISSING."""
     while env is not None:
-        v = env.frame.get(name, _MISSING)
+        v = env.get(name, _MISSING)
         if v is not _MISSING:
             return v
         env = env.parent
@@ -190,7 +189,7 @@ def _fail(message, loc):
 def _read(name, loc, message="unbound symbol '{}'", error=EvalError):
     """Code reading the variable `name`, or else the concept of that name."""
     def run(env, ctx):
-        v = env.frame.get(name, _MISSING)
+        v = env.get(name, _MISSING)
         if v is _MISSING:
             v = _lookup(env.parent, name)
             if v is _MISSING:
@@ -205,9 +204,9 @@ def _define(name, loc, value):
     """Code binding `name` in its own frame to what the code `value` returns."""
     def run(env, ctx):
         v = value(env, ctx)
-        if name in env.frame:
+        if name in env:
             raise EvalError(f"'{name}' is already defined in this scope", loc)
-        env.frame[name] = v
+        env[name] = v
     return run
 
 
@@ -312,7 +311,7 @@ class _Compiler:
                 self.slotted.append(name)
                 return renamed, _MISSING
         if self.root is not None:
-            return name, self.root.frame.get(name, _MISSING)
+            return name, self.root.get(name, _MISSING)
         return name, _MISSING
 
     def symbol(self, sym, bound, message="unbound symbol '{}'", error=EvalError):
@@ -385,10 +384,11 @@ class _Compiler:
         bindings = tuple(zip(names, values))
 
         def run(env, ctx):
-            frame = {}
+            frame = Env()
+            frame.parent = env
             for name, value in bindings:
                 frame[name] = value(env, ctx)
-            return body(Env(env, frame), ctx)
+            return body(frame, ctx)
         return run
 
     def sample(self, expr, bound):
@@ -424,7 +424,7 @@ class _Compiler:
         inner = bound.union(_scope_names((*spec.definitions, spec.query, spec.condition)))
         defs = [self.expr(d, inner) for d in spec.definitions]
         query = self.expr(spec.query, inner)
-        code = _sequence(defs + [self.expr(spec.condition, inner)]), query
+        codes = (*defs, self.expr(spec.condition, inner), query)
         # the rewrite may not assume a name bound by a frame between the
         # query and the root, nor one read through a slot (a template's
         # concept draw); code compiled below the root is never rewritten,
@@ -433,7 +433,7 @@ class _Compiler:
         rewritable = self.root is not None
 
         def run(env, ctx):
-            attempt = code
+            run_codes = codes
             if ctx.rules and rewritable:
                 outcome = _rewrite.optimize_query_detail(spec, ctx.rules, shadowed)
                 if outcome.fired:   # the pinned define, and #t for the condition
@@ -441,8 +441,8 @@ class _Compiler:
                     pin = _define(name.name, name.loc, _constant(outcome.value.value))
                     pinned = [pin if new is outcome.definition else c
                               for c, new in zip(defs, outcome.spec.definitions)]
-                    attempt = _sequence(pinned + [_constant(True)]), query
-            return _inference._attempt_loop(spec, attempt, env, ctx)[0]
+                    run_codes = (*pinned, _constant(True), query)
+            return _inference._attempt_loop(spec, run_codes, env, ctx)[0][0]
         return run
 
     def application(self, expr, bound, tail):
@@ -470,14 +470,14 @@ class _Compiler:
             fn = known
             if fn is _MISSING:   # on a miss the operand's own code looks again
                 if op_name is not None:
-                    fn = env.frame.get(op_name, _MISSING)
+                    fn = env.get(op_name, _MISSING)
                     if fn is _MISSING and env.parent is not None:
-                        fn = env.parent.frame.get(op_name, _MISSING)
+                        fn = env.parent.get(op_name, _MISSING)
                 if fn is _MISSING:
                     fn = op_code(env, ctx)
             if single is None:
                 args = [c(env, ctx) for c in codes]
-            elif arg is None or (x := env.frame.get(arg, _MISSING)) is _MISSING:
+            elif arg is None or (x := env.get(arg, _MISSING)) is _MISSING:
                 args = [single(env, ctx)]
             else:
                 args = [x]
@@ -494,9 +494,14 @@ class _Compiler:
                 if len(args) != len(params):
                     raise EvalError(f"closure expects {len(params)} arguments, "
                                     f"got {len(args)}", call_loc)
-                frame = {params[0]: args[0]} if len(params) == 1 else dict(zip(params, args))
+                if len(params) == 1:
+                    frame = Env()
+                    frame[params[0]] = args[0]
+                else:
+                    frame = Env(zip(params, args))
+                frame.parent = fn.env
                 try:
-                    result = fn.body(Env(fn.env, frame), ctx)
+                    result = fn.body(frame, ctx)
                 except RecursionError:
                     # the nested call that ran out of Python stack; raising
                     # may itself run out, and then a caller reports it
@@ -529,7 +534,7 @@ class _Compiler:
             def run(env, ctx):
                 x = lit
                 if x is None:
-                    if name is None or (x := env.frame.get(name, _MISSING)) is _MISSING:
+                    if name is None or (x := env.get(name, _MISSING)) is _MISSING:
                         x = a(env, ctx)
                     if x.__class__ is not kind or not low <= x <= high:
                         return check(x, ctx.rng, loc)   # checks and reports the rest
@@ -545,11 +550,11 @@ class _Compiler:
         def run(env, ctx):
             x = lit_a
             if x is None:
-                if name_a is None or (x := env.frame.get(name_a, _MISSING)) is _MISSING:
+                if name_a is None or (x := env.get(name_a, _MISSING)) is _MISSING:
                     x = a(env, ctx)
             y = lit_b
             if y is None:
-                if name_b is None or (y := env.frame.get(name_b, _MISSING)) is _MISSING:
+                if name_b is None or (y := env.get(name_b, _MISSING)) is _MISSING:
                     y = b(env, ctx)
             # what the fast path does not take, an overflow included, goes to
             # the primitive, which checks it and reports the error
@@ -811,11 +816,9 @@ _PRIMITIVES = {
 
 def standard_env():
     """Fresh global environment with the primitive suite, pi and null."""
-    env = Env()
-    for name, fn in _PRIMITIVES.items():
-        env.frame[name] = Primitive(name, fn)
-    env.frame["pi"] = math.pi
-    env.frame["null"] = NIL
+    env = Env({name: Primitive(name, fn) for name, fn in _PRIMITIVES.items()},
+              pi=math.pi, null=NIL)
+    env.parent = None
     return env
 
 

@@ -4,20 +4,20 @@ A query re-evaluates its definitions from scratch on every attempt (fresh
 randomness each time), checks the condition, and returns the query value of
 the first accepted attempt; the returned value is distributed as the prior
 conditioned on the condition.  The definitions, condition and query are
-compiled once per query, and every attempt runs the compiled code in a fresh
-frame; a query nested in a form is compiled with that form, and each run of
-it comes to the attempt loop here with that code.  Batch runs give every
-sample index its own deterministic rng stream derived from (seed, index), so
-parallel and serial execution produce identical multisets of samples.  The
-runners read their draw object and attempt limit from the `EvalContext`
-given, and clear its session while their attempts run: knowledge forms are
-not allowed inside a query.  All samples draw through the context's draw
-object, or else a `Draws` on the batch's own path.  Each sample's index is
-given to it (`Draws.pend`), and it sets the index's PCG64 state at the
-sample's first draw.  The states come from `stream_states`, one pass per
-block of up to 1024 indices, computed when a sample of the block first
-draws; a sample that draws nothing derives no stream.  Each index draws
-exactly the bytes a fresh `derive_rng(seed..., index)` generator would.
+compiled once per query, a nested one with the form around it.  One loop,
+`_attempt_loop`, runs every sample of a batch and every attempt of each; a
+single query and each run of a nested one make one sample there.  Batch runs
+give every sample index its own deterministic rng stream derived from (seed,
+index), so parallel and serial execution produce identical multisets of
+samples.  The runners read their draw object and attempt limit from the
+`EvalContext` given, and clear its session while their attempts run: knowledge
+forms are not allowed inside a query.  All samples draw through the context's
+draw object, or else a `Draws` on the batch's own path.  Each sample's index
+is given to it (`Draws.pend`), and it sets the index's PCG64 state at the
+sample's first draw.  The states come from `stream_states`, one pass per block
+of up to 1024 indices, computed when a sample of the block first draws; a
+sample that draws nothing derives no stream.  Each index draws exactly the
+bytes a fresh `derive_rng(seed..., index)` generator would.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 
 from .errors import EvalError, ExhaustionError, ProblispError
-from .evaluator import EvalContext, _sequence, compile_forms
+from .evaluator import EvalContext, compile_forms
 # derive_rng is not used here; perfbench/test_perfbench.py reads it as inference.derive_rng
 from .rng import Draws, derive_rng, stream_states  # noqa: F401
 from .sexpr import SList, Symbol, _Record
@@ -67,53 +67,66 @@ class SampleReport(_Record):
         self.acceptance_rate = acceptance_rate
 
 
-def _compile(spec, base_env):
-    """Code for one attempt (the definitions, then the condition's value) and
-    code for the query value, compiled once to run in a child frame of
-    `base_env`."""
-    *attempt, query = compile_forms(
-        (*spec.definitions, spec.condition, spec.query), base_env)
-    return _sequence(attempt), query
-
-
-def _attempt_loop(spec, code, base_env, ctx):
-    """(query value, attempts) of the first accepted attempt; both runners
-    and the compiled nested queries come here, so the attempt limit is
-    checked here alone."""
+def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None):
+    """(values, attempts): the query values of `n` accepted samples and the
+    attempts they took.  An attempt runs `codes` but the last (the
+    definitions' and the condition's) in a fresh child frame of `base_env`,
+    and an accepted one then runs the last, the query value's.  Both runners
+    and the nested queries come here, so the attempt limit is checked here
+    alone.  Given `states` (by `run_samples`), sample i draws from
+    `states(i)`, and an `ExhaustionError` in it, its own or a nested query's,
+    is reported as sample i's, with the samples made before it."""
     limit = ctx.max_attempts
     if limit < 1:
         raise EvalError("max-attempts must be at least 1")
-    attempt_code, query_code = code
+    *attempt_codes, query_code = codes
+    values, total = [], 0
     session, ctx.session = ctx.session, None   # no knowledge forms inside a query
     try:
-        for attempt in range(1, limit + 1):
-            env = Env(base_env)
+        for i in range(n):
+            if states is not None:
+                ctx.rng.pend(states, i)
             try:
-                cond = attempt_code(env, ctx)
-            except ProblispError as err:
-                err.message = f"{err.message} (attempt {attempt})"
-                err.args = (err.message,)
-                raise
-            except RecursionError:
-                raise EvalError(f"recursion depth exceeded (attempt {attempt})") from None
-            if cond.__class__ is not bool:
-                raise EvalError("query condition must evaluate to a boolean "
-                                f"(attempt {attempt})", spec.condition.loc)
-            if cond:
-                try:
-                    return query_code(env, ctx), attempt
-                except RecursionError:
-                    raise EvalError("recursion depth exceeded") from None
+                for attempt in range(1, limit + 1):
+                    env = Env()
+                    env.parent = base_env
+                    try:
+                        for c in attempt_codes:
+                            cond = c(env, ctx)
+                    except ProblispError as err:
+                        err.message = f"{err.message} (attempt {attempt})"
+                        err.args = (err.message,)
+                        raise
+                    except RecursionError:
+                        raise EvalError(f"recursion depth exceeded (attempt {attempt})") from None
+                    if cond.__class__ is not bool:
+                        raise EvalError("query condition must evaluate to a boolean "
+                                        f"(attempt {attempt})", spec.condition.loc)
+                    if cond:
+                        try:
+                            values.append(query_code(env, ctx))
+                        except RecursionError:
+                            raise EvalError("recursion depth exceeded") from None
+                        total += attempt
+                        break
+                else:
+                    raise ExhaustionError(f"no accepted sample after {limit} attempts", limit)
+            except ExhaustionError as err:
+                if states is None:
+                    raise
+                made = total + err.attempts
+                partial = SampleReport(tuple(values), made, len(values) / made)
+                raise ExhaustionError(f"sample {i}: {err.message}", err.attempts, partial) from None
     finally:
         ctx.session = session
-    raise ExhaustionError(f"no accepted sample after {limit} attempts", limit)
+    return values, total
 
 
 def rejection_query(spec, env, ctx):
     """Sample once from the conditioned distribution, drawing from `ctx.rng`,
     or raise ExhaustionError after `ctx.max_attempts` attempts."""
-    value, _ = _attempt_loop(spec, _compile(spec, env), env, ctx)
-    return value
+    codes = compile_forms((*spec.definitions, spec.condition, spec.query), env)
+    return _attempt_loop(spec, codes, env, ctx)[0][0]
 
 
 def _stream_states(path, n):
@@ -135,26 +148,11 @@ def run_samples(spec, n, env, seed, ctx=None):
     if n < 1:
         raise EvalError("sample count must be at least 1")
     path = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    values = []
-    attempts_total = 0
-    code = _compile(spec, env)
+    codes = compile_forms((*spec.definitions, spec.condition, spec.query), env)
     if ctx is None:
         ctx = EvalContext(rng=Draws(*path), global_env=env)
-    draws = ctx.rng
-    states = _stream_states(path, n)
     try:
-        for i in range(n):
-            draws.pend(states, i)
-            try:
-                value, attempts = _attempt_loop(spec, code, env, ctx)
-            except ExhaustionError as err:
-                made = attempts_total + err.attempts
-                partial = SampleReport(tuple(values), made,
-                                       len(values) / made if made else 0.0)
-                raise ExhaustionError(f"sample {i}: {err.message}", err.attempts,
-                                      partial) from None
-            values.append(value)
-            attempts_total += attempts
+        values, attempts = _attempt_loop(spec, codes, env, ctx, n, _stream_states(path, n))
     finally:
-        draws.settle()
-    return SampleReport(tuple(values), attempts_total, n / attempts_total)
+        ctx.rng.settle()
+    return SampleReport(tuple(values), attempts, n / attempts)

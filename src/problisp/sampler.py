@@ -75,12 +75,13 @@ def _instantiate(expr, ctx, budget, depth):
     env = ctx.global_env
     code, concepts, _, framed = _compiled_template(ctx.store, expr, env)
     if framed:
-        frame = {}
+        frame = Env()
+        frame.parent = env
         n = len(concepts)
         for k in range(n) if n < 2 else ctx.rng.order(n):
             name, cid = concepts[k]
             frame[name] = sample_concept(cid, ctx, budget, depth + 1)
-        env = Env(env, frame)
+        env = frame
     saved = ctx.session, ctx.budget, ctx.sample_depth
     ctx.session, ctx.budget, ctx.sample_depth = None, budget, depth + 1
     try:

@@ -143,7 +143,22 @@ _REAL_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\Z"
                       r"|[+-]?[0-9]+[eE][+-]?[0-9]+\Z")
 _ESCAPES_IN = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 _ESCAPES_OUT = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t"}
-_DELIMS = frozenset(' \t\r\n()";')
+_ESCAPE_RE = re.compile(r"\\(.)")
+_STRING_BODY = r'(?:[^"\\\n]|\\["\\nt])*'   # each escape known, no newline
+_BAD_ESCAPE = re.compile('"' + _STRING_BODY + r'\\([^"\\nt])')
+
+# The reader's one scanner.  A match is blanks and then a comment, the end,
+# or a newline or token, which fills the group of its kind; no character is
+# left out.
+_SCAN = re.compile(
+    r'[ \t\r]*(?:;[^\n]*|\Z'
+    r'|(\n)'                                       # 1: a newline
+    r'|(\()'                                       # 2: an opening bracket
+    r'|(\))'                                       # 3: a closing bracket
+    r'|("' + _STRING_BODY + '")'                   # 4: a well-formed string
+    r'|([^ \t\r\n()";]+)'                         # 5: a number, boolean or symbol
+    r'|("))')                                      # 6: a string that does not end well
+_NEWLINE, _OPEN, _CLOSE, _STRING, _WORD = range(1, 6)
 
 
 def _classify(text, loc):
@@ -163,72 +178,47 @@ def _classify(text, loc):
     return Token("symbol", text, text, loc)
 
 
+def _text(quoted):
+    """The value of a well-formed string literal, quotes included."""
+    body = quoted[1:-1]
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES_IN[m[1]], body) if "\\" in body else body
+
+
+def _string_error(text, i, loc):
+    """Raise the error of the malformed string at `text[i]`: an unknown escape, or no end."""
+    bad = _BAD_ESCAPE.match(text, i)
+    if bad is None:
+        raise LexError("unterminated string literal", loc)
+    raise LexError(f"unknown escape '\\{bad[1]}' in string",
+                   Location(loc.line, loc.column + bad.start(1) - 1 - i))
+
+
 def tokenize(text):
-    """Split source text into located tokens, discarding whitespace and comments.
+    """Split source text into located tokens, discarding whitespace and
+    comments, in one pass of the scanner.
 
     >>> [t.text for t in tokenize("(+ x 5)")]
     ['(', '+', 'x', '5', ')']
     """
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, start = 1, -1   # a column is an index minus `start`
+    for m in _SCAN.finditer(text):
+        kind = m.lastindex
+        if kind == _NEWLINE:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = Location(line, col)
-        if ch in "()":
-            tokens.append(Token(ch, ch, None, start))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise LexError("unterminated string literal", start)
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise LexError("unterminated string literal", start)
-                    esc = text[i + 1]
-                    if esc not in _ESCAPES_IN:
-                        raise LexError(f"unknown escape '\\{esc}' in string",
-                                       Location(line, col))
-                    buf.append(_ESCAPES_IN[esc])
-                    i += 2
-                    col += 2
-                    continue
-                buf.append(c)
-                i += 1
-                col += 1
-            value = "".join(buf)
-            tokens.append(Token("string", value, value, start))
-            continue
-        j = i
-        while j < n and text[j] not in _DELIMS:
-            j += 1
-        word = text[i:j]
-        tokens.append(_classify(word, start))
-        col += j - i
-        i = j
+            start = m.start(kind)
+        elif kind is not None:
+            word = m[kind]
+            loc = Location(line, m.start(kind) - start)
+            if kind == _WORD:
+                tokens.append(_classify(word, loc))
+            elif kind <= _CLOSE:
+                tokens.append(Token(word, word, None, loc))
+            elif kind == _STRING:
+                value = _text(word)
+                tokens.append(Token("string", value, value, loc))
+            else:
+                _string_error(text, m.start(kind), loc)
     return tokens
 
 
@@ -241,20 +231,36 @@ _ATOM_NODES = {
 }
 
 
-# the deepest list nesting the reader accepts.  The reader, the compiler and
-# `print_expr` recurse over the tree, and at this depth they all fit in
-# Python's default recursion limit of 1000; the prelude nests 6.
+# the deepest list nesting the reader accepts.  The compiler and
+# `print_expr` recurse over the tree, and at this depth they fit in Python's
+# default recursion limit of 1000; the prelude nests 6.
 MAX_NESTING = 100
 
 
 def parse(text):
-    """Parse source text into a list of expression trees."""
-    tokens = tokenize(text)
-    forms = []
-    pos = 0
-    while pos < len(tokens):
-        expr, pos = _read(tokens, pos)
-        forms.append(expr)
+    """Parse source text into a list of expression trees, with a stack of the
+    lists still open.  `tokenize` reads the whole text first, so a lexical
+    error anywhere in it is reported before a structural one."""
+    forms = items = []
+    open_lists = []   # (the enclosing list's items, the location of the '(')
+    for tok in tokenize(text):
+        kind = tok.kind
+        if kind == "(":
+            if len(open_lists) >= MAX_NESTING:
+                raise ParseError(f"lists nested deeper than {MAX_NESTING} levels", tok.loc)
+            open_lists.append((items, tok.loc))
+            items = []
+        elif kind == ")":
+            if not open_lists:
+                raise ParseError("unmatched ')'", tok.loc)
+            outer, loc = open_lists.pop()
+            outer.append(SList(tuple(items), loc))
+            items = outer
+        else:
+            items.append(_ATOM_NODES[kind](tok.value, tok.loc))
+    if open_lists:
+        loc = open_lists[-1][1]
+        raise ParseError(f"unclosed '(' opened at {loc}", loc, incomplete=True)
     return forms
 
 
@@ -264,26 +270,6 @@ def parse_one(text):
     if len(forms) != 1:
         raise ParseError(f"expected exactly one form, found {len(forms)}")
     return forms[0]
-
-
-def _read(tokens, pos, depth=1):
-    tok = tokens[pos]
-    if tok.kind == "(":
-        if depth > MAX_NESTING:
-            raise ParseError(f"lists nested deeper than {MAX_NESTING} levels", tok.loc)
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise ParseError(f"unclosed '(' opened at {tok.loc}", tok.loc,
-                                 incomplete=True)
-            if tokens[pos].kind == ")":
-                return SList(tuple(items), tok.loc), pos + 1
-            expr, pos = _read(tokens, pos, depth + 1)
-            items.append(expr)
-    if tok.kind == ")":
-        raise ParseError("unmatched ')'", tok.loc)
-    return _ATOM_NODES[tok.kind](tok.value, tok.loc), pos + 1
 
 
 def escape_text(value):

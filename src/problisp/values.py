@@ -54,14 +54,15 @@ class Primitive:
         return f"#<primitive {self.name}>"
 
 
-class Env:
-    """Chain of name->value frames; innermost frame wins on lookup."""
+class Env(dict):
+    """A frame: a dict of name -> value that knows its parent frame (None at
+    the root).  With no Python `__init__`, `f = Env(); f.parent = p` builds
+    one with no Python call.  Frames compare and hash by identity."""
 
-    __slots__ = ("frame", "parent")
-
-    def __init__(self, parent=None, frame=None):
-        self.frame = frame if frame is not None else {}
-        self.parent = parent
+    __slots__ = ("parent",)
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def is_number(v):

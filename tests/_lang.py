@@ -41,7 +41,8 @@ def eval_condition(cond, assignment):
     """Evaluate a deterministic condition with variables bound to ints, on
     the reference walker, so that the oracle shares no code with the
     compiled evaluator but the primitives."""
-    env = Env(standard_env(), dict(assignment))
+    env = Env(assignment)
+    env.parent = standard_env()
     return _reference_eval.run(cond, env, EvalContext())
 
 

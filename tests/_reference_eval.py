@@ -58,7 +58,7 @@ def _eval(expr, env, ctx):
             if len(args) != len(fn.params):
                 raise EvalError(f"closure expects {len(fn.params)} arguments, "
                                 f"got {len(args)}", expr.loc)
-            env = Env(fn.env, dict(zip(fn.params, args)))
+            env = _child(fn.env, zip(fn.params, args))
             expr = _body(fn.body, env, ctx)
         elif op == "if":
             if len(items) != 4:
@@ -79,16 +79,16 @@ def _eval(expr, env, ctx):
                 if name in frame:
                     raise EvalError(f"duplicate let binding '{name}'", expr.loc)
                 frame[name] = _eval(binding.items[1], env, ctx)
-            env = Env(env, frame)
+            env = _child(env, frame)
             expr = _body(items[2:], env, ctx)
         elif op == "define":
             if len(items) != 3 or items[1].__class__ is not Symbol:
                 raise EvalError("define expects (define name expr)", expr.loc)
             value = _eval(items[2], env, ctx)
-            if items[1].name in env.frame:
+            if items[1].name in env:
                 raise EvalError(f"'{items[1].name}' is already defined in this scope",
                                 items[1].loc)
-            env.frame[items[1].name] = value
+            env[items[1].name] = value
             return None
         elif op == "lambda":
             return _lambda(expr, env)
@@ -127,7 +127,7 @@ def _query(expr, env, ctx):
     if ctx.max_attempts < 1:
         raise EvalError("max-attempts must be at least 1")
     for attempt in range(1, ctx.max_attempts + 1):
-        frame = Env(env, {})
+        frame = _child(env)
         try:
             for form in definitions:
                 _eval(form, frame, ctx)
@@ -145,6 +145,13 @@ def _query(expr, env, ctx):
                           ctx.max_attempts)
 
 
+def _child(parent, bindings=()):
+    """A fresh frame below `parent` holding `bindings`."""
+    frame = Env(bindings)
+    frame.parent = parent
+    return frame
+
+
 def _body(forms, env, ctx):
     """Run every form of a body but the last, which is returned for the
     caller's loop to run in tail position."""
@@ -155,8 +162,8 @@ def _body(forms, env, ctx):
 
 def _lookup(sym, env, ctx, message="unbound symbol '{}'", error=EvalError):
     while env is not None:
-        if sym.name in env.frame:
-            return env.frame[sym.name]
+        if sym.name in env:
+            return env[sym.name]
         env = env.parent
     concept = ctx.store.lookup(sym.name) if ctx.store is not None else None
     if concept is None:
@@ -180,7 +187,7 @@ def sample(concept, ctx, budget=None, depth=0):
     template = _mark(link.source, free, ctx.store, draws)
     for k in ctx.rng.order(len(draws)) if len(draws) > 1 else range(len(draws)):
         draws[k].value = sample(draws[k].concept, ctx, budget, depth + 1)
-    env = Env(ctx.global_env, {})
+    env = _child(ctx.global_env)
     saved = ctx.session, ctx.budget, ctx.sample_depth
     ctx.session, ctx.budget, ctx.sample_depth = None, budget, depth + 1
     try:

@@ -32,8 +32,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # frame on every one of the ~10^5 attempts of a query.  Each budget is the
 # count, on Python 3.11, of the change that set it; a change that needs more
 # calls shows it here and is measured on the benchmark before a budget moves.
-CONCEPT_BUDGET = 3511
-BLIND_BUDGET = 3494
+CONCEPT_BUDGET = 2976
+BLIND_BUDGET = 2551
+# 1790 while every attempt built an Env and its dict, each sample ran its own
+# attempt loop, and the reader recursed once for every node it read
+PINNED_BUDGET = 1173
 # 967 until the solver tried only the rewrites that can lower the target's
 # depth.  What that saved is the headroom for ROADMAP item 1's Real-literal
 # check, which went over the old budget (1074 against 967); the change that
@@ -91,6 +94,17 @@ def blind_query():
     return calls, report.total_attempts
 
 
+def pinned_query():
+    """(calls, attempts) of the paper's query with the shipped rules, which
+    pin x: every attempt is accepted, so the count is each sample's own
+    cost in the attempt loop."""
+    s = Session(seed=3, samples=200)
+    s.load_file(rules_path())
+    calls, report = _calls(
+        s, "(rejection-query (define x (random-integer 10)) x (= (+ x 5) 10))")
+    return calls, report.total_attempts
+
+
 def solver_queries():
     """(calls, fired) of optimizing the many_queries shapes, after the rules
     compile their matchers at first use; fired is None where the condition
@@ -132,6 +146,12 @@ def test_blind_query_call_budget():
     calls, attempts = _in_child(blind_query)
     assert attempts == 438
     assert calls <= BLIND_BUDGET
+
+
+def test_pinned_query_call_budget():
+    calls, attempts = _in_child(pinned_query)
+    assert attempts == 200
+    assert calls <= PINNED_BUDGET
 
 
 def test_solver_call_budget():

@@ -210,6 +210,14 @@ def test_exhaustion_exit_2(tmp_path):
     assert "no accepted sample after 2000 attempts" in r.stderr
 
 
+def test_a_blind_batch_out_of_attempts_names_its_sample_and_exits_2():
+    r = run_cli("programs/arith_query.lisp", "--no-rewrite", "--max-attempts", 3,
+                "--samples", 5)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == ("problisp: programs/arith_query.lisp: line 4, column 1: "
+                        "sample 1: no accepted sample after 3 attempts\n")
+
+
 def test_usage_error_exit_3():
     assert run_cli("--bogus-flag").returncode == 3
     assert run_cli("--samples", 0).returncode == 3

@@ -30,8 +30,8 @@ def test_closures_and_primitives_are_equal_only_to_themselves():
     twins = [evaluate(parse_one("(lambda (x) x)"), env, EvalContext()) for _ in range(2)]
     assert twins[0] == twins[0] and twins[0] != twins[1]
     assert len({twins[0], twins[1], twins[0]}) == 2
-    cons = env.frame["cons"]
-    assert cons == env.frame["cons"]
+    cons = env["cons"]
+    assert cons == env["cons"]
     assert cons != Primitive(cons.name, cons.fn)
     assert repr(cons) == "#<primitive cons>"
 
@@ -336,13 +336,23 @@ def test_lambda_calls_a_global_defined_later():
         ev("(define h (lambda (n) (later n))) (h 2)")
 
 
+def test_frames_are_dicts_that_compare_and_hash_by_identity():
+    a, b = Env(), Env()
+    a.parent, b.parent = None, a
+    assert isinstance(a, dict) and a != b and not a == b and a == a
+    assert len({a, b, a}) == 2
+    # a context's field-wise == never compares two frames by content
+    assert EvalContext(global_env=a) != EvalContext(global_env=Env())
+
+
 def test_closure_made_in_one_form_called_in_another():
     env = standard_env()
     ev("(define mk (lambda (k) (lambda (a) (+ a k))))", env=env)
     ev("(define inc (mk 1))", env=env)
     assert ev("(inc 41)", env=env) == 42
     # in a frame below the root, a later define is seen by an earlier closure
-    inner = Env(env)
+    inner = Env()
+    inner.parent = env
     ev("(define g (lambda (a) (+ a 1)))", env=inner)
     ev("(define + -)", env=inner)
     assert ev("(g 5)", env=inner) == 4
@@ -722,11 +732,12 @@ def test_duplicate_define_in_a_query_names_the_attempt():
         s.run_text("(rejection-query (define x 1) (define x 2) x #t)")
 
 
-class _RecordingFrame(dict):
+class _RecordingFrame(Env):
     """A frame that records the keys the compiled code probes it for."""
 
-    def __init__(self, *args):
+    def __init__(self, parent, *args):
         super().__init__(*args)
+        self.parent = parent
         self.probed = []
 
     def get(self, key, default=None):
@@ -739,8 +750,7 @@ class _RecordingFrame(dict):
 def test_closure_calls_probe_a_frame_only_for_symbol_operands(program, value):
     # a closure call's operator and single argument probe the frame only when
     # they are symbols; any other operand runs its own code at once
-    frame = _RecordingFrame({"n": 4})
-    env = Env(standard_env(), frame)
+    env = frame = _RecordingFrame(standard_env(), {"n": 4})
     frame["f"] = evaluate(parse_one("(lambda (a) a)"), env, EvalContext())
     assert evaluate(parse_one(program), env, EvalContext()) == value
     assert None not in frame.probed

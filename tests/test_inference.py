@@ -4,8 +4,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from problisp import (EvalContext, EvalError, ExhaustionError, QuerySpec,
-                      derive_rng, parse_one, rejection_query, run_samples,
+from problisp import (EvalContext, EvalError, ExhaustionError, ProblispError, QuerySpec,
+                      SampleReport, derive_rng, parse_one, rejection_query, run_samples,
                       standard_env)
 from problisp.rng import Draws
 
@@ -132,6 +132,60 @@ def test_a_query_gives_its_context_the_session_back():
     assert ctx.session is s
     with pytest.raises(ExhaustionError):
         rejection_query(_spec("(rejection-query (define x 1) x (= x 2))"), s.env, ctx)
+    assert ctx.session is s
+
+
+def _session_ctx(max_attempts):
+    """A session and a context that carries it, as the session's own forms get."""
+    from problisp import Session
+
+    s = Session()
+    return s, _ctx(Draws(0), s.env, session=s, max_attempts=max_attempts)
+
+
+def test_a_batch_exhausting_at_sample_2_reports_the_samples_before_it():
+    s, ctx = _session_ctx(7)
+    with pytest.raises(ExhaustionError) as exc:
+        run_samples(_spec(PAPER_QUERY), 3, s.env, 4, ctx)
+    assert exc.value.message == "sample 2: no accepted sample after 7 attempts"
+    assert exc.value.attempts == 7
+    # samples 0 and 1 took 11 attempts, and sample 2 all 7 of its own
+    assert exc.value.partial == SampleReport((5, 5), 18, 2 / 18)
+    assert ctx.session is s
+
+
+def test_a_nested_query_exhausting_in_a_batch_is_reported_as_its_sample():
+    # the nested query runs when y is 0, first at sample 2's first attempt;
+    # its attempts stand for that sample's in the report
+    spec = _spec("(rejection-query (define y (random-integer 3)) "
+                 "(define z (if (= y 0) (rejection-query (define x (random-integer 10)) "
+                 "x (= x 99)) 0)) y #t)")
+    s, ctx = _session_ctx(4)
+    with pytest.raises(ExhaustionError) as exc:
+        run_samples(spec, 3, s.env, 4, ctx)
+    assert exc.value.message == "sample 2: no accepted sample after 4 attempts (attempt 1)"
+    assert exc.value.attempts == 4
+    assert exc.value.partial == SampleReport((2, 1), 6, 2 / 6)
+    assert ctx.session is s
+
+
+@pytest.mark.parametrize("query, message", [
+    ("(oops)", "unbound symbol 'oops'"),
+    ("(rejection-query (define y 1) y (= y 2))", "no accepted sample after 5 attempts"),
+], ids=["unbound", "nested-exhaustion"])
+def test_an_error_in_the_query_value_has_no_attempt_number(query, message):
+    spec = _spec(f"(rejection-query (define x 1) {query} (= x 1))")
+    s, ctx = _session_ctx(5)
+    with pytest.raises(ProblispError) as exc:
+        rejection_query(spec, s.env, ctx)
+    assert exc.value.message == message
+    assert ctx.session is s
+    with pytest.raises(ProblispError) as exc:
+        run_samples(spec, 2, s.env, 1, ctx)
+    if isinstance(exc.value, ExhaustionError):   # a batch names the sample
+        message = "sample 0: " + message
+        assert exc.value.partial == SampleReport((), 5, 0.0)
+    assert exc.value.message == message
     assert ctx.session is s
 
 

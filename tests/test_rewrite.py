@@ -669,7 +669,8 @@ def test_a_binding_around_the_query_samples_as_blind_sampling_does(program):
 def test_a_nested_query_compiled_below_the_root_is_never_rewritten():
     # `f` is compiled for a frame below the root, and a later form defines
     # `+` in that frame, between the query and the root
-    env = Env(standard_env())
+    env = Env()
+    env.parent = standard_env()
     ctx = EvalContext(rng=Draws(1), rules=RULES, global_env=env.parent)
     evaluate(parse_one(f"(define f (lambda () {_BLIND_QUERY}))"), env, ctx)
     evaluate(parse_one("(define + (lambda (a b) (- a b)))"), env, ctx)

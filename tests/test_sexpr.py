@@ -9,6 +9,7 @@ from problisp import LexError, ParseError, parse, parse_one, print_expr, tokeniz
 from problisp.sexpr import (MAX_NESTING, Boolean, Integer, Location, Real, SList, Symbol,
                             Text, Token, slist)
 
+import _reader_reference
 from conftest import REPO
 
 
@@ -317,3 +318,54 @@ def test_reader_output_on_shipped_sources_is_pinned():
         count += len(rows)
         digest.update(("\n".join([name] + rows) + "\n").encode())
     assert (count, digest.hexdigest()) == READER_PIN
+
+
+# pieces of source that reach every branch of the reader: each token kind,
+# blanks and comments, newlines, every escape and some unknown ones, words
+# that read as numbers, as out-of-range reals and as unknown literals
+_READER_PIECES = st.sampled_from([
+    "(", ")", "(", ")", " ", "\n", "\t", "\r", "\f", ";", "; c\n", '"', '"s"', '"a\\"b"',
+    "\\", "\\n", "\\t", "\\q", "\\\n", "x", "+", "-", ".", "e", "5", "-3", "+.5", "1.", "2e3",
+    "1e400", "#t", "#f", "#", "#q", "$A", "é", "null?",
+])
+
+
+def _read_outcome(read, text):
+    """What `read(text)` gives, every location included: the nodes or tokens
+    in document order, or the error."""
+    try:
+        result = read(text)
+    except (LexError, ParseError) as err:
+        return type(err).__name__, err.message, err.loc, err.incomplete
+    if result and result[0].__class__ is Token:
+        return [(t.kind, t.text, t.value, t.value.__class__, t.loc) for t in result]
+    rows = []
+    for form in result:
+        _node_rows(form, rows)
+    return rows
+
+
+@settings(max_examples=1000)
+@given(st.lists(_READER_PIECES, max_size=40).map("".join))
+def test_reader_matches_the_reference_reader(text):
+    assert _read_outcome(parse, text) == _read_outcome(_reader_reference.parse, text)
+    assert _read_outcome(tokenize, text) == _read_outcome(_reader_reference.tokenize, text)
+
+
+@pytest.mark.parametrize("text", [
+    _nested(MAX_NESTING + 1) + ' "open', _nested(MAX_NESTING + 1) + " #q",
+    ") #q", ")) (", "(a (b\n  c", '(a "\\q" ))', "(\n\t)\r\n ) 1e400",
+], ids=["deep then unterminated", "deep then unknown", "unmatched then unknown",
+        "unmatched then unclosed", "unclosed", "bad escape", "unmatched then out of range"])
+def test_reader_reports_errors_as_the_reference_reader(text):
+    assert _read_outcome(parse, text) == _read_outcome(_reader_reference.parse, text)
+    assert _read_outcome(parse, text)[0] in ("LexError", "ParseError")
+
+
+def test_tokens_match_the_reference_reader_on_shipped_sources():
+    sources = sorted([*(REPO / "programs").glob("*.lisp"),
+                      *(REPO / "src" / "problisp" / "data").glob("*.lisp")])
+    assert len(sources) == 5
+    for path in sources:
+        text = path.read_text()
+        assert _read_outcome(tokenize, text) == _read_outcome(_reader_reference.tokenize, text)
