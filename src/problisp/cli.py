@@ -397,6 +397,8 @@ def main(argv=None):
     config = _parse_config(argv if argv is not None else sys.argv[1:])
     if sys.getrecursionlimit() < RECURSION_LIMIT:
         sys.setrecursionlimit(RECURSION_LIMIT)
+    if hasattr(sys, "set_int_max_str_digits"):   # integers read and print in full
+        sys.set_int_max_str_digits(0)
     try:
         session = build_session(config)
         for path in config.files:

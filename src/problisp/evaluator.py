@@ -50,7 +50,7 @@ saves on the two queries, counted on Python 3.11, follow it:
   included, goes to the primitive: 3142 and 7001;
 - `random-integer` and `flip` of one argument, a literal or a probed read:
   a positive int, or a float in [0, 1], draws at once, and any other value
-  goes through the checking draw: 1828 and 1750;
+  goes to the primitive: 1828 and 1750;
 - a closure call's operator symbol probes its own frame, then its
   parent's: 758 and 0; a single argument symbol probes its own: 379 and 0;
 - any other symbol read probes its own frame before `_lookup` walks the
@@ -71,7 +71,7 @@ import operator
 
 from .concepts import ConceptId
 from .errors import ConceptError, EvalError
-from .rng import NO_SOURCE, flip, normal, random_integer
+from .rng import NO_SOURCE
 from .sexpr import Integer, Real, SList, Symbol, _Record
 from .values import NIL, Closure, Env, Pair, Primitive, format_value, is_number, values_equal
 
@@ -94,9 +94,9 @@ class EvalContext(_Record):
 
     A session builds one context per top-level form, and the query runners
     and the concept sampler read their state from it, taking none of it as
-    parameters.  `store`, the concept store that the knowledge forms change
-    and the sampler reads, `rules` (empty when rewriting is off),
-    `max_attempts` and `global_env` stay fixed for the session, and
+    parameters.  The knowledge forms change `store`, the concept store that
+    the sampler reads, and `rules` (empty when rewriting is off) between
+    forms; `max_attempts` and `global_env` stay fixed for the session, and
     `session` is set only there.  A query clears `session` while its
     attempts run; `run_samples` gives each sample's stream to the one draw
     object, so nothing may keep a context beyond the sample that used it.  A
@@ -239,11 +239,11 @@ _BINARY = {
     ">": operator.gt,
 }
 
-# one-argument draws: (class, low, high, checking draw); an argument of that
-# exact class in [low, high] draws at once, any other goes through the check
+# one-argument draws: (class, low, high); an argument of that exact class in
+# [low, high] draws at once, any other goes to the primitive
 _DRAWS = {
-    "random-integer": (int, 1, math.inf, random_integer),
-    "flip": (float, 0.0, 1.0, flip),
+    "random-integer": (int, 1, math.inf),
+    "flip": (float, 0.0, 1.0),
 }
 
 
@@ -288,7 +288,7 @@ class _Compiler:
             return self.sample(expr, bound)
         if op == "rejection-query":
             return self.rejection(expr, bound)
-        return lambda env, ctx: _eval_knowledge(op, expr, env, ctx)
+        return lambda env, ctx: _eval_knowledge(op, expr, ctx)
 
     def body(self, items, start, bound, tail):
         last = len(items) - 1
@@ -436,12 +436,13 @@ class _Compiler:
             run_codes = codes
             if ctx.rules and rewritable:
                 outcome = _rewrite.optimize_query_detail(spec, ctx.rules, shadowed)
-                if outcome.fired:   # the pinned define, and #t for the condition
+                if outcome.fired:   # the pinned define, and the condition or #t
                     name = outcome.definition.items[1]
                     pin = _define(name.name, name.loc, _constant(outcome.value.value))
                     pinned = [pin if new is outcome.definition else c
                               for c, new in zip(defs, outcome.spec.definitions)]
-                    run_codes = (*pinned, _constant(True), query)
+                    kept = outcome.spec.condition is spec.condition
+                    run_codes = (*pinned, codes[-2] if kept else _constant(True), query)
             return _inference._attempt_loop(spec, run_codes, env, ctx)[0][0]
         return run
 
@@ -526,7 +527,7 @@ class _Compiler:
         names = [name for _, name in operands]
         if draw is not None:
             (a,), (lit,), (name,) = codes, lits, names
-            kind, low, high, check = draw
+            kind, low, high = draw
             integer = kind is int
             if lit is not None and not (lit.__class__ is kind and low <= lit <= high):
                 lit = None   # runs as any other argument
@@ -537,7 +538,7 @@ class _Compiler:
                     if name is None or (x := env.get(name, _MISSING)) is _MISSING:
                         x = a(env, ctx)
                     if x.__class__ is not kind or not low <= x <= high:
-                        return check(x, ctx.rng, loc)   # checks and reports the rest
+                        return fn([x], ctx, loc)   # checks and reports the rest
                 return ctx.rng.integer(x, loc) if integer else ctx.rng.flip(x, loc)
             return run
         (a, b), (lit_a, lit_b), (name_a, name_b) = codes, lits, names
@@ -591,7 +592,7 @@ def _literal_weight(node, loc):
     raise ConceptError("weight must be a numeric literal", loc)
 
 
-def _eval_knowledge(op, expr, env, ctx):
+def _eval_knowledge(op, expr, ctx):
     sess = ctx.session
     if sess is None:
         raise EvalError(f"'{op}' is only allowed at the top level of a session", expr.loc)
@@ -609,7 +610,7 @@ def _eval_knowledge(op, expr, env, ctx):
         target = _symbol_arg(items, 2, "is-a", expr.loc)
         cid = store.require(target.name, loc=target.loc)
         weight = _literal_weight(items[3], items[3].loc) if len(items) == 4 else 1.0
-        source = _resolve_isa_source(items[1], store, env, ctx.global_env)
+        source = _resolve_isa_source(items[1], store, ctx.global_env)
         store.add_isa(source, cid, weight, loc=expr.loc)
     elif op in ("equivalence", "implication"):
         rule = _rewrite.rule_from_form(expr, default_name=f"rule-{len(sess.rules) + 1}")
@@ -626,7 +627,9 @@ def _eval_knowledge(op, expr, env, ctx):
                 raise EvalError("context clause must be (source concept weight)", expr.loc)
             tgt = _symbol_arg(clause.items, 1, "define-context", clause.loc)
             cid = store.require(tgt.name, loc=tgt.loc)
-            source = _resolve_isa_source(clause.items[0], store, env, ctx.global_env)
+            source = clause.items[0]
+            if source.__class__ is Symbol:
+                source = store.lookup(source.name) or source
             link = store.find_link(source, cid)
             if link is None:
                 raise ConceptError(
@@ -641,20 +644,21 @@ def _eval_knowledge(op, expr, env, ctx):
     return None
 
 
-def _resolve_isa_source(node, store, env, global_env):
+def _resolve_isa_source(node, store, global_env):
     """A bare symbol naming a declared concept denotes that concept; anything
-    else is an expression template whose free names must be resolvable.  A
-    name the template defines itself, such as a query's definition, is bound
-    and so not free.  The free names are those the compiler resolves, so
-    none inside a malformed form, which never runs: they come from compiling
-    the template for the sampler, which keeps the code."""
+    else is an expression template whose free names must be concepts or
+    session globals, where the template runs.  A name the template defines
+    itself, such as a query's definition, is bound and so not free.  The
+    free names are those the compiler resolves, so none inside a malformed
+    form, which never runs: they come from compiling the template for the
+    sampler, which keeps the code."""
     if node.__class__ is Symbol:
         cid = store.lookup(node.name)
         if cid is not None:
             return cid
     free = _sampler._compiled_template(store, node, global_env)[2]
     for name in sorted(free):
-        if store.lookup(name) is None and (env is None or _lookup(env, name) is _MISSING):
+        if store.lookup(name) is None and _lookup(global_env, name) is _MISSING:
             raise ConceptError(f"unknown name '{name}' in is-a source", node.loc)
     return node
 
@@ -781,19 +785,40 @@ def _prim_flip(args, ctx, loc):
     if len(args) > 1:
         raise EvalError("flip expects at most one argument", loc)
     p = args[0] if args else 0.5
-    return flip(p, ctx.rng, loc)
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
+        raise EvalError("flip expects a numeric probability", loc)
+    if not 0 <= p <= 1:
+        raise EvalError(f"flip expects a probability in [0, 1], got {p}", loc)
+    return ctx.rng.flip(p, loc)
 
 
 def _prim_random_integer(args, ctx, loc):
     if len(args) != 1:
         raise EvalError("random-integer expects one argument", loc)
-    return random_integer(args[0], ctx.rng, loc)
+    n = args[0]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise EvalError("random-integer expects an integer", loc)
+    if n <= 0:
+        raise EvalError(f"random-integer expects a positive bound, got {n}", loc)
+    return ctx.rng.integer(n, loc)
 
 
 def _prim_normal(args, ctx, loc):
     if len(args) != 2:
         raise EvalError("normal expects (normal mean stdev)", loc)
-    return normal(args[0], args[1], ctx.rng, loc)
+    mean, stdev = args
+    for v in args:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise EvalError("normal expects numeric mean and stdev", loc)
+    if stdev < 0:
+        raise EvalError(f"normal expects a nonnegative stdev, got {stdev}", loc)
+    try:
+        mean, stdev = float(mean), float(stdev)   # as numpy takes them
+    except OverflowError:
+        raise EvalError("arithmetic overflow in normal", loc) from None
+    if stdev == 0:
+        return mean   # exactly, with no draw
+    return ctx.rng.normal(mean, stdev, loc)
 
 
 _PRIMITIVES = {

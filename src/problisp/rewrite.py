@@ -369,8 +369,9 @@ def _in_support(value_node, n):
 
 def optimize_query_detail(spec, rules, shadowed=()):
     """Try to replace a literal (random-integer n) prior with the point mass
-    forced by the condition; a solved value provably outside the support
-    raises ZeroProbabilityError.  A query is left untouched when
+    forced by the condition, and the condition with #t unless the rules
+    hold an implication; a solved value provably outside the support raises
+    ZeroProbabilityError.  A query is left untouched when
     random-integer, a foldable operator or a non-pattern symbol of a rule is
     bound by a define in its forms, or is in `shadowed`, the names that the
     frames around the query bind: the rewrite would assume their meaning."""
@@ -400,6 +401,12 @@ def optimize_query_detail(spec, rules, shadowed=()):
         new_define = SList((d.items[0], d.items[1], canonical), d.loc)
         definitions = list(spec.definitions)
         definitions[idx] = new_define
-        new_spec = spec.__class__(tuple(definitions), spec.query, Boolean(True))
+        # after an implication the condition only implies the pin: it stays
+        condition = Boolean(True)
+        for rule in rules:
+            if rule.kind == "implication":
+                condition = spec.condition
+                break
+        new_spec = spec.__class__(tuple(definitions), spec.query, condition)
         return OptimizeOutcome(new_spec, True, var, canonical, result.trace, new_define)
     return OptimizeOutcome(spec, False)

@@ -1,4 +1,4 @@
-"""Deterministic random streams, the draw object and the stochastic primitives.
+"""Deterministic random streams and the draw object.
 
 Streams are numpy's PCG64, seeded by numpy's SeedSequence from an integer
 path such as (seed, index), so a path yields the same stream however many
@@ -9,8 +9,7 @@ a numpy Generator `derive_rng(*path)` would, stepping PCG64 and running
 numpy's integer, uniform, permutation and normal draws in Python.  Only
 `derive_rng`, the reference twin of the tests and the benchmark, imports
 numpy.  `NO_SOURCE` stands in for a draw object in a context with no
-random source.  The primitives `random_integer`, `flip` and `normal` check
-their arguments and then draw from a draw object.
+random source.
 """
 
 from __future__ import annotations
@@ -330,38 +329,3 @@ class _NoSource:
 
 
 NO_SOURCE = _NoSource()
-
-
-def random_integer(n, rng, loc=None):
-    """Uniform draw from {0, ..., n-1}, from the draw object `rng`."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise EvalError("random-integer expects an integer", loc)
-    if n <= 0:
-        raise EvalError(f"random-integer expects a positive bound, got {n}", loc)
-    return rng.integer(n, loc)
-
-
-def normal(mean, stdev, rng, loc=None):
-    """Gaussian draw from the draw object `rng`; a zero stdev returns the
-    mean exactly.  An integer too large for a real is a language error."""
-    for v in (mean, stdev):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise EvalError("normal expects numeric mean and stdev", loc)
-    if stdev < 0:
-        raise EvalError(f"normal expects a nonnegative stdev, got {stdev}", loc)
-    try:
-        mean, stdev = float(mean), float(stdev)   # as numpy takes them
-    except OverflowError:
-        raise EvalError("arithmetic overflow in normal", loc) from None
-    if stdev == 0:
-        return mean
-    return rng.normal(mean, stdev, loc)
-
-
-def flip(p, rng, loc=None):
-    """True with probability p, from the draw object `rng`."""
-    if isinstance(p, bool) or not isinstance(p, (int, float)):
-        raise EvalError("flip expects a numeric probability", loc)
-    if not 0 <= p <= 1:
-        raise EvalError(f"flip expects a probability in [0, 1], got {p}", loc)
-    return rng.flip(p, loc)

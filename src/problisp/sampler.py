@@ -10,8 +10,8 @@ distribution but fixed for rng-trace reproducibility).  All state comes
 from the `EvalContext` given: the concept store, the session globals, and
 the draw object `ctx.rng` that makes both choices, the link and the order,
 and that the template's own primitives draw from.  A template runs with no
-session, so knowledge forms are refused inside it.  A template that draws
-or defines runs in a frame of its own, so it never writes the session's
+session, so knowledge forms are refused inside it.  Each instantiation
+runs in a frame of its own, so a template never writes the session's
 globals.  Each template is compiled once, at its `is-a`, and its code is
 kept on the store until a `concept` form declares a name.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .concepts import ConceptId
 from .errors import BudgetError, ConceptError, EvalError
-from .evaluator import _scope_names, compile_forms
+from .evaluator import compile_forms
 from .values import Env
 
 DEFAULT_MAX_DEPTH = 64
@@ -72,20 +72,17 @@ def instantiate_expression(expr, ctx, budget=None, depth=0):
 
 
 def _instantiate(expr, ctx, budget, depth):
-    env = ctx.global_env
-    code, concepts, _, framed = _compiled_template(ctx.store, expr, env)
-    if framed:
-        frame = Env()
-        frame.parent = env
-        n = len(concepts)
-        for k in range(n) if n < 2 else ctx.rng.order(n):
-            name, cid = concepts[k]
-            frame[name] = sample_concept(cid, ctx, budget, depth + 1)
-        env = frame
+    code, concepts, _ = _compiled_template(ctx.store, expr, ctx.global_env)
+    frame = Env()
+    frame.parent = ctx.global_env
+    n = len(concepts)
+    for k in range(n) if n < 2 else ctx.rng.order(n):
+        name, cid = concepts[k]
+        frame[name] = sample_concept(cid, ctx, budget, depth + 1)
     saved = ctx.session, ctx.budget, ctx.sample_depth
     ctx.session, ctx.budget, ctx.sample_depth = None, budget, depth + 1
     try:
-        return code(env, ctx)
+        return code(frame, ctx)
     except RecursionError:
         raise EvalError("recursion depth exceeded") from None
     finally:
@@ -93,12 +90,10 @@ def _instantiate(expr, ctx, budget, depth):
 
 
 def _compiled_template(store, expr, env):
-    """(code, concepts, names, framed) for `expr` compiled for `env`,
-    cached on `store`.  `concepts` holds a (variable name, ConceptId) pair
-    for each free symbol of `expr` that names a concept, left to right; in
-    `code` that symbol reads the variable.  `names` is the set of free
-    names.  `framed` says whether the code runs in a frame of its own: it
-    does when it draws or defines."""
+    """(code, concepts, names) for `expr` compiled for `env`, cached on
+    `store`.  `concepts` holds a (variable name, ConceptId) pair for each
+    free symbol of `expr` that names a concept, left to right; in `code`
+    that symbol reads the variable.  `names` is the set of free names."""
     entry = store.templates.get(id(expr))
     if entry is None or entry[0] is not expr or entry[1] is not env:
         concepts, names = [], set()
@@ -114,8 +109,6 @@ def _compiled_template(store, expr, env):
             return name
 
         code, = compile_forms((expr,), env, slot)
-        framed = bool(concepts or _scope_names((expr,)))
         # the entry holds `expr`, so its id is not reused while cached
-        entry = store.templates[id(expr)] = (expr, env, code, tuple(concepts), names,
-                                             framed)
+        entry = store.templates[id(expr)] = (expr, env, code, tuple(concepts), names)
     return entry[2:]

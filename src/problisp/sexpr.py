@@ -164,7 +164,11 @@ _NEWLINE, _OPEN, _CLOSE, _STRING, _WORD = range(1, 6)
 def _classify(text, loc):
     if text[0] in "+-.0123456789#":  # any other first character makes a symbol
         if _INT_RE.match(text):
-            return Token("integer", text, int(text), loc)
+            try:
+                value = int(text)
+            except ValueError:   # over the interpreter's limit on digits read
+                raise LexError("integer literal has too many digits", loc) from None
+            return Token("integer", text, value, loc)
         if _REAL_RE.match(text):
             if isinf(value := float(text)):
                 raise LexError("real literal out of range", loc)

@@ -315,6 +315,40 @@ def test_no_rewrite_and_rewrite_agree_on_point_mass(paper_program):
     assert fast.stdout == slow.stdout == "5\n" * 30
 
 
+_PAIR_QUERY = ("(rejection-query (define x (random-integer 10)) (define y (random-integer 10))"
+               " (list x y) (= (list x y) (list 5 3)))")
+
+
+def test_a_pin_that_an_implication_may_have_made_keeps_the_condition(tmp_path):
+    # the chain shows only that the condition implies x = 5, so y is still
+    # conditioned on, in a top-level query and in a nested one
+    rules = tmp_path / "rules.lisp"
+    rules.write_text("(implication (= (list $A $B) (list $C $D)) (= $A $C))\n")
+    top = tmp_path / "top.lisp"
+    top.write_text(_PAIR_QUERY + "\n")
+    r = run_cli(top, "--rules", rules, "--seed", 1, "--samples", 3)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "(5 3)\n" * 3, "")
+    r = run_cli(top, "--rules", rules, "--seed", 1, "--samples", 3, "--output", "records")
+    optimizer = json.loads(r.stdout.splitlines()[-1])["queries"][0]["optimizer"]
+    assert (optimizer["fired"], optimizer["definition"]) == (True, "(define x 5)")
+    nested = tmp_path / "nested.lisp"
+    nested.write_text(f"(define f (lambda () {_PAIR_QUERY}))\n(f)\n(f)\n")
+    r = run_cli(nested, "--rules", rules, "--seed", 1)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "(5 3)\n" * 2, "")
+
+
+@pytest.mark.parametrize("program, value", [
+    (f"(+ 1 {'9' * 5000})", "1" + "0" * 5000),
+    (f"(* {'9' * 2200} {'9' * 2200})", "9" * 2199 + "8" + "0" * 2199 + "1"),
+], ids=["sum", "product"])
+def test_integers_past_the_interpreter_digit_limit_read_and_print_in_full(
+        tmp_path, program, value):
+    p = tmp_path / "big.lisp"
+    p.write_text(program + "\n")
+    r = run_cli(p)
+    assert (r.returncode, r.stdout, r.stderr) == (0, value + "\n", "")
+
+
 def test_prelude_and_rules_load_in_flag_order(tmp_path):
     # a later prelude may rely on a concept from an earlier rules file,
     # since both are ordinary program files

@@ -1,6 +1,7 @@
 import pytest
 
 from problisp import ConceptError, ConceptId, ConceptStore, IsALink, parse_one
+from problisp.concepts import _describe_source
 
 
 def test_concept_ids_compare_and_hash_by_value():
@@ -115,6 +116,34 @@ def test_isa_source_may_use_globals_and_lambda_params(session):
     """)
     result = session.run_text("(sample thing)")[-1]
     assert result.value == 42
+
+
+def test_isa_source_names_resolve_in_the_session_globals(session):
+    # the template runs in the globals, not in the frame the is-a runs in
+    session.run_text("(concept t) (define g (lambda (k) (is-a k t)))")
+    with pytest.raises(ConceptError, match="unknown name 'k' in is-a source"):
+        session.run_text("(g 5)")
+    with pytest.raises(ConceptError, match="unknown name 'k' in is-a source"):
+        session.run_text("(is-a k t)")
+    assert session.store.instances(session.store.lookup("t")) == ()
+
+
+def test_define_context_finds_expression_links_without_compiling_them(prelude_session):
+    store = prelude_session.store
+    templates = dict(store.templates)
+    prelude_session.run_text("""
+    (define-context heavy ((normal 0 1) real-number 2.0)
+                          ((cons number sequence) sequence 3.0))
+    (set-context heavy)""")
+    assert store.templates == templates
+    def weights(concept):
+        return {_describe_source(link.source): w
+                for link, w in store.instances(store.lookup(concept))}
+    assert weights("sequence") == {"null": 1.0, "(cons number sequence)": 3.0}
+    assert weights("real-number") == {"(normal 0 1)": 2.0, "pi": 1.0}
+    # an unknown name matches no link
+    with pytest.raises(ConceptError, match=r"no is-a link \(cons nope sequence\) -> sequence"):
+        prelude_session.run_text("(define-context bad ((cons nope sequence) sequence 1.0))")
 
 
 def test_context_overlays():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from problisp import (NIL, Env, EvalContext, EvalError, Pair, Primitive, ProblispError,
                       evaluate, format_value, parse, parse_one, standard_env)
-from problisp.evaluator import DEFAULT_MAX_ATTEMPTS
-from problisp.rng import NO_SOURCE, Draws, normal, random_integer
+from problisp.evaluator import _PRIMITIVES, DEFAULT_MAX_ATTEMPTS
+from problisp.rng import NO_SOURCE, Draws
 from problisp.sexpr import Boolean, Integer, Real, SList, Symbol
 
 from _lang import ev
@@ -207,15 +207,20 @@ def test_tail_calls_do_not_grow_the_stack():
     assert ev(src) == Symbol("done")
 
 
+def _draw(name, rng, *args):
+    """The primitive `name` applied to `args`, drawing from `rng`."""
+    return _PRIMITIVES[name](list(args), EvalContext(rng=rng), None)
+
+
 def test_random_integer_bounds():
     rng = Draws(0)
-    assert random_integer(1, rng) == 0
+    assert _draw("random-integer", rng, 1) == 0
     with pytest.raises(EvalError):
-        random_integer(0, rng)
+        _draw("random-integer", rng, 0)
     with pytest.raises(EvalError):
         ev("(random-integer 10.0)")
     huge = 10 ** 30
-    draws = {random_integer(huge, rng) for _ in range(50)}
+    draws = {_draw("random-integer", rng, huge) for _ in range(50)}
     assert all(0 <= d < huge for d in draws)
 
 
@@ -225,7 +230,7 @@ def test_random_integer_uniformity():
     rng = Draws(20240817)
     counts = np.zeros(10, dtype=int)
     for _ in range(n):
-        counts[random_integer(10, rng)] += 1
+        counts[_draw("random-integer", rng, 10)] += 1
     sd = math.sqrt(0.1 * 0.9 / n)
     for c in counts:
         assert abs(c / n - 0.1) < 4 * sd
@@ -233,12 +238,17 @@ def test_random_integer_uniformity():
 
 def test_normal_moments():
     rng = Draws(7)
-    assert normal(0, 0, rng) == 0.0
+    assert _draw("normal", rng, 0, 0) == 0.0
     assert ev("(normal 5 0)") == 5.0
     with pytest.raises(EvalError):
-        normal(0, -1, rng)
+        _draw("normal", rng, 0, -1)
+    # a negative stdev is reported before a mean too large for a real
+    with pytest.raises(EvalError, match="nonnegative stdev, got -1"):
+        _draw("normal", rng, 10 ** 400, -1)
+    with pytest.raises(EvalError, match="arithmetic overflow in normal"):
+        _draw("normal", rng, 10 ** 400, 0)
     n = 100_000
-    draws = np.array([normal(0, 1, rng) for _ in range(n)])
+    draws = np.array([_draw("normal", rng, 0, 1) for _ in range(n)])
     assert abs(draws.mean()) < 0.02       # 6 sigma of 1/sqrt(n)
     assert abs(draws.var() - 1) < 0.03
 
@@ -256,8 +266,8 @@ def test_purity_of_nonrandom_programs():
 def test_left_to_right_evaluation_order():
     # the program's two draws must replay the rng's own draw order
     rng = Draws(55)
-    first = random_integer(1000, rng)
-    second = random_integer(1000, rng)
+    first = _draw("random-integer", rng, 1000)
+    second = _draw("random-integer", rng, 1000)
     env = standard_env()
     ctx = EvalContext(rng=Draws(55), global_env=env)
     value = evaluate(parse_one("(list (random-integer 1000) (random-integer 1000))"),
@@ -272,8 +282,8 @@ def test_operator_evaluated_before_operands():
     """
     # operator expression ran first: it consumes the first draw
     rng = Draws(3)
-    op_draw = random_integer(2, rng)
-    arg_draw = random_integer(10, rng)
+    op_draw = _draw("random-integer", rng, 2)
+    arg_draw = _draw("random-integer", rng, 10)
     env = standard_env()
     ctx = EvalContext(rng=Draws(3), global_env=env)
     for form in parse("""
@@ -686,6 +696,20 @@ def test_inline_operand_reads_give_the_lookup_value(program, value):
      "flip expects a probability in [0, 1], got nan", "(flip"),
     ("(random-integer 0)", "random-integer expects a positive bound, got 0", "(random"),
     ("(random-integer -3)", "random-integer expects a positive bound, got -3", "(random"),
+    # a draw primitive checks the arity, then the types, then the ranges, the
+    # same called directly or through a variable
+    ("(random-integer)", "random-integer expects one argument", "(random"),
+    ("(let ((f random-integer)) (f 1 2))", "random-integer expects one argument", "(f 1"),
+    ("(random-integer 1.5)", "random-integer expects an integer", "(random"),
+    ("(let ((f random-integer)) (f #t))", "random-integer expects an integer", "(f #t"),
+    ("(let ((f random-integer)) (f -3))", "random-integer expects a positive bound, got -3",
+     "(f -3"),
+    ("(flip 0.5 0.5)", "flip expects at most one argument", "(flip"),
+    ("(let ((f flip)) (f #f))", "flip expects a numeric probability", "(f #f"),
+    ("(let ((f flip)) (f 2))", "flip expects a probability in [0, 1], got 2", "(f 2"),
+    ("(normal 0)", "normal expects (normal mean stdev)", "(normal"),
+    ("(normal #t -1)", "normal expects numeric mean and stdev", "(normal"),
+    ("(let ((f normal)) (f 0 #t))", "normal expects numeric mean and stdev", "(f 0"),
     # a duplicate define, in a lambda body and in the global frame
     ("((lambda () (define a 1) (define a (flip 0.5)) a))",
      "'a' is already defined in this scope", "a (flip"),
@@ -700,6 +724,14 @@ def test_inline_operand_reads_give_the_lookup_value(program, value):
 ])
 def test_inline_operand_errors_keep_message_and_location(program, message, at):
     assert _outcome(program)[0] == (message, 1, program.index(at) + 1)
+
+
+def test_draws_are_the_same_called_directly_or_through_a_variable():
+    for op, args in [("random-integer", "7"), ("flip", "0.3"), ("flip", "1"), ("flip", ""),
+                     ("normal", "1 2"), ("normal", "5 0")]:
+        assert _outcome(f"(list ({op} {args}) ({op} {args}))") == \
+            _outcome(f"(let ((f {op})) (list (f {args}) (f {args})))")
+    assert _outcome("(normal 5 0)")[0] == "5.0"
 
 
 @pytest.mark.parametrize("arg", ["0", "1", "0.0", "0.3", "1.0"])

@@ -543,6 +543,21 @@ def test_optimize_paper_query():
     assert print_expr(outcome.spec.definitions[0]) == "(define x 5)"
 
 
+def test_optimize_keeps_the_condition_when_the_rules_hold_an_implication():
+    implication = rule_from_form(
+        parse_one("(implication (= (list $A $B) (list $C $D)) (= $A $C))"))
+    spec = _spec("(rejection-query (define x (random-integer 10)) (define y (random-integer 10))"
+                 " (list x y) (= (list x y) (list 5 3)))")
+    outcome = optimize_query_detail(spec, (implication,))
+    assert print_expr(outcome.definition) == "(define x 5)"
+    assert outcome.spec.condition is spec.condition
+    # one implication in the set keeps the condition, even where the
+    # equivalences alone solved it
+    outcome = optimize_query_detail(_spec(PAPER_QUERY), RULES + (implication,))
+    assert print_expr(outcome.definition) == "(define x 5)"
+    assert print_expr(outcome.spec.condition) == "(= (+ x 5) 10)"
+
+
 def test_optimize_vacuous_condition_unchanged():
     spec = _spec("(rejection-query (define x (random-integer 10)) x #t)")
     assert optimize_query_detail(spec, RULES).spec is spec

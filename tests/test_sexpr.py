@@ -1,5 +1,6 @@
 import hashlib
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,19 @@ def test_nesting_past_the_limit_is_a_located_parse_error():
     with pytest.raises(ParseError) as exc:
         parse("(+ 1 " * 16_000)
     assert not exc.value.incomplete
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on the digits of an integer read from text")
+def test_an_integer_literal_over_the_interpreter_digit_limit_is_a_located_lex_error():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(LexError, match="integer literal has too many digits") as err:
+            parse("(list 1\n  " + "9" * 5000 + ")")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert err.value.loc == Location(2, 3)
 
 
 def test_print_canonical():
