@@ -18,11 +18,19 @@ sample's first draw.  The states come from `stream_states`, one pass per block
 of up to 1024 indices, computed when a sample of the block first draws; a
 sample that draws nothing derives no stream.  Each index draws exactly the
 bytes a fresh `derive_rng(seed..., index)` generator would.
+
+A batch whose sample 0 makes no random choice in its first attempt (its
+stream is still pending after it, see `Draws.pending`) and charges no
+shared concept budget runs that attempt once: nothing else can make two
+samples differ, so every attempt of every sample goes the same way.  If
+it is accepted, the n samples are that one value object, one attempt each;
+if not, the batch raises at once the exhaustion that `max_attempts`
+attempts would reach.  With the shipped rules the paper's query becomes
+`(define x 5)` with condition `#t`, and a batch of it evaluates the
+constant once.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .errors import EvalError, ExhaustionError, ProblispError
 from .evaluator import EvalContext, compile_forms
@@ -75,12 +83,16 @@ def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None):
     and the nested queries come here, so the attempt limit is checked here
     alone.  Given `states` (by `run_samples`), sample i draws from
     `states(i)`, and an `ExhaustionError` in it, its own or a nested query's,
-    is reported as sample i's, with the samples made before it."""
+    is reported as sample i's, with the samples made before it.  A batch
+    whose sample 0 draws nothing and charges no budget in its first attempt
+    (see the module docstring) ends after that attempt."""
     limit = ctx.max_attempts
     if limit < 1:
         raise EvalError("max-attempts must be at least 1")
     *attempt_codes, query_code = codes
     values, total = [], 0
+    probe, budget = states is not None, ctx.budget
+    nodes = budget.nodes_expanded if budget is not None else None
     session, ctx.session = ctx.session, None   # no knowledge forms inside a query
     try:
         for i in range(n):
@@ -108,6 +120,18 @@ def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None):
                         except RecursionError:
                             raise EvalError("recursion depth exceeded") from None
                         total += attempt
+                        if not probe:
+                            break
+                    elif not probe:
+                        continue
+                    probe = False   # sample 0's first attempt in a batch
+                    if ctx.rng.pending is not None and (
+                            budget is None or budget.nodes_expanded == nodes):
+                        # it drew nothing and charged no budget: nor does any attempt
+                        if cond:
+                            return values * n, n
+                        raise ExhaustionError(f"no accepted sample after {limit} attempts", limit)
+                    if cond:
                         break
                 else:
                     raise ExhaustionError(f"no accepted sample after {limit} attempts", limit)
@@ -130,12 +154,18 @@ def rejection_query(spec, env, ctx):
 
 
 def _stream_states(path, n):
-    """`states(i)`: the (state, inc) of `derive_rng(*path, i)` for i in range(n),
-    computed with the rest of its block when one of the block is first
-    asked for."""
-    block = functools.lru_cache(1)(lambda start: stream_states(path, start,
-                                                               min(n, start + _STATE_BLOCK)))
-    return lambda i: block(i - i % _STATE_BLOCK)[i % _STATE_BLOCK]
+    """`states(i)`: the (state, inc) of `derive_rng(*path, i)` for i in
+    range(n), computed with the rest of its block when one of the block is
+    first asked for.  Only the last block computed is held."""
+    start, block = -1, None
+
+    def states(i):
+        nonlocal start, block
+        first = i - i % _STATE_BLOCK
+        if first != start:
+            start, block = first, stream_states(path, first, min(n, first + _STATE_BLOCK))
+        return block[i - first]
+    return states
 
 
 def run_samples(spec, n, env, seed, ctx=None):

@@ -166,28 +166,35 @@ class Draws:
     where a missing random source is reported (see `NO_SOURCE`).  `pend`
     leaves a sample's stream pending until the sample's first draw, which
     sets it with no half word waiting; `settle` drops it.
+
+    `pending` is the stream that the next draw installs: what `pend` was
+    given, or at first the path's own stream, and None once a draw has
+    installed it.  So after `pend`, `pending is not None` says that nothing
+    has drawn since: a batch reads it once, after its first sample's first
+    attempt, to learn whether that sample made any random choice.
     """
 
-    __slots__ = ("_state", "_inc", "_half", "_pending", "_unseeded")
+    __slots__ = ("_state", "_inc", "_half", "pending", "_unseeded")
 
     def __init__(self, *path):
-        self._pending = self._unseeded = _path_state, path
+        self.pending = self._unseeded = _path_state, path
 
     def pend(self, states, i):
-        """Draw next from the stream whose (state, inc) is `states(i)`."""
-        self._pending = states, i
+        """Draw next from the stream whose (state, inc) is `states(i)`: it
+        stays in `pending`, not derived, until the next draw installs it."""
+        self.pending = states, i
 
     def settle(self):
         """Drop any pending stream and draw on from the current state."""
-        self._pending = self._unseeded
+        self.pending = self._unseeded
 
     def _install(self):
-        states, i = self._pending
+        states, i = self.pending
         self._state, self._inc = states(i)
-        self._half = self._pending = self._unseeded = None
+        self._half = self.pending = self._unseeded = None
 
     def _uint32(self):
-        if self._pending is not None:
+        if self.pending is not None:
             self._install()
         u = self._half
         if u is not None:
@@ -199,7 +206,7 @@ class Draws:
 
     def _u64(self):
         """The next whole 64-bit word; a waiting half word stays waiting."""
-        if self._pending is not None:
+        if self.pending is not None:
             self._install()
         s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
         v, r = (s >> 64 ^ s) & _MASK64, s >> 122
@@ -223,7 +230,7 @@ class Draws:
             return 0    # numpy draws nothing for a one-value range
         # numpy's buffered_bounded_lemire_uint32 with rng_excl = n, on an
         # inline `_uint32`
-        if self._pending is not None:
+        if self.pending is not None:
             self._install()
         u = self._half
         if u is None:
@@ -242,7 +249,7 @@ class Draws:
 
     def flip(self, p, loc=None):
         """True with probability p."""
-        if self._pending is not None:
+        if self.pending is not None:
             self._install()
         s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
         v, r = (s >> 64 ^ s) & _MASK64, s >> 122
@@ -302,9 +309,12 @@ class Draws:
 
 class _NoSource:
     """The draws of a context with no random source: every draw is an error,
-    and a sample stream given to it (`pend`, `settle`) is ignored."""
+    and a sample stream given to it (`pend`, `settle`) is ignored.  Its
+    `pending` is never None, as in a `Draws` that has not drawn since
+    `pend`: an attempt that finished under it made no draw."""
 
     __slots__ = ()
+    pending = True
 
     def pend(self, states, i):
         pass

@@ -89,6 +89,16 @@ def values_equal(a, b):
     return False
 
 
+def _digits(n):
+    """The decimal digits of the int n >= 0, in pieces of at most about 600
+    digits, which every int-string limit allows (640 at the least)."""
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20   # about half of n's digits
+    high, low = divmod(n, 10 ** k)
+    return _digits(high) + _digits(low).zfill(k)
+
+
 def format_value(v):
     """Render a runtime value; proper lists print like source lists."""
     if v is None:
@@ -96,7 +106,10 @@ def format_value(v):
     if isinstance(v, bool):
         return "#t" if v else "#f"
     if isinstance(v, int):
-        return str(v)
+        try:
+            return str(v)
+        except ValueError:   # over the interpreter's int-string digit limit
+            return "-" + _digits(-v) if v < 0 else _digits(v)
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, str):

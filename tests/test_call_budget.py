@@ -1,5 +1,6 @@
 """Python call budgets of the two hot paths, recursive concept sampling and
-the blind rejection loop, and of the condition solver.
+the blind rejection loop, of two queries that draw nothing, and of the
+condition solver.
 
 The evaluator specializes its hot call shapes (see the evaluator module
 docstring).  These tests count the Python function calls that problisp's
@@ -21,8 +22,8 @@ import subprocess
 import sys
 
 import problisp
-from problisp import (QuerySpec, Session, ZeroProbabilityError, optimize_query_detail,
-                      parse_one, prelude_path, rules_path)
+from problisp import (ExhaustionError, QuerySpec, Session, ZeroProbabilityError,
+                      optimize_query_detail, parse_one, prelude_path, rules_path)
 
 PACKAGE = os.path.dirname(problisp.__file__) + os.sep
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -35,8 +36,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 CONCEPT_BUDGET = 2976
 BLIND_BUDGET = 2551
 # 1790 while every attempt built an Env and its dict, each sample ran its own
-# attempt loop, and the reader recursed once for every node it read
-PINNED_BUDGET = 1173
+# attempt loop, and the reader recursed once for every node it read; 1173
+# while a batch ran every sample of a query that draws nothing
+PINNED_BUDGET = 178
+# a batch whose first sample rejects without drawing raises the exhaustion
+# after that one attempt; making all 10**6 of them took 3000094 calls
+DRAW_FREE_FALSE_BUDGET = 97
 # 967 until the solver tried only the rewrites that can lower the target's
 # depth.  What that saved is the headroom for ROADMAP item 1's Real-literal
 # check, which went over the old budget (1074 against 967); the change that
@@ -105,6 +110,19 @@ def pinned_query():
     return calls, report.total_attempts
 
 
+def draw_free_false_query(max_attempts):
+    """(calls, attempts) of a query whose first sample rejects without
+    drawing: the count may not grow with `max_attempts`."""
+    s = Session(seed=3, samples=200, max_attempts=max_attempts)
+
+    def run():
+        try:
+            s.run_text("(rejection-query (define x 5) x (= x 6))")
+        except ExhaustionError as err:
+            return err.attempts
+    return _count_calls(run)
+
+
 def solver_queries():
     """(calls, fired) of optimizing the many_queries shapes, after the rules
     compile their matchers at first use; fired is None where the condition
@@ -127,9 +145,11 @@ def solver_queries():
     return _count_calls(optimize_all)
 
 
-def _in_child(query):
-    """What `query()` returns when it runs alone in a fresh Python process."""
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__), query.__name__],
+def _in_child(query, *args):
+    """What `query(*args)` returns when it runs alone in a fresh Python
+    process; `args` are ints."""
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), query.__name__,
+                           *map(str, args)],
                           env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -154,6 +174,15 @@ def test_pinned_query_call_budget():
     assert calls <= PINNED_BUDGET
 
 
+def test_draw_free_false_query_call_budget():
+    counts = []
+    for max_attempts in (10 ** 6, 10 ** 8):
+        calls, attempts = _in_child(draw_free_false_query, max_attempts)
+        assert attempts == max_attempts
+        counts.append(calls)
+    assert counts[0] == counts[1] <= DRAW_FREE_FALSE_BUDGET
+
+
 def test_solver_call_budget():
     calls, fired = _in_child(solver_queries)
     assert fired == [True, None, False, False]   # the same work as when the budget was set
@@ -161,4 +190,4 @@ def test_solver_call_budget():
 
 
 if __name__ == "__main__":
-    print(json.dumps(globals()[sys.argv[1]]()))
+    print(json.dumps(globals()[sys.argv[1]](*map(int, sys.argv[2:]))))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from problisp import EvalError, Pair, Session, cli, histogram
+from problisp import NIL, EvalError, Pair, Session, cli, histogram
 from problisp.sexpr import MAX_NESTING
 
 from conftest import PROGRAMS, REPO, SRC, run_cli
@@ -218,6 +218,19 @@ def test_a_blind_batch_out_of_attempts_names_its_sample_and_exits_2():
                         "sample 1: no accepted sample after 3 attempts\n")
 
 
+@pytest.mark.parametrize("max_attempts", [None, 10 ** 8])
+def test_a_draw_free_batch_that_rejects_exits_2_at_its_first_attempt(tmp_path, max_attempts):
+    # sample 0 rejects without drawing, so every attempt would: the error is
+    # reported without making the attempts (10**8 of them took minutes)
+    p = tmp_path / "false.lisp"
+    p.write_text("(rejection-query (define x 5) x (= x 6))\n")
+    flags = () if max_attempts is None else ("--max-attempts", max_attempts)
+    r = run_cli(p, *flags, timeout=60)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == (f"problisp: {p}: line 1, column 1: sample 0: no accepted sample "
+                        f"after {max_attempts or 10 ** 6} attempts\n")
+
+
 def test_usage_error_exit_3():
     assert run_cli("--bogus-flag").returncode == 3
     assert run_cli("--samples", 0).returncode == 3
@@ -347,6 +360,24 @@ def test_integers_past_the_interpreter_digit_limit_read_and_print_in_full(
     p.write_text(program + "\n")
     r = run_cli(p)
     assert (r.returncode, r.stdout, r.stderr) == (0, value + "\n", "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on the digits of an integer as text")
+def test_a_library_caller_prints_an_integer_past_the_digit_limit_as_the_cli_does():
+    # the caller keeps the interpreter's limit, which the CLI lifts
+    from problisp import format_value
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        nines = "9" * 2200
+        value = Session(seed=1).run_text(f"(* {nines} {nines})")[0].value
+        assert format_value(value) == "9" * 2199 + "8" + "0" * 2199 + "1"
+        assert format_value(-value - 1) == "-" + "9" * 2199 + "8" + "0" * 2199 + "2"
+        assert format_value(Pair(10 ** 5000, Pair(7, NIL))) == f"({'1' + '0' * 5000} 7)"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_prelude_and_rules_load_in_flag_order(tmp_path):

@@ -5,8 +5,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from problisp import (EvalContext, EvalError, ExhaustionError, ProblispError, QuerySpec,
-                      SampleReport, derive_rng, parse_one, rejection_query, run_samples,
-                      standard_env)
+                      SampleReport, derive_rng, evaluate, format_value, parse_one,
+                      rejection_query, run_samples, standard_env)
 from problisp.rng import Draws
 
 from _lang import draws_state, satisfaction_set, twin_state
@@ -415,3 +415,148 @@ def test_no_stream_pending_after_return_or_exhaustion(monkeypatch):
     run_samples(_spec("(rejection-query (define x 5) x #t)"), 2000, env, 4, _ctx(draws, env))
     assert calls == []
     assert draws.normal(0, 1) == float(twin.normal(0, 1))
+
+
+# A batch asks once, after sample 0's first attempt, whether the sample drew
+# or charged a shared concept budget; if neither, it runs that attempt alone.
+DRAW_FREE_FALSE = "(rejection-query (define x 5) x (= x 6))"
+
+
+def test_a_draw_free_batch_that_rejects_raises_the_full_exhaustion_at_once():
+    # every attempt would reject as sample 0's first did: the error is the
+    # one that 10**6 attempts reach, as when they were all made
+    from problisp import Session
+
+    with pytest.raises(ExhaustionError) as exc:
+        Session(seed=1, samples=5).run_text(DRAW_FREE_FALSE)
+    assert str(exc.value) == "line 1, column 1: sample 0: no accepted sample after 1000000 attempts"
+    assert exc.value.attempts == 10 ** 6
+    assert exc.value.partial == SampleReport((), 10 ** 6, 0.0)
+
+
+def test_a_draw_free_batch_is_one_value_in_one_attempt_per_sample():
+    report = run_samples(_spec("(rejection-query (define x 5) (list x x) (= x 5))"), 50,
+                         standard_env(), 3)
+    assert (report.total_attempts, report.acceptance_rate) == (50, 1.0)
+    assert format_value(report.samples[0]) == "(5 5)"
+    assert all(v is report.samples[0] for v in report.samples)   # one value object
+
+
+def test_a_sample_that_draws_only_in_its_query_value_draws_from_its_own_stream():
+    # the query value's draw is what makes sample 0 differ from sample 1;
+    # the values are those of the batch before it probed sample 0
+    from problisp import Session
+
+    text = "(rejection-query (define x 5) (random-integer 10) #t)"
+    report = Session(seed=1, samples=12).run_text(text)[0].report
+    assert report == SampleReport((5, 3, 9, 9, 9, 1, 7, 5, 2, 9, 4, 5), 12, 1.0)
+    env = standard_env()
+    for i, value in enumerate(report.samples):
+        assert rejection_query(_spec(text), env, _ctx(Draws(1, 1, i), env)) == value
+
+
+def test_a_query_under_a_shared_concept_budget_runs_out_of_it_where_it_did():
+    # each attempt samples a one-link concept: it draws nothing, but charges
+    # the template's budget when nested in one, or the budget a batch is given
+    from problisp import BudgetError, Session
+    from problisp.sampler import SampleBudget
+
+    s = Session(seed=1, max_attempts=100_000)
+    s.run_text("(concept d) (is-a 7 d) (define g (lambda () (sample d)))"
+               " (concept c) (is-a (rejection-query (define y (g)) y (= y 8)) c)")
+    with pytest.raises(BudgetError) as exc:
+        s.run_text("(sample c)")
+    assert exc.value.message == ("sampling did not terminate within budget "
+                                 "(depth 1/64, nodes 10001/10000) (attempt 10000)")
+    for cond, n, max_nodes, message in [
+            ("(= y 8)", 3, 40, "(depth 0/64, nodes 41/40) (attempt 41)"),
+            ("(= y 7)", 10, 5, "(depth 0/64, nodes 6/5) (attempt 1)"),   # at sample 5
+            ("(= y 7)", 4, 5, None)]:
+        budget = SampleBudget(max_nodes=max_nodes)
+        ctx = _ctx(Draws(0), s.env, store=s.store, budget=budget, max_attempts=1000)
+        spec = _spec(f"(rejection-query (define y (sample d)) y {cond})")
+        if message is None:
+            assert run_samples(spec, n, s.env, 5, ctx) == SampleReport((7,) * n, n, 1.0)
+            assert budget.nodes_expanded == n
+        else:
+            with pytest.raises(BudgetError) as exc:
+                run_samples(spec, n, s.env, 5, ctx)
+            assert exc.value.message == "sampling did not terminate within budget " + message
+
+
+def test_no_stream_left_pending_after_a_draw_free_batch():
+    from problisp.rng import NO_SOURCE
+
+    env = standard_env()
+    accepted, rejected = _spec("(rejection-query (define x 5) x #t)"), _spec(DRAW_FREE_FALSE)
+    # with no random source, both outcomes run as with one
+    assert run_samples(accepted, 4, env, 1, EvalContext(global_env=env)).samples == (5,) * 4
+    with pytest.raises(ExhaustionError, match="sample 0: no accepted sample after 9 attempts"):
+        run_samples(rejected, 4, env, 1, EvalContext(global_env=env, max_attempts=9))
+    assert NO_SOURCE.pending is True
+    # a draw object draws on from its own state after each outcome
+    draws, twin = Draws(99), derive_rng(99)
+    assert draws.flip(0.5) == (twin.random() < 0.5)
+    run_samples(accepted, 4, env, 1, _ctx(draws, env))
+    assert draws.pending is None
+    with pytest.raises(ExhaustionError):
+        run_samples(rejected, 4, env, 1, _ctx(draws, env))
+    assert draws.pending is None
+    assert draws_state(draws) == twin_state(twin)
+
+
+def _draw_free_terms(names):
+    """Integer-valued terms over `names` that draw nothing: arithmetic, if,
+    let, a lambda call and a nested query."""
+    leaf = st.one_of(st.integers(-3, 9).map(str), st.just("(random-integer 1)"),
+                     *([st.sampled_from(names)] if names else []))
+    return st.recursive(leaf, lambda t: st.one_of(
+        st.tuples(st.sampled_from("+-*"), t, t).map(lambda x: "({} {} {})".format(*x)),
+        st.tuples(t, t, t).map(lambda x: "(if (< {0} {1}) {2} {0})".format(*x)),
+        st.tuples(t, t).map(lambda x: "(let ((v {})) (+ v {}))".format(*x)),
+        st.tuples(t, t).map(lambda x: "((lambda (u) (* u {1})) {0})".format(*x)),
+        t.map("(rejection-query (define w {}) (+ w 1) (> w -50))".format)), max_leaves=5)
+
+
+@st.composite
+def _draw_free_queries(draw):
+    """A query whose definitions and condition draw nothing; its query value
+    may draw."""
+    defs = [f"(define a {draw(_draw_free_terms(()))})",
+            f"(define b {draw(_draw_free_terms(('a',)))})"]
+    terms = _draw_free_terms(("a", "b"))
+    cond = draw(st.one_of(st.sampled_from(("#t", "#f")), st.tuples(
+        st.sampled_from("=<>"), terms, terms).map(lambda x: "({} {} {})".format(*x))))
+    value = draw(st.one_of(terms, terms.map("(list {} (random-integer 10))".format)))
+    return f"(rejection-query {' '.join(defs)} {value} {cond})"
+
+
+def _outcome(run):
+    try:
+        return format_value(run())
+    except ExhaustionError as err:
+        return err.message, err.attempts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_draw_free_queries(), st.integers(1, 3), st.integers(0, 2 ** 32))
+def test_draw_free_queries_sample_as_the_reference_walker_does(text, n, seed):
+    # the walker runs every attempt of a query blind
+    import _reference_eval
+
+    form, env = parse_one(text), standard_env()
+
+    def ctx(*path):
+        return _ctx(Draws(*path), env, max_attempts=25)
+
+    walked = [_outcome(lambda: _reference_eval.run(form, env, ctx(seed, i))) for i in range(n)]
+    assert _outcome(lambda: evaluate(form, env, ctx(seed, 0))) == walked[0]
+    try:
+        batch = [format_value(v) for v in
+                 run_samples(QuerySpec.from_form(form), n, env, seed, ctx(seed)).samples]
+    except ExhaustionError as err:
+        failed = next(i for i, w in enumerate(walked) if isinstance(w, tuple))
+        assert (err.message, err.attempts) == (f"sample {failed}: {walked[failed][0]}",
+                                               walked[failed][1])
+    else:
+        assert batch == walked
