@@ -17,7 +17,6 @@ from .inference import QuerySpec, SampleReport, rejection_query, run_samples
 from .rewrite import (OptimizeOutcome, RewriteRule, SolveResult, constant_fold,
                       match, optimize_query_detail, rule_from_form,
                       solve_condition, substitute)
-from .rng import derive_rng
 from .sampler import SampleBudget, instantiate_expression, sample_concept
 from .session import Session, TopResult
 from .sexpr import (Boolean, Integer, Location, Real, SExpr, SList, Symbol,
@@ -34,7 +33,7 @@ __all__ = [
     "RewriteRule", "RuleError", "SExpr", "SList", "SampleBudget",
     "SampleReport", "Session", "SolveResult",
     "Symbol", "Text", "TopResult", "ZeroProbabilityError",
-    "build_session", "constant_fold", "derive_rng", "evaluate",
+    "build_session", "constant_fold", "evaluate",
     "format_value", "histogram", "instantiate_expression", "main",
     "match", "optimize_query_detail", "parse", "parse_one",
     "prelude_path", "print_expr", "rejection_query", "rule_from_form",

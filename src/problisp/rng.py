@@ -6,10 +6,10 @@ others were made.  `stream_states` re-implements that seeding for many
 paths that differ only in their last integer, in one pass.  `Draws` is
 the one draw source the library accepts: `Draws(*path)` draws the values
 a numpy Generator `derive_rng(*path)` would, stepping PCG64 and running
-numpy's integer, uniform, permutation and normal draws in Python.  Only
-`derive_rng`, the reference twin of the tests and the benchmark, imports
-numpy.  `NO_SOURCE` stands in for a draw object in a context with no
-random source.
+numpy's integer, uniform and normal draws in Python.  Only `derive_rng`,
+the reference twin of the tests and the benchmark, imports numpy.
+`NO_SOURCE` stands in for a draw object in a context with no random
+source.
 """
 
 from __future__ import annotations
@@ -156,8 +156,7 @@ class Draws:
     Each method returns what its numpy call returns and consumes the same
     bits: `integer(n)` is `Generator.integers(0, n)`, `flip(p)` is
     `Generator.random() < p`, `choose(weights)` scales one
-    `Generator.random()` by the total weight, `order(k)` is
-    `Generator.permutation(k)` and `normal(mean, sd)` is
+    `Generator.random()` by the total weight and `normal(mean, sd)` is
     `Generator.normal(mean, sd)`.  The state is numpy's: the LCG state, its
     increment, and the upper half of a word that a 32-bit draw left (None
     when no half waits).  A step advances the LCG and outputs the XSL-RR
@@ -268,19 +267,6 @@ class Draws:
                 return i
         return len(weights) - 1
 
-    def order(self, k):
-        """A uniformly random permutation of range(k), as a list: each i
-        from k-1 down to 1 swaps with a j <= i, a 32-bit draw masked to i's
-        bit length and drawn again while above i."""
-        out = list(range(k))
-        for i in range(k - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = self._uint32() & mask
-            while j > i:
-                j = self._uint32() & mask
-            out[i], out[j] = out[j], out[i]
-        return out
-
     def normal(self, mean, sd, loc=None):
         """Gaussian draw: numpy's 256-layer ziggurat on one word (8 bits of
         layer, 1 of sign, 52 of magnitude), a tail at layer 0, wedges above."""
@@ -332,9 +318,6 @@ class _NoSource:
         raise EvalError(_NO_SOURCE_TEXT, loc)
 
     def choose(self, weights):
-        raise EvalError(_NO_SAMPLING_SOURCE_TEXT)
-
-    def order(self, k):
         raise EvalError(_NO_SAMPLING_SOURCE_TEXT)
 
 

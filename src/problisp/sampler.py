@@ -3,17 +3,16 @@
 Sampling a concept draws one of its incoming is-a links with probability
 proportional to effective weight, then recurses on a concept source or
 instantiates an expression source.  Every concept symbol inside a template
-is replaced by an independent recursive draw; when a template mentions
-several concepts, the order in which they are instantiated is itself chosen
-uniformly at random (the draws are independent, so the order is invisible in
-distribution but fixed for rng-trace reproducibility).  All state comes
-from the `EvalContext` given: the concept store, the session globals, and
-the draw object `ctx.rng` that makes both choices, the link and the order,
-and that the template's own primitives draw from.  A template runs with no
-session, so knowledge forms are refused inside it.  Each instantiation
-runs in a frame of its own, so a template never writes the session's
-globals.  Each template is compiled once, at its `is-a`, and its code is
-kept on the store until a `concept` form declares a name.
+is replaced by an independent recursive draw, made left to right before the
+template runs; the draws are independent, so their order sets only which
+stream positions each reads, and the leftmost failing occurrence reports
+its error.  All state comes from the `EvalContext` given: the concept
+store, the session globals, and the draw object `ctx.rng` that chooses the
+links and that the template's own primitives draw from.  A template runs
+with no session, so knowledge forms are refused inside it.  Each
+instantiation runs in a frame of its own, so a template never writes the
+session's globals.  Each template is compiled once, at its `is-a`, and its
+code is kept on the store until a `concept` form declares a name.
 
 Budgets guard the recursion: exceeding the depth or node cap aborts the
 sample with an error rather than silently truncating, since truncation would
@@ -75,9 +74,7 @@ def _instantiate(expr, ctx, budget, depth):
     code, concepts, _ = _compiled_template(ctx.store, expr, ctx.global_env)
     frame = Env()
     frame.parent = ctx.global_env
-    n = len(concepts)
-    for k in range(n) if n < 2 else ctx.rng.order(n):
-        name, cid = concepts[k]
+    for name, cid in concepts:
         frame[name] = sample_concept(cid, ctx, budget, depth + 1)
     saved = ctx.session, ctx.budget, ctx.sample_depth
     ctx.session, ctx.budget, ctx.sample_depth = None, budget, depth + 1

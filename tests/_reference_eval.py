@@ -15,11 +15,10 @@ non-tail call is reported without the call's location.
 `sample` draws a concept as `sampler.sample_concept` does, for well-formed
 templates made of the forms above: it charges the budget, chooses a link,
 and recurses on a concept source.  In an expression template it finds each
-free symbol occurrence that names a concept, in document order, draws them
-in the order `ctx.rng.order` gives, and walks a copy of the template in
-which each of those occurrences is its draw, in a frame of its own.  The
-free occurrences come from a textbook free-variable function, not from
-the compiler's walk.
+free symbol occurrence that names a concept, draws them in document order,
+and walks a copy of the template in which each of those occurrences is its
+draw, in a frame of its own.  The free occurrences come from a textbook
+free-variable function, not from the compiler's walk.
 """
 
 from problisp.concepts import ConceptId
@@ -185,8 +184,8 @@ def sample(concept, ctx, budget=None, depth=0):
     draws = []
     free = {id(sym) for sym in free_occurrences((link.source,))}
     template = _mark(link.source, free, ctx.store, draws)
-    for k in ctx.rng.order(len(draws)) if len(draws) > 1 else range(len(draws)):
-        draws[k].value = sample(draws[k].concept, ctx, budget, depth + 1)
+    for drawn in draws:
+        drawn.value = sample(drawn.concept, ctx, budget, depth + 1)
     env = _child(ctx.global_env)
     saved = ctx.session, ctx.budget, ctx.sample_depth
     ctx.session, ctx.budget, ctx.sample_depth = None, budget, depth + 1

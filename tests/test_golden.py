@@ -7,8 +7,10 @@ reproducibility contract (same program, flags and seed, same bytes).  The
 summary record echoes each rules file as given on the command line, and
 `std` for the shipped default, so the bytes are the same in every checkout;
 the digests of the runs that load rules were recorded again when the echo
-stopped being the checkout's absolute path.  A change that alters the output
-on purpose must say why and record new digests.
+stopped being the checkout's absolute path, and the knowledge-sampling and
+nested digests when a template's concept occurrences came to be drawn left
+to right.  A change that alters the output on purpose must say why and
+record new digests.
 """
 
 import hashlib
@@ -33,9 +35,9 @@ GOLDEN = {
     ("two_queries.lisp", (), 7):
         "ce6a51a99639b3c5a13d8e0711950c8ed4ab8a1f4b60087fa048cbe6607fdf17",
     ("knowledge_sampling.lisp", ("--prelude", "std"), 1):
-        "162cf3bf5439356720818098752fddabe8ef3afb24eb1b894ef30c317e0e73ed",
+        "00864d9b3572d60e251231839286bd4642b72fadb7a26ee28881b7470a60c6f1",
     ("knowledge_sampling.lisp", ("--prelude", "std"), 7):
-        "7949fee81acb574fd825f75af63ddc80ba9df023cfafce0954a311f20796910c",
+        "05587dfc30c3de70a79fe511c3c8d53a6b9c920a4368381b96498ebf7f7fe9c4",
 }
 
 
@@ -78,12 +80,12 @@ NESTED_PROGRAM = """
 NESTED_SAMPLES = 50
 
 NESTED_GOLDEN = {
-    ((), 1): "5251de45050166c819ac2465989ca3aa5b52a157c3358c68ce7eab4898004ae6",
-    ((), 7): "c18e43a9238a1342cea16b4b43fee841a2976078123058ebd6582309f1852366",
+    ((), 1): "7e18190cc11b1d09bf6bf0c1878d7eff2aee9d3250b514ba2d8aaf715439e7a8",
+    ((), 7): "b4a04cbac659d5b6f95bebb4174bb30b05b09d9eb78d36b47d43bfcca16acd29",
     (("--no-rewrite",), 1):
-        "2471e85e4201c96941fb29be9dfeb66d93387e05d24cb45db9d134863cb13de2",
+        "2adca22f59dfc136487911135c83b3e669b376e7fb8dfc112efe274a2ffe4336",
     (("--no-rewrite",), 7):
-        "276641ea78c244374b88c5bf3194a0d8aa158c26ce2bd65c1f92b897d603e157",
+        "97ea5a4201b9be965aac1957f77e960d5f0960c4e198601729c794fb78f8a32d",
 }
 
 

@@ -5,9 +5,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from problisp import (EvalContext, EvalError, ExhaustionError, ProblispError, QuerySpec,
-                      SampleReport, derive_rng, evaluate, format_value, parse_one,
+                      SampleReport, evaluate, format_value, parse_one,
                       rejection_query, run_samples, standard_env)
-from problisp.rng import Draws
+from problisp.rng import Draws, derive_rng
 
 from _lang import draws_state, satisfaction_set, twin_state
 
@@ -308,7 +308,7 @@ def test_conditional_distribution_matches_enumeration(src, supports, query_var):
 # A sample's stream is installed at its first draw.  Each query of
 # `_FIRST_DRAWS` has a draw-free prefix and then draws first through one
 # `Draws` path: `integer` below and above 2**32, `flip`, `choose` (a two-link
-# concept), `order` (a two-concept template) and `normal`.  The queries of
+# concept, alone and in a two-concept template) and `normal`.  The queries of
 # `_DRAW_FREE` draw nothing at all: `(random-integer 1)` takes no bits.
 _KNOWLEDGE = ("(concept coin) (is-a 0 coin) (is-a 1 coin)"
               " (concept pair) (is-a (list coin coin) pair)")

@@ -57,11 +57,6 @@ class RecordingDraws(Draws):
         self.log.append(("choose", repr(weights), None, value))
         return value
 
-    def order(self, k):
-        value = super().order(k)
-        self.log.append(("order", repr(k), None, value))
-        return value
-
 
 def outcomes(run, program, seed):
     """What each form of `program` gives when `run(form, env, ctx)` runs

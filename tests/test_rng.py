@@ -1,11 +1,11 @@
 """`stream_states` and `Draws` against numpy's own calls.
 
 The states are a re-implementation of numpy's seeding, and the draw object
-re-implements numpy's PCG64 and its integer, uniform, permutation and
-normal draws, so these tests are what ties them to the installed numpy: a
-numpy release that changed its seeding or its draws would fail here, not
-silently change the streams of queries.  Each draw is checked against a
-numpy Generator twin, value by value and state by state.
+re-implements numpy's PCG64 and its integer, uniform and normal draws, so
+these tests are what ties them to the installed numpy: a numpy release that
+changed its seeding or its draws would fail here, not silently change the
+streams of queries.  Each draw is checked against a numpy Generator twin,
+value by value and state by state.
 """
 
 import numpy as np
@@ -76,7 +76,6 @@ _OPS = st.one_of(
     st.tuples(st.just("integer"), st.sampled_from(_BOUNDS)),
     st.tuples(st.just("flip"), _PROBABILITIES),
     st.tuples(st.just("choose"), st.lists(st.floats(0.001, 1000), min_size=1, max_size=5)),
-    st.tuples(st.just("order"), st.integers(0, 9)),
     st.tuples(st.just("normal"), st.floats(-100, 100), st.floats(0.001, 100)),
 )
 
@@ -116,8 +115,6 @@ def _numpy_draw(rng, op):
             if u < acc:
                 return i
         return len(weights) - 1
-    if name == "order":
-        return [int(v) for v in rng.permutation(args[0])]
     return float(rng.normal(*args))
 
 
@@ -126,7 +123,7 @@ def _numpy_draw(rng, op):
 @example(5, [("integer", n) for n in _BOUNDS] + [("integer", 10)])
 @example(9, [("integer", 1), ("integer", 10), ("integer", 1), ("integer", 10)])
 @example(3, [("integer", 10), ("flip", 0.5), ("integer", 10), ("normal", 0.0, 1.0),
-             ("integer", 10), ("order", 5), ("integer", 10), ("choose", [1.0, 2.0])])
+             ("integer", 10), ("integer", 10), ("choose", [1.0, 2.0])])
 def test_draws_equal_numpy_calls(seed, ops):
     draws, twin = Draws(seed), derive_rng(seed)
     for op in ops:
@@ -137,7 +134,7 @@ def test_draws_equal_numpy_calls(seed, ops):
 
 def _takes_bits(op):
     name, *args = op
-    return not (name == "integer" and args[0] == 1 or name == "order" and args[0] < 2)
+    return not (name == "integer" and args[0] == 1)
 
 
 def _stream(states, start):
@@ -165,7 +162,7 @@ def test_draws_follow_a_state_change_with_a_half_word_pending(prefix, start, cou
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, (1 << 64) - 1),
        st.lists(st.tuples(st.booleans(), st.lists(_OPS, max_size=5)), max_size=6))
-@example(3, [(False, [("integer", 10)]), (True, [("integer", 1), ("order", 1)]),
+@example(3, [(False, [("integer", 10)]), (True, [("integer", 1)]),
              (False, [("integer", 10)]), (True, [("normal", 0.0, 1.0), ("integer", 10)]),
              (True, [("integer", (1 << 32) + 1), ("flip", 0.5)])])
 def test_pend_and_settle_across_sample_boundaries(seed, samples):

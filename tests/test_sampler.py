@@ -94,6 +94,50 @@ def test_multinomial_weight_frequencies():
         assert abs(counts[value] / n - p) < 4 * sd
 
 
+def test_two_occurrence_template_frequencies():
+    # the occurrences of `(list die coin)` are independent draws: each joint
+    # value's frequency is the product of the two marginals
+    s = _store_session("""
+    (concept die)
+    (is-a 1 die 1)
+    (is-a 2 die 1)
+    (is-a 3 die 2)
+    (concept coin)
+    (is-a #t coin 1)
+    (is-a #f coin 3)
+    (concept roll)
+    (is-a (list die coin) roll)
+    """)
+    ctx = _ctx(s.store, Draws(78), standard_env())
+    n = 30_000
+    counts = {}
+    for _ in range(n):
+        v = format_value(sample_concept(s.store.lookup("roll"), ctx))
+        counts[v] = counts.get(v, 0) + 1
+    die = {1: 1 / 4, 2: 1 / 4, 3: 2 / 4}
+    coin = {"#t": 1 / 4, "#f": 3 / 4}
+    assert len(counts) == 6
+    for d, pd in die.items():
+        for c, pc in coin.items():
+            p = pd * pc
+            sd = math.sqrt(p * (1 - p) / n)
+            assert abs(counts.get(f"({d} {c})", 0) / n - p) < 4 * sd, (d, c)
+
+
+def test_leftmost_failing_occurrence_reports_its_error():
+    # occurrences are drawn left to right, so `a`'s error is the one raised
+    # whatever the seed
+    src = """(concept a) (concept b) (concept t)
+(is-a (first 1) a)
+(is-a (rest 2) b)
+(is-a (list a b) t)"""
+    for seed in range(1, 7):
+        s = _store_session(src, seed)
+        with pytest.raises(EvalError, match="first expects a pair") as exc:
+            s.run_text("(sample t)")
+        assert (exc.value.loc.line, exc.value.loc.column) == (2, 7), seed
+
+
 def test_weight_scale_invariance_exact():
     base = """
     (concept pick)
@@ -189,13 +233,22 @@ def test_node_budget_aborts_supercritical_branching():
     (is-a 1 tree 1)
     (is-a (list tree tree tree) tree 2)
     """)
-    store = s.store
+    # the tree dies out with probability (sqrt(3) - 1) / 2, about 0.37: each
+    # seed either returns within the budget or aborts at its first node past
+    # it, and some seed aborts
     tree = s.store.lookup("tree")
     env = standard_env()
-    budget = SampleBudget(max_depth=10 ** 6, max_nodes=500)
-    with pytest.raises(BudgetError):
-        sample_concept(tree, _ctx(store, Draws(0), env), budget)
-    assert budget.nodes_expanded == 501
+    aborted = 0
+    for seed in range(10):
+        budget = SampleBudget(max_depth=10 ** 6, max_nodes=500)
+        try:
+            sample_concept(tree, _ctx(s.store, Draws(seed), env), budget)
+        except BudgetError:
+            aborted += 1
+            assert budget.nodes_expanded == 501, seed
+        else:
+            assert budget.nodes_expanded <= 500, seed
+    assert aborted
 
 
 def test_explicit_sample_in_template_shares_budget():
