@@ -228,25 +228,31 @@ def _sample_records(out, result):
                       for i, v in enumerate(result.report.samples)))
 
 
-def _print_query_plain(result, config, out):
+def _print_stats(result, config, out):
+    """A query's stats report: its samples, attempts and acceptance, the
+    rewrite and a histogram, on `;;` lines (`--stats`, and the REPL's
+    `:stats`)."""
     report = result.report
-    for v in report.samples:
+    out.write(f";; query {result.ordinal}: samples {len(report.samples)}, "
+              f"attempts {report.total_attempts}, "
+              f"acceptance {report.acceptance_rate:.6g}\n")
+    opt = result.optimize
+    if opt is not None and opt.fired:
+        chain = " -> ".join(print_expr(c) for c in opt.chain)
+        out.write(f";; rewrite[{opt.target}]: {chain}\n")
+        out.write(f";; rewrite[{opt.target}]: definition {print_expr(opt.definition)}\n")
+    elif config.rewrite:
+        out.write(";; rewrite: no rewrite applied\n")
+    out.write(";; histogram:\n")
+    for line in histogram(list(report.samples)).splitlines():
+        out.write(f";;   {line}\n")
+
+
+def _print_query_plain(result, config, out):
+    for v in result.report.samples:
         out.write(format_value(v) + "\n")
     if config.stats:
-        out.write(f";; query {result.ordinal}: samples {len(report.samples)}, "
-                  f"attempts {report.total_attempts}, "
-                  f"acceptance {report.acceptance_rate:.6g}\n")
-        opt = result.optimize
-        if opt is not None and opt.fired:
-            chain = " -> ".join(print_expr(c) for c in opt.chain)
-            out.write(f";; rewrite[{opt.target}]: {chain}\n")
-            out.write(f";; rewrite[{opt.target}]: definition "
-                      f"{print_expr(opt.definition)}\n")
-        elif config.rewrite:
-            out.write(";; rewrite: no rewrite applied\n")
-        out.write(";; histogram:\n")
-        for line in histogram(list(report.samples)).splitlines():
-            out.write(f";;   {line}\n")
+        _print_stats(result, config, out)
 
 
 def _write_result(out, form, result, config, index=None):
@@ -305,22 +311,16 @@ _REPL_HELP = """\
 """
 
 
-def _meta_command(line, session, out):
+def _meta_command(line, session, config, out):
     parts = line.split()
     cmd, args = parts[0], parts[1:]
     if cmd == ":help":
         out.write(_REPL_HELP)
     elif cmd == ":stats":
-        last = session.last_query
-        if last is None:
+        if session.last_query is None:
             out.write("no query has run yet\n")
-            return
-        report = last.report
-        out.write(f"samples {len(report.samples)}, attempts {report.total_attempts}, "
-                  f"acceptance {report.acceptance_rate:.6g}\n")
-        opt = last.optimize
-        if opt is not None and opt.fired:
-            out.write("rewrite: " + " -> ".join(print_expr(c) for c in opt.chain) + "\n")
+        else:
+            _print_stats(session.last_query, config, out)
     elif cmd == ":concepts":
         store = session.store
         names = store.concept_names()
@@ -371,7 +371,7 @@ def repl(session, config, stdin=None, out=None):
                 out.write("\n")
             return 0
         if not buffer and line.strip().startswith(":"):
-            _meta_command(line.strip(), session, out)
+            _meta_command(line.strip(), session, config, out)
             continue
         buffer = buffer + line
         if not buffer.strip():

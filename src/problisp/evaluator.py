@@ -89,8 +89,9 @@ class EvalContext(_Record):
     """Everything an evaluation needs besides the environment.
 
     `rng` is the draw object (`rng.Draws`) that makes every random choice:
-    the primitives and the concept sampler call it and nothing else.  It
-    defaults to `rng.NO_SOURCE`, whose draws are errors.
+    the primitives and the concept sampler call its four draws, `integer`,
+    `flip`, `normal` and `choose`, and nothing else.  It defaults to
+    `rng.NO_SOURCE`, whose draws are errors.
 
     A session builds one context per top-level form, and the query runners
     and the concept sampler read their state from it, taking none of it as
@@ -98,11 +99,10 @@ class EvalContext(_Record):
     the sampler reads, and `rules` (empty when rewriting is off) between
     forms; `max_attempts` and `global_env` stay fixed for the session, and
     `session` is set only there.  A query clears `session` while its
-    attempts run; `run_samples` gives each sample's stream to the one draw
-    object, so nothing may keep a context beyond the sample that used it.  A
-    concept instantiation clears `session` and sets `budget` and
-    `sample_depth` for its recursion.  Both put the old values back when
-    they return.
+    attempts run, and `run_samples` puts a draw object of its own on `rng`
+    for its batch.  A concept instantiation clears `session` and sets
+    `budget` and `sample_depth` for its recursion.  Each puts the old values
+    back when it returns.
 
     The context is read when code runs, never when it is compiled: compiled
     code depends only on the forms and on the root frame it was compiled
@@ -597,7 +597,7 @@ def _eval_knowledge(op, expr, ctx):
     if sess is None:
         raise EvalError(f"'{op}' is only allowed at the top level of a session", expr.loc)
     items = expr.items
-    store = sess.store
+    store = ctx.store
 
     if op == "concept":
         if len(items) != 2:

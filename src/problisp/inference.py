@@ -9,11 +9,13 @@ compiled once per query, a nested one with the form around it.  One loop,
 single query and each run of a nested one make one sample there.  Batch runs
 give every sample index its own deterministic rng stream derived from (seed,
 index), so parallel and serial execution produce identical multisets of
-samples.  The runners read their draw object and attempt limit from the
-`EvalContext` given, and clear its session while their attempts run: knowledge
-forms are not allowed inside a query.  All samples draw through the context's
-draw object, or else a `Draws` on the batch's own path.  Each sample's index
-is given to it (`Draws.pend`), and it sets the index's PCG64 state at the
+samples.  The runners read their attempt limit from the `EvalContext` given,
+and clear its session while their attempts run: knowledge forms are not
+allowed inside a query.  A single query draws through the context's draw
+object.  A batch puts a `Draws` of its own on the context while it runs and
+then puts the caller's back, so its samples depend on its seed alone and the
+caller's draw object is left as it was.  Each sample's index is given to the
+batch's `Draws` (`Draws.pend`), which sets the index's PCG64 state at the
 sample's first draw.  The states come from `stream_states`, one pass per block
 of up to 1024 indices, computed when a sample of the block first draws; a
 sample that draws nothing derives no stream.  Each index draws exactly the
@@ -170,19 +172,19 @@ def _stream_states(path, n):
 
 def run_samples(spec, n, env, seed, ctx=None):
     """Draw n accepted samples, one independent rng stream per sample index.
-    The streams are set on `ctx.rng`, a `Draws`, whose own state is
-    overwritten when a sample draws and left as it was when none does (or
-    `rng.NO_SOURCE`, whose draws are errors); without a context, they are set
-    on a `Draws(*path)`.  Each sample's stream is installed at its first
-    draw, and no stream is left pending on return."""
+    The batch draws from `seed` alone: it puts a `Draws(*path)` of its own on
+    `ctx.rng`, installs each sample's stream on it at the sample's first
+    draw, and puts the caller's draw object back, untouched, when it ends.
+    Without a context it runs on `EvalContext(global_env=env)`."""
     if n < 1:
         raise EvalError("sample count must be at least 1")
     path = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     codes = compile_forms((*spec.definitions, spec.condition, spec.query), env)
     if ctx is None:
-        ctx = EvalContext(rng=Draws(*path), global_env=env)
+        ctx = EvalContext(global_env=env)
+    rng, ctx.rng = ctx.rng, Draws(*path)
     try:
         values, attempts = _attempt_loop(spec, codes, env, ctx, n, _stream_states(path, n))
     finally:
-        ctx.rng.settle()
+        ctx.rng = rng
     return SampleReport(tuple(values), attempts, n / attempts)

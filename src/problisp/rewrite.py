@@ -291,11 +291,11 @@ def _step_at(node, path, name, tries, base):
     return None
 
 
-def solve_condition(condition, target, rules):
-    """Try to rewrite `condition` into `(= target ground)`.  Best effort:
-    returns the original condition (solved=False) when it cannot.  Every step
-    lowers the target's depth, so the loop ends after at most that many."""
-    name = target.name if isinstance(target, Symbol) else target
+def solve_condition(condition, name, rules):
+    """Try to rewrite `condition` into `(= name ground)`, where `name` is the
+    target variable's name.  Best effort: returns the original condition
+    (solved=False) when it cannot.  Every step lowers the target's depth, so
+    the loop ends after at most that many."""
     depth = _var_depth(condition, name)
     if depth is None:
         return SolveResult(condition, False, (condition,))

@@ -4,12 +4,14 @@ Streams are numpy's PCG64, seeded by numpy's SeedSequence from an integer
 path such as (seed, index), so a path yields the same stream however many
 others were made.  `stream_states` re-implements that seeding for many
 paths that differ only in their last integer, in one pass.  `Draws` is
-the one draw source the library accepts: `Draws(*path)` draws the values
-a numpy Generator `derive_rng(*path)` would, stepping PCG64 and running
-numpy's integer, uniform and normal draws in Python.  Only `derive_rng`,
-the reference twin of the tests and the benchmark, imports numpy.
-`NO_SOURCE` stands in for a draw object in a context with no random
-source.
+the library's draw object: `Draws(*path)` draws the values a numpy
+Generator `derive_rng(*path)` would, stepping PCG64 and running numpy's
+integer, uniform and normal draws in Python.  A context's draw object need
+only have the four draws `integer`, `flip`, `normal` and `choose`: a query
+batch pends its samples' streams on a `Draws` of its own.  Only
+`derive_rng`, the reference twin of the tests and the benchmark, imports
+numpy.  `NO_SOURCE` stands in for a draw object in a context with no
+random source.
 """
 
 from __future__ import annotations
@@ -164,33 +166,30 @@ class Draws:
     other draws take whole words and leave a waiting half alone.  `loc` is
     where a missing random source is reported (see `NO_SOURCE`).  `pend`
     leaves a sample's stream pending until the sample's first draw, which
-    sets it with no half word waiting; `settle` drops it.
+    sets it with no half word waiting.
 
     `pending` is the stream that the next draw installs: what `pend` was
     given, or at first the path's own stream, and None once a draw has
     installed it.  So after `pend`, `pending is not None` says that nothing
-    has drawn since: a batch reads it once, after its first sample's first
+    has drawn since: a batch, which pends every sample's stream on a draw
+    object of its own, reads it once, after its first sample's first
     attempt, to learn whether that sample made any random choice.
     """
 
-    __slots__ = ("_state", "_inc", "_half", "pending", "_unseeded")
+    __slots__ = ("_state", "_inc", "_half", "pending")
 
     def __init__(self, *path):
-        self.pending = self._unseeded = _path_state, path
+        self.pending = _path_state, path
 
     def pend(self, states, i):
         """Draw next from the stream whose (state, inc) is `states(i)`: it
         stays in `pending`, not derived, until the next draw installs it."""
         self.pending = states, i
 
-    def settle(self):
-        """Drop any pending stream and draw on from the current state."""
-        self.pending = self._unseeded
-
     def _install(self):
         states, i = self.pending
         self._state, self._inc = states(i)
-        self._half = self.pending = self._unseeded = None
+        self._half = self.pending = None
 
     def _uint32(self):
         if self.pending is not None:
@@ -294,19 +293,9 @@ class Draws:
 
 
 class _NoSource:
-    """The draws of a context with no random source: every draw is an error,
-    and a sample stream given to it (`pend`, `settle`) is ignored.  Its
-    `pending` is never None, as in a `Draws` that has not drawn since
-    `pend`: an attempt that finished under it made no draw."""
+    """The draws of a context with no random source: every draw is an error."""
 
     __slots__ = ()
-    pending = True
-
-    def pend(self, states, i):
-        pass
-
-    def settle(self):
-        pass
 
     def integer(self, n, loc=None):
         raise EvalError(_NO_SOURCE_TEXT, loc)

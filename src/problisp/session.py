@@ -1,11 +1,12 @@
 """A session ties together environment, concept store, rules and seeding.
 
 Top-level rejection-query forms run through the batch sampler (one rng
-stream per sample index, derived from (seed, query-ordinal, index) and set
-on one draw object the session makes once, at the sample's first draw, so a
+stream per sample index, derived from (seed, query-ordinal, index) and
+installed at the sample's first draw on the batch's own draw object, so a
 sample that draws nothing derives no stream); all other top-level forms
-consume the session's own stream.  Resetting the seed restores both, so
-identical inputs replay identically.
+consume the session's own stream, which no query touches.  Every top-level
+form gets the same kind of context (`_ctx`).  Resetting the seed restores
+both, so identical inputs replay identically.
 """
 
 from __future__ import annotations
@@ -63,8 +64,6 @@ class Session:
         self.max_attempts = max_attempts
         self.rewrite = rewrite
         self.last_query = None
-        # the query streams' states are set on it; its own stream is never used
-        self._query_rng = Draws(0)
         self.reset_seed(seed)
 
     def reset_seed(self, seed):
@@ -72,8 +71,8 @@ class Session:
         self.rng = Draws(self.seed, 0)
         self._query_ordinal = 0
 
-    def _ctx(self, rng, session):
-        return EvalContext(rng=rng, store=self.store, session=session,
+    def _ctx(self):
+        return EvalContext(rng=self.rng, store=self.store, session=self,
                            rules=tuple(self.rules) if self.rewrite else (),
                            max_attempts=self.max_attempts, global_env=self.env)
 
@@ -82,7 +81,7 @@ class Session:
         try:
             if _is_query_form(form):
                 return self._run_query(form)
-            value = evaluate(form, self.env, self._ctx(self.rng, self))
+            value = evaluate(form, self.env, self._ctx())
         except ProblispError as err:
             if err.loc is None:
                 err.loc = form.loc
@@ -93,7 +92,7 @@ class Session:
 
     def _run_query(self, form):
         spec = QuerySpec.from_form(form)
-        ctx = self._ctx(self._query_rng, None)
+        ctx = self._ctx()
         outcome = None
         if ctx.rules:
             outcome = optimize_query_detail(spec, ctx.rules)

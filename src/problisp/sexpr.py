@@ -113,19 +113,6 @@ class SList(SExpr):
     def __init__(self, items, loc=None):
         self.items, self.loc = items, loc
 
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __getitem__(self, i):
-        return self.items[i]
-
-
-def slist(*items, loc=None):
-    return SList(tuple(items), loc)
-
 
 class Token(_Record):
     # kind: "(" | ")" | "symbol" | "integer" | "real" | "boolean" | "string"

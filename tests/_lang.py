@@ -22,11 +22,12 @@ def ev(src, seed=1, env=None, ctx=None):
 
 def draws_state(draws):
     """The PCG64 state of the draw object `draws`: (LCG state, inc, waiting
-    upper half word or None).  One that has not drawn yet is at the start
-    of its path's stream, which it derives at its first draw."""
-    if draws._unseeded is not None:
-        states, path = draws._unseeded
-        return (*states(path), None)
+    upper half word or None).  One that has not drawn since it was made or
+    since `pend` is at the start of its pending stream, which it derives at
+    its next draw."""
+    if draws.pending is not None:
+        states, i = draws.pending
+        return (*states(i), None)
     return draws._state, draws._inc, draws._half
 
 

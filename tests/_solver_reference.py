@@ -189,11 +189,10 @@ def _find_step(state, name, rules):
     return None
 
 
-def solve_condition(condition, target, rules):
-    """Try to rewrite `condition` into `(= target ground)`.  Best effort:
+def solve_condition(condition, name, rules):
+    """Try to rewrite `condition` into `(= name ground)`.  Best effort:
     returns the original condition (solved=False) when it cannot.  Every step
     lowers the target's depth, so the loop ends after at most that many."""
-    name = target.name if isinstance(target, Symbol) else target
     if not _contains_var(condition, name):
         return SolveResult(condition, False, (condition,))
     state = _start_state(condition, name)

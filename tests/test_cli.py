@@ -47,6 +47,17 @@ def test_rewrite_run_reports_chain_and_full_acceptance(paper_program):
     assert any("acceptance 1" in l for l in lines)
 
 
+@pytest.mark.parametrize("flags", [(), ("--no-rewrite",)])
+def test_repl_stats_is_the_stats_report(paper_program, flags):
+    # `:stats` prints the `;;` lines that --stats prints after the samples
+    args = ("--samples", 20, "--seed", 7, *flags)
+    r = run_cli(paper_program, "--stats", *args)
+    stats = [l for l in r.stdout.splitlines() if l.startswith(";;")]
+    assert stats[0].startswith(";; query 0: samples 20")
+    repl = run_cli(*args, stdin=paper_program.read_text() + ":stats\n")
+    assert repl.stdout.splitlines() == ["5"] * 20 + stats
+
+
 def test_records_output(paper_program):
     r = run_cli(paper_program, "--samples", 3, "--seed", 1, "--output", "records")
     assert r.returncode == 0

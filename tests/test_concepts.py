@@ -71,6 +71,13 @@ def test_add_isa_expression_and_weights():
         store.add_isa(parse_one("pi"), real)
 
 
+def test_a_duplicate_concept_link_names_both_concepts(session):
+    session.run_text("(concept c) (concept d)")
+    with pytest.raises(ConceptError) as exc:
+        session.run_text("(is-a c d) (is-a c d)")
+    assert str(exc.value) == "line 1, column 12: duplicate is-a link c -> d"
+
+
 def test_recursive_expression_link_accepted():
     store = ConceptStore()
     store.declare_concept("number")

@@ -116,6 +116,22 @@ def test_equality_semantics():
     assert ev("(= (quote a) (quote a))") is True
     assert ev("(= (lambda (x) x) (lambda (x) x))") is False
     assert ev("(define f (lambda (x) x)) (= f f)") is False
+    assert ev('(= "a" "a")') is True
+    assert ev('(= "a" "b")') is False
+    from problisp import Session
+
+    s = Session(seed=1)
+    s.run_text("(concept c) (concept d)")
+    assert [r.value for r in s.run_text("(= c c) (= c d)")] == [True, False]
+
+
+@pytest.mark.parametrize("program, printed", [
+    ("(lambda (x) x)", "#<closure>"),
+    ("(cons 1 2)", "(1 . 2)"),
+    ("(cons 1 (cons 2 3))", "(1 2 . 3)"),
+])
+def test_closures_and_improper_lists_print(program, printed):
+    assert format_value(ev(program)) == printed
 
 
 def test_pi_resolves_to_real_constant():

@@ -72,7 +72,7 @@ def test_stream_independence_and_reordering():
     # integer seeds and tuple seeds as sessions pass them, batches of 1, 2,
     # 10 and more than one block of precomputed states, and a query that
     # draws normal and flip and rejects attempts; a draw object passed in, as
-    # a session passes its one draw object to every query, changes nothing
+    # a session passes its own draw object to every query, changes nothing
     env = standard_env()
     shared = Draws(123)
     for src in ("(rejection-query (define x (random-integer 1000)) x #t)",
@@ -101,15 +101,18 @@ def test_exhaustion_reports_attempts_and_partial():
 
 
 def test_batch_on_a_context_without_a_draw_source():
-    # the context's default draw object is rng.NO_SOURCE: a query that draws
-    # gets the located language error, and one that draws nothing runs
+    # the context's default draw object is rng.NO_SOURCE; a batch draws from
+    # its seed on a draw object of its own, so it samples as on any context,
+    # and puts NO_SOURCE back
+    from problisp.rng import NO_SOURCE
+
     env = standard_env()
-    with pytest.raises(EvalError, match="no random source available in this context") as exc:
-        run_samples(_spec(PAPER_QUERY), 2, env, 1, EvalContext(global_env=env))
-    assert exc.value.loc.column == PAPER_QUERY.index("(random-integer") + 1
-    report = run_samples(_spec("(rejection-query (define x 4) (+ x 1) (= x 4))"), 2, env, 1,
-                         EvalContext(global_env=env))
-    assert report.samples == (5, 5)
+    for text in (PAPER_QUERY, "(rejection-query (define x (random-integer 100)) x (> x 50))",
+                 "(rejection-query (define x 4) (+ x 1) (= x 4))"):
+        ctx = EvalContext(global_env=env)
+        report = run_samples(_spec(text), 6, env, 1, ctx)
+        assert report == run_samples(_spec(text), 6, env, 1, _ctx(Draws(5), env))
+        assert ctx.rng is NO_SOURCE
 
 
 @pytest.mark.parametrize("text", [PAPER_QUERY, f"(list {PAPER_QUERY})"])
@@ -390,33 +393,6 @@ def test_batch_without_a_draw_object_draws_like_an_explicit_one(monkeypatch):
             assert run_samples(spec, n, env, seed=seed).samples == explicit
 
 
-def test_no_stream_pending_after_return_or_exhaustion(monkeypatch):
-    # after run_samples the draw object draws on from its generator's state,
-    # whether the last sample drew nothing or the batch ran out of attempts
-    env = standard_env()
-    calls = _count_stream_states(monkeypatch)
-    draws, twin = Draws(99), derive_rng(99)
-    run_samples(_spec("(rejection-query (define x 5) x #t)"), 3, env, 4, _ctx(draws, env))
-    assert calls == []
-    assert [draws.integer(1000) for _ in range(5)] == \
-        [int(twin.integers(0, 1000)) for _ in range(5)]
-
-    spec = _spec("(rejection-query (define x (random-integer 10)) x (< x 8))")
-    with pytest.raises(ExhaustionError) as exc:
-        run_samples(spec, 50, env, 6, _ctx(draws, env, max_attempts=1))
-    assert 0 < len(exc.value.partial.samples) < 50
-    # the exhausted sample drew one 32-bit word from its own stream
-    twin = derive_rng(6, len(exc.value.partial.samples))
-    twin.integers(0, 10)
-    assert draws_state(draws) == twin_state(twin)
-    assert draws.flip(0.5) == (twin.random() < 0.5)
-    # a later draw-free query derives no stream
-    calls.clear()
-    run_samples(_spec("(rejection-query (define x 5) x #t)"), 2000, env, 4, _ctx(draws, env))
-    assert calls == []
-    assert draws.normal(0, 1) == float(twin.normal(0, 1))
-
-
 # A batch asks once, after sample 0's first attempt, whether the sample drew
 # or charged a shared concept budget; if neither, it runs that attempt alone.
 DRAW_FREE_FALSE = "(rejection-query (define x 5) x (= x 6))"
@@ -484,25 +460,81 @@ def test_a_query_under_a_shared_concept_budget_runs_out_of_it_where_it_did():
             assert exc.value.message == "sampling did not terminate within budget " + message
 
 
-def test_no_stream_left_pending_after_a_draw_free_batch():
-    from problisp.rng import NO_SOURCE
-
+def test_a_batch_leaves_the_callers_draw_object_as_it_was(monkeypatch):
+    # after an accepted, an exhausted and a draw-free batch the caller's draw
+    # object is the same object in the same state, and draws on as a twin
+    # that no batch touched; the draw-free batch derives no stream
     env = standard_env()
-    accepted, rejected = _spec("(rejection-query (define x 5) x #t)"), _spec(DRAW_FREE_FALSE)
-    # with no random source, both outcomes run as with one
-    assert run_samples(accepted, 4, env, 1, EvalContext(global_env=env)).samples == (5,) * 4
-    with pytest.raises(ExhaustionError, match="sample 0: no accepted sample after 9 attempts"):
-        run_samples(rejected, 4, env, 1, EvalContext(global_env=env, max_attempts=9))
-    assert NO_SOURCE.pending is True
-    # a draw object draws on from its own state after each outcome
+    calls = _count_stream_states(monkeypatch)
     draws, twin = Draws(99), derive_rng(99)
+    ctx = _ctx(draws, env, max_attempts=1)
     assert draws.flip(0.5) == (twin.random() < 0.5)
-    run_samples(accepted, 4, env, 1, _ctx(draws, env))
-    assert draws.pending is None
-    with pytest.raises(ExhaustionError):
-        run_samples(rejected, 4, env, 1, _ctx(draws, env))
-    assert draws.pending is None
-    assert draws_state(draws) == twin_state(twin)
+    assert run_samples(_spec("(rejection-query (define x (random-integer 10)) x #t)"),
+                       3, env, 4, ctx).total_attempts == 3
+    assert ctx.rng is draws and draws_state(draws) == twin_state(twin)
+    assert draws.integer(1000) == int(twin.integers(0, 1000))
+
+    spec = _spec("(rejection-query (define x (random-integer 10)) x (< x 8))")
+    with pytest.raises(ExhaustionError) as exc:
+        run_samples(spec, 50, env, 6, ctx)
+    assert 0 < len(exc.value.partial.samples) < 50
+    assert ctx.rng is draws and draws_state(draws) == twin_state(twin)
+    assert draws.normal(0, 1) == float(twin.normal(0, 1))
+
+    calls.clear()
+    for text in ("(rejection-query (define x 5) x #t)", DRAW_FREE_FALSE):
+        try:
+            run_samples(_spec(text), 2000, env, 4, ctx)
+        except ExhaustionError:
+            assert text == DRAW_FREE_FALSE
+        assert ctx.rng is draws and draws_state(draws) == twin_state(twin)
+    assert calls == []
+    assert [draws.integer(1000) for _ in range(5)] == \
+        [int(twin.integers(0, 1000)) for _ in range(5)]
+
+
+class _FourDraws:
+    """A draw object with the four draws alone, each made by a `Draws`."""
+
+    __slots__ = ("_draws",)
+
+    def __init__(self, *path):
+        self._draws = Draws(*path)
+
+    def integer(self, n, loc=None):
+        return self._draws.integer(n, loc)
+
+    def flip(self, p, loc=None):
+        return self._draws.flip(p, loc)
+
+    def normal(self, mean, sd, loc=None):
+        return self._draws.normal(mean, sd, loc)
+
+    def choose(self, weights):
+        return self._draws.choose(weights)
+
+
+def test_a_draw_object_needs_only_the_four_draws():
+    # every runner draws through `integer`, `flip`, `normal` and `choose`
+    # alone, and a batch on a context with such a draw object samples as on
+    # any other
+    from problisp import Session, sample_concept
+
+    s = Session()
+    s.run_text("(concept coin) (is-a 0 coin) (is-a 1 coin 3)")
+    text = ("(rejection-query (define x (random-integer 10)) (define b (flip 0.5))"
+            " (list x b (normal 0 1) coin) (> x 4))")
+    spec, nested = _spec(text), parse_one(f"(list {text} (sample coin))")
+    for run in (lambda ctx: format_value(evaluate(nested, s.env, ctx)),
+                lambda ctx: format_value(rejection_query(spec, s.env, ctx)),
+                lambda ctx: sample_concept(s.store.lookup("coin"), ctx),
+                lambda ctx: [format_value(v) for v in run_samples(spec, 5, s.env, 3, ctx).samples]):
+        results = []
+        for rng in (_FourDraws(8), Draws(8)):
+            ctx = _ctx(rng, s.env, store=s.store)
+            results.append(run(ctx))
+            assert ctx.rng is rng
+        assert results[0] == results[1]
 
 
 def _draw_free_terms(names):

@@ -160,31 +160,23 @@ def test_draws_follow_a_state_change_with_a_half_word_pending(prefix, start, cou
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, (1 << 64) - 1),
-       st.lists(st.tuples(st.booleans(), st.lists(_OPS, max_size=5)), max_size=6))
-@example(3, [(False, [("integer", 10)]), (True, [("integer", 1)]),
-             (False, [("integer", 10)]), (True, [("normal", 0.0, 1.0), ("integer", 10)]),
-             (True, [("integer", (1 << 32) + 1), ("flip", 0.5)])])
-def test_pend_and_settle_across_sample_boundaries(seed, samples):
-    # each sample pends its stream (index i of the prefix (seed,)) or settles;
-    # a pended stream is installed, with no half word waiting, at the
-    # sample's first op that takes bits, and a sample that takes none leaves
-    # the state as it was
+@given(st.integers(0, (1 << 64) - 1), st.lists(st.lists(_OPS, max_size=5), max_size=6))
+@example(3, [[("integer", 10)], [("integer", 1)], [("integer", 10)],
+             [("normal", 0.0, 1.0), ("integer", 10)],
+             [("integer", (1 << 32) + 1), ("flip", 0.5)]])
+def test_pend_across_sample_boundaries(seed, samples):
+    # each sample pends its stream (index i of the prefix (seed,)); a pended
+    # stream is installed, with no half word waiting, at the sample's first
+    # op that takes bits, and a sample that takes none derives no stream
     states = stream_states((seed,), 0, len(samples))
-    draws, twin = Draws(seed), derive_rng(seed)
-    for i, (pend, ops) in enumerate(samples):
-        pending = pend
-        if pend:
-            draws.pend(_stream(states, 0), i)
-        else:
-            draws.settle()
+    draws = Draws(seed)
+    for i, ops in enumerate(samples):
+        draws.pend(_stream(states, 0), i)
+        twin = derive_rng(seed, i)
         for op in ops:
-            if pending and _takes_bits(op):
-                twin, pending = derive_rng(seed, i), False
             assert _draw(draws, op) == _numpy_draw(twin, op), (i, op)
             assert draws_state(draws) == twin_state(twin), (i, op)
-    draws.settle()
-    assert draws.integer(1000) == int(twin.integers(0, 1000))
+        assert (draws.pending is None) == any(map(_takes_bits, ops)), i
 
 
 # `Draws.normal` is numpy's ziggurat: a word's low 8 bits pick a layer i, bit

@@ -209,6 +209,11 @@ def test_sample_concept_through_variable(prelude_session):
     assert isinstance(r.value, int)
 
 
+def test_sample_of_an_expression_samples_the_concept_it_gives(session):
+    session.run_text("(concept c) (concept d) (is-a 7 c)")
+    assert session.run_text("(sample (if #t c d))")[0].value == 7
+
+
 def test_concept_with_no_links_errors(session):
     session.run_text("(concept empty)")
     with pytest.raises(ConceptError, match="no generative model for concept 'empty'"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from problisp import LexError, ParseError, parse, parse_one, print_expr, tokenize
 from problisp.sexpr import (MAX_NESTING, Boolean, Integer, Location, Real, SList, Symbol,
-                            Text, Token, slist)
+                            Text, Token)
 
 import _reader_reference
 from conftest import REPO
@@ -54,9 +54,8 @@ def test_unknown_hash_literal():
 
 def test_parse_condition_structure():
     expr = parse_one("(= (+ x 5) 10)")
-    assert expr == slist(Symbol("="),
-                         slist(Symbol("+"), Symbol("x"), Integer(5)),
-                         Integer(10))
+    assert expr == SList((Symbol("="), SList((Symbol("+"), Symbol("x"), Integer(5))),
+                          Integer(10)))
 
 
 def test_parse_empty_list():
@@ -193,7 +192,7 @@ def test_an_integer_literal_over_the_interpreter_digit_limit_is_a_located_lex_er
 
 
 def test_print_canonical():
-    expr = slist(Symbol("="), Symbol("x"), slist(Symbol("-"), Integer(10), Integer(5)))
+    expr = SList((Symbol("="), Symbol("x"), SList((Symbol("-"), Integer(10), Integer(5)))))
     assert print_expr(expr) == "(= x (- 10 5))"
     assert print_expr(Integer(5)) == "5"
     assert print_expr(Real(5.0)) == "5.0"
@@ -216,7 +215,7 @@ def test_node_equality_ignores_loc_and_needs_the_same_class():
                        (Real(2.5, here), Real(2.5, there)),
                        (Boolean(True, here), Boolean(True, there)),
                        (Text("s", here), Text("s")),
-                       (slist(Symbol("f"), Integer(1), loc=here), SList((Symbol("f"), Integer(1))))]:
+                       (SList((Symbol("f"), Integer(1)), here), SList((Symbol("f"), Integer(1))))]:
         assert node == twin and not node != twin
         assert hash(node) == hash(twin)
     # equal values under different classes stay unequal
