@@ -460,34 +460,45 @@ def test_a_query_under_a_shared_concept_budget_runs_out_of_it_where_it_did():
             assert exc.value.message == "sampling did not terminate within budget " + message
 
 
-def test_a_batch_leaves_the_callers_draw_object_as_it_was(monkeypatch):
-    # after an accepted, an exhausted and a draw-free batch the caller's draw
-    # object is the same object in the same state, and draws on as a twin
-    # that no batch touched; the draw-free batch derives no stream
+def test_no_stream_pending_after_return_or_exhaustion(monkeypatch):
+    # after an accepted and an exhausted batch the caller's draw object is the
+    # same object in the same state, with no stream pending, and draws on as
+    # a twin that no batch touched
     env = standard_env()
-    calls = _count_stream_states(monkeypatch)
+    _count_stream_states(monkeypatch)
     draws, twin = Draws(99), derive_rng(99)
     ctx = _ctx(draws, env, max_attempts=1)
     assert draws.flip(0.5) == (twin.random() < 0.5)
     assert run_samples(_spec("(rejection-query (define x (random-integer 10)) x #t)"),
                        3, env, 4, ctx).total_attempts == 3
-    assert ctx.rng is draws and draws_state(draws) == twin_state(twin)
+    assert ctx.rng is draws and draws.pending is None
+    assert draws_state(draws) == twin_state(twin)
     assert draws.integer(1000) == int(twin.integers(0, 1000))
 
     spec = _spec("(rejection-query (define x (random-integer 10)) x (< x 8))")
     with pytest.raises(ExhaustionError) as exc:
         run_samples(spec, 50, env, 6, ctx)
     assert 0 < len(exc.value.partial.samples) < 50
-    assert ctx.rng is draws and draws_state(draws) == twin_state(twin)
+    assert ctx.rng is draws and draws.pending is None
+    assert draws_state(draws) == twin_state(twin)
     assert draws.normal(0, 1) == float(twin.normal(0, 1))
 
-    calls.clear()
+
+def test_no_stream_left_pending_after_a_draw_free_batch(monkeypatch):
+    # an accepted and a rejected draw-free batch derive no stream and leave
+    # the caller's draw object as it was, with no stream pending
+    env = standard_env()
+    calls = _count_stream_states(monkeypatch)
+    draws, twin = Draws(99), derive_rng(99)
+    ctx = _ctx(draws, env)
+    assert draws.flip(0.5) == (twin.random() < 0.5)
     for text in ("(rejection-query (define x 5) x #t)", DRAW_FREE_FALSE):
         try:
             run_samples(_spec(text), 2000, env, 4, ctx)
         except ExhaustionError:
             assert text == DRAW_FREE_FALSE
-        assert ctx.rng is draws and draws_state(draws) == twin_state(twin)
+        assert ctx.rng is draws and draws.pending is None
+        assert draws_state(draws) == twin_state(twin)
     assert calls == []
     assert [draws.integer(1000) for _ in range(5)] == \
         [int(twin.integers(0, 1000)) for _ in range(5)]
