@@ -13,11 +13,11 @@ from .errors import (BudgetError, ConceptError, EvalError, ExhaustionError,
                      FileReadError, LexError, ParseError, ProblispError, RuleError,
                      ZeroProbabilityError)
 from .evaluator import EvalContext, evaluate, standard_env
-from .inference import QuerySpec, SampleReport, rejection_query, run_samples
+from .inference import QuerySpec, SampleReport, run_samples
 from .rewrite import (OptimizeOutcome, RewriteRule, SolveResult, constant_fold,
                       match, optimize_query_detail, rule_from_form,
                       solve_condition, substitute)
-from .sampler import SampleBudget, instantiate_expression, sample_concept
+from .sampler import SampleBudget, sample_concept
 from .session import Session, TopResult
 from .sexpr import (Boolean, Integer, Location, Real, SExpr, SList, Symbol,
                     Text, parse, parse_one, print_expr, tokenize)
@@ -34,9 +34,9 @@ __all__ = [
     "SampleReport", "Session", "SolveResult",
     "Symbol", "Text", "TopResult", "ZeroProbabilityError",
     "build_session", "constant_fold", "evaluate",
-    "format_value", "histogram", "instantiate_expression", "main",
+    "format_value", "histogram", "main",
     "match", "optimize_query_detail", "parse", "parse_one",
-    "prelude_path", "print_expr", "rejection_query", "rule_from_form",
+    "prelude_path", "print_expr", "rule_from_form",
     "rules_path", "run_samples", "sample_concept", "solve_condition",
     "standard_env", "substitute", "tokenize",
     "values_equal",

@@ -136,19 +136,22 @@ def build_session(config):
 # -- output ------------------------------------------------------------------
 
 
-def _bin_width(values, bins):
-    """The width of `bins` equal bins over the values' range, or None when
+_BINS = 10   # a histogram's bins for reals
+
+
+def _bin_width(values):
+    """The width of `_BINS` equal bins over the values' range, or None when
     a value or the width is not a finite real."""
     try:
         if all(math.isfinite(v) for v in values):
-            width = (max(values) - min(values)) / bins
+            width = (max(values) - min(values)) / _BINS
             return width if math.isfinite(width) else None
     except OverflowError:   # an integer too large for a real
         pass
     return None
 
 
-def histogram(values, bins=10):
+def histogram(values):
     """Text table of value counts; finite reals get equal-width bins over
     the observed range, everything else is counted per distinct printed
     value."""
@@ -157,18 +160,18 @@ def histogram(values, bins=10):
     n = len(values)
     all_numeric = all(is_number(v) for v in values)
     reals = all_numeric and any(isinstance(v, float) for v in values)
-    width = _bin_width(values, bins) if reals else None
+    width = _bin_width(values) if reals else None
     if width is not None:
         lo, hi = min(values), max(values)
         if width == 0:
             return f"[{lo:g}, {hi:g}] : {n} (100.0%)"
-        counts = [0] * bins
+        counts = [0] * _BINS
         for v in values:
-            counts[min(int((v - lo) / width), bins - 1)] += 1
+            counts[min(int((v - lo) / width), _BINS - 1)] += 1
         lines = []
         for i, c in enumerate(counts):
             left, right = lo + i * width, lo + (i + 1) * width
-            bracket = "]" if i == bins - 1 else ")"
+            bracket = "]" if i == _BINS - 1 else ")"
             lines.append(f"[{left:g}, {right:g}{bracket} : {c} ({100 * c / n:.1f}%)")
         return "\n".join(lines)
     rows = {}

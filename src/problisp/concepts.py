@@ -159,10 +159,6 @@ class ConceptStore:
         self._rows = None
         self._active = name
 
-    @property
-    def active_context(self):
-        return self._active
-
     # -- reads -------------------------------------------------------------
 
     def instances(self, concept):

@@ -624,7 +624,7 @@ def _eval_knowledge(op, expr, ctx):
         overrides = {}
         for clause in items[2:]:
             if clause.__class__ is not SList or len(clause.items) != 3:
-                raise EvalError("context clause must be (source concept weight)", expr.loc)
+                raise EvalError("context clause must be (source concept weight)", clause.loc)
             tgt = _symbol_arg(clause.items, 1, "define-context", clause.loc)
             cid = store.require(tgt.name, loc=tgt.loc)
             source = clause.items[0]

@@ -5,21 +5,23 @@ randomness each time), checks the condition, and returns the query value of
 the first accepted attempt; the returned value is distributed as the prior
 conditioned on the condition.  The definitions, condition and query are
 compiled once per query, a nested one with the form around it.  One loop,
-`_attempt_loop`, runs every sample of a batch and every attempt of each; a
-single query and each run of a nested one make one sample there.  Batch runs
-give every sample index its own deterministic rng stream derived from (seed,
-index), so parallel and serial execution produce identical multisets of
-samples.  The runners read their attempt limit from the `EvalContext` given,
-and clear its session while their attempts run: knowledge forms are not
-allowed inside a query.  A single query draws through the context's draw
-object.  A batch puts a `Draws` of its own on the context while it runs and
-then puts the caller's back, so its samples depend on its seed alone and the
-caller's draw object is left as it was.  Each sample's index is given to the
-batch's `Draws` (`Draws.pend`), which sets the index's PCG64 state at the
-sample's first draw.  The states come from `stream_states`, one pass per block
-of up to 1024 indices, computed when a sample of the block first draws; a
-sample that draws nothing derives no stream.  Each index draws exactly the
-bytes a fresh `derive_rng(seed..., index)` generator would.
+`_attempt_loop`, runs every sample of a batch and every attempt of each; each
+run of a nested query makes one sample there.  A single query runs as a
+nested one: `evaluate` of its `rejection-query` form.  Batch runs give every
+sample index its own deterministic rng stream derived from (seed, index), so
+parallel and serial execution produce identical multisets of samples.  A
+batch and a nested query read their attempt limit from the `EvalContext`
+given, and clear its session while their attempts run: knowledge forms are
+not allowed inside a query.  A nested query draws through the context's draw
+object and is rewritten with the context's rules.  A batch puts a `Draws` of
+its own on the context while it runs and then puts the caller's back, so its
+samples depend on its seed alone and the caller's draw object is left as it
+was.  Each sample's index is given to the batch's `Draws` (`Draws.pend`),
+which sets the index's PCG64 state at the sample's first draw.  The states
+come from `stream_states`, one pass per block of up to 1024 indices, computed
+when a sample of the block first draws; a sample that draws nothing derives
+no stream.  Each index draws exactly the bytes a fresh
+`derive_rng(seed..., index)` generator would.
 
 A batch whose sample 0 makes no random choice in its first attempt (its
 stream is still pending after it, see `Draws.pending`) and charges no
@@ -81,8 +83,8 @@ def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None):
     """(values, attempts): the query values of `n` accepted samples and the
     attempts they took.  An attempt runs `codes` but the last (the
     definitions' and the condition's) in a fresh child frame of `base_env`,
-    and an accepted one then runs the last, the query value's.  Both runners
-    and the nested queries come here, so the attempt limit is checked here
+    and an accepted one then runs the last, the query value's.  A batch and
+    every nested query come here, so the attempt limit is checked here
     alone.  Given `states` (by `run_samples`), sample i draws from
     `states(i)`, and an `ExhaustionError` in it, its own or a nested query's,
     is reported as sample i's, with the samples made before it.  A batch
@@ -146,13 +148,6 @@ def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None):
     finally:
         ctx.session = session
     return values, total
-
-
-def rejection_query(spec, env, ctx):
-    """Sample once from the conditioned distribution, drawing from `ctx.rng`,
-    or raise ExhaustionError after `ctx.max_attempts` attempts."""
-    codes = compile_forms((*spec.definitions, spec.condition, spec.query), env)
-    return _attempt_loop(spec, codes, env, ctx)[0][0]
 
 
 def _stream_states(path, n):

@@ -192,8 +192,8 @@ class Draws:
         self._half = self.pending = None
 
     def _uint32(self):
-        if self.pending is not None:
-            self._install()
+        """The next 32-bit word; `integer`, its one caller, has installed
+        any pending stream."""
         u = self._half
         if u is not None:
             self._half = None

@@ -63,13 +63,6 @@ def sample_concept(concept, ctx, budget=None, depth=0):
     return _instantiate(source, ctx, budget, depth)
 
 
-def instantiate_expression(expr, ctx, budget=None, depth=0):
-    """Replace each concept symbol in `expr` by an independent draw, then
-    evaluate the result against the session globals.  Each concept
-    occurrence reads its draw from a frame made for the instantiation."""
-    return _instantiate(expr, ctx, budget if budget is not None else SampleBudget(), depth)
-
-
 def _instantiate(expr, ctx, budget, depth):
     code, concepts, _ = _compiled_template(ctx.store, expr, ctx.global_env)
     frame = Env()

@@ -47,6 +47,19 @@ def test_rewrite_run_reports_chain_and_full_acceptance(paper_program):
     assert any("acceptance 1" in l for l in lines)
 
 
+def test_a_rule_that_leaves_the_target_on_the_right_is_solved_to_the_left(tmp_path):
+    # the rewritten condition has x on the right; the solved form swaps the sides
+    rules = tmp_path / "flip.lisp"
+    rules.write_text("(equivalence flip (= (+ $A $B) $C) (= (- $C $B) $A))\n")
+    r = run_cli("programs/arith_query.lisp", "--rules", rules, "--samples", 3, "--seed", 1,
+                "--stats")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.splitlines()[:6] == [
+        "5", "5", "5", ";; query 0: samples 3, attempts 3, acceptance 1",
+        ";; rewrite[x]: (= (+ x 5) 10) -> (= (- 10 5) x) -> (= 5 x) -> (= x 5)",
+        ";; rewrite[x]: definition (define x 5)"]
+
+
 @pytest.mark.parametrize("flags", [(), ("--no-rewrite",)])
 def test_repl_stats_is_the_stats_report(paper_program, flags):
     # `:stats` prints the `;;` lines that --stats prints after the samples
@@ -462,6 +475,27 @@ def test_repl_unknown_meta_command():
     assert "unknown command" in r.stdout
 
 
+def test_repl_meta_command_errors_and_skipped_lines():
+    # a bad meta-command argument and an unreadable line are reported, and
+    # the REPL reads on; a blank line is skipped
+    r = run_cli(stdin=":help\n:context nope\n:seed x\n\n(+ 1\n2)\n)\n(+ 2 2)\n")
+    assert (r.returncode, r.stderr) == (0, "")
+    lines = r.stdout.splitlines()
+    assert lines[:6] == cli._REPL_HELP.splitlines()
+    assert lines[6:] == ["error: unknown context 'nope'", "error: :seed expects an integer",
+                         "3", "error: line 1, column 1: unmatched ')'", "4"]
+
+
+def test_context_flag_activates_a_prelude_context(tmp_path):
+    prelude = tmp_path / "heavy.lisp"
+    prelude.write_text("(concept c) (is-a 1 c) (is-a 2 c) (define-context heavy (2 c 1000000))\n")
+    r = run_cli("--prelude", prelude, "--context", "heavy", stdin=":concepts\n")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.splitlines() == ["c (2 links)", "  1 -> c  w=1", "  2 -> c  w=1e+06"]
+    r = run_cli("--prelude", prelude, "--context", "nope", stdin="")
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", "problisp: unknown context 'nope'\n")
+
+
 # -- histogram op ----------------------------------------------------------------
 
 
@@ -479,12 +513,12 @@ def test_histogram_discrete_ordering_numeric():
 
 
 def test_histogram_real_bins():
-    values = [0.05 + 0.1 * i for i in range(10)]
-    lines = histogram(values, bins=5).splitlines()
-    assert len(lines) == 5
-    assert all("(20.0%)" in l for l in lines)
-    assert lines[0].startswith("[0.05, 0.23)")
-    assert lines[-1].endswith("] : 2 (20.0%)")
+    values = [0.05 + 0.1 * i for i in range(20)]
+    lines = histogram(values).splitlines()
+    assert len(lines) == 10
+    assert all(l.endswith(" : 2 (10.0%)") for l in lines)
+    assert lines[0].startswith("[0.05, 0.24)")
+    assert lines[-1].startswith("[1.76, 1.95] ")
 
 
 def test_histogram_geometric_lengths(prelude_session):

@@ -198,7 +198,6 @@ def test_language_level_contexts(session):
     number = store.lookup("number")
     assert [w for _, w in store.instances(number)] == [1.0]
     session.run_text("(set-context heavy)")
-    assert store.active_context == "heavy"
     assert [w for _, w in store.instances(number)] == [3.0]
     with pytest.raises(ConceptError, match="no is-a link"):
         session.run_text("(define-context bad (number integer 1.0))")
@@ -231,6 +230,16 @@ def test_rows_follow_each_change_to_the_store():
     assert [w for _, w in store.instances(number)] == [1.0]
     store.set_context("heavy")
     assert [w for _, w in store.instances(number)] == [2.0]
+
+
+@pytest.mark.parametrize("clauses, at", [("(1 c 2)\n  c", (4, 3)), ("(1 c)", (3, 3))])
+def test_a_malformed_context_clause_is_reported_at_the_clause(session, clauses, at):
+    from problisp import EvalError
+
+    with pytest.raises(EvalError) as exc:
+        session.run_text(f"(concept c) (is-a 1 c)\n(define-context d\n  {clauses})")
+    assert exc.value.message == "context clause must be (source concept weight)"
+    assert (exc.value.loc.line, exc.value.loc.column) == at
 
 
 def test_knowledge_forms_require_session_toplevel(session):

@@ -129,6 +129,7 @@ def test_equality_semantics():
     ("(lambda (x) x)", "#<closure>"),
     ("(cons 1 2)", "(1 . 2)"),
     ("(cons 1 (cons 2 3))", "(1 2 . 3)"),
+    ("(list +)", "(#<primitive +>)"),
 ])
 def test_closures_and_improper_lists_print(program, printed):
     assert format_value(ev(program)) == printed
@@ -393,6 +394,8 @@ def test_closure_made_in_one_form_called_in_another():
     ("(lambda (a a) a)", "duplicate lambda parameter"),
     ("(define 5 1)", "define expects"),
     ("(quote)", "quote expects one argument"),
+    ("(lambda x 1)", "lambda expects"),
+    ("(sample)", "sample expects one argument"),
     ("()", "cannot evaluate an empty form"),
 ])
 def test_malformed_forms_fail_only_when_evaluated(form, message):
@@ -402,6 +405,32 @@ def test_malformed_forms_fail_only_when_evaluated(form, message):
     with pytest.raises(EvalError, match=message) as exc:
         ev(f"(if #f 1\n  {form})")
     assert exc.value.loc.line == 2
+
+
+# knowledge forms, which run only in a session, a nested query and primitive calls
+@pytest.mark.parametrize("program, message, at", [
+    ("(if #t (rejection-query x) 0)",
+     "rejection-query expects (rejection-query defs... query condition)", 8),
+    ("(concept)", "concept expects (concept name)", 1),
+    ("(concept 1)", "concept expects a symbol argument", 1),
+    ("(concept c) (is-a 1 c x)", "weight must be a numeric literal", 23),
+    ("(is-a c)", "is-a expects (is-a source concept [weight])", 1),
+    ("(define-context d)",
+     "define-context expects (define-context name (source concept weight)...)", 1),
+    ("(set-context)", "set-context expects (set-context name)", 1),
+    ("(equivalence a b c d)", "equivalence expects (equivalence [name] pattern template)", 1),
+    ("(-)", "- expects at least one argument", 1),
+    ("(cons 1)", "cons expects two arguments", 1),
+    ("(rest 1)", "rest expects a pair", 1),
+    ("(null?)", "null? expects one argument", 1),
+])
+def test_session_errors_report_their_location(program, message, at):
+    from problisp import ProblispError, Session
+
+    with pytest.raises(ProblispError) as exc:
+        Session(seed=1).run_text(program)
+    assert exc.value.message == message
+    assert (exc.value.loc.line, exc.value.loc.column) == (1, at)
 
 
 def test_let_bindings_before_a_malformed_one_still_run():

@@ -5,8 +5,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from problisp import (EvalContext, EvalError, ExhaustionError, ProblispError, QuerySpec,
-                      SampleReport, evaluate, format_value, parse_one,
-                      rejection_query, run_samples, standard_env)
+                      SampleReport, SList, Symbol, evaluate, format_value, parse_one,
+                      run_samples, standard_env)
 from problisp.rng import Draws, derive_rng
 
 from _lang import draws_state, satisfaction_set, twin_state
@@ -22,6 +22,13 @@ def _ctx(rng, env, **fields):
     return EvalContext(rng=rng, global_env=env, **fields)
 
 
+def _one(spec, env, ctx):
+    """One sample of `spec` drawn from `ctx.rng`, as the language runs a
+    single query: `evaluate` of its `rejection-query` form."""
+    form = SList((Symbol("rejection-query"), *spec.definitions, spec.query, spec.condition))
+    return evaluate(form, env, ctx)
+
+
 def test_spec_splits_defs_query_condition():
     spec = _spec(PAPER_QUERY)
     assert len(spec.definitions) == 1
@@ -35,7 +42,7 @@ def test_paper_query_always_returns_five():
     spec = _spec(PAPER_QUERY)
     env = standard_env()
     for seed in range(20):
-        assert rejection_query(spec, env, _ctx(Draws(seed), env)) == 5
+        assert _one(spec, env, _ctx(Draws(seed), env)) == 5
 
 
 def test_vacuous_condition_accepts_first_attempt():
@@ -86,7 +93,7 @@ def test_stream_independence_and_reordering():
             shared.flip(0.5)
             assert run_samples(spec, n, env, seed, _ctx(shared, env)).samples == batch
             for i in reversed(range(n)):
-                alone = rejection_query(spec, env, _ctx(Draws(*path, i), env))
+                alone = _one(spec, env, _ctx(Draws(*path, i), env))
                 assert alone == batch[i], (src, seed, n, i)
 
 
@@ -131,10 +138,10 @@ def test_a_query_gives_its_context_the_session_back():
 
     s = Session()
     ctx = _ctx(Draws(5), s.env, session=s, max_attempts=1000)
-    assert rejection_query(_spec(PAPER_QUERY), s.env, ctx) == 5
+    assert _one(_spec(PAPER_QUERY), s.env, ctx) == 5
     assert ctx.session is s
     with pytest.raises(ExhaustionError):
-        rejection_query(_spec("(rejection-query (define x 1) x (= x 2))"), s.env, ctx)
+        _one(_spec("(rejection-query (define x 1) x (= x 2))"), s.env, ctx)
     assert ctx.session is s
 
 
@@ -180,7 +187,7 @@ def test_an_error_in_the_query_value_has_no_attempt_number(query, message):
     spec = _spec(f"(rejection-query (define x 1) {query} (= x 1))")
     s, ctx = _session_ctx(5)
     with pytest.raises(ProblispError) as exc:
-        rejection_query(spec, s.env, ctx)
+        _one(spec, s.env, ctx)
     assert exc.value.message == message
     assert ctx.session is s
     with pytest.raises(ProblispError) as exc:
@@ -196,14 +203,14 @@ def test_non_boolean_condition_is_an_error():
     spec = _spec("(rejection-query (define x 1) x (+ x 1))")
     env = standard_env()
     with pytest.raises(EvalError, match="boolean"):
-        rejection_query(spec, env, _ctx(Draws(0), env))
+        _one(spec, env, _ctx(Draws(0), env))
 
 
 def test_eval_error_carries_attempt_number():
     spec = _spec("(rejection-query (define x (oops)) x #t)")
     env = standard_env()
     with pytest.raises(EvalError, match=r"attempt 1"):
-        rejection_query(spec, env, _ctx(Draws(0), env))
+        _one(spec, env, _ctx(Draws(0), env))
 
 
 def test_stack_overflow_in_an_attempt_carries_attempt_number():
@@ -238,10 +245,10 @@ def test_definitions_resampled_each_attempt():
       (= (+ x y) 2))
     """)
     env = standard_env()
-    assert rejection_query(spec, env, _ctx(Draws(4), env)) == 2
+    assert _one(spec, env, _ctx(Draws(4), env)) == 2
 
 
-def test_nested_rejection_query_expression():
+def test_nested_query_expression():
     from _lang import ev
 
     value = ev("(+ 1 (rejection-query (define x (random-integer 4)) x (> x 2)))")
@@ -360,7 +367,7 @@ def test_lazy_streams_draw_like_fresh_generators(knowledge, first, prefix, n, se
     # a reused draw object whose own state is not a sample stream's
     assert run_samples(spec, n, env, seed, ctx_for(Draws(1))).samples == batch
     for i in range(n) if n < 1030 else (0, 1, 1023, 1024, 1029):
-        assert rejection_query(spec, env, ctx_for(Draws(*seed, i))) == batch[i]
+        assert _one(spec, env, ctx_for(Draws(*seed, i))) == batch[i]
 
 
 @pytest.mark.parametrize("first", _FIRST_DRAWS + _DRAW_FREE)
@@ -428,7 +435,7 @@ def test_a_sample_that_draws_only_in_its_query_value_draws_from_its_own_stream()
     assert report == SampleReport((5, 3, 9, 9, 9, 1, 7, 5, 2, 9, 4, 5), 12, 1.0)
     env = standard_env()
     for i, value in enumerate(report.samples):
-        assert rejection_query(_spec(text), env, _ctx(Draws(1, 1, i), env)) == value
+        assert _one(_spec(text), env, _ctx(Draws(1, 1, i), env)) == value
 
 
 def test_a_query_under_a_shared_concept_budget_runs_out_of_it_where_it_did():
@@ -537,7 +544,7 @@ def test_a_draw_object_needs_only_the_four_draws():
             " (list x b (normal 0 1) coin) (> x 4))")
     spec, nested = _spec(text), parse_one(f"(list {text} (sample coin))")
     for run in (lambda ctx: format_value(evaluate(nested, s.env, ctx)),
-                lambda ctx: format_value(rejection_query(spec, s.env, ctx)),
+                lambda ctx: format_value(_one(spec, s.env, ctx)),
                 lambda ctx: sample_concept(s.store.lookup("coin"), ctx),
                 lambda ctx: [format_value(v) for v in run_samples(spec, 5, s.env, 3, ctx).samples]):
         results = []

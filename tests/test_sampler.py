@@ -3,8 +3,8 @@ import math
 import pytest
 
 from problisp import (NIL, BudgetError, ConceptError, EvalContext, EvalError, Pair,
-                      SampleBudget, Session, format_value, instantiate_expression,
-                      parse_one, prelude_path, print_expr, sample_concept, standard_env)
+                      SampleBudget, Session, evaluate, format_value, parse_one,
+                      prelude_path, print_expr, sample_concept, standard_env)
 from problisp.rng import NO_SOURCE, Draws
 
 
@@ -18,6 +18,15 @@ def _ctx(store, rng, env):
     return EvalContext(rng=rng, store=store, global_env=env)
 
 
+def _instantiate(text, ctx):
+    """The template `text` instantiated as the language does it: sampled
+    from a concept whose one is-a link it is, which makes no choice draw."""
+    store = ctx.store
+    template = store.declare_concept(f"template {len(store.concept_names())}")
+    store.add_isa(parse_one(text), template)
+    return sample_concept(template, ctx)
+
+
 def seq_length(v):
     n = 0
     while isinstance(v, Pair):
@@ -28,14 +37,15 @@ def seq_length(v):
 
 
 def test_single_link_concept_is_deterministic_passthrough():
+    # a concept with one link makes no choice draw: its sample is the value
+    # of its template, also where any draw would be an error
     s = _store_session("(concept only) (is-a pi only)")
-    store = s.store
     only = s.store.lookup("only")
     env = standard_env()
-    for k in range(3):
-        direct = instantiate_expression(parse_one("pi"), _ctx(store, Draws(k), env))
-        via = sample_concept(only, _ctx(store, Draws(k), env))
-        assert via == direct == math.pi
+    direct = evaluate(parse_one("pi"), env, EvalContext(global_env=env))
+    assert direct == math.pi
+    for rng in (Draws(0), Draws(1), NO_SOURCE):
+        assert sample_concept(only, _ctx(s.store, rng, env)) == direct
 
 
 def test_number_model_probabilities(prelude_session):
@@ -158,8 +168,7 @@ def test_weight_scale_invariance_exact():
 def test_instantiate_cons_template(prelude_session):
     store = prelude_session.store
     env = prelude_session.env
-    v = instantiate_expression(parse_one("(cons number sequence)"),
-                               _ctx(store, Draws(4), env))
+    v = _instantiate("(cons number sequence)", _ctx(store, Draws(4), env))
     assert isinstance(v, Pair)
 
 
@@ -167,7 +176,7 @@ def test_multiple_occurrences_are_independent():
     s = _store_session("(concept coin) (is-a (random-integer 1000000) coin)")
     store = s.store
     env = standard_env()
-    v = instantiate_expression(parse_one("(list coin coin)"), _ctx(store, Draws(31), env))
+    v = _instantiate("(list coin coin)", _ctx(store, Draws(31), env))
     assert v.head != v.tail.head  # two draws, not one shared value
 
 
@@ -176,17 +185,14 @@ def test_quote_and_binders_shield_concept_symbols(prelude_session):
     env = standard_env()
     from problisp.sexpr import Symbol
 
-    v = instantiate_expression(parse_one("(quote number)"), _ctx(store, Draws(0), env))
+    v = _instantiate("(quote number)", _ctx(store, Draws(0), env))
     assert v == Symbol("number")
-    v = instantiate_expression(parse_one("((lambda (number) number) 5)"),
-                               _ctx(store, Draws(0), env))
+    v = _instantiate("((lambda (number) number) 5)", _ctx(store, Draws(0), env))
     assert v == 5
-    v = instantiate_expression(parse_one("(let ((number 5)) number)"),
-                               _ctx(store, Draws(0), env))
+    v = _instantiate("(let ((number 5)) number)", _ctx(store, Draws(0), env))
     assert v == 5
     # a let binding's value sits outside the let's scope, so it is a draw
-    v = instantiate_expression(parse_one("(let ((x number)) x)"),
-                               _ctx(store, Draws(0), prelude_session.env))
+    v = _instantiate("(let ((x number)) x)", _ctx(store, Draws(0), prelude_session.env))
     assert isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
@@ -373,4 +379,4 @@ def test_sampling_with_no_random_source_is_an_error():
     with pytest.raises(EvalError, match="no random source available for sampling"):
         sample_concept(s.store.lookup("pick"), _ctx(store, NO_SOURCE, s.env))
     with pytest.raises(EvalError, match="no random source available for sampling"):
-        instantiate_expression(parse_one("(list pick pick)"), _ctx(store, NO_SOURCE, s.env))
+        _instantiate("(list pick pick)", _ctx(store, NO_SOURCE, s.env))
