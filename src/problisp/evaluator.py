@@ -129,7 +129,7 @@ class EvalContext(_Record):
 def evaluate(expr, env, ctx):
     """Compile the form `expr` for `env` and run it there.  Recursion
     blowups are language errors."""
-    code, = compile_forms((expr,), env)
+    (code,), _ = compile_forms((expr,), env)
     try:
         return code(env, ctx)
     except RecursionError:
@@ -137,17 +137,18 @@ def evaluate(expr, env, ctx):
 
 
 def compile_forms(forms, env, slot=None):
-    """Compile `forms` together, for running in order in `env` or in a fresh
-    child frame of it, into one code object each.  They are compiled as one
-    unit, whose frame binds the names of their defines: such a name is read
-    when the code runs, in all of the forms.  `slot(symbol)` is called for
-    each free symbol occurrence of the well-formed forms, in document order;
+    """(codes, names): `forms` compiled together, for running in order in
+    `env` or in a fresh child frame of it, into one code object each, and
+    the names that the unit's frame binds.  They are compiled as one unit,
+    whose frame binds the names of their defines: such a name is read when
+    the code runs, in all of the forms.  `slot(symbol)` is called for each
+    free symbol occurrence of the well-formed forms, in document order;
     where it returns a name, that occurrence reads the variable of that name
     instead."""
     try:
         compiler = _Compiler(env, slot)
         bound = frozenset(_scope_names(forms))
-        return [compiler.expr(form, bound) for form in forms]
+        return [compiler.expr(form, bound) for form in forms], bound
     except RecursionError:
         raise EvalError("recursion depth exceeded") from None
 

@@ -32,19 +32,32 @@ if not, the batch raises at once the exhaustion that `max_attempts`
 attempts would reach.  With the shipped rules the paper's query becomes
 `(define x 5)` with condition `#t`, and a batch of it evaluates the
 constant once.
+
+A batch whose definitions are all `(define v (random-integer N))`, with a
+literal N >= 2 and distinct names that alone the query binds, remembers
+each drawn value tuple's condition outcome, for up to `_MEMO_SPACE` tuples.
+An attempt draws the values with the definitions' own `integer(N)` calls,
+so every stream is consumed as without the memo.  Only the outcome of a
+condition that drew nothing is remembered: a define never rebinds a global
+and the session is cleared, so the same values give it again.  An error, a
+non-boolean (which ends the batch) or a draw happens on the same attempt as
+without the memo.  Once every tuple is remembered and none as `#t`, the
+batch raises the exhaustion that `max_attempts` attempts would reach.
 """
 
 from __future__ import annotations
 
 from .errors import EvalError, ExhaustionError, ProblispError
-from .evaluator import EvalContext, compile_forms
+from .evaluator import _PRIMITIVES, EvalContext, compile_forms
 # derive_rng is not used here; perfbench/test_perfbench.py reads it as inference.derive_rng
 from .rng import Draws, derive_rng, stream_states  # noqa: F401
-from .sexpr import SList, Symbol, _Record
+from .sexpr import Integer, SList, Symbol, _Record
 from .values import Env
 
 # sample indices per `stream_states` call: bounds the states held at once
 _STATE_BLOCK = 1024
+# the most value tuples a batch remembers the condition's outcome for
+_MEMO_SPACE = 4096
 
 
 class QuerySpec(_Record):
@@ -79,7 +92,7 @@ class SampleReport(_Record):
         self.acceptance_rate = acceptance_rate
 
 
-def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None):
+def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None, places=None, space=0):
     """(values, attempts): the query values of `n` accepted samples and the
     attempts they took.  An attempt runs `codes` but the last (the
     definitions' and the condition's) in a fresh child frame of `base_env`,
@@ -89,7 +102,11 @@ def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None):
     `states(i)`, and an `ExhaustionError` in it, its own or a nested query's,
     is reported as sample i's, with the samples made before it.  A batch
     whose sample 0 draws nothing and charges no budget in its first attempt
-    (see the module docstring) ends after that attempt."""
+    (see the module docstring) ends after that attempt.  Given `places` (each
+    definition's name: the place value and N of its value in a mixed-radix
+    key of `space` values), the memo of the module docstring applies: an
+    attempt draws with the definitions' own `integer(N)` calls, so the stream
+    moves as theirs would, and runs only the condition, unless remembered."""
     limit = ctx.max_attempts
     if limit < 1:
         raise EvalError("max-attempts must be at least 1")
@@ -97,6 +114,11 @@ def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None):
     values, total = [], 0
     probe, budget = states is not None, ctx.budget
     nodes = budget.nodes_expanded if budget is not None else None
+    memo = None
+    if places is not None:   # the drawn values' key -> the condition's outcome
+        memo, rng, condition = {}, ctx.rng, attempt_codes[-1]
+        integer, ((_, first), *rest) = rng.integer, places.values()
+        places = places.items()
     session, ctx.session = ctx.session, None   # no knowledge forms inside a query
     try:
         for i in range(n):
@@ -104,11 +126,28 @@ def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None):
                 ctx.rng.pend(states, i)
             try:
                 for attempt in range(1, limit + 1):
+                    if memo is not None:
+                        key = integer(first)
+                        for place, size in rest:
+                            key += place * integer(size)
+                        cond = memo.get(key)
+                        if cond is False:
+                            continue
                     env = Env()
                     env.parent = base_env
                     try:
-                        for c in attempt_codes:
-                            cond = c(env, ctx)
+                        if memo is None:
+                            for c in attempt_codes:
+                                cond = c(env, ctx)
+                        else:
+                            for name, (place, size) in places:
+                                env[name] = key // place % size
+                            if cond is None:
+                                state, half = rng._state, rng._half
+                                cond = condition(env, ctx)
+                                if rng._state is state and rng._half is half:
+                                    # it drew nothing; a non-boolean ends the batch below
+                                    memo[key] = cond
                     except ProblispError as err:
                         err.message = f"{err.message} (attempt {attempt})"
                         err.args = (err.message,)
@@ -127,6 +166,10 @@ def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None):
                         if not probe:
                             break
                     elif not probe:
+                        if memo is not None and len(memo) == space and True not in memo.values():
+                            # every value rejects: so would the attempts left
+                            raise ExhaustionError(f"no accepted sample after {limit} attempts",
+                                                  limit)
                         continue
                     probe = False   # sample 0's first attempt in a batch
                     if ctx.rng.pending is not None and (
@@ -174,12 +217,34 @@ def run_samples(spec, n, env, seed, ctx=None):
     if n < 1:
         raise EvalError("sample count must be at least 1")
     path = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    codes = compile_forms((*spec.definitions, spec.condition, spec.query), env)
+    codes, bound = compile_forms((*spec.definitions, spec.condition, spec.query), env)
     if ctx is None:
         ctx = EvalContext(global_env=env)
+    # name: (place value, N) of each definition, if all are literal draws
+    places, space = {}, 1
+    for d in spec.definitions:
+        items = d.items if d.__class__ is SList else ()
+        draw = items[2].items if len(items) == 3 and items[2].__class__ is SList else ()
+        if not (len(draw) == 2 and draw[1].__class__ is Integer and draw[1].value >= 2
+                and draw[0].__class__ is Symbol and draw[0].name == "random-integer"
+                and items[0].__class__ is Symbol and items[0].name == "define"
+                and items[1].__class__ is Symbol):
+            space = 0
+            break
+        places[items[1].name] = space, draw[1].value
+        space *= draw[1].value
+    # the memo needs distinct names that alone the unit binds, none of them
+    # random-integer, the standard random-integer for the definitions to
+    # call, and no shared concept budget for the condition to charge
+    if not (1 < space <= _MEMO_SPACE and len(bound) == len(places) == len(spec.definitions)
+            and "random-integer" not in places
+            and getattr(env.get("random-integer"), "fn", None) is _PRIMITIVES["random-integer"]
+            and ctx.budget is None):
+        places = None
     rng, ctx.rng = ctx.rng, Draws(*path)
     try:
-        values, attempts = _attempt_loop(spec, codes, env, ctx, n, _stream_states(path, n))
+        values, attempts = _attempt_loop(spec, codes, env, ctx, n, _stream_states(path, n),
+                                         places, space)
     finally:
         ctx.rng = rng
     return SampleReport(tuple(values), attempts, n / attempts)

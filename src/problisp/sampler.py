@@ -98,7 +98,7 @@ def _compiled_template(store, expr, env):
             concepts.append((name, cid))
             return name
 
-        code, = compile_forms((expr,), env, slot)
+        (code,), _ = compile_forms((expr,), env, slot)
         # the entry holds `expr`, so its id is not reused while cached
         entry = store.templates[id(expr)] = (expr, env, code, tuple(concepts), names)
     return entry[2:]

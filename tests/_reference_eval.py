@@ -110,15 +110,25 @@ def _eval(expr, env, ctx):
                                 expr.loc)
             return sample(concept, ctx, ctx.budget, ctx.sample_depth)
         elif op == "rejection-query":
-            return _query(expr, env, ctx)
+            return _query(expr, env, ctx)[0]
         else:
             raise NotImplementedError(f"the reference walker has no '{op}'")
 
 
+def run_query(expr, env, ctx):
+    """(value, attempts) of the rejection query `expr` in `env`: its value,
+    as `run` gives it, and the attempts it took."""
+    try:
+        return _query(expr, env, ctx)
+    except RecursionError:
+        raise EvalError("recursion depth exceeded") from None
+
+
 def _query(expr, env, ctx):
-    """A blind sample of a rejection query: each attempt walks the
-    definitions and then the condition in a fresh child frame of `env`, and
-    the first accepted attempt's frame gives the query's value."""
+    """(value, attempts) of a blind sample of a rejection query: each
+    attempt walks the definitions and then the condition in a fresh child
+    frame of `env`, and the first accepted attempt's frame gives the query's
+    value."""
     if len(expr.items) < 3:
         raise EvalError("rejection-query expects (rejection-query defs... query condition)",
                         expr.loc)
@@ -139,7 +149,7 @@ def _query(expr, env, ctx):
             raise EvalError(f"query condition must evaluate to a boolean (attempt {attempt})",
                             condition.loc)
         if accepted:
-            return _eval(query, frame, ctx)
+            return _eval(query, frame, ctx), attempt
     raise ExhaustionError(f"no accepted sample after {ctx.max_attempts} attempts",
                           ctx.max_attempts)
 

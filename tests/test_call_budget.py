@@ -34,7 +34,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # count, on Python 3.11, of the change that set it; a change that needs more
 # calls shows it here and is measured on the benchmark before a budget moves.
 CONCEPT_BUDGET = 2976
-BLIND_BUDGET = 2551
+# 2551 while every attempt ran the definition's and the condition's code,
+# before a batch of literal draws remembered each value's condition outcome
+BLIND_BUDGET = 818
 # 1790 while every attempt built an Env and its dict, each sample ran its own
 # attempt loop, and the reader recursed once for every node it read; 1173
 # while a batch ran every sample of a query that draws nothing

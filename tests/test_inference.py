@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from problisp import (EvalContext, EvalError, ExhaustionError, ProblispError, QuerySpec,
@@ -412,7 +412,8 @@ def test_a_draw_free_batch_that_rejects_raises_the_full_exhaustion_at_once():
 
     with pytest.raises(ExhaustionError) as exc:
         Session(seed=1, samples=5).run_text(DRAW_FREE_FALSE)
-    assert str(exc.value) == "line 1, column 1: sample 0: no accepted sample after 1000000 attempts"
+    assert str(exc.value) == ("line 1, column 1: sample 0: "
+                              "no accepted sample after 1000000 attempts")
     assert exc.value.attempts == 10 ** 6
     assert exc.value.partial == SampleReport((), 10 ** 6, 0.0)
 
@@ -465,6 +466,14 @@ def test_a_query_under_a_shared_concept_budget_runs_out_of_it_where_it_did():
             with pytest.raises(BudgetError) as exc:
                 run_samples(spec, n, s.env, 5, ctx)
             assert exc.value.message == "sampling did not terminate within budget " + message
+    # literal draws whose condition charges the budget run it on every attempt
+    ctx = _ctx(Draws(0), s.env, store=s.store, budget=SampleBudget(max_nodes=40),
+               max_attempts=1000)
+    with pytest.raises(BudgetError) as exc:
+        run_samples(_spec("(rejection-query (define x (random-integer 2)) x (= (sample d) 8))"),
+                    3, s.env, 5, ctx)
+    assert exc.value.message == ("sampling did not terminate within budget "
+                                 "(depth 0/64, nodes 41/40) (attempt 41)")
 
 
 def test_no_stream_pending_after_return_or_exhaustion(monkeypatch):
@@ -610,3 +619,175 @@ def test_draw_free_queries_sample_as_the_reference_walker_does(text, n, seed):
                                                walked[failed][1])
     else:
         assert batch == walked
+
+
+# A batch whose definitions are all literal draws remembers each drawn
+# value's condition outcome.  The queries below take that memo and miss it:
+# a condition that errs, gives a non-boolean or draws at some values, one
+# whose define the query value reads, a definition of `random-integer` or
+# `+`, a repeated name, `(random-integer 1)` and value spaces above the cap.
+# A condition may come with the query value that goes with it.
+_MEMO_CONDITIONS = (
+    ("(< {a} 2)", None), ("(= (+ {a} 5) 7)", None), ("(< {a} {b})", None),
+    ("(= (+ {a} {b}) 3)", None), ("#f", None), ("(> {a} 99)", None),
+    ("(if (= {a} 1) (first {a}) (= {a} 2))", None),
+    ("(if (= {a} 2) 7 (< {a} 2))", None),
+    ("(if (= {a} 1) (flip 0.5) (< {a} 1))", None),
+    ("(if (= {a} 1) (= (random-integer 3) 0) (= {a} 2))", None),
+    ("(if (null? (define w {a})) #f (< {a} 3))", "w"),
+    ("(if (null? (define + 1)) #f (< {a} 3))", None),
+    ("(< {a} 3)", "(if (null? (define random-integer 2)) {a} {b})"),
+    ("(< {a} 3)", "(if (null? (define + 2)) {a} {b})"),
+)
+_MEMO_VALUES = ("{a}", "(list {a} {b})", "(random-integer 10)")
+
+
+@st.composite
+def _literal_draw_queries(draw):
+    """A query of one or two `(define name (random-integer N))`."""
+    names = ["x"] + draw(st.lists(st.sampled_from(("y", "y", "x", "random-integer", "+")),
+                                  max_size=1))
+    sizes = st.sampled_from((3, 2, 5, 10, 1, 70, 5000))
+    defs = [f"(define {name} (random-integer {draw(sizes)}))" for name in names]
+    a, b = names[0], names[-1] if len(names) > 1 else "2"
+    cond, value = draw(st.sampled_from(_MEMO_CONDITIONS))
+    value = value or draw(st.sampled_from(_MEMO_VALUES))
+    return f"(rejection-query {' '.join(defs)} {value.format(a=a, b=b)} {cond.format(a=a, b=b)})"
+
+
+def _walked(form, env, ctx):
+    """(value, attempts) of the reference walker's sample, or its error:
+    (class, message, loc, attempts)."""
+    import _reference_eval
+
+    try:
+        value, attempts = _reference_eval.run_query(form, env, ctx)
+    except ProblispError as err:
+        return err.__class__, err.message, err.loc, getattr(err, "attempts", None)
+    return format_value(value), attempts
+
+
+def _batch_and_walker_agree(form, n, seed, limit):
+    """The batch's samples, total attempts and error, with its sample and
+    partial report, are the walker's, sample by sample."""
+    env = standard_env()
+    expected, attempts = [], 0
+    for i in range(n):
+        walked = _walked(form, env, _ctx(Draws(seed, i), env, max_attempts=limit))
+        if len(walked) == 4:
+            break
+        expected.append(walked[0])
+        attempts += walked[1]
+    try:
+        report = run_samples(QuerySpec.from_form(form), n, env, seed,
+                             _ctx(Draws(1), env, max_attempts=limit))
+    except ProblispError as err:
+        assert len(walked) == 4
+        cls, message, loc, spent = walked
+        assert (err.__class__, err.loc) == (cls, loc)
+        if cls is ExhaustionError:
+            assert (err.message, err.attempts) == (f"sample {i}: {message}", spent)
+            made = attempts + spent
+            assert (err.partial.total_attempts, err.partial.acceptance_rate) == (
+                made, len(expected) / made)
+            assert [format_value(v) for v in err.partial.samples] == expected
+        else:
+            assert err.message == message
+    else:
+        assert len(expected) == n, walked
+        assert [format_value(v) for v in report.samples] == expected
+        assert report.total_attempts == attempts
+
+
+_MEMO_EXAMPLES = (
+    "(define x (random-integer 5)) x (if (= x 3) (first x) (= x 4))",
+    "(define x (random-integer 5)) x (if (= x 2) 7 (< x 2))",
+    "(define x (random-integer 5)) x (if (= x 3) (flip 0.5) (< x 2))",
+    "(define x (random-integer 5)) x (if (= x 1) (= (random-integer 3) 0) (= x 2))",
+    "(define x (random-integer 1)) (define y (random-integer 3)) (list x y) (< y 1)",
+    "(define x (random-integer 5)) w (if (null? (define w x)) #f (< x 3))",
+    "(define random-integer (random-integer 3)) (define y (random-integer 2)) y (< y 1)",
+    "(define x (random-integer 5)) (if (null? (define + 2)) x 0) (< x 2)",
+    "(define x (random-integer 70)) (define y (random-integer 70)) (list x y) (< (+ x y) 9)",
+    "(define x (random-integer 3)) (define y (random-integer 2)) x (> x 99)",
+)
+
+
+def _with_examples(test):
+    for body in _MEMO_EXAMPLES:
+        test = example(f"(rejection-query {body})", 6, 11, 40)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(_literal_draw_queries(), st.integers(1, 8), st.integers(0, 2 ** 32),
+       st.sampled_from((1, 40, 40, 400)))
+@_with_examples
+def test_literal_draw_batches_sample_as_the_reference_walker_does(text, n, seed, limit):
+    form = parse_one(text)
+    for k in range(3):
+        _batch_and_walker_agree(form, n, seed + k, limit)
+
+
+def _counted_draws(monkeypatch):
+    """The list to which every batch's `integer` draws append their n."""
+    from problisp import inference
+
+    draws = []
+
+    class Counting(Draws):
+        __slots__ = ()
+
+        def integer(self, n, loc=None):
+            draws.append(n)
+            return super().integer(n, loc)
+
+    monkeypatch.setattr(inference, "Draws", Counting)
+    return draws
+
+
+def test_a_memo_that_rejects_every_value_raises_the_full_exhaustion_at_once(monkeypatch):
+    # once all 10 values of x are remembered as rejected, no attempt can be
+    # accepted: the batch raises the error that 10**6 attempts reach, as when
+    # they were all made, after a few dozen draws
+    from problisp import Session
+
+    draws = _counted_draws(monkeypatch)
+    with pytest.raises(ExhaustionError) as exc:
+        Session(seed=1, samples=5, rewrite=False).run_text(
+            "(rejection-query (define x (random-integer 10)) x (= x 99))")
+    assert str(exc.value) == ("line 1, column 1: sample 0: "
+                              "no accepted sample after 1000000 attempts")
+    assert exc.value.attempts == 10 ** 6
+    assert exc.value.partial == SampleReport((), 10 ** 6, 0.0)
+    assert 10 <= len(draws) < 100
+
+
+@pytest.mark.parametrize("ny,remembered", [(64, True), (65, False)])
+def test_the_memo_holds_at_most_4096_value_tuples(monkeypatch, ny, remembered):
+    # 64 x 64 values fill the memo within 10**5 attempts and prove the
+    # exhaustion early; 64 x 65 values take no memo, so every attempt draws
+    draws = _counted_draws(monkeypatch)
+    env = standard_env()
+    spec = _spec(f"(rejection-query (define x (random-integer 64)) "
+                 f"(define y (random-integer {ny})) x (> x 99))")
+    with pytest.raises(ExhaustionError) as exc:
+        run_samples(spec, 2, env, 4, _ctx(Draws(0), env, max_attempts=10 ** 5))
+    assert exc.value.message == "sample 0: no accepted sample after 100000 attempts"
+    assert (len(draws) < 2 * 10 ** 5) is remembered
+    assert len(draws) <= 2 * 10 ** 5
+
+
+def test_a_batch_without_the_standard_random_integer_runs_its_definitions():
+    # the memo draws as the standard primitive does, so a global environment
+    # whose random-integer is another value, or none, runs the definitions
+    for value in (None, 3):
+        env = standard_env()
+        del env["random-integer"]
+        if value is not None:
+            env["random-integer"] = value
+        with pytest.raises(EvalError) as exc:
+            run_samples(_spec("(rejection-query (define x (random-integer 5)) x (< x 2))"),
+                        2, env, 1)
+        assert exc.value.message == ("unbound symbol 'random-integer' (attempt 1)"
+                                     if value is None else "not a function: 3 (attempt 1)")
