@@ -41,16 +41,17 @@ Hot call shapes are specialized, each to exactly the values, draws, errors
 and locations of the generic path it skips.  A shape is kept only where
 removing it adds Python calls to the concept and blind queries of
 tests/test_call_budget.py, or slows the benchmark.  The calls each one
-saves on the two queries, counted on Python 3.11, follow it:
+saves on the two queries, counted on Python 3.11 with that shape alone
+removed, follow it:
 - a root symbol bound when compiling is held in the code, and a known
-  global primitive is called directly: 4095 and 8313 calls;
+  global primitive is called directly: 3638 and 153 calls (without it, no
+  primitive is known when compiling, so the next two shapes are gone too);
 - `+ - * = < >` on two operands: each operand is a numeric literal held in
   the code or a read probing its own frame, two numbers get the
   primitive's own two-argument fold, and anything else, an overflow
-  included, goes to the primitive: 3142 and 7001;
-- `random-integer` and `flip` of one argument, a literal or a probed read:
-  a positive int, or a float in [0, 1], draws at once, and any other value
-  goes to the primitive: 1828 and 1750;
+  included, goes to the primitive: 3142 and 153;
+- `flip` of one argument, a literal or a probed read: a float in [0, 1]
+  draws at once, and any other value goes to the primitive: 1371 and 0;
 - a closure call's operator symbol probes its own frame, then its
   parent's: 758 and 0; a single argument symbol probes its own: 379 and 0;
 - any other symbol read probes its own frame before `_lookup` walks the
@@ -240,13 +241,6 @@ _BINARY = {
     ">": operator.gt,
 }
 
-# one-argument draws: (class, low, high); an argument of that exact class in
-# [low, high] draws at once, any other goes to the primitive
-_DRAWS = {
-    "random-integer": (int, 1, math.inf),
-    "flip": (float, 0.0, 1.0),
-}
-
 
 class _Compiler:
     """Compiles the forms of one unit; see the module docstring for what is
@@ -422,7 +416,8 @@ class _Compiler:
         except EvalError as err:
             return _fail(err.message, err.loc)
         first_slot = len(self.slotted)
-        inner = bound.union(_scope_names((*spec.definitions, spec.query, spec.condition)))
+        names = _scope_names((*spec.definitions, spec.query, spec.condition))
+        inner = bound.union(names)
         defs = [self.expr(d, inner) for d in spec.definitions]
         query = self.expr(spec.query, inner)
         codes = (*defs, self.expr(spec.condition, inner), query)
@@ -432,9 +427,14 @@ class _Compiler:
         # since later forms may add names to the frames between
         shadowed = bound.union(self.slotted[first_slot:])
         rewritable = self.root is not None
+        # the memo's scope fact (see `inference._attempt_loop`), where no frame
+        # or slot around the query renames random-integer
+        scoped = (rewritable and len(names) == len(spec.definitions)
+                  and "random-integer" not in names and "random-integer" not in shadowed
+                  and getattr(self.root.get("random-integer"), "fn", None) is _prim_random_integer)
 
         def run(env, ctx):
-            run_codes = codes
+            run_spec, run_codes = spec, codes
             if ctx.rules and rewritable:
                 outcome = _rewrite.optimize_query_detail(spec, ctx.rules, shadowed)
                 if outcome.fired:   # the pinned define, and the condition or #t
@@ -444,7 +444,8 @@ class _Compiler:
                               for c, new in zip(defs, outcome.spec.definitions)]
                     kept = outcome.spec.condition is spec.condition
                     run_codes = (*pinned, codes[-2] if kept else _constant(True), query)
-            return _inference._attempt_loop(spec, run_codes, env, ctx)[0][0]
+                    run_spec = outcome.spec   # its pinned define is no draw for the memo
+            return _inference._attempt_loop(run_spec, run_codes, env, ctx, scoped=scoped)[0][0]
         return run
 
     def application(self, expr, bound, tail):
@@ -518,19 +519,17 @@ class _Compiler:
         (code, name) pairs `operands` compiled from `items[1:]`."""
         fn = prim.fn
         codes = [code for code, _ in operands]
-        draw = _DRAWS.get(prim.name) if len(codes) == 1 else None
+        flip = prim.name == "flip" and len(codes) == 1
         binary = _BINARY.get(prim.name) if len(codes) == 2 else None
-        if draw is None and binary is None:
+        if not flip and binary is None:
             return lambda env, ctx: fn([c(env, ctx) for c in codes], ctx, loc)
         # each operand is a numeric literal held in the code (None for none),
         # or else a read that probes its own frame first
         lits = [n.value if n.__class__ in _NUMBER_NODES else None for n in items[1:]]
         names = [name for _, name in operands]
-        if draw is not None:
+        if flip:   # a float in [0, 1] draws at once, any other goes to the primitive
             (a,), (lit,), (name,) = codes, lits, names
-            kind, low, high = draw
-            integer = kind is int
-            if lit is not None and not (lit.__class__ is kind and low <= lit <= high):
+            if lit is not None and not (lit.__class__ is float and 0.0 <= lit <= 1.0):
                 lit = None   # runs as any other argument
 
             def run(env, ctx):
@@ -538,9 +537,9 @@ class _Compiler:
                 if x is None:
                     if name is None or (x := env.get(name, _MISSING)) is _MISSING:
                         x = a(env, ctx)
-                    if x.__class__ is not kind or not low <= x <= high:
+                    if x.__class__ is not float or not 0.0 <= x <= 1.0:
                         return fn([x], ctx, loc)   # checks and reports the rest
-                return ctx.rng.integer(x, loc) if integer else ctx.rng.flip(x, loc)
+                return ctx.rng.flip(x, loc)
             return run
         (a, b), (lit_a, lit_b), (name_a, name_b) = codes, lits, names
         if prim.name == "+" and (lit_a is not None or lit_b is not None):

@@ -33,16 +33,19 @@ attempts would reach.  With the shipped rules the paper's query becomes
 `(define x 5)` with condition `#t`, and a batch of it evaluates the
 constant once.
 
-A batch whose definitions are all `(define v (random-integer N))`, with a
-literal N >= 2 and distinct names that alone the query binds, remembers
-each drawn value tuple's condition outcome, for up to `_MEMO_SPACE` tuples.
-An attempt draws the values with the definitions' own `integer(N)` calls,
-so every stream is consumed as without the memo.  Only the outcome of a
-condition that drew nothing is remembered: a define never rebinds a global
-and the session is cleared, so the same values give it again.  An error, a
-non-boolean (which ends the batch) or a draw happens on the same attempt as
-without the memo.  Once every tuple is remembered and none as `#t`, the
-batch raises the exhaustion that `max_attempts` attempts would reach.
+Every query whose definitions are all `(define v (random-integer N))`, with
+a literal N (`QuerySpec.supports`) and distinct names that alone the query
+binds, remembers while its loop runs each drawn value tuple's condition
+outcome, for up to `_MEMO_SPACE` tuples.  An attempt draws the values with
+the definitions' own `integer(N)` calls, so every stream is consumed as
+without the memo.  Only the outcome of a condition that drew nothing is
+remembered: a define never rebinds a global and the session is cleared, so
+the same values give it again.  An error, a non-boolean or a draw happens
+on the same attempt as without the memo.  Once every tuple is remembered
+and none as `#t`, the query raises the exhaustion that `max_attempts`
+attempts would reach.  The memo stays off under a shared concept budget,
+which the condition may charge, and on a draw object other than a `Draws`,
+whose state tells whether the condition drew.
 """
 
 from __future__ import annotations
@@ -56,17 +59,31 @@ from .values import Env
 
 # sample indices per `stream_states` call: bounds the states held at once
 _STATE_BLOCK = 1024
-# the most value tuples a batch remembers the condition's outcome for
+# the most value tuples a query remembers the condition's outcome for
 _MEMO_SPACE = 4096
 
 
 class QuerySpec(_Record):
-    """Definitions, query expression and condition expression of one query."""
+    """Definitions, query expression and condition expression of one query.
+    `supports`, the literal priors that the memo and the optimizer read: per
+    definition, N for `(define v (random-integer N))` with a literal N >= 1,
+    else None."""
 
-    __slots__ = _fields = ("definitions", "query", "condition")
+    __slots__ = ("definitions", "query", "condition", "supports")
+    _fields = ("definitions", "query", "condition")
 
     def __init__(self, definitions, query, condition):
         self.definitions, self.query, self.condition = definitions, query, condition
+        supports = []
+        for d in definitions:
+            items = d.items if d.__class__ is SList else ()
+            prior = items[2].items if len(items) == 3 and items[2].__class__ is SList else ()
+            supports.append(prior[1].value if (
+                len(prior) == 2 and prior[1].__class__ is Integer and prior[1].value >= 1
+                and prior[0].__class__ is Symbol and prior[0].name == "random-integer"
+                and items[0].__class__ is Symbol and items[0].name == "define"
+                and items[1].__class__ is Symbol) else None)
+        self.supports = tuple(supports)
 
     @classmethod
     def from_form(cls, form):
@@ -92,7 +109,7 @@ class SampleReport(_Record):
         self.acceptance_rate = acceptance_rate
 
 
-def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None, places=None, space=0):
+def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None, scoped=False):
     """(values, attempts): the query values of `n` accepted samples and the
     attempts they took.  An attempt runs `codes` but the last (the
     definitions' and the condition's) in a fresh child frame of `base_env`,
@@ -102,11 +119,13 @@ def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None, places=None, spa
     `states(i)`, and an `ExhaustionError` in it, its own or a nested query's,
     is reported as sample i's, with the samples made before it.  A batch
     whose sample 0 draws nothing and charges no budget in its first attempt
-    (see the module docstring) ends after that attempt.  Given `places` (each
-    definition's name: the place value and N of its value in a mixed-radix
-    key of `space` values), the memo of the module docstring applies: an
-    attempt draws with the definitions' own `integer(N)` calls, so the stream
-    moves as theirs would, and runs only the condition, unless remembered."""
+    (see the module docstring) ends after that attempt.  The memo of the
+    module docstring applies where the caller found the query's scope fit
+    (`scoped`: its frame binds only its definitions' names, and its
+    `random-integer` is the standard primitive) and all of them are literal
+    draws: an attempt then draws with their own `integer(N)` calls, so the
+    stream moves as theirs would, and runs only the condition, unless
+    remembered."""
     limit = ctx.max_attempts
     if limit < 1:
         raise EvalError("max-attempts must be at least 1")
@@ -115,10 +134,17 @@ def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None, places=None, spa
     probe, budget = states is not None, ctx.budget
     nodes = budget.nodes_expanded if budget is not None else None
     memo = None
-    if places is not None:   # the drawn values' key -> the condition's outcome
-        memo, rng, condition = {}, ctx.rng, attempt_codes[-1]
-        integer, ((_, first), *rest) = rng.integer, places.values()
-        places = places.items()
+    if scoped and budget is None and isinstance(ctx.rng, Draws) and None not in spec.supports:
+        # name: (place value, N) of each value in a mixed-radix key
+        places, space = {}, 1
+        for d, size in zip(spec.definitions, spec.supports):
+            places[d.items[1].name] = space, size
+            space *= size
+        # distinct names, so they are all that the query's frame binds
+        if 1 < space <= _MEMO_SPACE and len(places) == len(spec.definitions):
+            memo, rng, condition = {}, ctx.rng, attempt_codes[-1]
+            integer, ((_, first), *rest) = rng.integer, places.values()
+            places = places.items()
     session, ctx.session = ctx.session, None   # no knowledge forms inside a query
     try:
         for i in range(n):
@@ -220,31 +246,13 @@ def run_samples(spec, n, env, seed, ctx=None):
     codes, bound = compile_forms((*spec.definitions, spec.condition, spec.query), env)
     if ctx is None:
         ctx = EvalContext(global_env=env)
-    # name: (place value, N) of each definition, if all are literal draws
-    places, space = {}, 1
-    for d in spec.definitions:
-        items = d.items if d.__class__ is SList else ()
-        draw = items[2].items if len(items) == 3 and items[2].__class__ is SList else ()
-        if not (len(draw) == 2 and draw[1].__class__ is Integer and draw[1].value >= 2
-                and draw[0].__class__ is Symbol and draw[0].name == "random-integer"
-                and items[0].__class__ is Symbol and items[0].name == "define"
-                and items[1].__class__ is Symbol):
-            space = 0
-            break
-        places[items[1].name] = space, draw[1].value
-        space *= draw[1].value
-    # the memo needs distinct names that alone the unit binds, none of them
-    # random-integer, the standard random-integer for the definitions to
-    # call, and no shared concept budget for the condition to charge
-    if not (1 < space <= _MEMO_SPACE and len(bound) == len(places) == len(spec.definitions)
-            and "random-integer" not in places
-            and getattr(env.get("random-integer"), "fn", None) is _PRIMITIVES["random-integer"]
-            and ctx.budget is None):
-        places = None
+    # the memo's scope fact (see `_attempt_loop`), from the names the unit binds
+    scoped = (len(bound) == len(spec.definitions) and "random-integer" not in bound
+              and getattr(env.get("random-integer"), "fn", None) is _PRIMITIVES["random-integer"])
     rng, ctx.rng = ctx.rng, Draws(*path)
     try:
         values, attempts = _attempt_loop(spec, codes, env, ctx, n, _stream_states(path, n),
-                                         places, space)
+                                         scoped)
     finally:
         ctx.rng = rng
     return SampleReport(tuple(values), attempts, n / attempts)

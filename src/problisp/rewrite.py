@@ -345,17 +345,6 @@ class OptimizeOutcome(_Record):
 _ASSUMED = _FOLDABLE | {"random-integer"}
 
 
-def _finite_support(expr):
-    """Size n for a literal (random-integer n) prior; None otherwise."""
-    if (expr.__class__ is SList and len(expr.items) == 2
-            and expr.items[0].__class__ is Symbol
-            and expr.items[0].name == "random-integer"
-            and expr.items[1].__class__ is Integer
-            and expr.items[1].value >= 1):
-        return expr.items[1].value
-    return None
-
-
 def _in_support(value_node, n):
     """(in_support, canonical_node) for a solved constant against {0..n-1}."""
     if value_node.__class__ is Integer:
@@ -375,19 +364,15 @@ def optimize_query_detail(spec, rules, shadowed=()):
     random-integer, a foldable operator or a non-pattern symbol of a rule is
     bound by a define in its forms, or is in `shadowed`, the names that the
     frames around the query bind: the rewrite would assume their meaning."""
-    defines = [(idx, d) for idx, d in enumerate(spec.definitions)
-               if d.__class__ is SList and len(d.items) == 3
-               and d.items[0].__class__ is Symbol and d.items[0].name == "define"
-               and d.items[1].__class__ is Symbol]
     names = _scope_names((*spec.definitions, spec.query, spec.condition))
     names = {name for name in names.union(shadowed) if not name.startswith("$")}
     if not names.isdisjoint(_ASSUMED.union(*[side for rule in rules
                                              for side in rule._symbols])):
         return OptimizeOutcome(spec, False)
-    for idx, d in defines:
-        support = _finite_support(d.items[2])
+    for idx, support in enumerate(spec.supports):
         if support is None:
             continue  # continuous, concept-valued or other prior: leave it alone
+        d = spec.definitions[idx]
         var = d.items[1].name
         result = solve_condition(spec.condition, var, rules)
         if not result.solved:

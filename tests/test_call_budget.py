@@ -35,12 +35,15 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # calls shows it here and is measured on the benchmark before a budget moves.
 CONCEPT_BUDGET = 2976
 # 2551 while every attempt ran the definition's and the condition's code,
-# before a batch of literal draws remembered each value's condition outcome
-BLIND_BUDGET = 818
+# before a batch of literal draws remembered each value's condition outcome;
+# 818 while the compiler had a shape of its own for a one-argument
+# random-integer, which the memo now draws itself
+BLIND_BUDGET = 816
 # 1790 while every attempt built an Env and its dict, each sample ran its own
 # attempt loop, and the reader recursed once for every node it read; 1173
-# while a batch ran every sample of a query that draws nothing
-PINNED_BUDGET = 178
+# while a batch ran every sample of a query that draws nothing; 178 while
+# the optimizer filtered the defines and read each literal prior itself
+PINNED_BUDGET = 176
 # a batch whose first sample rejects without drawing raises the exhaustion
 # after that one attempt; making all 10**6 of them took 3000094 calls
 DRAW_FREE_FALSE_BUDGET = 97

@@ -452,6 +452,13 @@ def test_a_query_under_a_shared_concept_budget_runs_out_of_it_where_it_did():
         s.run_text("(sample c)")
     assert exc.value.message == ("sampling did not terminate within budget "
                                  "(depth 1/64, nodes 10001/10000) (attempt 10000)")
+    # so does a template's query of literal draws: the budget keeps its memo off
+    s.run_text("(concept e)"
+               " (is-a (rejection-query (define x (random-integer 2)) x (= (g) 8)) e)")
+    with pytest.raises(BudgetError) as exc:
+        s.run_text("(sample e)")
+    assert exc.value.message == ("sampling did not terminate within budget "
+                                 "(depth 1/64, nodes 10001/10000) (attempt 10000)")
     for cond, n, max_nodes, message in [
             ("(= y 8)", 3, 40, "(depth 0/64, nodes 41/40) (attempt 41)"),
             ("(= y 7)", 10, 5, "(depth 0/64, nodes 6/5) (attempt 1)"),   # at sample 5
@@ -552,7 +559,11 @@ def test_a_draw_object_needs_only_the_four_draws():
     text = ("(rejection-query (define x (random-integer 10)) (define b (flip 0.5))"
             " (list x b (normal 0 1) coin) (> x 4))")
     spec, nested = _spec(text), parse_one(f"(list {text} (sample coin))")
+    # all literal draws, which a `Draws` remembers the condition outcomes of
+    literal = parse_one("(list (rejection-query (define x (random-integer 10))"
+                        " (define y (random-integer 3)) (list x y) (> (+ x y) 9)))")
     for run in (lambda ctx: format_value(evaluate(nested, s.env, ctx)),
+                lambda ctx: format_value(evaluate(literal, s.env, ctx)),
                 lambda ctx: format_value(_one(spec, s.env, ctx)),
                 lambda ctx: sample_concept(s.store.lookup("coin"), ctx),
                 lambda ctx: [format_value(v) for v in run_samples(spec, 5, s.env, 3, ctx).samples]):
@@ -713,16 +724,19 @@ _MEMO_EXAMPLES = (
 )
 
 
-def _with_examples(test):
-    for body in _MEMO_EXAMPLES:
-        test = example(f"(rejection-query {body})", 6, 11, 40)(test)
-    return test
+def _with_examples(*args):
+    """Each of `_MEMO_EXAMPLES` as an explicit example, with `args` after it."""
+    def add(test):
+        for body in _MEMO_EXAMPLES:
+            test = example(f"(rejection-query {body})", *args)(test)
+        return test
+    return add
 
 
 @settings(max_examples=300, deadline=None)
 @given(_literal_draw_queries(), st.integers(1, 8), st.integers(0, 2 ** 32),
        st.sampled_from((1, 40, 40, 400)))
-@_with_examples
+@_with_examples(6, 11, 40)
 def test_literal_draw_batches_sample_as_the_reference_walker_does(text, n, seed, limit):
     form = parse_one(text)
     for k in range(3):
@@ -780,14 +794,106 @@ def test_the_memo_holds_at_most_4096_value_tuples(monkeypatch, ny, remembered):
 
 def test_a_batch_without_the_standard_random_integer_runs_its_definitions():
     # the memo draws as the standard primitive does, so a global environment
-    # whose random-integer is another value, or none, runs the definitions
+    # whose random-integer is another value, or none, runs the definitions,
+    # in a batch and in a single or nested query
+    text = "(rejection-query (define x (random-integer 5)) x (< x 2))"
     for value in (None, 3):
         env = standard_env()
         del env["random-integer"]
         if value is not None:
             env["random-integer"] = value
+        for run in (lambda: run_samples(_spec(text), 2, env, 1),
+                    lambda: evaluate(parse_one(text), env, _ctx(Draws(1), env)),
+                    lambda: evaluate(parse_one(f"(list {text})"), env, _ctx(Draws(1), env))):
+            with pytest.raises(EvalError) as exc:
+                run()
+            assert exc.value.message == ("unbound symbol 'random-integer' (attempt 1)"
+                                         if value is None else "not a function: 3 (attempt 1)")
+
+
+def _run_from_seed(run, form, env, seed, limit):
+    """What `run(form, env, ctx)` gives on a fresh `Draws(seed)`, its value or
+    its error (class, message, location, attempts), and the draw object's
+    state after it.  The state after an exhaustion is None: a memo that
+    proves it makes none of the attempts left."""
+    ctx = _ctx(Draws(seed), env, max_attempts=limit)
+    try:
+        outcome = format_value(run(form, env, ctx))
+    except ProblispError as err:
+        outcome = err.__class__, err.message, err.loc, getattr(err, "attempts", None)
+        if err.__class__ is ExhaustionError:
+            return outcome, None
+    return outcome, draws_state(ctx.rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_literal_draw_queries(), st.integers(0, 2 ** 32), st.sampled_from((1, 40, 40, 400)))
+@_with_examples(11, 40)
+def test_single_and_nested_literal_draw_queries_run_as_the_reference_walker_does(
+        text, seed, limit):
+    # a single query and one nested in a form take the memo through the same
+    # loop as a batch, and draw and fail as the walker does
+    import _reference_eval
+
+    env = standard_env()
+    for form in (parse_one(text), parse_one(f"(list {text})")):
+        for k in range(3):
+            assert (_run_from_seed(evaluate, form, env, seed + k, limit)
+                    == _run_from_seed(_reference_eval.run, form, env, seed + k, limit))
+
+
+def test_a_nested_query_that_rejects_every_value_raises_the_full_exhaustion_at_once(
+        monkeypatch):
+    # as a batch does, a nested query proves after a few dozen draws that
+    # none of its 10**6 attempts can be accepted
+    from problisp import inference
+
+    draws = _counted_draws(monkeypatch)
+    env = standard_env()
+    form = parse_one("(list (rejection-query (define x (random-integer 10)) x (= x 99)))")
+    with pytest.raises(ExhaustionError) as exc:
+        evaluate(form, env, _ctx(inference.Draws(1), env))
+    assert (exc.value.message, exc.value.attempts) == (
+        "no accepted sample after 1000000 attempts", 10 ** 6)
+    assert 10 <= len(draws) < 100
+
+
+def test_a_query_without_a_draw_source_fails_at_its_draw():
+    # on NO_SOURCE the memo stays off: the definition's draw reports the
+    # error at its own location
+    env = standard_env()
+    text = "(rejection-query (define x (random-integer 10)) x (< x 3))"
+    for prefix, suffix in (("", ""), ("(list ", ")")):
         with pytest.raises(EvalError) as exc:
-            run_samples(_spec("(rejection-query (define x (random-integer 5)) x (< x 2))"),
-                        2, env, 1)
-        assert exc.value.message == ("unbound symbol 'random-integer' (attempt 1)"
-                                     if value is None else "not a function: 3 (attempt 1)")
+            evaluate(parse_one(prefix + text + suffix), env, EvalContext(global_env=env))
+        assert exc.value.message == "no random source available in this context (attempt 1)"
+        column = len(prefix) + text.index("(random-integer") + 1
+        assert (exc.value.loc.line, exc.value.loc.column) == (1, column)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("(let ((random-integer (lambda (n) (+ 100 n)))) {})", 110),
+    ("((lambda (random-integer) {}) (lambda (n) (- 0 n)))", -10),
+])
+def test_a_query_whose_random_integer_a_frame_around_it_binds_calls_that(text, value):
+    # a `let` name or a `lambda` parameter named random-integer keeps the
+    # memo off: the definition calls what the frame binds
+    env = standard_env()
+    form = parse_one(text.format("(rejection-query (define x (random-integer 10)) x #t)"))
+    assert evaluate(form, env, _ctx(Draws(1), env)) == value
+
+
+def test_a_nested_query_that_the_rules_pin_draws_only_its_other_definitions():
+    # x is pinned to 5 by the rewrite; the pinned codes take no memo, so y
+    # is the attempt's one draw, as a fresh stream's first integer(4)
+    from problisp import Session, rules_path
+
+    s = Session()
+    s.load_file(rules_path())
+    form = parse_one("(list (rejection-query (define x (random-integer 10))"
+                     " (define y (random-integer 4)) (list x y) (= (+ x 5) 10)))")
+    for seed in range(8):
+        ctx = s._ctx()
+        ctx.rng = Draws(seed)
+        expected = f"((5 {Draws(seed).integer(4)}))"
+        assert format_value(evaluate(form, s.env, ctx)) == expected
