@@ -85,6 +85,17 @@ class QuerySpec(_Record):
                 and items[1].__class__ is Symbol) else None)
         self.supports = tuple(supports)
 
+    def _pinned(self, index, define, condition):
+        """This query with the definition at `index` replaced by `define`,
+        which pins its variable, and with `condition`.  The supports are
+        this query's, with None at `index`: no literal prior is read again."""
+        spec = object.__new__(self.__class__)
+        definitions = list(self.definitions)
+        definitions[index] = define
+        spec.definitions, spec.query, spec.condition = tuple(definitions), self.query, condition
+        spec.supports = (*self.supports[:index], None, *self.supports[index + 1:])
+        return spec
+
     @classmethod
     def from_form(cls, form):
         """Split a (rejection-query ...) form: the last two body forms are the

@@ -384,14 +384,12 @@ def optimize_query_detail(spec, rules, shadowed=()):
                 f"condition forces {var} = {print_expr(constant)}, outside the "
                 f"support of (random-integer {support})", spec.condition.loc)
         new_define = SList((d.items[0], d.items[1], canonical), d.loc)
-        definitions = list(spec.definitions)
-        definitions[idx] = new_define
         # after an implication the condition only implies the pin: it stays
         condition = Boolean(True)
         for rule in rules:
             if rule.kind == "implication":
                 condition = spec.condition
                 break
-        new_spec = spec.__class__(tuple(definitions), spec.query, condition)
+        new_spec = spec._pinned(idx, new_define, condition)
         return OptimizeOutcome(new_spec, True, var, canonical, result.trace, new_define)
     return OptimizeOutcome(spec, False)

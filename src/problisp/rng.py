@@ -6,12 +6,15 @@ others were made.  `stream_states` re-implements that seeding for many
 paths that differ only in their last integer, in one pass.  `Draws` is
 the library's draw object: `Draws(*path)` draws the values a numpy
 Generator `derive_rng(*path)` would, stepping PCG64 and running numpy's
-integer, uniform and normal draws in Python.  A context's draw object need
-only have the four draws `integer`, `flip`, `normal` and `choose`: a query
-batch pends its samples' streams on a `Draws` of its own.  Only
-`derive_rng`, the reference twin of the tests and the benchmark, imports
-numpy.  `NO_SOURCE` stands in for a draw object in a context with no
-random source.
+integer, uniform and normal draws in Python.  PCG64's output rotation
+of a 64-bit word v right by r is taken as `v * (2**64 + 1) >> r & mask`,
+in three operations instead of five, since v written twice side by side
+and shifted right by r holds v rotated by r in its low 64 bits.  A
+context's draw object need only have the four draws `integer`, `flip`,
+`normal` and `choose`: a query batch pends its samples' streams on a
+`Draws` of its own.  Only `derive_rng`, the reference twin of the tests
+and the benchmark, imports numpy.  `NO_SOURCE` stands in for a draw
+object in a context with no random source.
 """
 
 from __future__ import annotations
@@ -138,6 +141,7 @@ def _lane_states(head, indices, width):
 
 
 _WORD32, _WORD63, _WORD64 = 1 << 32, 1 << 63, 1 << 64
+_TWICE = _WORD64 + 1   # v * _TWICE is the 64-bit v written twice, side by side
 _UNIT = 2.0 ** -53   # a uniform double is the top 53 bits of a word times this
 # numpy's ziggurat: where its tail starts, 1/that, and data/ziggurat.txt's tables
 _TAIL, _INV_TAIL = 3.6541528853610087963519472518, 0.27366123732975827203338247596
@@ -208,7 +212,7 @@ class Draws:
             self._install()
         s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
         v, r = (s >> 64 ^ s) & _MASK64, s >> 122
-        return (v >> r | v << 64 - r) & _MASK64
+        return v * _TWICE >> r & _MASK64
 
     def integer(self, n, loc=None):
         """Uniform integer in [0, n), for n >= 1."""
@@ -234,7 +238,7 @@ class Draws:
         if u is None:
             s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
             v, r = (s >> 64 ^ s) & _MASK64, s >> 122
-            w = (v >> r | v << 64 - r) & _MASK64
+            w = v * _TWICE >> r & _MASK64
             self._half, u = w >> 32, w & _MASK32
         else:
             self._half = None
@@ -251,7 +255,7 @@ class Draws:
             self._install()
         s = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
         v, r = (s >> 64 ^ s) & _MASK64, s >> 122
-        return (((v >> r | v << 64 - r) & _MASK64) >> 11) * _UNIT < p
+        return ((v * _TWICE >> r & _MASK64) >> 11) * _UNIT < p
 
     def choose(self, weights):
         """Index i with probability weights[i] / sum(weights)."""

@@ -51,7 +51,10 @@ def sample_concept(concept, ctx, budget=None, depth=0):
     """Draw one instance of `concept` from its weighted is-a links."""
     if budget is None:
         budget = SampleBudget()
-    budget.charge(depth)
+    nodes = budget.nodes_expanded + 1
+    if depth > budget.max_depth or nodes > budget.max_nodes:
+        budget.charge(depth)   # counts this expansion and raises
+    budget.nodes_expanded = nodes
     rows = ctx.store.instances(concept)
     if not rows:
         raise ConceptError(f"no generative model for concept '{concept.name}'")
@@ -64,9 +67,13 @@ def sample_concept(concept, ctx, budget=None, depth=0):
 
 
 def _instantiate(expr, ctx, budget, depth):
-    code, concepts, _ = _compiled_template(ctx.store, expr, ctx.global_env)
+    env = ctx.global_env
+    entry = ctx.store.templates.get(id(expr))
+    if entry is None or entry[0] is not expr or entry[1] is not env:
+        entry = _compiled_template(ctx.store, expr, env)
+    _, _, code, concepts, _ = entry
     frame = Env()
-    frame.parent = ctx.global_env
+    frame.parent = env
     for name, cid in concepts:
         frame[name] = sample_concept(cid, ctx, budget, depth + 1)
     saved = ctx.session, ctx.budget, ctx.sample_depth
@@ -80,10 +87,11 @@ def _instantiate(expr, ctx, budget, depth):
 
 
 def _compiled_template(store, expr, env):
-    """(code, concepts, names) for `expr` compiled for `env`, cached on
-    `store`.  `concepts` holds a (variable name, ConceptId) pair for each
-    free symbol of `expr` that names a concept, left to right; in `code`
-    that symbol reads the variable.  `names` is the set of free names."""
+    """The entry (expr, env, code, concepts, names) of `expr` compiled for
+    `env`, cached on `store` under `id(expr)`.  `concepts` holds a
+    (variable name, ConceptId) pair for each free symbol of `expr` that
+    names a concept, left to right; in `code` that symbol reads the
+    variable.  `names` is the set of free names."""
     entry = store.templates.get(id(expr))
     if entry is None or entry[0] is not expr or entry[1] is not env:
         concepts, names = [], set()
@@ -101,4 +109,4 @@ def _compiled_template(store, expr, env):
         (code,), _ = compile_forms((expr,), env, slot)
         # the entry holds `expr`, so its id is not reused while cached
         entry = store.templates[id(expr)] = (expr, env, code, tuple(concepts), names)
-    return entry[2:]
+    return entry

@@ -13,7 +13,9 @@ involved.  A budget is an upper bound: an interpreter that inlines
 comprehensions (Python 3.12 and later) counts fewer calls.
 
 Run one query's count by hand with
-`PYTHONPATH=src python tests/test_call_budget.py blind_query`.
+`PYTHONPATH=src python tests/test_call_budget.py blind_query`, or every
+query's, each in a child of its own, with
+`PYTHONPATH=src python tests/test_call_budget.py all`.
 """
 
 import json
@@ -33,7 +35,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # frame on every one of the ~10^5 attempts of a query.  Each budget is the
 # count, on Python 3.11, of the change that set it; a change that needs more
 # calls shows it here and is measured on the benchmark before a budget moves.
-CONCEPT_BUDGET = 2976
+# 2976 while an `if` ran its `(flip p)` test as code of its own, each
+# attempt looked its `(sample integer)` up through the frames and the store,
+# and each instantiation called the budget's `charge` and the template cache
+CONCEPT_BUDGET = 2324
 # 2551 while every attempt ran the definition's and the condition's code,
 # before a batch of literal draws remembered each value's condition outcome;
 # 818 while the compiler had a shape of its own for a one-argument
@@ -194,5 +199,15 @@ def test_solver_call_budget():
     assert calls <= SOLVER_BUDGET
 
 
+# every query the tests count, with the arguments they count it for
+QUERIES = ((concept_query,), (blind_query,), (pinned_query,),
+           (draw_free_false_query, 10 ** 6), (draw_free_false_query, 10 ** 8),
+           (solver_queries,))
+
+
 if __name__ == "__main__":
-    print(json.dumps(globals()[sys.argv[1]](*map(int, sys.argv[2:]))))
+    if sys.argv[1] == "all":
+        for query, *args in QUERIES:
+            print(query.__name__, *args, json.dumps(_in_child(query, *args)))
+    else:
+        print(json.dumps(globals()[sys.argv[1]](*map(int, sys.argv[2:]))))

@@ -613,6 +613,27 @@ def test_one_argument_closure_calls_match_two_argument_ones(one, two):
         assert _outcome(one, seed) == _outcome(two, seed)
 
 
+class _IntegerFlips(Draws):
+    """A draw object whose flips give 1 and 0, not booleans."""
+
+    __slots__ = ()
+
+    def flip(self, p, loc=None):
+        return int(super().flip(p, loc))
+
+
+@pytest.mark.parametrize("program", [
+    "(if (flip 1.0) 1 2)", "(if (flip 0.0) 1 2)", "(let ((p 1.0)) (if (flip p) 1 2))",
+    "(let ((p 0.0)) (if (flip p) 1 2))", "(if (flip) 1 2)"])
+def test_an_if_whose_flip_gives_no_boolean_reports_it_at_the_test(program):
+    env = standard_env()
+    ctx = EvalContext(rng=_IntegerFlips(5), global_env=env)
+    with pytest.raises(EvalError) as exc:
+        evaluate(parse_one(program), env, ctx)
+    assert exc.value.message == "if test must be a boolean"
+    assert exc.value.loc.column == program.index("(flip") + 1
+
+
 @pytest.mark.parametrize("program, message, at", [
     ("((lambda (a) a))", "closure expects 1 arguments, got 0", "(("),
     ("((lambda (a) a) 1 2)", "closure expects 1 arguments, got 2", "(("),

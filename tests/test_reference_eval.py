@@ -6,9 +6,12 @@ Both must give the same values, the same error (class, message and
 location) and the same draws.  The programs cover the constructs the
 evaluator's call shapes specialize: lambda, let, define after use, shadowed
 primitives, tail and non-tail recursion, `flip` and `random-integer` of
-literals and locals, and `+ - * = < >` over literals, locals and ints too
-large for a real.  The concept sampler is held to the walker's `sample`
-in the same way, on the std prelude's concepts and on hand-written graphs.
+literals and locals, an `if` whose test is a `flip` of any argument, calls
+in and out of a closure body's tail position, functions given 0, 1 or 2
+operands whatever their arity, and `+ - * = < >` over literals, locals and
+ints too large for a real.  The concept sampler is held to the walker's
+`sample` in the same way, on the std prelude's concepts and on hand-written
+graphs.
 The method is differential testing, as in Yang et al., "Finding and
 Understanding Bugs in C Compilers" (PLDI 2011).
 """
@@ -137,7 +140,10 @@ def programs(draw):
             arg = pick(args) if draw(st.booleans()) else operand(scope, depth - 1)
             return f"({prim} {arg})"
         if kind == "if":
-            test = pick(("(flip 0.5)", "(flip 0.5)", "#t", None)) or expr(scope, depth - 1)
+            test = pick(("(flip 0.5)", "flip", "#t", None)) or expr(scope, depth - 1)
+            if test == "flip":   # any argument, a local's included
+                test = "(flip {})".format(
+                    pick(FLIP_ARGS) if draw(st.booleans()) else operand(scope, depth - 1))
             return f"(if {test} {expr(scope, depth - 1)} {expr(scope, depth - 1)})"
         if kind == "let":
             bindings, inner = [], dict(scope)
@@ -158,8 +164,12 @@ def programs(draw):
             if arity == "rec":
                 return f"({fn} {pick(('0', '1', '4', '(random-integer 5)'))} " \
                        f"{expr(scope, depth - 1)})"
-            return "({} {})".format(fn, " ".join(
-                operand(scope, depth - 1) for _ in range(arity)))
+            # sometimes the wrong number of operands: 0, 1 or 2
+            n = pick((arity, arity, arity, 0, 1, 2))
+            call = "({} {})".format(fn, " ".join(
+                operand(scope, depth - 1) for _ in range(n)))
+            # where it stands, in the tail position of a closure body, or not
+            return pick((call, call, f"((lambda () {call}))", f"(list {call})"))
         # a lambda body of defines; its functions may read values defined later
         params = draw(_PARAM_LISTS)
         inner = dict(scope, **dict.fromkeys(params))

@@ -610,6 +610,22 @@ def test_optimize_fires_for_second_variable():
     assert print_expr(outcome.spec.definitions[0]) == "(define x (random-integer 5))"
 
 
+def test_the_pinned_spec_keeps_the_other_priors_without_reading_them_again(monkeypatch):
+    spec = _spec("(rejection-query (define x (random-integer 5)) (define k (normal 0 1)) "
+                 "(define y (random-integer 9)) (define z (random-integer 3)) "
+                 "(list x y) (= (- y 2) 4))")
+    # the priors of the spec given are its own: building the pinned one
+    # makes no QuerySpec from its forms
+    monkeypatch.setattr(QuerySpec, "__init__", None)
+    outcome = optimize_query_detail(spec, RULES)
+    monkeypatch.undo()
+    assert outcome.fired and outcome.spec.__class__ is QuerySpec
+    assert outcome.spec.supports == (5, None, None, 3)
+    read = QuerySpec(outcome.spec.definitions, outcome.spec.query, outcome.spec.condition)
+    assert outcome.spec == read and outcome.spec.supports == read.supports
+    assert spec.supports == (5, None, 9, 3)
+
+
 def test_optimize_canonicalizes_real_constant_to_prior_type():
     spec = _spec("(rejection-query (define x (random-integer 10)) x (= (+ x 2.5) 7.5))")
     outcome = optimize_query_detail(spec, RULES)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -215,6 +216,59 @@ def test_sample_concept_through_variable(prelude_session):
     assert isinstance(r.value, int)
 
 
+def test_a_sample_compiled_before_its_concept_finds_it_once_declared(session):
+    text = "(define f (lambda () (sample c)))"
+    session.run_text(text)
+    for _ in range(2):
+        with pytest.raises(ConceptError, match="unknown concept 'c'") as exc:
+            session.run_text("(f)")
+        assert (exc.value.loc.line, exc.value.loc.column) == (1, text.index("c)") + 1)
+    session.run_text("(concept c) (is-a 7 c)")
+    assert [r.value for r in session.run_text("(f) (f)")] == [7, 7]
+
+
+def test_a_global_defined_after_a_sample_was_compiled_wins(session):
+    session.run_text("(concept c) (is-a 7 c) (define f (lambda () (sample c)))")
+    assert session.run_text("(f)")[0].value == 7
+    session.run_text("(define c 5)")
+    with pytest.raises(ConceptError, match="sample expects a concept, got 5"):
+        session.run_text("(f)")
+
+
+def test_one_compiled_sample_runs_under_each_contexts_store():
+    from problisp import ConceptStore
+    from problisp.evaluator import compile_forms
+
+    env = standard_env()
+    (code,), _ = compile_forms((parse_one("(sample c)"),), env)
+    runs = [(None, None), (ConceptStore(), None)]   # (store, value), None for the error
+    for value, before in ((1, ()), (2, ("b",)), (3, ("a", "b"))):
+        store = ConceptStore()
+        for name in before:   # so that c's handle differs from store to store
+            store.declare_concept(name)
+        store.add_isa(parse_one(str(value)), store.declare_concept("c"))
+        runs.append((store, value))
+    for store, value in runs + runs[::-1]:
+        if value is None:
+            with pytest.raises(ConceptError, match="unknown concept 'c'"):
+                code(env, _ctx(store, Draws(1), env))
+        else:
+            assert code(env, _ctx(store, Draws(1), env)) == value
+
+
+def test_a_template_runs_as_compiled_for_the_contexts_globals():
+    from problisp import ConceptStore
+
+    store = ConceptStore()
+    store.add_isa(parse_one("(+ k 1)"), store.declare_concept("t"))
+    envs = {}
+    for k in (1, 10):
+        env = envs[k] = standard_env()
+        env["k"] = k
+    for k in (1, 10, 10, 1):
+        assert sample_concept(store.lookup("t"), _ctx(store, Draws(1), envs[k])) == k + 1
+
+
 def test_sample_of_an_expression_samples_the_concept_it_gives(session):
     session.run_text("(concept c) (concept d) (is-a 7 c)")
     assert session.run_text("(sample (if #t c d))")[0].value == 7
@@ -260,6 +314,20 @@ def test_node_budget_aborts_supercritical_branching():
         else:
             assert budget.nodes_expanded <= 500, seed
     assert aborted
+
+
+def test_each_budget_allows_its_cap_and_stops_the_first_expansion_past_it():
+    s = _store_session("(concept d0) (is-a 0 d0) (concept d1) (is-a d0 d1) "
+                       "(concept d2) (is-a d1 d2)")
+    top, env = s.store.lookup("d2"), standard_env()   # expanded at depths 0, 1 and 2
+    budget = SampleBudget(max_depth=2, max_nodes=3)
+    assert sample_concept(top, _ctx(s.store, Draws(0), env), budget) == 0
+    assert budget.nodes_expanded == 3
+    for budget, at in ((SampleBudget(max_depth=1), "depth 2/1, nodes 3/10000"),
+                       (SampleBudget(max_nodes=2), "depth 2/64, nodes 3/2")):
+        with pytest.raises(BudgetError, match=re.escape(f"({at})")):
+            sample_concept(top, _ctx(s.store, Draws(0), env), budget)
+        assert budget.nodes_expanded == 3
 
 
 def test_explicit_sample_in_template_shares_budget():
