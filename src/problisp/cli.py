@@ -83,8 +83,6 @@ def _build_parser():
     p.add_argument("--rules", action=_OrderedLoad, metavar="PATH",
                    help="rewrite-rule file ('std' = shipped rules); repeatable. "
                         "Default: shipped rules when rewriting is enabled")
-    p.add_argument("--context", default=None, metavar="NAME",
-                   help="activate a named weight context after loading")
     p.add_argument("--stats", action="store_true",
                    help="report acceptance stats, optimizer chain and a histogram")
     p.add_argument("--output", choices=["plain", "records"], default="plain",
@@ -119,17 +117,14 @@ def _rules(config):
 
 
 def build_session(config):
-    """Session with preludes and rule files loaded in flag order, context
-    activated; the shipped rules load by default when rewriting is on
-    (`_rules`)."""
+    """Session with preludes and rule files loaded in flag order; the
+    shipped rules load by default when rewriting is on (`_rules`)."""
     session = Session(seed=config.seed, samples=config.samples,
                       max_attempts=config.max_attempts, rewrite=config.rewrite)
     for kind, path in config.load_order:
         session.load_file(_resolve(path, prelude_path if kind == "prelude" else rules_path))
     if config.rewrite and not _given(config, "rules"):
         session.load_file(rules_path())
-    if config.context is not None:
-        session.store.set_context(config.context)
     return session
 
 
@@ -214,7 +209,7 @@ def _config_echo(config, path):
         "seed": config.seed, "samples": config.samples,
         "max_attempts": config.max_attempts, "rewrite": config.rewrite,
         "preludes": _given(config, "prelude"), "rules": _rules(config),
-        "context": config.context, "output": config.output,
+        "output": config.output,
         "stats": config.stats, "file": str(path),
     }
 
@@ -307,9 +302,8 @@ def run_file(path, session, config, out=None):
 _REPL_HELP = """\
 :help            show this help
 :stats           statistics of the last rejection query
-:concepts        declared concepts and links with effective weights
+:concepts        declared concepts and their weighted links
 :rules           loaded rewrite rules
-:context NAME    activate a weight context
 :seed N          reseed the session (replays identically)
 """
 
@@ -341,12 +335,6 @@ def _meta_command(line, session, config, out):
             arrow = "<=>" if rule.kind == "equivalence" else "=>"
             out.write(f"{rule.name}: {print_expr(rule.lhs)} {arrow} "
                       f"{print_expr(rule.rhs)}\n")
-    elif cmd == ":context" and len(args) == 1:
-        try:
-            session.store.set_context(args[0])
-            out.write(f"context: {args[0]}\n")
-        except ProblispError as err:
-            out.write(f"error: {err}\n")
     elif cmd == ":seed" and len(args) == 1:
         try:
             session.reset_seed(int(args[0]))

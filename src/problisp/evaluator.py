@@ -1,10 +1,10 @@
 """Evaluator: lexical scoping, seeded stochastic primitives, knowledge forms.
 
 Special forms: define, lambda, if, quote, let, sample, rejection-query, and
-the session-level knowledge forms (concept, is-a, equivalence, implication,
-define-context, set-context).  Applications evaluate the operator first and
-then the operands left to right; that order is observable through random
-number consumption and is part of the contract.
+the session-level knowledge forms (concept, is-a, equivalence,
+implication).  Applications evaluate the operator first and then the
+operands left to right; that order is observable through random number
+consumption and is part of the contract.
 
 Compile once, run many.  A form is compiled in one pass into code, a Python
 function `(env, ctx) -> value`; queries and concept templates then run that
@@ -88,8 +88,7 @@ from .values import NIL, Closure, Env, Pair, Primitive, format_value, is_number,
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 6
 
-KNOWLEDGE_FORMS = frozenset(
-    ["concept", "is-a", "equivalence", "implication", "define-context", "set-context"])
+KNOWLEDGE_FORMS = frozenset(["concept", "is-a", "equivalence", "implication"])
 SPECIAL_FORMS = frozenset(
     ["define", "lambda", "if", "quote", "let", "sample", "rejection-query"]) | KNOWLEDGE_FORMS
 
@@ -674,32 +673,6 @@ def _eval_knowledge(op, expr, ctx):
     elif op in ("equivalence", "implication"):
         rule = _rewrite.rule_from_form(expr, default_name=f"rule-{len(sess.rules) + 1}")
         sess.rules.append(rule)
-    elif op == "define-context":
-        if len(items) < 3:
-            raise EvalError(
-                "define-context expects (define-context name (source concept weight)...)",
-                expr.loc)
-        name = _symbol_arg(items, 1, "define-context", expr.loc)
-        overrides = {}
-        for clause in items[2:]:
-            if clause.__class__ is not SList or len(clause.items) != 3:
-                raise EvalError("context clause must be (source concept weight)", clause.loc)
-            tgt = _symbol_arg(clause.items, 1, "define-context", clause.loc)
-            cid = store.require(tgt.name, loc=tgt.loc)
-            source = clause.items[0]
-            if source.__class__ is Symbol:
-                source = store.lookup(source.name) or source
-            link = store.find_link(source, cid)
-            if link is None:
-                raise ConceptError(
-                    f"no is-a link {clause.items[0]} -> {tgt.name} to override", clause.loc)
-            overrides[link.link_id] = _literal_weight(clause.items[2], clause.loc)
-        store.define_context(name.name, overrides, loc=expr.loc)
-    elif op == "set-context":
-        if len(items) != 2:
-            raise EvalError("set-context expects (set-context name)", expr.loc)
-        name = _symbol_arg(items, 1, "set-context", expr.loc)
-        store.set_context(name.name, loc=name.loc)
     return None
 
 

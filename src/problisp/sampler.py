@@ -1,7 +1,7 @@
 """Recursive generative instantiation of concepts.
 
 Sampling a concept draws one of its incoming is-a links with probability
-proportional to effective weight, then recurses on a concept source or
+proportional to its weight, then recurses on a concept source or
 instantiates an expression source.  Every concept symbol inside a template
 is replaced by an independent recursive draw, made left to right before the
 template runs; the draws are independent, so their order sets only which

@@ -90,6 +90,16 @@ def test_records_output(paper_program):
     assert q["optimizer"]["definition"] == "(define x 5)"
 
 
+def test_records_summary_config_has_exactly_the_documented_keys(paper_program):
+    # the schema of docs/language.md's records paragraph: a key added to or
+    # dropped from the echo changes every records digest
+    r = run_cli(paper_program, "--output", "records")
+    assert r.returncode == 0
+    config = json.loads(r.stdout.splitlines()[-1])["config"]
+    assert set(config) == {"seed", "samples", "max_attempts", "rewrite", "preludes",
+                           "rules", "output", "stats", "file"}
+
+
 def test_empty_file(tmp_path):
     p = tmp_path / "empty.lisp"
     p.write_text("")
@@ -258,6 +268,7 @@ def test_a_draw_free_batch_that_rejects_exits_2_at_its_first_attempt(tmp_path, m
 def test_usage_error_exit_3():
     assert run_cli("--bogus-flag").returncode == 3
     assert run_cli("--samples", 0).returncode == 3
+    assert run_cli("--context", "nope").returncode == 3
 
 
 def test_records_output_with_the_repl_is_a_usage_error(paper_program):
@@ -272,7 +283,7 @@ def test_records_output_with_the_repl_is_a_usage_error(paper_program):
 
 @pytest.mark.parametrize("text, column, kind", [
     ("(concept t)\n(is-a 1 t {})\n", 1, "is-a"),
-    ("(concept t) (is-a 1 t)\n  (define-context c (1 t {}))\n", 3, "context")])
+    ("(concept t) (concept u)\n  (is-a u t {})\n", 3, "is-a")])
 def test_a_weight_too_large_for_a_real_exit_1(tmp_path, text, column, kind):
     p = tmp_path / "weight.lisp"
     p.write_text(text.format(10 ** 400))
@@ -323,12 +334,6 @@ def test_repl_value_too_deep_to_print_is_an_error():
     assert (r.returncode, r.stderr) == (0, "")
     assert r.stdout.splitlines() == ["error: line 1, column 1: recursion depth exceeded",
                                      "(" * 10_000 + "1" + ")" * 10_000]
-
-
-def test_unknown_context_exit_1(paper_program):
-    r = run_cli(paper_program, "--context", "nope")
-    assert r.returncode == 1
-    assert "unknown context" in r.stderr
 
 
 def test_prelude_std_and_shipped_programs():
@@ -476,24 +481,15 @@ def test_repl_unknown_meta_command():
 
 
 def test_repl_meta_command_errors_and_skipped_lines():
-    # a bad meta-command argument and an unreadable line are reported, and
-    # the REPL reads on; a blank line is skipped
+    # an unknown meta-command, a bad meta-command argument and an unreadable
+    # line are reported, and the REPL reads on; a blank line is skipped
     r = run_cli(stdin=":help\n:context nope\n:seed x\n\n(+ 1\n2)\n)\n(+ 2 2)\n")
     assert (r.returncode, r.stderr) == (0, "")
     lines = r.stdout.splitlines()
-    assert lines[:6] == cli._REPL_HELP.splitlines()
-    assert lines[6:] == ["error: unknown context 'nope'", "error: :seed expects an integer",
+    assert lines[:5] == cli._REPL_HELP.splitlines()
+    assert lines[5:] == ["unknown command ':context nope' (try :help)",
+                         "error: :seed expects an integer",
                          "3", "error: line 1, column 1: unmatched ')'", "4"]
-
-
-def test_context_flag_activates_a_prelude_context(tmp_path):
-    prelude = tmp_path / "heavy.lisp"
-    prelude.write_text("(concept c) (is-a 1 c) (is-a 2 c) (define-context heavy (2 c 1000000))\n")
-    r = run_cli("--prelude", prelude, "--context", "heavy", stdin=":concepts\n")
-    assert (r.returncode, r.stderr) == (0, "")
-    assert r.stdout.splitlines() == ["c (2 links)", "  1 -> c  w=1", "  2 -> c  w=1e+06"]
-    r = run_cli("--prelude", prelude, "--context", "nope", stdin="")
-    assert (r.returncode, r.stdout, r.stderr) == (1, "", "problisp: unknown context 'nope'\n")
 
 
 # -- histogram op ----------------------------------------------------------------

@@ -1,7 +1,6 @@
 import pytest
 
 from problisp import ConceptError, ConceptId, ConceptStore, IsALink, parse_one
-from problisp.concepts import _describe_source
 
 
 def test_concept_ids_compare_and_hash_by_value():
@@ -23,9 +22,8 @@ def test_concept_ids_compare_and_hash_by_value():
 def test_is_a_links_are_equal_only_to_themselves():
     store = ConceptStore()
     number = store.declare_concept("number")
-    store.add_isa(parse_one("1"), number)
-    link = store.find_link(parse_one("1"), number)
-    twin = IsALink(link.link_id, link.source, link.target, link.weight)
+    link = store.add_isa(parse_one("1"), number)
+    twin = IsALink(link.source, link.target, link.weight)
     assert link == link and link != twin
     assert len({link, twin}) == 2
 
@@ -62,9 +60,9 @@ def test_add_isa_expression_and_weights():
     store = ConceptStore()
     real = store.declare_concept("real-number")
     link = store.add_isa(parse_one("pi"), real)
-    assert isinstance(link, int)
-    rows = store.instances(real)
-    assert rows[0][1] == 1.0
+    assert isinstance(link, IsALink)
+    assert (link.source, link.target, link.weight) == (parse_one("pi"), real, 1.0)
+    assert store.instances(real) == ((link, 1.0),)
     with pytest.raises(ConceptError, match="positive"):
         store.add_isa(parse_one("(normal 0 1)"), real, weight=0)
     with pytest.raises(ConceptError, match="duplicate"):
@@ -135,111 +133,29 @@ def test_isa_source_names_resolve_in_the_session_globals(session):
     assert session.store.instances(session.store.lookup("t")) == ()
 
 
-def test_define_context_finds_expression_links_without_compiling_them(prelude_session):
-    store = prelude_session.store
-    templates = dict(store.templates)
-    prelude_session.run_text("""
-    (define-context heavy ((normal 0 1) real-number 2.0)
-                          ((cons number sequence) sequence 3.0))
-    (set-context heavy)""")
-    assert store.templates == templates
-    def weights(concept):
-        return {_describe_source(link.source): w
-                for link, w in store.instances(store.lookup(concept))}
-    assert weights("sequence") == {"null": 1.0, "(cons number sequence)": 3.0}
-    assert weights("real-number") == {"(normal 0 1)": 2.0, "pi": 1.0}
-    # an unknown name matches no link
-    with pytest.raises(ConceptError, match=r"no is-a link \(cons nope sequence\) -> sequence"):
-        prelude_session.run_text("(define-context bad ((cons nope sequence) sequence 1.0))")
-
-
-def test_context_overlays():
-    store = ConceptStore()
-    number = store.declare_concept("number")
-    integer = store.declare_concept("integer")
-    real = store.declare_concept("real-number")
-    l1 = store.add_isa(real, number)
-    l2 = store.add_isa(integer, number)
-    store.define_context("inty", {l2: 3.0})
-    store.define_context("realy", {l1: 5.0, l2: 0.5})
-
-    assert [w for _, w in store.instances(number)] == [1.0, 1.0]
-    store.set_context("inty")
-    assert [w for _, w in store.instances(number)] == [1.0, 3.0]
-    store.set_context("realy")
-    assert [w for _, w in store.instances(number)] == [5.0, 0.5]
-    store.set_context("default")
-    assert [w for _, w in store.instances(number)] == [1.0, 1.0]
-
-
-def test_context_errors():
-    store = ConceptStore()
-    with pytest.raises(ConceptError, match="unknown context"):
-        store.set_context("nope")
-    store.define_context("a", {})
-    with pytest.raises(ConceptError, match="already defined"):
-        store.define_context("a", {})
-    number = store.declare_concept("number")
-    integer = store.declare_concept("integer")
-    link = store.add_isa(integer, number)
-    with pytest.raises(ConceptError, match="positive"):
-        store.define_context("b", {link: -1})
-
-
-def test_language_level_contexts(session):
-    session.run_text("""
-    (concept number)
-    (concept integer)
-    (is-a integer number)
-    (is-a 7 integer)
-    (define-context heavy (integer number 3.0))
-    """)
-    store = session.store
-    number = store.lookup("number")
-    assert [w for _, w in store.instances(number)] == [1.0]
-    session.run_text("(set-context heavy)")
-    assert [w for _, w in store.instances(number)] == [3.0]
-    with pytest.raises(ConceptError, match="no is-a link"):
-        session.run_text("(define-context bad (number integer 1.0))")
-
-
 def test_adding_links_never_changes_existing_effective_weights():
     store = ConceptStore()
     number = store.declare_concept("number")
     integer = store.declare_concept("integer")
-    l1 = store.add_isa(integer, number)
-    store.define_context("ctx", {l1: 2.0})
-    store.add_isa(parse_one("pi"), number)
-    # the original link's weight is untouched in every context
-    assert store.instances(number)[0][1] == 1.0
-    store.set_context("ctx")
-    assert store.instances(number)[0][1] == 2.0
-    assert store.instances(number)[1][1] == 1.0
+    l1 = store.add_isa(integer, number, 2.0)
+    assert store.instances(number) == ((l1, 2.0),)
+    l2 = store.add_isa(parse_one("pi"), number)
+    # the earlier link keeps its weight
+    assert store.instances(number) == ((l1, 2.0), (l2, 1.0))
 
 
 def test_rows_follow_each_change_to_the_store():
-    # the active context's rows are built at the first read after a change
+    # the rows are built at the first read after a change
     store = ConceptStore()
     number = store.declare_concept("number")
     assert store.instances(number) == ()
-    link = store.add_isa(parse_one("pi"), number)
-    assert [w for _, w in store.instances(number)] == [1.0]
+    pi = store.add_isa(parse_one("pi"), number)
+    assert store.instances(number) == ((pi, 1.0),)
     integer = store.declare_concept("integer")
     assert store.instances(integer) == ()
-    store.define_context("heavy", {link: 2.0})
-    assert [w for _, w in store.instances(number)] == [1.0]
-    store.set_context("heavy")
-    assert [w for _, w in store.instances(number)] == [2.0]
-
-
-@pytest.mark.parametrize("clauses, at", [("(1 c 2)\n  c", (4, 3)), ("(1 c)", (3, 3))])
-def test_a_malformed_context_clause_is_reported_at_the_clause(session, clauses, at):
-    from problisp import EvalError
-
-    with pytest.raises(EvalError) as exc:
-        session.run_text(f"(concept c) (is-a 1 c)\n(define-context d\n  {clauses})")
-    assert exc.value.message == "context clause must be (source concept weight)"
-    assert (exc.value.loc.line, exc.value.loc.column) == at
+    link = store.add_isa(integer, number, 2.0)
+    assert store.instances(number) == ((pi, 1.0), (link, 2.0))
+    assert store.instances(integer) == ()
 
 
 def test_knowledge_forms_require_session_toplevel(session):

@@ -415,9 +415,8 @@ def test_malformed_forms_fail_only_when_evaluated(form, message):
     ("(concept 1)", "concept expects a symbol argument", 1),
     ("(concept c) (is-a 1 c x)", "weight must be a numeric literal", 23),
     ("(is-a c)", "is-a expects (is-a source concept [weight])", 1),
-    ("(define-context d)",
-     "define-context expects (define-context name (source concept weight)...)", 1),
-    ("(set-context)", "set-context expects (set-context name)", 1),
+    ("(define-context k (1 t 2))", "unbound symbol 'define-context'", 2),
+    ("(set-context k)", "unbound symbol 'set-context'", 2),
     ("(equivalence a b c d)", "equivalence expects (equivalence [name] pattern template)", 1),
     ("(-)", "- expects at least one argument", 1),
     ("(cons 1)", "cons expects two arguments", 1),

@@ -11,8 +11,12 @@ stopped being the checkout's absolute path, and the knowledge-sampling and
 nested digests when a template's concept occurrences came to be drawn left
 to right.  The `two_queries.lisp --no-rewrite` digests were recorded before
 a batch of literal draws came to remember each drawn value's condition
-outcome, which both of that run's blind queries take.  A change that alters the output on purpose must say why and
-record new digests.
+outcome, which both of that run's blind queries take.  All fourteen
+digests were recorded again when the summary's config echo lost its
+`context` key with weight contexts: each run's old bytes with
+`"context": null, ` deleted are its new bytes.  The numpy-free runs of
+tests/test_cli.py read `GOLDEN` too.  A change that alters the
+output on purpose must say why and record new digests.
 """
 
 import hashlib
@@ -25,25 +29,25 @@ SAMPLES = 300
 
 GOLDEN = {
     ("arith_query.lisp", (), 1):
-        "cdf31b929327b814d74aed4fe84e00381b40c089fb56d3a9b87c478c452fd55e",
+        "01e1dbf7616c03313214f2c79f2d793e98eef4aad9a745abc5e2e1ad19d1b0ff",
     ("arith_query.lisp", (), 7):
-        "2ee6795951892560e224ce4f0869fe2f26b82a9d6039d7863e22c0cf46ca841e",
+        "19672f0c57e330eb30bbef2dac60ebf5a7b2bfcf43143e7fd1425a34bee1f2a4",
     ("arith_query.lisp", ("--no-rewrite",), 1):
-        "96a28a64f69e7abb3b861233928c6f7b62bc633c449722929ead4c20592aace3",
+        "8b48aca52549cf64c55f3c7072236a4e6a1c056d2ffcc89dc9e09e9ba10fe477",
     ("arith_query.lisp", ("--no-rewrite",), 7):
-        "4b349c2aaeadf90c1e231472d750468132866cda062408b73064837469f69735",
+        "012193e537810a92b67a15013ecd9ac8314a9ec1cbf1fd5327781b9e080bd2e2",
     ("two_queries.lisp", (), 1):
-        "efe94023712acbaa5e370f4b6ec5fdb88d3464dc66472d6219ab2171077a8270",
+        "fa00e0f91071970c9329ed12efb8f765bb35bb72d1de09421162e97d036772a0",
     ("two_queries.lisp", (), 7):
-        "ce6a51a99639b3c5a13d8e0711950c8ed4ab8a1f4b60087fa048cbe6607fdf17",
+        "98a50616ad99ac0616093f439d9898d231ace4b08d07075ba1e6c014b4464081",
     ("two_queries.lisp", ("--no-rewrite",), 1):
-        "84e9290f689ad466865664ccd2a2f5636d285b1fe3b64a473c82e95b6ceac6a3",
+        "b520088c8dff8509d69a219b80dabe1640b6e23c8e6533de946ef1f842a9c86b",
     ("two_queries.lisp", ("--no-rewrite",), 7):
-        "fcd0d78416191ba97878238ba3d5dadf6295e0578de82f1a0b6c63068809fea7",
+        "e9d386287c983db0773ea077023b41c06dcf3631b527b71f40c2845ff17ba11d",
     ("knowledge_sampling.lisp", ("--prelude", "std"), 1):
-        "00864d9b3572d60e251231839286bd4642b72fadb7a26ee28881b7470a60c6f1",
+        "c3fcc99cd6743f2dae64012ee8617e88d8bef2f307f1792c92725b72a54cd2f4",
     ("knowledge_sampling.lisp", ("--prelude", "std"), 7):
-        "05587dfc30c3de70a79fe511c3c8d53a6b9c920a4368381b96498ebf7f7fe9c4",
+        "c7784dfc179ec77304960b26e7a978dcb1b6e57c6e8ea82f70345287ef64da06",
 }
 
 
@@ -86,12 +90,12 @@ NESTED_PROGRAM = """
 NESTED_SAMPLES = 50
 
 NESTED_GOLDEN = {
-    ((), 1): "7e18190cc11b1d09bf6bf0c1878d7eff2aee9d3250b514ba2d8aaf715439e7a8",
-    ((), 7): "b4a04cbac659d5b6f95bebb4174bb30b05b09d9eb78d36b47d43bfcca16acd29",
+    ((), 1): "0ee6545222c50b3010d55384b37ac77cb3c31d485973163b18d21876fc22cddd",
+    ((), 7): "65a9509ccdc0da18f9d49a19c3efff35c5ce6ce2c911ab26818ff82a28a10929",
     (("--no-rewrite",), 1):
-        "2adca22f59dfc136487911135c83b3e669b376e7fb8dfc112efe274a2ffe4336",
+        "6df0ab038984765ff93461df927b3898168c82990dac377e70a239540c666040",
     (("--no-rewrite",), 7):
-        "97ea5a4201b9be965aac1957f77e960d5f0960c4e198601729c794fb78f8a32d",
+        "cf64a0aaeeddee0b189522b5e8bdb5dfbb30a3b8a7524e7ee0b2f971d07c25ea",
 }
 
 
