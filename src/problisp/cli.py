@@ -106,25 +106,26 @@ def _parse_config(argv):
     raise SystemExit(3)
 
 
+def _loads(config):
+    """The (kind, path) files to load, in order: `load_order`, then `std`,
+    the shipped rules, if rewriting is on and no --rules is given."""
+    if config.rewrite and all(kind != "rules" for kind, _ in config.load_order):
+        return config.load_order + [("rules", "std")]
+    return config.load_order
+
+
 def _given(config, kind):
-    return [path for k, path in config.load_order if k == kind]
-
-
-def _rules(config):
-    """Rule files as given, else `std`, the shipped rules, if rewriting is
-    on; the records echo `std` so that they are the same in every checkout."""
-    return _given(config, "rules") or (["std"] if config.rewrite else [])
+    """The paths of `kind` that load, as given: the records echo `std` so
+    that they are the same in every checkout."""
+    return [path for k, path in _loads(config) if k == kind]
 
 
 def build_session(config):
-    """Session with preludes and rule files loaded in flag order; the
-    shipped rules load by default when rewriting is on (`_rules`)."""
+    """Session with the preludes and rule files of `_loads` loaded."""
     session = Session(seed=config.seed, samples=config.samples,
                       max_attempts=config.max_attempts, rewrite=config.rewrite)
-    for kind, path in config.load_order:
+    for kind, path in _loads(config):
         session.load_file(_resolve(path, prelude_path if kind == "prelude" else rules_path))
-    if config.rewrite and not _given(config, "rules"):
-        session.load_file(rules_path())
     return session
 
 
@@ -208,7 +209,7 @@ def _config_echo(config, path):
     return {
         "seed": config.seed, "samples": config.samples,
         "max_attempts": config.max_attempts, "rewrite": config.rewrite,
-        "preludes": _given(config, "prelude"), "rules": _rules(config),
+        "preludes": _given(config, "prelude"), "rules": _given(config, "rules"),
         "output": config.output,
         "stats": config.stats, "file": str(path),
     }
@@ -324,10 +325,10 @@ def _meta_command(line, session, config, out):
         if not names:
             out.write("no concepts declared\n")
         for name in names:
-            rows = store.instances(store.lookup(name))
-            out.write(f"{name} ({len(rows)} links)\n")
-            for link, weight in rows:
-                out.write(f"  {_describe_source(link.source)} -> {name}  w={weight:g}\n")
+            links = store.links(store.lookup(name))
+            out.write(f"{name} ({len(links)} links)\n")
+            for link in links:
+                out.write(f"  {_describe_source(link.source)} -> {name}  w={link.weight:g}\n")
     elif cmd == ":rules":
         if not session.rules:
             out.write("no rules loaded\n")

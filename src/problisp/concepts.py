@@ -2,11 +2,10 @@
 
 The store is the concept layer's one copy: knowledge forms write it and the
 sampler reads it; knowledge forms are refused inside queries and templates,
-so it never changes under a sampler.  Sampling reads two caches, each built
-lazily as a pure function of the store's state: each concept's (link,
-weight) rows, and the sampler's compiled templates, which stay
-until a `concept` form declares a name, the one change that alters a
-template's code.  A change drops a cache by replacing its whole dict.
+so it never changes under a sampler.  It keeps each concept's links in one
+list, at the concept's index, in the order they were added.  Each expression
+link also holds the sampler's compiled template, until a `concept` form
+declares a name, the one change that alters a template's code.
 """
 
 from __future__ import annotations
@@ -16,27 +15,24 @@ from .sexpr import SExpr, _Record, print_expr
 
 
 class ConceptId(_Record):
-    """Opaque handle for a declared concept; names are unique per store.
-    Equal handles have equal indices, so the index alone is the hash."""
+    """Opaque handle for a declared concept; names are unique per store."""
 
     __slots__ = _fields = ("name", "index")
 
     def __init__(self, name, index):
         self.name, self.index = name, index
 
-    def __hash__(self):
-        return self.index
-
 
 class IsALink:
-    """One weighted is-a link; equal only to itself."""
+    """One weighted is-a link, kept in its target's list; equal only to
+    itself.  `template` is the sampler's, None until it compiles one."""
 
-    __slots__ = ("source", "target", "weight")
+    __slots__ = ("source", "weight", "template")
 
-    def __init__(self, source, target, weight):
+    def __init__(self, source, weight):
         self.source = source   # SExpr template or ConceptId
-        self.target = target
         self.weight = weight
+        self.template = None
 
 
 def _weight(weight, loc):
@@ -58,9 +54,7 @@ def _describe_source(source):
 class ConceptStore:
     def __init__(self):
         self._concepts = {}           # name -> ConceptId, insertion ordered
-        self._by_target = {}          # ConceptId -> [IsALink], insertion ordered
-        self._rows = None             # name -> (ConceptId, rows), until a change
-        self.templates = {}           # the sampler's, until a concept is declared
+        self._links = []              # ConceptId.index -> [IsALink], insertion ordered
 
     # -- concepts ----------------------------------------------------------
 
@@ -68,10 +62,11 @@ class ConceptStore:
         if name in self._concepts:
             raise ConceptError(f"concept '{name}' is already declared", loc)
         cid = ConceptId(name, len(self._concepts))
-        self._rows = None
-        self.templates = {}
+        for links in self._links:
+            for link in links:
+                link.template = None
         self._concepts[name] = cid
-        self._by_target[cid] = []
+        self._links.append([])
         return cid
 
     def lookup(self, name):
@@ -92,25 +87,24 @@ class ConceptStore:
         """Register `source is-a target`.  Concept-to-concept cycles are
         rejected; expression sources may reference any declared concept,
         including the target itself."""
-        if target not in self._by_target:
-            raise ConceptError(f"unknown concept '{getattr(target, 'name', target)}'", loc)
+        if not isinstance(target, ConceptId):
+            raise ConceptError(f"unknown concept '{target}'", loc)
+        links = self.links(target, loc)
         weight = _weight(weight, loc)
-        for link in self._by_target[target]:
+        for link in links:
             if link.source == source:
                 raise ConceptError(
                     f"duplicate is-a link {_describe_source(source)} -> {target.name}", loc)
         if isinstance(source, ConceptId):
-            if source not in self._by_target:
-                raise ConceptError(f"unknown concept '{source.name}'", loc)
+            self.links(source, loc)
             if self._is_a(target, source):
                 raise ConceptError(
                     f"is-a link {source.name} -> {target.name} would create a concept cycle",
                     loc)
         elif not isinstance(source, SExpr):
             raise ConceptError(f"is-a source must be an expression or concept, got {source!r}", loc)
-        link = IsALink(source, target, weight)
-        self._rows = None
-        self._by_target[target].append(link)
+        link = IsALink(source, weight)
+        links.append(link)
         return link
 
     def _is_a(self, concept, ancestor):
@@ -124,23 +118,17 @@ class ConceptStore:
                 return True
             if node not in seen:
                 seen.add(node)
-                stack.extend(link.source for link in self._by_target[node]
+                stack.extend(link.source for link in self._links[node.index]
                              if isinstance(link.source, ConceptId))
         return False
 
     # -- reads -------------------------------------------------------------
 
-    def instances(self, concept):
-        """The (link, weight) rows of the ConceptId `concept`.  They are found
-        by its name, whose hash is cached: the sampler asks on every
-        expansion."""
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = {
-                cid.name: (cid, tuple((link, link.weight) for link in links))
-                for cid, links in self._by_target.items()
-            }
-        entry = rows.get(concept.name)
-        if entry is None or (entry[0] is not concept and entry[0] != concept):
-            raise ConceptError(f"unknown concept '{concept.name}'")
-        return entry[1]
+    def links(self, concept, loc=None):
+        """The IsALinks into the ConceptId `concept`, in the order they were
+        added: the store's own list, for reading only.  A handle equal to
+        the one this store made is accepted."""
+        cid = self._concepts.get(concept.name)
+        if cid is not concept and cid != concept:
+            raise ConceptError(f"unknown concept '{concept.name}'", loc)
+        return self._links[cid.index]

@@ -668,8 +668,8 @@ def _eval_knowledge(op, expr, ctx):
         target = _symbol_arg(items, 2, "is-a", expr.loc)
         cid = store.require(target.name, loc=target.loc)
         weight = _literal_weight(items[3], items[3].loc) if len(items) == 4 else 1.0
-        source = _resolve_isa_source(items[1], store, ctx.global_env)
-        store.add_isa(source, cid, weight, loc=expr.loc)
+        source, template = _resolve_isa_source(items[1], store, ctx.global_env)
+        store.add_isa(source, cid, weight, loc=expr.loc).template = template
     elif op in ("equivalence", "implication"):
         rule = _rewrite.rule_from_form(expr, default_name=f"rule-{len(sess.rules) + 1}")
         sess.rules.append(rule)
@@ -677,22 +677,23 @@ def _eval_knowledge(op, expr, ctx):
 
 
 def _resolve_isa_source(node, store, global_env):
-    """A bare symbol naming a declared concept denotes that concept; anything
-    else is an expression template whose free names must be concepts or
-    session globals, where the template runs.  A name the template defines
-    itself, such as a query's definition, is bound and so not free.  The
-    free names are those the compiler resolves, so none inside a malformed
-    form, which never runs: they come from compiling the template for the
-    sampler, which keeps the code."""
+    """The link source that `node` denotes, and its compiled template.  A
+    bare symbol naming a declared concept denotes that concept, which has no
+    template; anything else is an expression template whose free names must
+    be concepts or session globals, where the template runs.  A name the
+    template defines itself, such as a query's definition, is bound and so
+    not free.  The free names are those the compiler resolves, so none
+    inside a malformed form, which never runs: they come from compiling the
+    template for the sampler, which keeps the code on the new link."""
     if node.__class__ is Symbol:
         cid = store.lookup(node.name)
         if cid is not None:
-            return cid
-    free = _sampler._compiled_template(store, node, global_env)[4]
-    for name in sorted(free):
+            return cid, None
+    template = _sampler._compiled_template(store, node, global_env)
+    for name in sorted(template[3]):
         if store.lookup(name) is None and _lookup(global_env, name) is _MISSING:
             raise ConceptError(f"unknown name '{name}' in is-a source", node.loc)
-    return node
+    return node, template
 
 
 # forms whose operands run in a frame of their own, or never run as code

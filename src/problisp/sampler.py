@@ -12,7 +12,7 @@ links and that the template's own primitives draw from.  A template runs
 with no session, so knowledge forms are refused inside it.  Each
 instantiation runs in a frame of its own, so a template never writes the
 session's globals.  Each template is compiled once, at its `is-a`, and its
-code is kept on the store until a `concept` form declares a name.
+code is kept on its link until a `concept` form declares a name.
 
 Budgets guard the recursion: exceeding the depth or node cap aborts the
 sample with an error rather than silently truncating, since truncation would
@@ -55,23 +55,23 @@ def sample_concept(concept, ctx, budget=None, depth=0):
     if depth > budget.max_depth or nodes > budget.max_nodes:
         budget.charge(depth)   # counts this expansion and raises
     budget.nodes_expanded = nodes
-    rows = ctx.store.instances(concept)
-    if not rows:
+    links = ctx.store.links(concept)
+    if not links:
         raise ConceptError(f"no generative model for concept '{concept.name}'")
     # single-link concepts are deterministic pass-throughs: no choice draw
-    link = rows[0 if len(rows) == 1 else ctx.rng.choose([w for _, w in rows])][0]
+    link = links[0 if len(links) == 1 else ctx.rng.choose([link.weight for link in links])]
     source = link.source
     if isinstance(source, ConceptId):
         return sample_concept(source, ctx, budget, depth + 1)
-    return _instantiate(source, ctx, budget, depth)
+    return _instantiate(link, ctx, budget, depth)
 
 
-def _instantiate(expr, ctx, budget, depth):
+def _instantiate(link, ctx, budget, depth):
     env = ctx.global_env
-    entry = ctx.store.templates.get(id(expr))
-    if entry is None or entry[0] is not expr or entry[1] is not env:
-        entry = _compiled_template(ctx.store, expr, env)
-    _, _, code, concepts, _ = entry
+    template = link.template
+    if template is None or template[0] is not env:
+        template = link.template = _compiled_template(ctx.store, link.source, env)
+    _, code, concepts, _ = template
     frame = Env()
     frame.parent = env
     for name, cid in concepts:
@@ -87,26 +87,21 @@ def _instantiate(expr, ctx, budget, depth):
 
 
 def _compiled_template(store, expr, env):
-    """The entry (expr, env, code, concepts, names) of `expr` compiled for
-    `env`, cached on `store` under `id(expr)`.  `concepts` holds a
-    (variable name, ConceptId) pair for each free symbol of `expr` that
-    names a concept, left to right; in `code` that symbol reads the
-    variable.  `names` is the set of free names."""
-    entry = store.templates.get(id(expr))
-    if entry is None or entry[0] is not expr or entry[1] is not env:
-        concepts, names = [], set()
+    """`expr` compiled for `env`, as (env, code, concepts, names).
+    `concepts` holds a (variable name, ConceptId) pair for each free symbol
+    of `expr` that names a concept in `store`, left to right; in `code` that
+    symbol reads the variable.  `names` is the set of free names."""
+    concepts, names = [], set()
 
-        def slot(sym):
-            names.add(sym.name)
-            cid = store.lookup(sym.name)
-            if cid is None:
-                return None
-            # the space keeps the name unwritable in source
-            name = f"concept value {len(concepts)}"
-            concepts.append((name, cid))
-            return name
+    def slot(sym):
+        names.add(sym.name)
+        cid = store.lookup(sym.name)
+        if cid is None:
+            return None
+        # the space keeps the name unwritable in source
+        name = f"concept value {len(concepts)}"
+        concepts.append((name, cid))
+        return name
 
-        (code,), _ = compile_forms((expr,), env, slot)
-        # the entry holds `expr`, so its id is not reused while cached
-        entry = store.templates[id(expr)] = (expr, env, code, tuple(concepts), names)
-    return entry
+    (code,), _ = compile_forms((expr,), env, slot)
+    return env, code, tuple(concepts), names

@@ -185,10 +185,10 @@ def sample(concept, ctx, budget=None, depth=0):
     if budget is None:
         budget = SampleBudget()
     budget.charge(depth)
-    rows = ctx.store.instances(concept)
-    if not rows:
+    links = ctx.store.links(concept)
+    if not links:
         raise ConceptError(f"no generative model for concept '{concept.name}'")
-    link = rows[0][0] if len(rows) == 1 else rows[ctx.rng.choose([w for _, w in rows])][0]
+    link = links[0] if len(links) == 1 else links[ctx.rng.choose([link.weight for link in links])]
     if link.source.__class__ is ConceptId:
         return sample(link.source, ctx, budget, depth + 1)
     draws = []

@@ -37,8 +37,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # calls shows it here and is measured on the benchmark before a budget moves.
 # 2976 while an `if` ran its `(flip p)` test as code of its own, each
 # attempt looked its `(sample integer)` up through the frames and the store,
-# and each instantiation called the budget's `charge` and the template cache
-CONCEPT_BUDGET = 2324
+# and each instantiation called the budget's `charge` and the template cache;
+# 2324 while the store built (link, weight) rows per concept and the sampler
+# looked each template up on the store by its `id`
+CONCEPT_BUDGET = 2312
 # 2551 while every attempt ran the definition's and the condition's code,
 # before a batch of literal draws remembered each value's condition outcome;
 # 818 while the compiler had a shape of its own for a one-argument

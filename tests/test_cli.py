@@ -447,6 +447,7 @@ def test_repl_session(tmp_path):
 (sample number)
 (rejection-query (define y (random-integer 10)) y (= (+ y 5) 10))
 :stats
+(concept c) (is-a 1 c 2.5) (is-a (list c) c)
 :concepts
 :rules
 nonsense-symbol
@@ -463,7 +464,25 @@ nonsense-symbol
     assert lines[i + 1] == lines[j + 1]
     assert "5" in lines[j + 2]          # the query prints its sample
     assert any("acceptance" in l for l in lines)         # :stats
-    assert any(l.startswith("number (2 links)") for l in lines)   # :concepts
+    # :concepts: concepts in declaration order, links in the order added
+    k = lines.index("number (2 links)")
+    assert lines[k:k + 14] == [
+        "number (2 links)",
+        "  real-number -> number  w=1",
+        "  integer -> number  w=1",
+        "real-number (2 links)",
+        "  (normal 0 1) -> real-number  w=1",
+        "  pi -> real-number  w=1",
+        "integer (1 links)",
+        "  (if (flip 0.5) (geometric-magnitude 0.1) (- 0 (geometric-magnitude 0.1)))"
+        " -> integer  w=1",
+        "sequence (2 links)",
+        "  null -> sequence  w=1",
+        "  (cons number sequence) -> sequence  w=1",
+        "c (2 links)",
+        "  1 -> c  w=2.5",
+        "  (list c) -> c  w=1",
+    ]
     assert any("isolate-add-left" in l for l in lines)   # :rules
     assert any("unbound symbol" in l for l in lines)     # error did not kill REPL
     assert lines[-1] == "2"

@@ -13,25 +13,25 @@ def test_concept_ids_compare_and_hash_by_value():
     assert ConceptId("number", 1) != number and ConceptId("real", 0) != number
     assert number != ("number", 0)   # a different class is never equal
     assert repr(number) == "ConceptId(name='number', index=0)"
-    # an equal handle finds the concept's rows; the same name with another index does not
-    assert store.instances(same) == ()
+    # an equal handle finds the concept's links; the same name with another index does not
+    assert store.links(same) == []
     with pytest.raises(ConceptError, match="unknown concept 'number'"):
-        store.instances(ConceptId("number", 5))
+        store.links(ConceptId("number", 5))
 
 
 def test_is_a_links_are_equal_only_to_themselves():
     store = ConceptStore()
     number = store.declare_concept("number")
     link = store.add_isa(parse_one("1"), number)
-    twin = IsALink(link.source, link.target, link.weight)
+    twin = IsALink(link.source, link.weight)
     assert link == link and link != twin
     assert len({link, twin}) == 2
 
 
-def test_declare_and_instances_empty():
+def test_declare_and_links_empty():
     store = ConceptStore()
     number = store.declare_concept("number")
-    assert store.instances(number) == ()
+    assert store.links(number) == []
     assert store.lookup("number") is number
 
 
@@ -51,8 +51,8 @@ def test_prelude_concepts_resolvable(prelude_session):
 def test_prelude_number_links_in_insertion_order(prelude_session):
     store = prelude_session.store
     number = store.lookup("number")
-    rows = store.instances(number)
-    assert [(link.source.name, w) for link, w in rows] == \
+    links = store.links(number)
+    assert [(link.source.name, link.weight) for link in links] == \
         [("real-number", 1.0), ("integer", 1.0)]
 
 
@@ -61,8 +61,8 @@ def test_add_isa_expression_and_weights():
     real = store.declare_concept("real-number")
     link = store.add_isa(parse_one("pi"), real)
     assert isinstance(link, IsALink)
-    assert (link.source, link.target, link.weight) == (parse_one("pi"), real, 1.0)
-    assert store.instances(real) == ((link, 1.0),)
+    assert (link.source, link.weight) == (parse_one("pi"), 1.0)
+    assert store.links(real) == [link]
     with pytest.raises(ConceptError, match="positive"):
         store.add_isa(parse_one("(normal 0 1)"), real, weight=0)
     with pytest.raises(ConceptError, match="duplicate"):
@@ -82,7 +82,7 @@ def test_recursive_expression_link_accepted():
     seq = store.declare_concept("sequence")
     store.add_isa(parse_one("null"), seq)
     store.add_isa(parse_one("(cons number sequence)"), seq)
-    assert len(store.instances(seq)) == 2
+    assert len(store.links(seq)) == 2
 
 
 def test_concept_cycle_rejected():
@@ -104,7 +104,9 @@ def test_unknown_target():
     with pytest.raises(ConceptError, match="unknown concept"):
         store.add_isa(parse_one("1"), other)
     with pytest.raises(ConceptError, match="unknown concept"):
-        store.instances(other)
+        store.links(other)
+    with pytest.raises(ConceptError, match="unknown concept 'ghost'"):
+        store.add_isa(parse_one("1"), "ghost")
 
 
 def test_unknown_name_in_isa_source(session):
@@ -130,7 +132,7 @@ def test_isa_source_names_resolve_in_the_session_globals(session):
         session.run_text("(g 5)")
     with pytest.raises(ConceptError, match="unknown name 'k' in is-a source"):
         session.run_text("(is-a k t)")
-    assert session.store.instances(session.store.lookup("t")) == ()
+    assert session.store.links(session.store.lookup("t")) == []
 
 
 def test_adding_links_never_changes_existing_effective_weights():
@@ -138,24 +140,25 @@ def test_adding_links_never_changes_existing_effective_weights():
     number = store.declare_concept("number")
     integer = store.declare_concept("integer")
     l1 = store.add_isa(integer, number, 2.0)
-    assert store.instances(number) == ((l1, 2.0),)
+    assert store.links(number) == [l1]
     l2 = store.add_isa(parse_one("pi"), number)
     # the earlier link keeps its weight
-    assert store.instances(number) == ((l1, 2.0), (l2, 1.0))
+    assert store.links(number) == [l1, l2]
+    assert [link.weight for link in store.links(number)] == [2.0, 1.0]
 
 
-def test_rows_follow_each_change_to_the_store():
-    # the rows are built at the first read after a change
+def test_links_follow_each_change_to_the_store():
     store = ConceptStore()
     number = store.declare_concept("number")
-    assert store.instances(number) == ()
+    assert store.links(number) == []
     pi = store.add_isa(parse_one("pi"), number)
-    assert store.instances(number) == ((pi, 1.0),)
+    assert store.links(number) == [pi]
     integer = store.declare_concept("integer")
-    assert store.instances(integer) == ()
+    assert store.links(integer) == []
     link = store.add_isa(integer, number, 2.0)
-    assert store.instances(number) == ((pi, 1.0), (link, 2.0))
-    assert store.instances(integer) == ()
+    assert store.links(number) == [pi, link]
+    assert [link.weight for link in store.links(number)] == [1.0, 2.0]
+    assert store.links(integer) == []
 
 
 def test_knowledge_forms_require_session_toplevel(session):

@@ -399,7 +399,7 @@ def test_templates_compile_once_across_forms(prelude_session, monkeypatch):
     assert walked == []
 
 
-def test_links_and_contexts_keep_the_compiled_templates(prelude_session, monkeypatch):
+def test_new_links_keep_the_compiled_templates(prelude_session, monkeypatch):
     # only a `concept` form drops the compiled templates: a new link's
     # template compiles once, at its `is-a`
     walked = _count_template_compiles(monkeypatch)
@@ -409,12 +409,16 @@ def test_links_and_contexts_keep_the_compiled_templates(prelude_session, monkeyp
     assert 100 in {r.value for r in forms[1:]}
 
 
-def test_declaring_a_concept_recompiles_the_templates(session):
+def test_declaring_a_concept_recompiles_the_templates(session, monkeypatch):
     # `g` reads the global until a concept of that name makes it a draw
     session.run_text("(define g 5) (concept t) (is-a (list g) t)")
     assert format_value(session.run_text("(sample t)")[-1].value) == "(5)"
+    walked = _count_template_compiles(monkeypatch)
     session.run_text("(concept g) (is-a 7 g)")
-    assert format_value(session.run_text("(sample t)")[-1].value) == "(7)"
+    results = session.run_text("(sample t) " * 5)
+    assert {format_value(r.value) for r in results} == {"(7)"}
+    # `7` at its `is-a`, then `(list g)` once, at the first sample after
+    assert [print_expr(e) for e in walked] == ["7", "(list g)"]
 
 
 def test_a_link_added_between_samples_is_seen():
