@@ -57,13 +57,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-class _OrderedLoad(argparse.Action):
-    """Record --prelude/--rules occurrences in one list, preserving flag order."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        namespace.load_order.append((self.dest, value))
-
-
 def _build_parser():
     p = _ArgumentParser(
         prog="problisp",
@@ -77,10 +70,13 @@ def _build_parser():
                    help="rejection attempts per sample (default 10^6)")
     p.add_argument("--no-rewrite", dest="rewrite", action="store_false",
                    help="disable condition propagation / query rewriting")
+    # both append to one list, in flag order; argparse copies the default
     p.set_defaults(load_order=[])
-    p.add_argument("--prelude", action=_OrderedLoad, metavar="PATH",
+    p.add_argument("--prelude", action="append", dest="load_order", metavar="PATH",
+                   type=lambda path: ("prelude", path),
                    help="knowledge file to load first ('std' = shipped prelude); repeatable")
-    p.add_argument("--rules", action=_OrderedLoad, metavar="PATH",
+    p.add_argument("--rules", action="append", dest="load_order", metavar="PATH",
+                   type=lambda path: ("rules", path),
                    help="rewrite-rule file ('std' = shipped rules); repeatable. "
                         "Default: shipped rules when rewriting is enabled")
     p.add_argument("--stats", action="store_true",

@@ -107,12 +107,13 @@ class EvalContext(_Record):
     and the concept sampler read their state from it, taking none of it as
     parameters.  The knowledge forms change `store`, the concept store that
     the sampler reads, and `rules` (empty when rewriting is off) between
-    forms; `max_attempts` and `global_env` stay fixed for the session, and
-    `session` is set only there.  A query clears `session` while its
-    attempts run, and `run_samples` puts a draw object of its own on `rng`
-    for its batch.  A concept instantiation clears `session` and sets
-    `budget` and `sample_depth` for its recursion.  Each puts the old values
-    back when it returns.
+    forms.  `rules` is a tuple, read as immutable: a rule form replaces the
+    session's tuple with a longer one.  `max_attempts` and `global_env` stay
+    fixed for the session, and `session` is set only there.  A query clears
+    `session` while its attempts run, and `run_samples` puts a draw object
+    of its own on `rng` for its batch.  A concept instantiation clears
+    `session` and sets `budget` and `sample_depth` for its recursion.  Each
+    puts the old values back when it returns.
 
     The context is read when code runs, never when it is compiled: compiled
     code depends only on the forms and on the root frame it was compiled
@@ -672,7 +673,7 @@ def _eval_knowledge(op, expr, ctx):
         store.add_isa(source, cid, weight, loc=expr.loc).template = template
     elif op in ("equivalence", "implication"):
         rule = _rewrite.rule_from_form(expr, default_name=f"rule-{len(sess.rules) + 1}")
-        sess.rules.append(rule)
+        sess.rules = sess.rules + (rule,)
     return None
 
 

@@ -23,15 +23,15 @@ when a sample of the block first draws; a sample that draws nothing derives
 no stream.  Each index draws exactly the bytes a fresh
 `derive_rng(seed..., index)` generator would.
 
-A batch whose sample 0 makes no random choice in its first attempt (its
-stream is still pending after it, see `Draws.pending`) and charges no
-shared concept budget runs that attempt once: nothing else can make two
-samples differ, so every attempt of every sample goes the same way.  If
-it is accepted, the n samples are that one value object, one attempt each;
-if not, the batch raises at once the exhaustion that `max_attempts`
-attempts would reach.  With the shipped rules the paper's query becomes
-`(define x 5)` with condition `#t`, and a batch of it evaluates the
-constant once.
+Every query on a `Draws`, a batch, a single or a nested one, whose first
+attempt (with its query value, when accepted) moves neither the state nor
+the waiting half word of the `Draws` and charges no shared concept budget
+runs that attempt once: nothing else can make two attempts differ.  If it
+is accepted, the n samples are that one value object, one attempt each; if
+not, the query raises at once the exhaustion that `max_attempts` attempts
+would reach, and leaves every draw object where they would.  With the
+shipped rules the paper's query becomes `(define x 5)` with condition
+`#t`, and a batch of it evaluates the constant once.
 
 Every query whose definitions are all `(define v (random-integer N))`, with
 a literal N (`QuerySpec.supports`) and distinct names that alone the query
@@ -128,24 +128,24 @@ def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None, scoped=False):
     every nested query come here, so the attempt limit is checked here
     alone.  Given `states` (by `run_samples`), sample i draws from
     `states(i)`, and an `ExhaustionError` in it, its own or a nested query's,
-    is reported as sample i's, with the samples made before it.  A batch
-    whose sample 0 draws nothing and charges no budget in its first attempt
-    (see the module docstring) ends after that attempt.  The memo of the
-    module docstring applies where the caller found the query's scope fit
-    (`scoped`: its frame binds only its definitions' names, and its
-    `random-integer` is the standard primitive) and all of them are literal
-    draws: an attempt then draws with their own `integer(N)` calls, so the
-    stream moves as theirs would, and runs only the condition, unless
-    remembered."""
+    is reported as sample i's, with the samples made before it.  As the
+    module docstring says, a query on a `Draws` ends after a first attempt
+    that draws nothing and charges no budget, and the memo applies where
+    the caller found the query's scope fit (`scoped`: its frame binds only
+    its definitions' names, and its `random-integer` is the standard
+    primitive) and all of them are literal draws: an attempt then draws
+    with their own `integer(N)` calls, so the stream moves as theirs would,
+    and runs only the condition, unless remembered."""
     limit = ctx.max_attempts
     if limit < 1:
         raise EvalError("max-attempts must be at least 1")
     *attempt_codes, query_code = codes
     values, total = [], 0
-    probe, budget = states is not None, ctx.budget
+    rng, budget = ctx.rng, ctx.budget
+    probe = isinstance(rng, Draws)   # until the query's first attempt has run
     nodes = budget.nodes_expanded if budget is not None else None
     memo = None
-    if scoped and budget is None and isinstance(ctx.rng, Draws) and None not in spec.supports:
+    if scoped and budget is None and probe and None not in spec.supports:
         # name: (place value, N) of each value in a mixed-radix key
         places, space = {}, 1
         for d, size in zip(spec.definitions, spec.supports):
@@ -153,14 +153,16 @@ def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None, scoped=False):
             space *= size
         # distinct names, so they are all that the query's frame binds
         if 1 < space <= _MEMO_SPACE and len(places) == len(spec.definitions):
-            memo, rng, condition = {}, ctx.rng, attempt_codes[-1]
+            memo, condition = {}, attempt_codes[-1]
             integer, ((_, first), *rest) = rng.integer, places.values()
             places = places.items()
     session, ctx.session = ctx.session, None   # no knowledge forms inside a query
     try:
         for i in range(n):
             if states is not None:
-                ctx.rng.pend(states, i)
+                rng.pend(states, i)
+            if probe:
+                entry_state, entry_half = rng._state, rng._half
             try:
                 for attempt in range(1, limit + 1):
                     if memo is not None:
@@ -183,7 +185,7 @@ def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None, scoped=False):
                                 state, half = rng._state, rng._half
                                 cond = condition(env, ctx)
                                 if rng._state is state and rng._half is half:
-                                    # it drew nothing; a non-boolean ends the batch below
+                                    # it drew nothing; a non-boolean ends the query below
                                     memo[key] = cond
                     except ProblispError as err:
                         err.message = f"{err.message} (attempt {attempt})"
@@ -204,20 +206,18 @@ def _attempt_loop(spec, codes, base_env, ctx, n=1, states=None, scoped=False):
                             break
                     elif not probe:
                         if memo is not None and len(memo) == space and True not in memo.values():
-                            # every value rejects: so would the attempts left
-                            raise ExhaustionError(f"no accepted sample after {limit} attempts",
-                                                  limit)
+                            break   # every value rejects: so would the attempts left
                         continue
-                    probe = False   # sample 0's first attempt in a batch
-                    if ctx.rng.pending is not None and (
+                    probe = False   # the query's first attempt
+                    if rng._state is entry_state and rng._half is entry_half and (
                             budget is None or budget.nodes_expanded == nodes):
                         # it drew nothing and charged no budget: nor does any attempt
                         if cond:
                             return values * n, n
-                        raise ExhaustionError(f"no accepted sample after {limit} attempts", limit)
+                        break
                     if cond:
                         break
-                else:
+                if not cond:
                     raise ExhaustionError(f"no accepted sample after {limit} attempts", limit)
             except ExhaustionError as err:
                 if states is None:

@@ -174,16 +174,16 @@ class Draws:
 
     `pending` is the stream that the next draw installs: what `pend` was
     given, or at first the path's own stream, and None once a draw has
-    installed it.  So after `pend`, `pending is not None` says that nothing
-    has drawn since: a batch, which pends every sample's stream on a draw
-    object of its own, reads it once, after its first sample's first
-    attempt, to learn whether that sample made any random choice.
+    installed it.  The state and the half word are None before the first
+    draw, and every draw moves one of them to a new object, so a query
+    learns whether an attempt drew from their identity before and after it.
     """
 
     __slots__ = ("_state", "_inc", "_half", "pending")
 
     def __init__(self, *path):
         self.pending = _path_state, path
+        self._state = self._half = None
 
     def pend(self, states, i):
         """Draw next from the stream whose (state, inc) is `states(i)`: it

@@ -59,7 +59,7 @@ class Session:
                  rewrite=True):
         self.env = standard_env()
         self.store = ConceptStore()
-        self.rules = []
+        self.rules = ()
         self.samples = samples
         self.max_attempts = max_attempts
         self.rewrite = rewrite
@@ -73,7 +73,7 @@ class Session:
 
     def _ctx(self):
         return EvalContext(rng=self.rng, store=self.store, session=self,
-                           rules=tuple(self.rules) if self.rewrite else (),
+                           rules=self.rules if self.rewrite else (),
                            max_attempts=self.max_attempts, global_env=self.env)
 
     def eval_form(self, form):

@@ -1,5 +1,5 @@
 """Python call budgets of the two hot paths, recursive concept sampling and
-the blind rejection loop, of two queries that draw nothing, and of the
+the blind rejection loop, of three queries that draw nothing, and of the
 condition solver.
 
 The evaluator specializes its hot call shapes (see the evaluator module
@@ -54,6 +54,9 @@ PINNED_BUDGET = 176
 # a batch whose first sample rejects without drawing raises the exhaustion
 # after that one attempt; making all 10**6 of them took 3000094 calls
 DRAW_FREE_FALSE_BUDGET = 97
+# the same query nested in a form ends at its first attempt too; making all
+# 10**6 attempts took 3000109 calls
+NESTED_DRAW_FREE_FALSE_BUDGET = 112
 # 967 until the solver tried only the rewrites that can lower the target's
 # depth.  What that saved is the headroom for ROADMAP item 1's Real-literal
 # check, which went over the old budget (1074 against 967); the change that
@@ -122,17 +125,29 @@ def pinned_query():
     return calls, report.total_attempts
 
 
-def draw_free_false_query(max_attempts):
-    """(calls, attempts) of a query whose first sample rejects without
-    drawing: the count may not grow with `max_attempts`."""
+def _draw_free_false(text, max_attempts):
+    """(calls, attempts) of `text`, whose query rejects its first attempt
+    without drawing."""
     s = Session(seed=3, samples=200, max_attempts=max_attempts)
 
     def run():
         try:
-            s.run_text("(rejection-query (define x 5) x (= x 6))")
+            s.run_text(text)
         except ExhaustionError as err:
             return err.attempts
     return _count_calls(run)
+
+
+def draw_free_false_query(max_attempts):
+    """(calls, attempts) of a query whose first sample rejects without
+    drawing: the count may not grow with `max_attempts`."""
+    return _draw_free_false("(rejection-query (define x 5) x (= x 6))", max_attempts)
+
+
+def nested_draw_free_false_query(max_attempts):
+    """(calls, attempts) of the same query nested in a form, a single
+    sample: the count may not grow with `max_attempts` either."""
+    return _draw_free_false("(list (rejection-query (define x 5) x (= x 6)))", max_attempts)
 
 
 def solver_queries():
@@ -195,6 +210,15 @@ def test_draw_free_false_query_call_budget():
     assert counts[0] == counts[1] <= DRAW_FREE_FALSE_BUDGET
 
 
+def test_nested_draw_free_false_query_call_budget():
+    counts = []
+    for max_attempts in (10 ** 6, 10 ** 8):
+        calls, attempts = _in_child(nested_draw_free_false_query, max_attempts)
+        assert attempts == max_attempts
+        counts.append(calls)
+    assert counts[0] == counts[1] <= NESTED_DRAW_FREE_FALSE_BUDGET
+
+
 def test_solver_call_budget():
     calls, fired = _in_child(solver_queries)
     assert fired == [True, None, False, False]   # the same work as when the budget was set
@@ -204,6 +228,7 @@ def test_solver_call_budget():
 # every query the tests count, with the arguments they count it for
 QUERIES = ((concept_query,), (blind_query,), (pinned_query,),
            (draw_free_false_query, 10 ** 6), (draw_free_false_query, 10 ** 8),
+           (nested_draw_free_false_query, 10 ** 6), (nested_draw_free_false_query, 10 ** 8),
            (solver_queries,))
 
 

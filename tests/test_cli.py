@@ -252,16 +252,24 @@ def test_a_blind_batch_out_of_attempts_names_its_sample_and_exits_2():
                         "sample 1: no accepted sample after 3 attempts\n")
 
 
-@pytest.mark.parametrize("max_attempts", [None, 10 ** 8])
-def test_a_draw_free_batch_that_rejects_exits_2_at_its_first_attempt(tmp_path, max_attempts):
-    # sample 0 rejects without drawing, so every attempt would: the error is
-    # reported without making the attempts (10**8 of them took minutes)
+# the top-level batch's ids are the bare limits, None and 100000000
+@pytest.mark.parametrize("text, sample, max_attempts", [
+    pytest.param(text, sample, max_attempts, id=f"{kind}{max_attempts}")
+    for kind, text, sample in (
+        ("", "(rejection-query (define x 5) x (= x 6))", "sample 0: "),
+        ("nested-", "(list (rejection-query (define x 5) x (= x 6)))", ""))
+    for max_attempts in (None, 10 ** 8)])
+def test_a_draw_free_batch_that_rejects_exits_2_at_its_first_attempt(tmp_path, text, sample,
+                                                                    max_attempts):
+    # the first attempt rejects without drawing, so every attempt would, in a
+    # batch's sample 0 or in a nested query: the error is reported without
+    # making the attempts (10**8 of them took minutes)
     p = tmp_path / "false.lisp"
-    p.write_text("(rejection-query (define x 5) x (= x 6))\n")
+    p.write_text(text + "\n")
     flags = () if max_attempts is None else ("--max-attempts", max_attempts)
     r = run_cli(p, *flags, timeout=60)
     assert (r.returncode, r.stdout) == (2, "")
-    assert r.stderr == (f"problisp: {p}: line 1, column 1: sample 0: no accepted sample "
+    assert r.stderr == (f"problisp: {p}: line 1, column 1: {sample}no accepted sample "
                         f"after {max_attempts or 10 ** 6} attempts\n")
 
 

@@ -400,8 +400,9 @@ def test_batch_without_a_draw_object_draws_like_an_explicit_one(monkeypatch):
             assert run_samples(spec, n, env, seed=seed).samples == explicit
 
 
-# A batch asks once, after sample 0's first attempt, whether the sample drew
-# or charged a shared concept budget; if neither, it runs that attempt alone.
+# Every query on a `Draws`, a batch, a single or a nested one, asks once,
+# after its first attempt, whether that attempt drew or charged a shared
+# concept budget; if neither, it runs that attempt alone.
 DRAW_FREE_FALSE = "(rejection-query (define x 5) x (= x 6))"
 
 
@@ -416,6 +417,20 @@ def test_a_draw_free_batch_that_rejects_raises_the_full_exhaustion_at_once():
                               "no accepted sample after 1000000 attempts")
     assert exc.value.attempts == 10 ** 6
     assert exc.value.partial == SampleReport((), 10 ** 6, 0.0)
+
+
+def test_a_draw_free_single_query_that_rejects_raises_the_full_exhaustion_at_once():
+    # the error that 10**8 attempts reach, without making them, and the draw
+    # object left where they would leave it: they draw nothing
+    env = standard_env()
+    draws = Draws(1)
+    with pytest.raises(ExhaustionError) as exc:
+        _one(_spec(DRAW_FREE_FALSE), env, _ctx(draws, env, max_attempts=10 ** 8))
+    assert str(exc.value) == "no accepted sample after 100000000 attempts"
+    assert exc.value.attempts == 10 ** 8
+    twin = Draws(1)
+    assert [draws.integer(1000) for _ in range(5)] == [twin.integer(1000) for _ in range(5)]
+    assert draws.normal(0, 1) == twin.normal(0, 1)
 
 
 def test_a_draw_free_batch_is_one_value_in_one_attempt_per_sample():
@@ -450,6 +465,15 @@ def test_a_query_under_a_shared_concept_budget_runs_out_of_it_where_it_did():
                " (concept c) (is-a (rejection-query (define y (g)) y (= y 8)) c)")
     with pytest.raises(BudgetError) as exc:
         s.run_text("(sample c)")
+    assert exc.value.message == ("sampling did not terminate within budget "
+                                 "(depth 1/64, nodes 10001/10000) (attempt 10000)")
+    # so does a query whose definitions draw nothing: its condition's charge
+    # keeps it from ending at its first attempt.  A global names the concept,
+    # since a concept name written in a template is a draw of its own.
+    s.run_text("(define k d)"
+               " (concept f) (is-a (rejection-query (define y 5) y (= (sample k) 8)) f)")
+    with pytest.raises(BudgetError) as exc:
+        s.run_text("(sample f)")
     assert exc.value.message == ("sampling did not terminate within budget "
                                  "(depth 1/64, nodes 10001/10000) (attempt 10000)")
     # so does a template's query of literal draws: the budget keeps its memo off
